@@ -35,6 +35,7 @@ from quasidyn.lattice import (
     Model,
     PotentialSpec,
     ResourceError,
+    ScaleOverflowError,
 )
 from quasidyn.traces import (
     FIB_CONVENTION_ID,
@@ -458,12 +459,12 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
         report = dynamics.bound_report(spec, list(p_values), t_values, bound_id,
                                        slope_tolerance=slope_tol, max_cost=max_cost,
                                        window=window)
-        profiles = dynamics.profiles_time_ladder(spec, t_values, window=window)
     except ResourceError as err:
         _report_error("budget", str(err))
         sys.exit(EXIT_RESOURCE)
     except DomainError as err:
         raise click.UsageError(str(err))
+    profiles = report.profiles
     rows = []
     for p in p_values:
         series = dynamics.moment_series(profiles, p)
@@ -522,6 +523,8 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
 def powerlaw(model, lam, energies, from_level, count, mmax, alpha, geometry, out):
     """Transfer-norm power-law sweep with the Fibonacci coding bound."""
     spec = _build_spec(model, lam, geometry, None, ())
+    if mmax < 2:
+        raise click.UsageError("--mmax must be at least 2")
     if alpha is None:
         alpha = {Model.FIBONACCI: None, Model.PERIOD_DOUBLING: 1.0,
                  Model.THUE_MORSE: 0.0}.get(spec.model)
@@ -553,10 +556,15 @@ def powerlaw(model, lam, energies, from_level, count, mmax, alpha, geometry, out
     all_ok = True
     d_const = spectra.bound_parameters(lam).d if spec.model is Model.FIBONACCI else None
     for energy in energy_list:
-        rep = dynamics.powerlaw_check(spec, energy, alpha, mmax)
+        try:
+            norms = dynamics.transfer_norms_from_origin(spec, energy, mmax)
+        except ScaleOverflowError as err:
+            _report_error("overflow", str(err))
+            sys.exit(EXIT_CHECK_FAILED)
+        rep = dynamics._powerlaw_report(norms, energy, alpha, mmax)
         zk_ok = ""
         if d_const is not None:
-            zk = dynamics.zeckendorf_bound_check(spec, energy, mmax, d_const)
+            zk = dynamics._zeckendorf_report(norms, energy, mmax, d_const)
             zk_ok = zk["ok"]
             all_ok = all_ok and zk["ok"]
         rows.append((energy, rep.c_estimate, rep.argmax_m, rep.max_norm, zk_ok))

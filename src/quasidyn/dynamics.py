@@ -45,6 +45,7 @@ from quasidyn.lattice import (
     ResourceError,
     ScaleOverflowError,
     TruncationError,
+    _transfer_prefixes,
     potential_values,
     spectral_norm,
 )
@@ -125,6 +126,8 @@ class BoundReport:
     T_values: tuple[float, ...]
     slope_tolerance: float
     meta: dict = field(default_factory=dict)
+    #: the time-route profiles the slopes were fitted to, one per ladder time
+    profiles: tuple[AmplitudeProfile, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -136,12 +139,10 @@ class GoodSetInput:
     """Inputs to the moment lower bound driven by a good energy set.
 
     ``a_of_n`` maps a length scale N to the interval list (lo, hi) of the
-    good set A(N) contained in [-K, K]; alpha is the power-law exponent
-    certified on A(N).
+    good set A(N); alpha is the power-law exponent certified on A(N).
     """
 
     alpha: float
-    K: float
     a_of_n: Callable[[float], Sequence[tuple[float, float]]]
 
 
@@ -472,6 +473,14 @@ def outside_probability(profile: AmplitudeProfile, gamma: float) -> float:
     return float(np.sum(profile.a[np.abs(sites) >= threshold]))
 
 
+def _check_ladder(T_values: Sequence[float]) -> None:
+    """Reject a sorted ladder too short for a growth-exponent fit."""
+    if len(T_values) < 5:
+        raise DomainError("growth exponent needs at least 5 ladder points")
+    if math.log10(T_values[-1] / T_values[0]) < 1.5:
+        raise DomainError("growth exponent needs at least 1.5 decades of T")
+
+
 def growth_exponent(series: MomentSeries) -> GrowthFit:
     """Finite-time slope of log moment against log T.
 
@@ -481,10 +490,7 @@ def growth_exponent(series: MomentSeries) -> GrowthFit:
     """
     ts = np.array([t for t, _ in series.points])
     ms = np.array([m for _, m in series.points])
-    if ts.size < 5:
-        raise DomainError("growth exponent needs at least 5 ladder points")
-    if math.log10(ts[-1] / ts[0]) < 1.5:
-        raise DomainError("growth exponent needs at least 1.5 decades of T")
+    _check_ladder(ts)
     half = ts.size // 2
     x = np.log(ts[half:])
     y = ms[half:]
@@ -552,7 +558,7 @@ def fibonacci_good_set(lam: float, *, edge_tol: float = 1e-10) -> GoodSetInput:
         bands = approximant_spectrum(lam, k, edge_tol=edge_tol)
         return [(b.lo, b.hi) for b in bands]
 
-    return GoodSetInput(alpha=params.alpha, K=2.0 + lam, a_of_n=a_of_n)
+    return GoodSetInput(alpha=params.alpha, a_of_n=a_of_n)
 
 
 _BOUND_FORMULAS: dict[str, Callable[[float, dict], float]] = {
@@ -598,12 +604,13 @@ def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Seque
                  max_cost: float = 5e10) -> BoundReport:
     """Measured finite-time slopes against a theoretical lower bound.
 
-    Runs the shared-trajectory time profiles over the ladder, fits one slope
-    per moment order, and grades each against the chosen bound formula:
-    OUT_OF_REGIME when the bound slope is nonpositive (the bound is trivial
-    there and asserts nothing), PASS when the measured slope clears
-    bound - slope_tolerance, SOFT_FAIL otherwise.  The bounds are
-    asymptotic statements, hence never a hard error at finite T.
+    Runs the shared-trajectory time profiles over the ladder (kept in the
+    report's ``profiles``), fits one slope per moment order, and grades each
+    against the chosen bound formula: OUT_OF_REGIME when the bound slope is
+    nonpositive (the bound is trivial there and asserts nothing), PASS when
+    the measured slope clears bound - slope_tolerance, SOFT_FAIL otherwise.
+    The bounds are asymptotic statements, hence never a hard error at
+    finite T.
     """
     if bound_id is None:
         bound_id = default_bound_id(spec.model)
@@ -619,6 +626,7 @@ def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Seque
         raise ResourceError(
             f"estimated sweep cost {est_cost:.2e} exceeds budget {max_cost:.2e}; "
             "lower Tmax or raise the budget")
+    _check_ladder(T_values)
     profiles = profiles_time_ladder(spec, T_values, window=window, dt=dt)
     entries = []
     for p in p_values:
@@ -645,41 +653,27 @@ def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Seque
     }
     return BoundReport(spec_description=spec.describe(), bound_id=bound_id,
                        entries=tuple(entries), T_values=tuple(T_values),
-                       slope_tolerance=slope_tolerance, meta=meta)
+                       slope_tolerance=slope_tolerance, meta=meta,
+                       profiles=tuple(profiles))
 
 
 # ---------------------------------------------------------------------------
 # transfer-matrix power laws
 
-def _one_step(v: float, z: complex) -> np.ndarray:
-    return np.array([[z - v, -1.0], [1.0, 0.0]], dtype=np.complex128)
-
-
 def transfer_norms_from_origin(spec: PotentialSpec, E: complex, m_max: int) -> dict[int, float]:
     """Spectral norms of T(m, 1; E) for 1 <= |m| <= m_max, swept incrementally.
 
     On the whole line the negative side uses ||T(m, 1)|| = ||T(1, m)||,
-    valid because transfer matrices are unimodular.
+    valid because transfer matrices are unimodular, and
+    ||A(1) ... A(m+1)|| = ||A(m+1) ... A(1)||, valid because
+    A^T = D A D with D = diag(1, -1); so it is the same forward sweep fed
+    the sites 1, 0, -1, ....
     """
-    norms: dict[int, float] = {1: 1.0}
-    cur = np.eye(2, dtype=np.complex128)
-    vals = potential_values(spec, np.arange(2, m_max + 1)) if m_max >= 2 else np.array([])
-    for m, v in zip(range(2, m_max + 1), vals):
-        cur = _one_step(v, E) @ cur
-        peak = np.max(np.abs(cur))
-        if peak > 1e140:
-            raise ScaleOverflowError(f"transfer norm overflow at m={m}")
-        norms[m] = float(spectral_norm(cur))
+    forward = _transfer_prefixes(potential_values(spec, np.arange(2, m_max + 1)), E)
+    norms = dict(zip(range(1, m_max + 1), spectral_norm(forward).tolist()))
     if spec.geometry is Geometry.WHOLE_LINE:
-        # T(1, m-1) = T(1, m) A(m): extend the product leftward one site
-        cur = np.eye(2, dtype=np.complex128)
-        vals = potential_values(spec, np.arange(1, -m_max, -1))
-        for m, v in zip(range(0, -m_max - 1, -1), vals):
-            cur = cur @ _one_step(v, E)
-            peak = np.max(np.abs(cur))
-            if peak > 1e140:
-                raise ScaleOverflowError(f"transfer norm overflow at m={m}")
-            norms[m] = float(spectral_norm(cur))
+        backward = _transfer_prefixes(potential_values(spec, np.arange(1, -m_max, -1)), E)
+        norms.update(zip(range(0, -m_max - 1, -1), spectral_norm(backward[1:]).tolist()))
     return norms
 
 
@@ -702,7 +696,11 @@ def powerlaw_check(spec: PotentialSpec, E: float, alpha: float, m_max: int, *,
     """
     if m_max < 2:
         raise DomainError("m_max must be at least 2")
-    norms = transfer_norms_from_origin(spec, E, m_max)
+    return _powerlaw_report(transfer_norms_from_origin(spec, E, m_max), E, alpha, m_max, cap)
+
+
+def _powerlaw_report(norms: dict[int, float], E: float, alpha: float, m_max: int,
+                     cap: float | None = None) -> PowerlawReport:
     best_ratio, best_m, max_norm = 0.0, 1, 0.0
     violations = []
     for m, norm in sorted(norms.items()):
@@ -745,7 +743,10 @@ def zeckendorf(m: int) -> list[int]:
 
 def zeckendorf_bound_check(spec: PotentialSpec, E: float, m_max: int, d: float) -> dict:
     """Check ||T(m, 1; E)|| <= d^{m_N} with m_N the top Zeckendorf index."""
-    norms = transfer_norms_from_origin(spec, E, m_max)
+    return _zeckendorf_report(transfer_norms_from_origin(spec, E, m_max), E, m_max, d)
+
+
+def _zeckendorf_report(norms: dict[int, float], E: float, m_max: int, d: float) -> dict:
     log_d = math.log(d)
     worst_margin = -math.inf
     violations = []
@@ -764,49 +765,35 @@ def complex_energy_bound_check(spec: PotentialSpec, E: float, N: int,
     """Perturbed-energy transfer bound ||T(n, .; E + delta)|| <= K e^{K n |delta|}.
 
     K = K(N) is the exact sup of ||T(n, m; E)|| over the site box (both
-    signs on the whole line, 1..N on the half line), computed from prefix
-    products.  The forward sweep checks sites 1..N from anchor 1, and on
-    the whole line the backward sweep checks -N..0 from anchor 0.
+    signs on the whole line, 1..N on the half line): the largest norm over
+    the sweeps from every anchor m, which covers every pair because
+    ||T(m, n)|| = ||T(n, m)||.  The forward sweep checks sites 1..N from
+    anchor 1, and on the whole line the backward sweep checks -N..0 from
+    anchor 0, fed the sites 0, -1, ... (see transfer_norms_from_origin).
+    The bound is compared in log form so that no exponential can overflow.
     """
     if N < 2:
         raise DomainError("N must be at least 2")
     whole = spec.geometry is Geometry.WHOLE_LINE
-    lo = -N if whole else 1
-    # prefix[j - lo] = T(j, lo; E); pairwise quotients give every T(n, m; E)
-    prefixes = np.empty((N - lo + 1, 2, 2), dtype=np.complex128)
-    prefixes[0] = np.eye(2)
-    cur = np.eye(2, dtype=np.complex128)
-    vals = potential_values(spec, np.arange(lo + 1, N + 1))
-    for j, v in enumerate(vals):
-        cur = _one_step(v, E) @ cur
-        if np.max(np.abs(cur)) > 1e120:
-            raise ScaleOverflowError("prefix product overflow while measuring K(N)")
-        prefixes[j + 1] = cur
-    inv = np.empty_like(prefixes)
-    inv[..., 0, 0] = prefixes[..., 1, 1]
-    inv[..., 1, 1] = prefixes[..., 0, 0]
-    inv[..., 0, 1] = -prefixes[..., 0, 1]
-    inv[..., 1, 0] = -prefixes[..., 1, 0]
-    pair_norms = spectral_norm(np.einsum("aij,bjk->abik", prefixes, inv))
-    k_const = float(np.max(pair_norms))
+    box = potential_values(spec, np.arange(-N + 1 if whole else 2, N + 1))
+    k_const = max(float(np.max(spectral_norm(_transfer_prefixes(box[i:], E))))
+                  for i in range(box.size))
+    if not math.isfinite(k_const):
+        raise ScaleOverflowError(f"K(N) is not finite at E={E}")
+    # (site values, |n| at each swept site) of the sweeps from anchors 1 and 0
+    sweeps = [(potential_values(spec, np.arange(2, N + 1)), np.arange(2, N + 1))]
+    if whole:
+        sweeps.append((potential_values(spec, np.arange(0, -N, -1)), np.arange(1, N + 1)))
     worst = 0.0
     max_abs_delta = 0.0
     for delta in deltas:
         z = E + complex(delta)
-        max_abs_delta = max(max_abs_delta, abs(complex(delta)))
-        cur = np.eye(2, dtype=np.complex128)
-        vals = potential_values(spec, np.arange(2, N + 1))
-        for n, v in zip(range(2, N + 1), vals):
-            cur = _one_step(v, z) @ cur
-            bound = k_const * math.exp(k_const * n * abs(complex(delta)))
-            worst = max(worst, float(spectral_norm(cur)) / bound)
-        if whole:
-            cur = np.eye(2, dtype=np.complex128)
-            vals = potential_values(spec, np.arange(0, -N, -1))
-            for n, v in zip(range(-1, -N - 1, -1), vals):
-                cur = cur @ _one_step(v, z)
-                bound = k_const * math.exp(k_const * abs(n) * abs(complex(delta)))
-                worst = max(worst, float(spectral_norm(cur)) / bound)
+        size = abs(complex(delta))
+        max_abs_delta = max(max_abs_delta, size)
+        for vals, dist in sweeps:
+            norms = spectral_norm(_transfer_prefixes(vals, z)[1:])
+            log_ratio = np.log(norms) - math.log(k_const) - k_const * size * dist
+            worst = max(worst, float(np.exp(np.max(log_ratio))))
     return {"E": E, "N": N, "K": k_const, "max_ratio": worst,
             "max_abs_delta": max_abs_delta, "ok": worst <= 1.0 + 1e-9}
 

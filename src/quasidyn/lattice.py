@@ -351,15 +351,15 @@ def mat_inv_unimodular(m: np.ndarray) -> np.ndarray:
 def spectral_norm(m: np.ndarray) -> float | np.ndarray:
     """Spectral (2-)norm of 2x2 matrices in closed form via singular values.
 
-    For a 2x2 matrix, sigma_max^2 = (f + sqrt(f^2 - 4 d^2)) / 2 with f the
-    squared Frobenius norm and d = |det|.
+    With f the squared Frobenius norm and d = |det|, the singular values
+    satisfy (s1 + s2)^2 = f + 2d and (s1 - s2)^2 = f - 2d, so
+    s1 = (sqrt(f + 2d) + sqrt(f - 2d)) / 2.  Only f is ever squared-scale,
+    which keeps entries up to ~1e154 finite.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.asarray(m)
     fro2 = np.sum(np.abs(m) ** 2, axis=(-2, -1))
-    d = np.abs(det2(m))
-    disc = np.maximum(fro2 * fro2 - 4.0 * d * d, 0.0)
-    smax2 = 0.5 * (fro2 + np.sqrt(disc))
-    out = np.sqrt(smax2)
+    d2 = 2.0 * np.abs(det2(m))
+    out = 0.5 * (np.sqrt(fro2 + d2) + np.sqrt(np.maximum(fro2 - d2, 0.0)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -370,6 +370,35 @@ def _site_range_values(spec: PotentialSpec, lo: int, hi: int) -> np.ndarray:
 def _check_transfer_sites(spec: PotentialSpec, n: int, m: int) -> None:
     if spec.geometry is Geometry.HALF_LINE and min(n, m) < 0:
         raise DomainError("half-line transfer matrices need n, m >= 0")
+
+
+def _transfer_prefixes(vals: np.ndarray, z: complex) -> np.ndarray:
+    """Every prefix product A(v_j) ... A(v_1), j = 0..n, as an (n+1, 2, 2) array.
+
+    The one kernel behind all transfer products.  Each step maps the top
+    row to (z - v) top - bottom and the bottom row to the old top row, so
+    only top rows are carried through the loop.  The arithmetic is real
+    when z is.  Raises :class:`ScaleOverflowError` at the first site whose
+    entries pass :data:`OVERFLOW_LIMIT` or stop being finite.
+    """
+    z = complex(z)
+    z = z.real if z.imag == 0.0 else z
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0  # rows (a, b) and (c, d) of the product
+    tops = [(a, b)]
+    for v in np.asarray(vals, dtype=np.float64).tolist():
+        e = z - v
+        a, b, c, d = e * a - c, e * b - d, a, b
+        tops.append((a, b))
+    top = np.array(tops)
+    # the bottom row of each prefix is the previous top row, so checking
+    # the top rows checks every entry
+    bad = np.flatnonzero(~(np.max(np.abs(top), axis=1) <= OVERFLOW_LIMIT))
+    if bad.size:
+        raise ScaleOverflowError(
+            f"transfer product entries passed {OVERFLOW_LIMIT:.0e} after {bad[0]} "
+            f"of {top.shape[0] - 1} sites; use transfer_matrix_scaled")
+    bottom = np.concatenate([[(0.0, 1.0)], top[:-1]])
+    return np.stack([top, bottom], axis=1)
 
 
 def transfer_matrix(spec: PotentialSpec, n: int, m: int, z: complex) -> np.ndarray:
@@ -384,25 +413,17 @@ def transfer_matrix(spec: PotentialSpec, n: int, m: int, z: complex) -> np.ndarr
         return np.eye(2, dtype=np.complex128)
     if n < m:
         return mat_inv_unimodular(transfer_matrix(spec, m, n, z))
-    vals = _site_range_values(spec, m + 1, n)
-    out = np.eye(2, dtype=np.complex128)
-    for j, v in enumerate(vals):
-        a = np.array([[z - v, -1.0], [1.0, 0.0]], dtype=np.complex128)
-        out = a @ out
-        if j % 64 == 0 or j == vals.size - 1:
-            peak = np.max(np.abs(out))
-            if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
-                raise ScaleOverflowError(
-                    f"transfer product overflow near site {m + 1 + j}; "
-                    "use transfer_matrix_scaled")
-    return out
+    return _transfer_prefixes(_site_range_values(spec, m + 1, n), z)[-1].astype(np.complex128)
 
 
 def transfer_matrix_scaled(spec: PotentialSpec, n: int, m: int, z: complex) -> tuple[float, np.ndarray]:
     """Transfer matrix as (log_scale, normalized matrix).
 
     The true matrix is exp(log_scale) times the returned one; useful off the
-    spectrum where entries grow exponentially.
+    spectrum where entries grow exponentially.  The sites are cut into
+    blocks of L sites with (|z| + max|V| + 2)^L under the overflow limit, so
+    no block product can overflow, and the block products are chained with
+    a renormalization after each.
     """
     _check_transfer_sites(spec, n, m)
     if n == m:
@@ -414,17 +435,14 @@ def transfer_matrix_scaled(spec: PotentialSpec, n: int, m: int, z: complex) -> t
         ds, inv = _renorm(mat_inv_unimodular(mat))
         return log_scale + ds, inv
     vals = _site_range_values(spec, m + 1, n)
+    growth = math.log(abs(z) + float(np.max(np.abs(vals))) + 2.0)
+    block = max(1, int(math.log(OVERFLOW_LIMIT) / growth))
     out = np.eye(2, dtype=np.complex128)
     log_scale = 0.0
-    for v in vals:
-        a = np.array([[z - v, -1.0], [1.0, 0.0]], dtype=np.complex128)
-        out = a @ out
-        peak = np.max(np.abs(out))
-        if peak > 1e100:
-            out /= peak
-            log_scale += np.log(peak)
-    ds, out = _renorm(out)
-    return log_scale + ds, out
+    for start in range(0, vals.size, block):
+        ds, out = _renorm(_transfer_prefixes(vals[start:start + block], z)[-1] @ out)
+        log_scale += ds
+    return log_scale, out
 
 
 def _renorm(m: np.ndarray) -> tuple[float, np.ndarray]:

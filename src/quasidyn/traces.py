@@ -33,7 +33,10 @@ from quasidyn.lattice import (
     Model,
     PotentialSpec,
     ScaleOverflowError,
+    _transfer_prefixes,
     one_step_matrix,
+    potential_values,
+    spectral_norm,
 )
 
 #: Adopted Fibonacci block convention, embedded in output metadata.
@@ -280,19 +283,16 @@ def indexing_convention_report(lam: float = 1.0, E: float = 0.7, kmax: int = 8) 
     """
     spec = PotentialSpec(Model.FIBONACCI, lam)
     fib = fibonacci_numbers(kmax)
-
-    def brute(first_site: int, k: int) -> np.ndarray:
-        out = np.eye(2, dtype=np.complex128)
-        for n in range(first_site, fib[k] + 1):
-            out = one_step_matrix(spec, n, E) @ out
-        return out
+    # prefix j of the sweep from site 1 covers 1..j, from site 2 covers 2..j+1
+    from_site1 = _transfer_prefixes(potential_values(spec, np.arange(1, fib[kmax] + 1)), E)
+    from_site2 = _transfer_prefixes(potential_values(spec, np.arange(2, fib[kmax] + 1)), E)
 
     def residual(blocks: list[np.ndarray]) -> float:
         return max(float(np.max(np.abs(blocks[k] - blocks[k - 2] @ blocks[k - 1])))
                    for k in range(2, kmax + 1))
 
-    cand_site1 = [one_step_matrix(spec, 0, E)] + [brute(1, k) for k in range(1, kmax + 1)]
-    cand_site2 = [brute(2, k) for k in range(0, kmax + 1)]
+    cand_site1 = [one_step_matrix(spec, 0, E)] + [from_site1[fib[k]] for k in range(1, kmax + 1)]
+    cand_site2 = [from_site2[fib[k] - 1] for k in range(0, kmax + 1)]
     res1, res2 = residual(cand_site1), residual(cand_site2)
     return {
         "adopted": "A(F_k)...A(1)" if res1 < res2 else "A(F_k)...A(2)",
@@ -311,16 +311,6 @@ def indexing_convention_report(lam: float = 1.0, E: float = 0.7, kmax: int = 8) 
 def letter_matrix(lam: float, E: complex, letter: int) -> np.ndarray:
     """One-step matrix [[E - lam*letter, -1], [1, 0]] for a word letter."""
     return np.array([[E - lam * letter, -1.0], [1.0, 0.0]], dtype=np.complex128)
-
-
-def word_transfer(lam: float, z: complex, letters: np.ndarray) -> np.ndarray:
-    """Transfer matrix of a word w_1..w_l: A(w_l) ... A(w_1)."""
-    out = np.eye(2, dtype=np.complex128)
-    for letter in np.asarray(letters, dtype=np.uint8):
-        out = letter_matrix(lam, z, int(letter)) @ out
-        if np.max(np.abs(out)) > TRACE_OVERFLOW:
-            raise ScaleOverflowError("word transfer product overflowed")
-    return out
 
 
 def subst_transfer(model: Model | str, lam: float, E: complex, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -550,13 +540,6 @@ def _dd_newton_root(value_dd, derivative, e0: float, iterations: int = 5) -> tup
     return e
 
 
-def _spectral_norm_2x2(m: np.ndarray) -> float:
-    fro2 = float(np.sum(np.abs(m) ** 2))
-    d = abs(complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
-    disc = max(fro2 * fro2 - 4.0 * d * d, 0.0)
-    return float(np.sqrt(0.5 * (fro2 + np.sqrt(disc))))
-
-
 def pd_root_certificates(lam: float, k: int, *, xtol: float = 1e-12) -> list[dict]:
     """Per-root identity defects of the level-(k+1) period-doubling blocks.
 
@@ -575,7 +558,7 @@ def pd_root_certificates(lam: float, k: int, *, xtol: float = 1e-12) -> list[dic
         x_dd, y_dd = _pd_xy_dd(lam, e_dd, k)
         t0_k, _ = subst_transfer(Model.PERIOD_DOUBLING, lam, e_dd[0], k)
         trace_defect = abs((_dd_mul(x_dd, y_dd))[0])
-        t1_defect = abs(x_dd[0] + x_dd[1]) * _spectral_norm_2x2(t0_k)
+        t1_defect = abs(x_dd[0] + x_dd[1]) * spectral_norm(t0_k)
         certificates.append({
             "E": float(e_dd[0]),
             "trace_defect": trace_defect,
@@ -652,7 +635,7 @@ def tm_root_certificates(lam: float, k: int, *, xtol: float = 1e-12) -> list[dic
                 "E": float(e_dd[0]),
                 "source_level": j,
                 "x_defect": x_j,
-                "t0_minus_identity_norm": x_j * _spectral_norm_2x2(m0),
-                "t1_minus_identity_norm": x_j * _spectral_norm_2x2(m1),
+                "t0_minus_identity_norm": x_j * spectral_norm(m0),
+                "t1_minus_identity_norm": x_j * spectral_norm(m1),
             })
     return certificates

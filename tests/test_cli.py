@@ -159,6 +159,21 @@ def test_dynamics_fib_reports_out_of_regime(runner, tmp_path):
     assert doc["entries"][0]["bound_slope"] < 0.0
 
 
+def test_powerlaw_off_spectrum_norms_stay_finite(runner, tmp_path):
+    out = tmp_path / "powerlaw.csv"
+    args = ["powerlaw", "--model", "tm", "--lambda", "1", "--energy", "5",
+            "--alpha", "0", "--out", str(out)]
+    result = runner.invoke(main, args + ["--mmax", "200"])
+    assert result.exit_code == 0, result.output
+    (row,) = _data_rows(out)
+    assert "inf" not in row and "nan" not in row
+    # past the overflow limit the sweep is refused with one JSON error line
+    result = runner.invoke(main, args + ["--mmax", "300"])
+    assert result.exit_code == 1
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line)["error"] == "overflow"
+
+
 def test_outputs_are_deterministic(runner, tmp_path):
     paths = []
     for tag in ("a", "b"):

@@ -34,11 +34,12 @@ from quasidyn.lattice import (
     PotentialSpec,
     ResourceError,
     TruncationError,
+    spectral_norm,
     transfer_matrix,
 )
 from quasidyn.spectra import approximant_spectrum, bound_parameters
 
-from conftest import fib_spec
+from conftest import brute_transfer, fib_spec
 
 FREE = PotentialSpec(Model.FREE)
 
@@ -284,7 +285,7 @@ def test_growth_exponent_needs_span():
 
 def test_good_set_bound_single_energy_slope():
     alpha, p = 2.0, 10.0
-    inp = GoodSetInput(alpha=alpha, K=3.0, a_of_n=lambda n: [(0.5, 0.5)])
+    inp = GoodSetInput(alpha=alpha, a_of_n=lambda n: [(0.5, 0.5)])
     t1, t2 = 1e5, 2e5
     slope = (good_set_moment_bound(inp, t2, p)["log_moment_bound"]
              - good_set_moment_bound(inp, t1, p)["log_moment_bound"]) / math.log(2.0)
@@ -293,7 +294,7 @@ def test_good_set_bound_single_energy_slope():
 
 def test_good_set_bound_window_set_slope():
     theta, p = 2.0, 6.0
-    inp = GoodSetInput(alpha=0.0, K=3.0,
+    inp = GoodSetInput(alpha=0.0,
                           a_of_n=lambda n: [(-n ** (-1.0 / theta), n ** (-1.0 / theta))])
     t1, t2 = 1e6, 4e6
     slope = (good_set_moment_bound(inp, t2, p)["log_moment_bound"]
@@ -306,7 +307,7 @@ def test_good_set_bound_measure_driven_slope():
     # three-exponent slope formula
     params = bound_parameters(5.0)
     alpha, gamma, p = params.alpha, params.gamma, 40.0
-    inp = GoodSetInput(alpha=alpha, K=7.0,
+    inp = GoodSetInput(alpha=alpha,
                           a_of_n=lambda n: [(0.0, n ** (-gamma))])
     t1, t2 = 1e6, 8e6
     slope = (good_set_moment_bound(inp, t2, p)["log_moment_bound"]
@@ -405,6 +406,17 @@ def test_complex_energy_bound_fib_band_energy():
     assert complex_energy_bound_check(half, energy, 89, deltas)["ok"]
 
 
+def test_complex_energy_bound_gap_energy_has_finite_constant():
+    # E = 3.5 lies in a gap: T(n, m; E) grows exponentially across the box,
+    # and K(N) must come out finite rather than from overflowed quotients
+    report = complex_energy_bound_check(fib_spec(1.0), 3.5, 89, [1j / 89.0])
+    assert math.isfinite(report["K"])
+    assert report["K"] == pytest.approx(4.42e68, rel=1e-2)
+    across_box = spectral_norm(brute_transfer(fib_spec(1.0), 89, -89, 3.5))
+    assert report["K"] >= across_box * (1.0 - 1e-12)
+    assert math.isfinite(report["max_ratio"])
+
+
 def test_tail_scaling_grows_along_ladder():
     report = resolvent_tail_scaling(fib_spec(1.0), [50.0, 200.0], energies_per_t=4)
     assert report["rows"][1]["S_min"] > report["rows"][0]["S_min"]
@@ -427,3 +439,26 @@ def test_bound_report_budget_guard():
 
     with pytest.raises(ResourceError):
         bound_report(FREE, [2.0], [10.0, 1e7], "tm", max_cost=1e6)
+
+
+def test_bound_report_checks_ladder_before_sweep(monkeypatch):
+    from quasidyn import dynamics
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the ladder was swept before it was validated")
+
+    monkeypatch.setattr(dynamics, "profiles_time_ladder", no_sweep)
+    with pytest.raises(DomainError, match="at least 1.5 decades of T"):
+        dynamics.bound_report(FREE, [2.0], list(np.geomspace(10.0, 60.0, 7)), "tm")
+    with pytest.raises(DomainError, match="at least 5 ladder points"):
+        dynamics.bound_report(FREE, [2.0], [10.0, 100.0, 1000.0], "tm")
+
+
+def test_bound_report_keeps_its_profiles():
+    from quasidyn.dynamics import bound_report
+
+    ladder = list(np.geomspace(2.0, 80.0, 5))
+    report = bound_report(FREE, [2.0], ladder, "tm")
+    assert [prof.T for prof in report.profiles] == pytest.approx(ladder)
+    series = moment_series(report.profiles, 2.0)
+    assert growth_exponent(series).slope == pytest.approx(report.entries[0].measured_slope)

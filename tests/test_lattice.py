@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasidyn.lattice import (
+    OVERFLOW_LIMIT,
     DomainError,
     Geometry,
     LatticeWindow,
@@ -12,6 +13,7 @@ from quasidyn.lattice import (
     PotentialSpec,
     ResourceError,
     ScaleOverflowError,
+    _transfer_prefixes,
     apply_hamiltonian,
     mat_inv_unimodular,
     one_step_matrix,
@@ -228,6 +230,46 @@ def test_scaled_inverse_preserves_norm():
     ls_inv, m_inv = transfer_matrix_scaled(spec, 0, 400, 8.0)
     assert ls_fwd + np.log(spectral_norm(m_fwd)) == pytest.approx(
         ls_inv + np.log(spectral_norm(m_inv)), abs=1e-9)
+
+
+@pytest.mark.parametrize("z", [0.3, 2.7, 0.4 + 0.2j, -1.1 - 0.05j])
+def test_prefix_kernel_matches_brute_products(z):
+    spec = fib_spec(1.5)
+    lo, hi = -25, 30
+    prefixes = _transfer_prefixes(potential_values(spec, np.arange(lo + 1, hi + 1)), z)
+    assert prefixes.shape == (hi - lo + 1, 2, 2)
+    for j in range(hi - lo + 1):
+        npt.assert_allclose(prefixes[j], brute_transfer(spec, lo + j, lo, z),
+                            rtol=1e-12, atol=1e-14)
+    # fed the sites 1, 0, -1, ... the kernel gives D T(1, m)^T D, D = diag(1, -1)
+    d = np.diag([1.0, -1.0])
+    backward = _transfer_prefixes(potential_values(spec, np.arange(1, lo, -1)), z)
+    for j in range(1, 2 - lo):
+        npt.assert_allclose(backward[j], d @ brute_transfer(spec, 1, 1 - j, z).T @ d,
+                            rtol=1e-12, atol=1e-14)
+
+
+def test_prefix_kernel_overflows_at_first_site_past_limit():
+    vals = np.zeros(400)
+    z = 9.0
+    brute = np.eye(2)
+    first = None
+    for j, v in enumerate(vals, start=1):
+        brute = np.array([[z - v, -1.0], [1.0, 0.0]]) @ brute
+        if np.max(np.abs(brute)) > OVERFLOW_LIMIT:
+            first = j
+            break
+    assert first is not None
+    assert _transfer_prefixes(vals[:first - 1], z).shape[0] == first
+    with pytest.raises(ScaleOverflowError):
+        _transfer_prefixes(vals[:first], z)
+    with pytest.raises(ScaleOverflowError):
+        _transfer_prefixes(np.array([0.0, np.nan]), 0.5)
+
+
+def test_spectral_norm_far_from_unit_scale():
+    assert spectral_norm(np.diag([1e80, 1e-80])) == pytest.approx(1e80, rel=1e-15)
+    assert spectral_norm(np.array([[3.0, 4.0], [0.0, 0.0]])) == pytest.approx(5.0, rel=1e-15)
 
 
 def test_mat_inv_unimodular():
