@@ -206,6 +206,7 @@ def spectrum(model, lam, k, edge_tol, with_measure, out, config_path):
         raise click.UsageError("--lambda must be positive")
     if k < 1:
         raise click.UsageError("--k must be at least 1")
+    _positive(edge_tol, "--edge-tol")
     config = RunConfig("spectrum", {"model": model.value, "lambda": _fmt(lam),
                                     "k": k, "edge_tol": _fmt(edge_tol)})
     t_start = time.monotonic()
@@ -349,10 +350,10 @@ def _suite_covering(lam: float, mmax: int) -> dict:
             "mmax": mmax, "violations": worst}
 
 
-def _suite_parseval(model: str, lam: float, T: float, threads: int) -> dict:
+def _suite_parseval(model: str, lam: float, T: float) -> dict:
     spec = PotentialSpec(Model.parse(model), lam)
     prof_t = dynamics.profile_time(spec, T)
-    prof_r = dynamics.profile_resolvent(spec, T, window=prof_t.window, threads=threads)
+    prof_r = dynamics.profile_resolvent(spec, T, window=prof_t.window)
     l1 = float(np.sum(np.abs(prof_t.a - prof_r.a)))
     rel = l1 / prof_t.total_mass
     return {"name": "parseval-cross-validation", "ok": rel <= 0.02,
@@ -370,10 +371,13 @@ def _suite_parseval(model: str, lam: float, T: float, threads: int) -> dict:
 @click.option("--T", "t_avg", type=float, default=50.0, show_default=True)
 @click.option("--mmax", type=int, default=9, show_default=True)
 @click.option("--seed", type=int, default=20250808, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), default=None)
-def verify(suite, model, lam, samples, t_avg, mmax, seed, threads, out):
+def verify(suite, model, lam, samples, t_avg, mmax, seed, out):
     """Run one named invariant suite and emit a JSON report."""
+    if suite == "parseval":
+        _positive(t_avg, "--T")
+    if suite == "covering" and mmax < 2:
+        raise click.UsageError("--mmax must be at least 2")
     config = RunConfig("verify", {"suite": suite, "model": model, "lambda": _fmt(lam),
                                   "samples": samples, "T": _fmt(t_avg), "mmax": mmax,
                                   "seed": seed})
@@ -385,7 +389,7 @@ def verify(suite, model, lam, samples, t_avg, mmax, seed, threads, out):
     elif suite == "covering":
         record = _suite_covering(lam if lam > 0 else 5.0, mmax)
     else:
-        record = _suite_parseval(model, lam, t_avg, threads)
+        record = _suite_parseval(model, lam, t_avg)
     payload = {"suite": suite, "records": [record], "ok": record["ok"]}
     if out is not None:
         write_json(out, config, {}, payload)
@@ -422,11 +426,10 @@ def verify(suite, model, lam, samples, t_avg, mmax, seed, threads, out):
               help="also write the site profile (n, a) at the largest T")
 @click.option("--profile-method", type=click.Choice(["time", "resolvent"]),
               default="time", show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_tol,
                  perturb_sites, window_radius, geometry, seed, max_cost, out,
-                 profile_out, profile_method, threads, config_path):
+                 profile_out, profile_method, config_path):
     """Moment ladder CSV plus a lower-bound verdict JSON."""
     file_vals = _load_config_file(config_path)
     lam = float(file_vals.get("lambda", lam))
@@ -434,6 +437,7 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
     if Model.parse(model) is not Model.FREE and lam <= 0:
         raise click.UsageError("--lambda must be positive for the aperiodic models")
     _positive(t_max, "--Tmax")
+    _positive(t_min, "--Tmin")
     if t_count < 5:
         raise click.UsageError("--Tcount must be at least 5 for slope estimation")
     spec = _build_spec(model, lam, geometry, seed, perturb_sites)
@@ -449,11 +453,7 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
     })
     window = None
     if window_radius is not None:
-        from quasidyn.lattice import LatticeWindow
-
-        window = (LatticeWindow(1, window_radius, Geometry.HALF_LINE)
-                  if spec.geometry is Geometry.HALF_LINE
-                  else LatticeWindow(-window_radius, window_radius))
+        window = dynamics._origin_window(spec, window_radius)
     t_start = time.monotonic()
     try:
         report = dynamics.bound_report(spec, list(p_values), t_values, bound_id,
@@ -474,8 +474,7 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
     if profile_out is not None:
         prof = profiles[-1]
         if profile_method == "resolvent":
-            prof = dynamics.profile_resolvent(spec, prof.T, window=prof.window,
-                                              threads=threads)
+            prof = dynamics.profile_resolvent(spec, prof.T, window=prof.window)
         profile_config = RunConfig("dynamics-profile", {
             **config.values, "profile_method": profile_method,
             "profile_T": _fmt(prof.T),

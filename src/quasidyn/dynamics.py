@@ -28,12 +28,10 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.special import jv, logsumexp
 
 from quasidyn.lattice import (
@@ -46,10 +44,12 @@ from quasidyn.lattice import (
     ScaleOverflowError,
     TruncationError,
     _transfer_prefixes,
+    _tridiag_apply,
+    _tridiag_solve,
     potential_values,
     spectral_norm,
 )
-from quasidyn.spectra import approximant_spectrum, bound_parameters
+from quasidyn.spectra import approximant_spectrum, bound_parameters, merge_intervals
 from quasidyn.traces import FIB_CONVENTION_ID, fibonacci_numbers
 
 #: Abel-average integration cutoff: t_max = TIME_CUTOFF * T.
@@ -155,6 +155,13 @@ def _window_potential(spec: PotentialSpec, window: LatticeWindow) -> np.ndarray:
     return potential_values(spec, window.sites())
 
 
+def _origin_window(spec: PotentialSpec, radius: int) -> LatticeWindow:
+    """Sites [1, radius] on the half line, [-radius, radius] on the whole line."""
+    if spec.geometry is Geometry.HALF_LINE:
+        return LatticeWindow(1, radius, Geometry.HALF_LINE)
+    return LatticeWindow(-radius, radius)
+
+
 def resolvent_vector(spec: PotentialSpec, z: complex, window: LatticeWindow, *,
                      boundary_tol: float | None = None,
                      residual_tol: float = 1e-12) -> np.ndarray:
@@ -168,22 +175,14 @@ def resolvent_vector(spec: PotentialSpec, z: complex, window: LatticeWindow, *,
     if z.imag <= 0:
         raise DomainError("resolvent vectors are computed for Im z > 0")
     v = _window_potential(spec, window)
-    n = window.size
-    rhs = np.zeros(n, dtype=np.complex128)
+    rhs = np.zeros(window.size, dtype=np.complex128)
     rhs[window.index(1)] = 1.0
-    ab = np.zeros((3, n), dtype=np.complex128)
-    ab[0, 1:] = 1.0
-    ab[1, :] = v - z
-    ab[2, :-1] = 1.0
-    phi = solve_banded((1, 1), ab, rhs)
+    phi = _tridiag_solve(v, z, rhs)
     norm = float(np.linalg.norm(phi))
-    resid = (v - z) * phi
-    resid[:-1] += phi[1:]
-    resid[1:] += phi[:-1]
-    resid -= rhs
+    resid = _tridiag_apply(v - z, phi) - rhs
     if np.linalg.norm(resid) > residual_tol * max(norm, 1.0):
         raise ArithmeticError("resolvent solve residual above tolerance")
-    if boundary_tol is not None and n > 2:
+    if boundary_tol is not None and window.size > 2:
         edge = (abs(phi[0]) ** 2 + abs(phi[-1]) ** 2) / max(norm * norm, np.finfo(float).tiny)
         if edge > boundary_tol:
             raise TruncationError(
@@ -191,9 +190,7 @@ def resolvent_vector(spec: PotentialSpec, z: complex, window: LatticeWindow, *,
     return phi
 
 
-def _default_energy_grid(spec: PotentialSpec, window: LatticeWindow, eps: float,
-                         pad: float) -> np.ndarray:
-    v = _window_potential(spec, window)
+def _default_energy_grid(v: np.ndarray, eps: float, pad: float) -> np.ndarray:
     lo = float(v.min()) - 2.0 - pad
     hi = float(v.max()) + 2.0 + pad
     spacing = eps / 4.0
@@ -204,7 +201,7 @@ def _default_energy_grid(spec: PotentialSpec, window: LatticeWindow, eps: float,
 
 def profile_resolvent(spec: PotentialSpec, T: float, window: LatticeWindow | None = None, *,
                       energy_grid: np.ndarray | None = None, pad: float = 4.0,
-                      threads: int = 1, richardson: bool = False) -> AmplitudeProfile:
+                      richardson: bool = False) -> AmplitudeProfile:
     """Site probabilities a(n, T) from the resolvent side of the identity.
 
     Midpoint quadrature of (eps/pi) |R(E + i eps) delta_1(n)|^2 over the
@@ -218,12 +215,10 @@ def profile_resolvent(spec: PotentialSpec, T: float, window: LatticeWindow | Non
         raise DomainError("T must be positive")
     eps = 1.0 / T
     if window is None:
-        radius = default_window_radius(TIME_CUTOFF * T)
-        window = (LatticeWindow(1, radius, Geometry.HALF_LINE)
-                  if spec.geometry is Geometry.HALF_LINE
-                  else LatticeWindow(-radius, radius))
+        window = _origin_window(spec, default_window_radius(TIME_CUTOFF * T))
+    v = _window_potential(spec, window)
     if energy_grid is None:
-        grid = _default_energy_grid(spec, window, eps, pad)
+        grid = _default_energy_grid(v, eps, pad)
     else:
         grid = np.asarray(energy_grid, dtype=np.float64)
         spacings = np.diff(grid)
@@ -231,35 +226,22 @@ def profile_resolvent(spec: PotentialSpec, T: float, window: LatticeWindow | Non
             raise DomainError("energy grid spacing must not exceed eps/4")
         if np.max(spacings) - np.min(spacings) > 1e-12 * np.max(spacings):
             raise DomainError("energy grid must be uniform (midpoint quadrature)")
-        v = _window_potential(spec, window)
         if grid[0] > v.min() - 2.0 - 1.0 or grid[-1] < v.max() + 2.0 + 1.0:
             raise DomainError("energy grid must span the padded spectral window")
     h = float(grid[1] - grid[0])
-    v = _window_potential(spec, window)
-    weights = np.empty((grid.size, window.size), dtype=np.float64)
-
-    def fill(chunk: np.ndarray) -> None:
-        n = window.size
-        ab = np.zeros((3, n), dtype=np.complex128)
-        ab[0, 1:] = 1.0
-        ab[2, :-1] = 1.0
-        rhs = np.zeros(n, dtype=np.complex128)
-        rhs[window.index(1)] = 1.0
-        for i in chunk:
-            ab[1, :] = v - (grid[i] + 1j * eps)
-            phi = solve_banded((1, 1), ab, rhs, overwrite_ab=False, overwrite_b=False)
-            weights[i] = np.abs(phi) ** 2
-
-    indices = np.arange(grid.size)
-    if threads <= 1:
-        fill(indices)
-    else:
-        chunks = np.array_split(indices, threads * 4)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, chunks))
-    # fixed-order reduction over the energy axis keeps results identical
-    # for every thread count
-    a = (eps / math.pi) * h * np.sum(weights, axis=0)
+    rhs = np.zeros(window.size, dtype=np.complex128)
+    rhs[window.index(1)] = 1.0
+    total = np.zeros(window.size)
+    worst = 0.0
+    for i, E in enumerate(grid):
+        weights = np.abs(_tridiag_solve(v, E + 1j * eps, rhs)) ** 2
+        total += weights
+        if richardson and i % 16 == 0:
+            refined = sum(0.5 * np.sum(np.abs(_tridiag_solve(v, E + offset + 1j * eps, rhs)) ** 2)
+                          for offset in (-0.25 * h, 0.25 * h))
+            coarse = float(np.sum(weights))
+            worst = max(worst, abs(float(refined) - coarse) / max(coarse, 1e-300))
+    a = (eps / math.pi) * h * total
     meta = {
         "model": spec.model.value,
         "lambda": spec.lam,
@@ -270,21 +252,6 @@ def profile_resolvent(spec: PotentialSpec, T: float, window: LatticeWindow | Non
         "convention": FIB_CONVENTION_ID,
     }
     if richardson:
-        n = window.size
-        ab = np.zeros((3, n), dtype=np.complex128)
-        ab[0, 1:] = 1.0
-        ab[2, :-1] = 1.0
-        rhs = np.zeros(n, dtype=np.complex128)
-        rhs[window.index(1)] = 1.0
-        worst = 0.0
-        for i in range(0, grid.size, 16):
-            refined = np.zeros(1)
-            for offset in (-0.25 * h, 0.25 * h):
-                ab[1, :] = v - (grid[i] + offset + 1j * eps)
-                phi = solve_banded((1, 1), ab, rhs)
-                refined = refined + 0.5 * np.sum(np.abs(phi) ** 2)
-            coarse = float(np.sum(weights[i]))
-            worst = max(worst, abs(float(refined[0]) - coarse) / max(coarse, 1e-300))
         meta["richardson_max_rel_delta"] = worst
     return AmplitudeProfile(T=T, window=window, a=a, method="resolvent", meta=meta)
 
@@ -312,10 +279,8 @@ def _chebyshev_order(x: float, tol: float, max_order: int) -> int:
 class _Propagator:
     """Chebyshev propagator for the windowed chain Hamiltonian."""
 
-    def __init__(self, spec: PotentialSpec, window: LatticeWindow, *,
-                 tol: float = 1e-15, max_order: int = 1 << 17):
-        self.v = _window_potential(spec, window)
-        self.window = window
+    def __init__(self, v: np.ndarray, *, tol: float = 1e-15, max_order: int = 1 << 17):
+        self.v = v
         lo = float(self.v.min()) - 2.0
         hi = float(self.v.max()) + 2.0
         margin = 0.025 * (hi - lo)
@@ -324,12 +289,6 @@ class _Propagator:
         self.tol = tol
         self.max_order = max_order
 
-    def _apply(self, psi: np.ndarray) -> np.ndarray:
-        out = self.v * psi
-        out[:-1] += psi[1:]
-        out[1:] += psi[:-1]
-        return out
-
     def step(self, psi: np.ndarray, dt: float) -> np.ndarray:
         """One exact-in-principle step of e^{-i dt H} via the expansion."""
         x = self.half_width * dt
@@ -337,12 +296,12 @@ class _Propagator:
         coeff = jv(np.arange(order + 1), x)
         a_inv = 1.0 / self.half_width
         tm1 = psi
-        t0 = (self._apply(psi) - self.center * psi) * a_inv
+        t0 = (_tridiag_apply(self.v, psi) - self.center * psi) * a_inv
         acc = coeff[0] * tm1 + 2.0 * coeff[1] * (-1j) * t0
         phase = -1j
         for k in range(2, order + 1):
             phase *= -1j
-            t1 = 2.0 * (self._apply(t0) - self.center * t0) * a_inv - tm1
+            t1 = 2.0 * (_tridiag_apply(self.v, t0) - self.center * t0) * a_inv - tm1
             acc += (2.0 * coeff[k] * phase) * t1
             tm1, t0 = t0, t1
         return np.exp(-1j * self.center * dt) * acc
@@ -360,14 +319,13 @@ def evolve_state(spec: PotentialSpec, t: float, window: LatticeWindow, *,
     psi[window.index(1)] = 1.0
     if t == 0.0:
         return psi
-    prop = _Propagator(spec, window, tol=tol, max_order=max_order)
+    prop = _Propagator(_window_potential(spec, window), tol=tol, max_order=max_order)
     return prop.step(psi, t)
 
 
-def _time_grid_step(spec: PotentialSpec, window: LatticeWindow, dt: float | None) -> float:
+def _time_grid_step(v: np.ndarray, dt: float | None) -> float:
     if dt is not None:
         return dt
-    v = _window_potential(spec, window)
     span = float(v.max() - v.min()) + 4.0
     # keep the sampling rate above the largest Bohr frequency (Nyquist)
     return min(0.5, 5.5 / span)
@@ -394,13 +352,11 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
         raise DomainError("averaging times must be positive")
     t_max = cutoff * T_values[-1]
     if window is None:
-        radius = default_window_radius(t_max)
-        window = (LatticeWindow(1, radius, Geometry.HALF_LINE)
-                  if spec.geometry is Geometry.HALF_LINE
-                  else LatticeWindow(-radius, radius))
-    step = _time_grid_step(spec, window, dt)
+        window = _origin_window(spec, default_window_radius(t_max))
+    v = _window_potential(spec, window)
+    step = _time_grid_step(v, dt)
     n_steps = int(math.ceil(t_max / step))
-    prop = _Propagator(spec, window)
+    prop = _Propagator(v)
     psi = np.zeros(window.size, dtype=np.complex128)
     psi[window.index(1)] = 1.0
     acc = [np.zeros(window.size) for _ in T_values]
@@ -504,16 +460,6 @@ def growth_exponent(series: MomentSeries) -> GrowthFit:
 # ---------------------------------------------------------------------------
 # theoretical lower bounds
 
-def _interval_union_measure(intervals: Sequence[tuple[float, float]]) -> float:
-    merged: list[list[float]] = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return sum(hi - lo for lo, hi in merged)
-
-
 def good_set_moment_bound(inp: GoodSetInput, T: float, p: float) -> dict:
     """Moment lower bound generated by a good energy set, in log form.
 
@@ -529,7 +475,7 @@ def good_set_moment_bound(inp: GoodSetInput, T: float, p: float) -> dict:
     intervals = [(lo - 1.0 / T, hi + 1.0 / T) for lo, hi in inp.a_of_n(n_of_t)]
     if not intervals:
         raise DomainError("the good energy set is empty")
-    b_measure = _interval_union_measure(intervals)
+    b_measure = sum(hi - lo for lo, hi in merge_intervals(intervals, 0.0))
     log_n = math.log(n_of_t)
     log_common = -math.log(T) + math.log(b_measure)
     return {

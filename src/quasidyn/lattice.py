@@ -28,6 +28,7 @@ from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 #: Inverse golden mean, the rotation number of the Fibonacci circle map.
 OMEGA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -452,6 +453,31 @@ def _renorm(m: np.ndarray) -> tuple[float, np.ndarray]:
     return math.log(peak), m / peak
 
 
+def _tridiag_apply(v: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """H psi for the windowed chain with diagonal v (Dirichlet truncation).
+
+    The one tridiagonal matvec: v * psi plus the two unit-hopping
+    neighbour shifts.
+    """
+    out = v * psi
+    out[:-1] += psi[1:]
+    out[1:] += psi[:-1]
+    return out
+
+
+def _tridiag_solve(v: np.ndarray, z: complex, rhs: np.ndarray) -> np.ndarray:
+    """Solve (H - z) phi = rhs for the windowed chain with diagonal v.
+
+    The one banded solve.  The (3, n) band is built fresh on every call, so
+    the solver may overwrite it; ``rhs`` is left untouched.
+    """
+    ab = np.zeros((3, v.size), dtype=np.complex128)
+    ab[0, 1:] = 1.0
+    ab[1, :] = v - z
+    ab[2, :-1] = 1.0
+    return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
+
+
 def apply_hamiltonian(spec: PotentialSpec, window: LatticeWindow, v: np.ndarray) -> np.ndarray:
     """Apply the chain Hamiltonian on a window with Dirichlet truncation."""
     v = np.asarray(v)
@@ -459,8 +485,4 @@ def apply_hamiltonian(spec: PotentialSpec, window: LatticeWindow, v: np.ndarray)
         raise DomainError(f"vector length {v.shape[0]} does not match window size {window.size}")
     if spec.geometry is not window.geometry:
         raise DomainError("window geometry does not match the potential spec")
-    diag = potential_values(spec, window.sites())
-    out = diag * v
-    out[:-1] += v[1:]
-    out[1:] += v[:-1]
-    return out
+    return _tridiag_apply(potential_values(spec, window.sites()), v)

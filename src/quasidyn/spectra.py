@@ -23,9 +23,9 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
-from scipy.stats import qmc
 
 from quasidyn.lattice import DomainError, Model, PotentialSpec, potential_values
 from quasidyn.traces import (
@@ -151,6 +151,18 @@ def bound_parameters(lam: float) -> BoundParameters:
 # ---------------------------------------------------------------------------
 # band construction
 
+def merge_intervals(intervals: Iterable[tuple[float, float]],
+                    tol: float) -> list[tuple[float, float]]:
+    """Sorted union of closed intervals; pieces whose gap is at most tol join."""
+    merged: list[list[float]] = []
+    for lo, hi in sorted(intervals):
+        if merged and lo - merged[-1][1] <= tol:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return [(lo, hi) for lo, hi in merged]
+
+
 def _approximant_potential_row(lam: float, k: int) -> np.ndarray:
     """Periodic potential row whose discriminant is the level-k trace.
 
@@ -232,13 +244,7 @@ def approximant_spectrum(lam: float, k: int, *, edge_tol: float = 1e-10,
         edges = _newton_polish_edges(lam, k, edges, targets, edge_tol)
         edges = np.sort(edges)
     intervals = [(edges[2 * i], edges[2 * i + 1]) for i in range(edges.size // 2)]
-    merged: list[list[float]] = []
-    for lo, hi in intervals:
-        if merged and lo - merged[-1][1] <= merge_tol:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    bands = tuple(Band(lo=lo, hi=hi, k=k) for lo, hi in merged)
+    bands = tuple(Band(lo=lo, hi=hi, k=k) for lo, hi in merge_intervals(intervals, merge_tol))
     expected = int(fibonacci_numbers(k)[k])
     if lam > 4.0 and len(bands) != expected:
         raise BandCountError(
@@ -271,13 +277,7 @@ def covering_check(lam: float, m: int, *, tol: float = 1e-8,
     cover: list[tuple[float, float]] = []
     for src in (_cached_spectrum(lam, m - 1, edge_tol), _cached_spectrum(lam, m, edge_tol)):
         cover.extend((b.lo, b.hi) for b in src)
-    cover.sort()
-    union: list[list[float]] = []
-    for lo, hi in cover:
-        if union and lo - union[-1][1] <= tol:
-            union[-1][1] = max(union[-1][1], hi)
-        else:
-            union.append([lo, hi])
+    union = merge_intervals(cover, tol)
     violations = []
     for level in (m, m + 1):
         for band in _cached_spectrum(lam, level, edge_tol):
@@ -402,6 +402,8 @@ def partials_bound_check(lams=(4.5, 5.0, 8.0), n_samples_log2: int = 14,
     The expected uniform bound is 1.  The sample count is a power of two to
     keep the Sobol balance properties.
     """
+    from scipy.stats import qmc  # scipy.stats is slow to import; only this check needs it
+
     sampler = qmc.Sobol(d=2, scramble=False)
     pts = 4.0 * sampler.random_base2(n_samples_log2) - 2.0
     n_samples = pts.shape[0]

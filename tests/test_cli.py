@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import quasidyn
 from quasidyn.cli import main
 
 
@@ -47,6 +52,30 @@ def test_spectrum_rejects_other_models(runner, tmp_path):
                                   "--k", "3", "--out", str(tmp_path / "x.csv")])
     assert result.exit_code == 2
 
+
+@pytest.mark.parametrize("args", [
+    ["verify", "parseval", "--T", "0"],
+    ["verify", "parseval", "--T", "-5"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--Tmin", "0"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--Tmin", "-4"],
+    ["spectrum", "--lambda", "5", "--k", "3", "--edge-tol", "0"],
+    ["verify", "covering", "--mmax", "1"],
+])
+def test_bad_inputs_are_usage_errors(runner, tmp_path, args):
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "x.out")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(quasidyn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, quasidyn.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "False"
 
 def test_spectrum_reads_config_file(runner, tmp_path):
     cfg = tmp_path / "run.cfg"

@@ -184,12 +184,6 @@ def test_resolvent_profile_mass_and_agreement():
     assert l1 / prof_t.total_mass <= 0.02
 
 
-def test_resolvent_profile_threads_bitwise_identical():
-    prof1 = profile_resolvent(FREE, 10.0, threads=1)
-    prof4 = profile_resolvent(FREE, 10.0, threads=4)
-    npt.assert_array_equal(prof1.a, prof4.a)
-
-
 def test_resolvent_profile_richardson_diagnostic():
     prof = profile_resolvent(FREE, 20.0, richardson=True)
     assert prof.meta["richardson_max_rel_delta"] <= 0.01

@@ -14,6 +14,8 @@ from quasidyn.lattice import (
     ResourceError,
     ScaleOverflowError,
     _transfer_prefixes,
+    _tridiag_apply,
+    _tridiag_solve,
     apply_hamiltonian,
     mat_inv_unimodular,
     one_step_matrix,
@@ -312,6 +314,45 @@ def test_apply_hamiltonian_symmetric(rng):
     rhs = np.vdot(u, apply_hamiltonian(spec, window, v))
     assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
+
+
+KERNEL_WINDOWS = [
+    (PotentialSpec(Model.THUE_MORSE, 1.3), LatticeWindow(-9, 11)),
+    (PotentialSpec(Model.FIBONACCI, 2.0, Geometry.HALF_LINE),
+     LatticeWindow(1, 17, Geometry.HALF_LINE)),
+]
+
+
+def _dense_hamiltonian(v):
+    """Windowed chain Hamiltonian written out entry by entry."""
+    n = v.size
+    h = np.zeros((n, n))
+    for i in range(n):
+        h[i, i] = v[i]
+        if i + 1 < n:
+            h[i, i + 1] = h[i + 1, i] = 1.0
+    return h
+
+
+@pytest.mark.parametrize("spec, window", KERNEL_WINDOWS)
+def test_tridiag_apply_matches_dense(spec, window, rng):
+    v = potential_values(spec, window.sites())
+    h = _dense_hamiltonian(v)
+    real = rng.normal(size=window.size)
+    cplx = rng.normal(size=window.size) + 1j * rng.normal(size=window.size)
+    for psi in (real, cplx):
+        npt.assert_allclose(_tridiag_apply(v, psi), h @ psi, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("spec, window", KERNEL_WINDOWS)
+@pytest.mark.parametrize("z", [0.3 + 0.05j, -2.1 + 1.0j])
+def test_tridiag_solve_matches_dense(spec, window, z, rng):
+    v = potential_values(spec, window.sites())
+    rhs = rng.normal(size=window.size) + 1j * rng.normal(size=window.size)
+    kept = rhs.copy()
+    expected = np.linalg.solve(_dense_hamiltonian(v) - z * np.eye(window.size), rhs)
+    npt.assert_allclose(_tridiag_solve(v, z, rhs), expected, rtol=1e-10, atol=1e-12)
+    npt.assert_array_equal(rhs, kept)
 
 def test_window_validation():
     with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from quasidyn.spectra import (
     f_pm_partials,
     genealogy_check,
     measure_report,
+    merge_intervals,
     partials_bound_check,
     trace_bound_check,
 )
@@ -101,6 +103,36 @@ def test_band_interiors_have_small_trace():
 def test_band_count_error_when_resolution_lost():
     with pytest.raises(BandCountError):
         approximant_spectrum(5.0, 3, merge_tol=10.0)
+
+
+def _brute_union_member(intervals, tol, x):
+    """Union membership by brute force: join any two pieces that lie within
+    tol of each other until no such pair is left, then test x against each."""
+    pieces = list(intervals)
+    joined = True
+    while joined:
+        joined = False
+        for a, b in itertools.combinations(pieces, 2):
+            if b[0] - a[1] <= tol and a[0] - b[1] <= tol:
+                pieces.remove(a)
+                pieces.remove(b)
+                pieces.append((min(a[0], b[0]), max(a[1], b[1])))
+                joined = True
+                break
+    return any(lo <= x <= hi for lo, hi in pieces)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(intervals=st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 12)).map(
+           lambda t: (t[0] / 4.0, (t[0] + t[1]) / 4.0)), min_size=1, max_size=8),
+       tol=st.sampled_from([0.0, 0.25, 1.0]))
+def test_merge_intervals_matches_brute_union(intervals, tol):
+    merged = merge_intervals(intervals, tol)
+    assert merged == sorted(merged)
+    assert all(b[0] - a[1] > tol for a, b in zip(merged, merged[1:]))
+    for x in np.arange(-12.0, 14.0, 0.125):
+        inside = any(lo <= x <= hi for lo, hi in merged)
+        assert inside == _brute_union_member(intervals, tol, x), (x, merged)
 
 
 # ---------------------------------------------------------------------------
