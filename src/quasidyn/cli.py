@@ -27,6 +27,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from quasidyn import __version__
 from quasidyn.lattice import (
@@ -36,6 +37,7 @@ from quasidyn.lattice import (
     PotentialSpec,
     ResourceError,
     ScaleOverflowError,
+    TruncationError,
 )
 from quasidyn.traces import (
     FIB_CONVENTION_ID,
@@ -94,6 +96,14 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     return RunConfig.from_text(Path(path).read_text()).values
+
+
+def _flag_or_file(file_vals: dict, name: str, key: str, convert):
+    """The flag ``name`` if given, else the config file's ``key``, else the default."""
+    ctx = click.get_current_context()
+    if ctx.get_parameter_source(name) is ParameterSource.DEFAULT and key in file_vals:
+        return convert(file_vals[key])
+    return ctx.params[name]
 
 
 def _fmt(value) -> str:
@@ -185,8 +195,8 @@ def main() -> None:
 
 @main.command()
 @click.option("--model", default="fib", show_default=True)
-@click.option("--lambda", "lam", type=float, default=None, help="coupling constant")
-@click.option("--k", type=int, default=None, help="approximant level")
+@click.option("--lambda", "lam", type=float, default=0.0, help="coupling constant")
+@click.option("--k", type=int, default=0, help="approximant level")
 @click.option("--edge-tol", type=float, default=1e-10, show_default=True)
 @click.option("--measure", "with_measure", is_flag=True,
               help="also emit the measure-decay report JSON (coupling above 4)")
@@ -196,10 +206,9 @@ def main() -> None:
 def spectrum(model, lam, k, edge_tol, with_measure, out, config_path):
     """Band table of the level-k Fibonacci periodic approximant."""
     file_vals = _load_config_file(config_path)
-    lam = lam if lam is not None else float(file_vals.get("lambda", 0.0))
-    k = k if k is not None else int(file_vals.get("k", 0))
-    model = Model.parse(model if model != "fib" or "model" not in file_vals
-                        else file_vals["model"])
+    lam = _flag_or_file(file_vals, "lam", "lambda", float)
+    k = _flag_or_file(file_vals, "k", "k", int)
+    model = Model.parse(_flag_or_file(file_vals, "model", "model", str))
     if model is not Model.FIBONACCI:
         raise click.UsageError("band spectra are computed for the Fibonacci model only")
     if lam <= 0:
@@ -280,12 +289,17 @@ def trace(model, lam, energy, kmax, roots_level, potential_range, geometry, out)
         click.echo(f"{sites.size} sites -> {out}")
         return
     if roots_level is not None:
-        if model is Model.PERIOD_DOUBLING:
-            roots = pd_special_energies(lam, roots_level)
-        elif model is Model.THUE_MORSE:
-            roots = tm_special_energies(lam, roots_level)
-        else:
+        finders = {Model.PERIOD_DOUBLING: pd_special_energies,
+                   Model.THUE_MORSE: tm_special_energies}
+        if model not in finders:
             raise click.UsageError("root lists exist for the pd and tm models")
+        try:
+            roots = finders[model](lam, roots_level)
+        except ResourceError as err:
+            _report_error("budget", str(err))
+            sys.exit(EXIT_RESOURCE)
+        except DomainError as err:
+            raise click.UsageError(str(err))
         write_csv(out, config, {}, ["index", "E_root"],
                   [(i, e) for i, e in enumerate(roots)])
         click.echo(f"wall_clock_s={time.monotonic() - t_start:.3f}", err=True)
@@ -432,14 +446,16 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
                  profile_out, profile_method, config_path):
     """Moment ladder CSV plus a lower-bound verdict JSON."""
     file_vals = _load_config_file(config_path)
-    lam = float(file_vals.get("lambda", lam))
-    t_max = float(file_vals.get("Tmax", t_max))
+    lam = _flag_or_file(file_vals, "lam", "lambda", float)
+    t_max = _flag_or_file(file_vals, "t_max", "Tmax", float)
     if Model.parse(model) is not Model.FREE and lam <= 0:
         raise click.UsageError("--lambda must be positive for the aperiodic models")
     _positive(t_max, "--Tmax")
     _positive(t_min, "--Tmin")
     if t_count < 5:
         raise click.UsageError("--Tcount must be at least 5 for slope estimation")
+    if window_radius is not None and window_radius < 1:
+        raise click.UsageError("--window must be at least 1")
     spec = _build_spec(model, lam, geometry, seed, perturb_sites)
     t_values = list(np.geomspace(t_min, t_max, t_count))
     config = RunConfig("dynamics", {
@@ -451,9 +467,7 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
         "perturb": ";".join(perturb_sites),
         "window": window_radius if window_radius is not None else "",
     })
-    window = None
-    if window_radius is not None:
-        window = dynamics._origin_window(spec, window_radius)
+    window = None if window_radius is None else dynamics._origin_window(spec, window_radius)
     t_start = time.monotonic()
     try:
         report = dynamics.bound_report(spec, list(p_values), t_values, bound_id,
@@ -462,6 +476,9 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
     except ResourceError as err:
         _report_error("budget", str(err))
         sys.exit(EXIT_RESOURCE)
+    except TruncationError as err:
+        _report_error("truncation", str(err))
+        sys.exit(EXIT_CHECK_FAILED)
     except DomainError as err:
         raise click.UsageError(str(err))
     profiles = report.profiles

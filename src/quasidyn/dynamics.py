@@ -55,6 +55,9 @@ from quasidyn.traces import FIB_CONVENTION_ID, fibonacci_numbers
 #: Abel-average integration cutoff: t_max = TIME_CUTOFF * T.
 TIME_CUTOFF = 6.0
 
+#: Largest far-edge share of a time-route profile's mass (window too small past it).
+EDGE_MASS_TOL = 1e-6
+
 #: Window sizing rule for evolutions and profiles (radius in sites).
 def default_window_radius(t_max: float) -> int:
     return int(math.ceil(2.0 * t_max)) + 64
@@ -162,14 +165,21 @@ def _origin_window(spec: PotentialSpec, radius: int) -> LatticeWindow:
     return LatticeWindow(-radius, radius)
 
 
+def _far_edge_share(window: LatticeWindow, weights: np.ndarray) -> float:
+    """Share of the weight on the truncation edges: both ends on the whole line,
+    the last site only on the half line (site 1 is its boundary and source)."""
+    far = weights[-1] if window.geometry is Geometry.HALF_LINE else weights[0] + weights[-1]
+    return float(far) / max(float(np.sum(weights)), np.finfo(float).tiny)
+
+
 def resolvent_vector(spec: PotentialSpec, z: complex, window: LatticeWindow, *,
                      boundary_tol: float | None = None,
                      residual_tol: float = 1e-12) -> np.ndarray:
     """Solve (H - z) phi = delta_1 on the window (Dirichlet truncation).
 
     Requires Im z > 0.  The banded solve is verified against its residual;
-    if ``boundary_tol`` is given, the squared amplitude on the two edge
-    sites relative to the vector norm must stay below it, otherwise
+    if ``boundary_tol`` is given, the squared amplitude on the far edges
+    relative to the squared vector norm must stay below it, otherwise
     :class:`TruncationError` signals that the window is too small.
     """
     if z.imag <= 0:
@@ -183,7 +193,7 @@ def resolvent_vector(spec: PotentialSpec, z: complex, window: LatticeWindow, *,
     if np.linalg.norm(resid) > residual_tol * max(norm, 1.0):
         raise ArithmeticError("resolvent solve residual above tolerance")
     if boundary_tol is not None and window.size > 2:
-        edge = (abs(phi[0]) ** 2 + abs(phi[-1]) ** 2) / max(norm * norm, np.finfo(float).tiny)
+        edge = _far_edge_share(window, np.abs(phi) ** 2)
         if edge > boundary_tol:
             raise TruncationError(
                 f"boundary weight {edge:.3e} above {boundary_tol:.3e}; enlarge the window")
@@ -345,7 +355,9 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
     The weighted time integrals for every T in the ladder share the same
     |psi(t, n)|^2 samples, so the state is propagated once out to
     cutoff * max(T) and each ladder entry accumulates its own trapezoid
-    sum, truncated at its own cutoff.
+    sum, truncated at its own cutoff.  A profile whose far-edge share of
+    the mass passes :data:`EDGE_MASS_TOL` raises :class:`TruncationError`:
+    the window was too small for the wave.
     """
     T_values = sorted(float(T) for T in T_values)
     if not T_values or T_values[0] <= 0:
@@ -377,8 +389,13 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
     for i, T in enumerate(T_values):
         # the endpoint trapezoid correction is skipped: the weight there is
         # e^{-2 cutoff} ~ 6e-6, far below the quadrature tolerance
+        a = (2.0 / T) * step * acc[i]
+        edge = _far_edge_share(window, a)
+        if edge > EDGE_MASS_TOL:
+            raise TruncationError(f"far-edge mass share {edge:.3e} of the T={T:g} profile "
+                                  f"is above {EDGE_MASS_TOL:.0e}; enlarge the window")
         profiles.append(AmplitudeProfile(
-            T=T, window=window, a=(2.0 / T) * step * acc[i], method="time-average",
+            T=T, window=window, a=a, method="time-average",
             meta={
                 "model": spec.model.value,
                 "lambda": spec.lam,
@@ -386,6 +403,7 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
                 "dt": step,
                 "cutoff": cutoff,
                 "t_max": last_step[i] * step,
+                "far_edge_share": edge,
                 "convention": FIB_CONVENTION_ID,
             }))
     return profiles

@@ -207,10 +207,6 @@ class PotentialSpec:
             raise DomainError("half-line perturbation sites must satisfy n >= 1")
         object.__setattr__(self, "perturbation", pert)
 
-    @property
-    def perturbation_map(self) -> dict[int, float]:
-        return dict(self.perturbation)
-
     def describe(self) -> str:
         pieces = [self.model.value, f"lambda={self.lam:.17g}", self.geometry.value]
         if self.seed is not None:
@@ -476,6 +472,30 @@ def _tridiag_solve(v: np.ndarray, z: complex, rhs: np.ndarray) -> np.ndarray:
     ab[1, :] = v - z
     ab[2, :-1] = 1.0
     return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
+
+
+def _bloch_eigenvalues(v: np.ndarray, theta: complex) -> np.ndarray:
+    """Ascending energies of the period-q chain v with Bloch phase |theta| = 1.
+
+    The one periodic eigen-kernel: psi(n + q) = theta psi(n) solves the chain
+    exactly where the period's transfer matrix has trace theta + 1/theta, so
+    theta = 1, -1 and i give the level sets trace = 2, -2 and 0.  The
+    wrap-around hoppings are conj(theta) at (0, q-1) and theta at (q-1, 0),
+    or 2 Re theta on the diagonal when q = 1; the matrix is real when theta is.
+    """
+    theta = complex(theta)
+    theta = theta.real if theta.imag == 0.0 else theta
+    q = v.size
+    h = np.diag(np.asarray(v, dtype=type(theta)))
+    if q == 1:
+        h[0, 0] += 2.0 * theta.real
+    else:
+        idx = np.arange(q - 1)
+        h[idx, idx + 1] = 1.0
+        h[idx + 1, idx] = 1.0
+        h[0, q - 1] += theta.conjugate()
+        h[q - 1, 0] += theta
+    return np.linalg.eigvalsh(h)
 
 
 def apply_hamiltonian(spec: PotentialSpec, window: LatticeWindow, v: np.ndarray) -> np.ndarray:

@@ -4,10 +4,11 @@ The level-k approximant spectrum is the set of energies where the block
 trace satisfies |x_k| <= 2.  It coincides with the spectrum of the periodic
 chain whose period is the length-F_k prefix of the Fibonacci potential, so
 its band edges are the eigenvalues of the F_k x F_k periodic (trace = +2)
-and antiperiodic (trace = -2) matrices.  That eigenvalue route finds every
-edge to machine precision with no sampling-resolution risk; a short Newton
-polish against the trace polynomial then tightens the edges to the
-requested tolerance.
+and antiperiodic (trace = -2) matrices, from the Bloch eigen-kernel
+``lattice._bloch_eigenvalues`` that also gives the special energies.  That
+eigenvalue route finds every edge to machine precision with no
+sampling-resolution risk; a short Newton polish against the trace
+polynomial then tightens the edges to the requested tolerance.
 
 For coupling above 4 three consecutive traces can never be simultaneously
 bounded by 2 in absolute value, which forces the band combinatorics: each
@@ -27,7 +28,13 @@ from typing import Iterable
 
 import numpy as np
 
-from quasidyn.lattice import DomainError, Model, PotentialSpec, potential_values
+from quasidyn.lattice import (
+    DomainError,
+    Model,
+    PotentialSpec,
+    _bloch_eigenvalues,
+    potential_values,
+)
 from quasidyn.traces import (
     fib_trace_orbit_grid,
     fibonacci_numbers,
@@ -119,16 +126,6 @@ class BoundParameters:
     gamma: float
     gamma_in_regime: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "c_lambda": self.c_lambda,
-            "d": self.d,
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "gamma_in_regime": self.gamma_in_regime,
-        }
-
 
 def bound_parameters(lam: float) -> BoundParameters:
     """Constants C = 2 + sqrt(8 + lambda^2), d = C (2C+1)^2, and exponents.
@@ -176,22 +173,6 @@ def _approximant_potential_row(lam: float, k: int) -> np.ndarray:
     return potential_values(spec, np.arange(1, f_k + 1))
 
 
-def _bloch_edge_energies(row: np.ndarray, theta: float) -> np.ndarray:
-    """Eigenvalues of the period-q chain with phase theta = +1 (periodic)
-    or -1 (antiperiodic); these solve trace = 2 theta."""
-    q = row.size
-    h = np.diag(row.astype(np.float64))
-    if q == 1:
-        h[0, 0] += 2.0 * theta
-    else:
-        idx = np.arange(q - 1)
-        h[idx, idx + 1] = 1.0
-        h[idx + 1, idx] = 1.0
-        h[0, q - 1] += theta
-        h[q - 1, 0] += theta
-    return np.linalg.eigvalsh(h)
-
-
 def _newton_polish_edges(lam: float, k: int, edges: np.ndarray, targets: np.ndarray,
                          edge_tol: float) -> np.ndarray:
     """A few Newton steps of x_k(E) - target, kept only where they help.
@@ -234,8 +215,8 @@ def approximant_spectrum(lam: float, k: int, *, edge_tol: float = 1e-10,
     if edge_tol <= 0:
         raise DomainError("edge tolerance must be positive")
     row = _approximant_potential_row(lam, k)
-    e_per = _bloch_edge_energies(row, +1.0)
-    e_anti = _bloch_edge_energies(row, -1.0)
+    e_per = _bloch_eigenvalues(row, 1.0)
+    e_anti = _bloch_eigenvalues(row, -1.0)
     edges = np.concatenate([e_per, e_anti])
     targets = np.concatenate([np.full(e_per.size, 2.0), np.full(e_anti.size, -2.0)])
     order = np.argsort(edges, kind="stable")

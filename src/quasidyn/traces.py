@@ -26,17 +26,19 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from quasidyn.lattice import (
     DomainError,
     Model,
     PotentialSpec,
+    ResourceError,
     ScaleOverflowError,
+    _bloch_eigenvalues,
     _transfer_prefixes,
     one_step_matrix,
     potential_values,
     spectral_norm,
+    substitution_word,
 )
 
 #: Adopted Fibonacci block convention, embedded in output metadata.
@@ -79,22 +81,49 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _dd_add(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    s, e = _two_sum(x[0], y[0])
-    e += x[1] + y[1]
-    s2 = s + e
-    return s2, e - (s2 - s)
+class _DD:
+    """Double-double number hi + lo; hi and lo may be float64 arrays.
 
+    Floats enter as (v, 0).  Addition, subtraction and multiplication are
+    all the trace maps need, so each map is written once and serves float64
+    arrays and double-double values alike.
+    """
 
-def _dd_mul(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    p, e = _two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    p2 = p + e
-    return p2, e - (p2 - p)
+    __slots__ = ("hi", "lo")
+    # without this, a NumPy scalar on the left broadcasts over the object
+    # instead of deferring to the reflected operator
+    __array_ufunc__ = None
 
+    def __init__(self, hi, lo=0.0):
+        self.hi, self.lo = hi, lo
 
-def _dd_neg(x: tuple[float, float]) -> tuple[float, float]:
-    return -x[0], -x[1]
+    @staticmethod
+    def _of(x) -> "_DD":
+        return x if isinstance(x, _DD) else _DD(x)
+
+    def __add__(self, other) -> "_DD":
+        other = _DD._of(other)
+        s, e = _two_sum(self.hi, other.hi)
+        e = e + (self.lo + other.lo)
+        s2 = s + e
+        return _DD(s2, e - (s2 - s))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_DD":
+        return _DD(-self.hi, -self.lo)
+
+    def __sub__(self, other) -> "_DD":
+        return self + -_DD._of(other)
+
+    def __mul__(self, other) -> "_DD":
+        other = _DD._of(other)
+        p, e = _two_prod(self.hi, other.hi)
+        e = e + (self.hi * other.lo + self.lo * other.hi)
+        p2 = p + e
+        return _DD(p2, e - (p2 - p))
+
+    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +184,10 @@ class FibTraceOrbit:
         """
         out = np.full(self.xs.size, np.nan)
         stop = self.xs.size if self.overflow_at is None else self.overflow_at
-        for k in range(1, stop - 1):
-            a = (self.xs[k - 1], self.xs_lo[k - 1])
-            b = (self.xs[k], self.xs_lo[k])
-            c = (self.xs[k + 1], self.xs_lo[k + 1])
-            acc = _dd_mul(a, a)
-            acc = _dd_add(acc, _dd_mul(b, b))
-            acc = _dd_add(acc, _dd_mul(c, c))
-            acc = _dd_add(acc, _dd_neg(_dd_mul(_dd_mul(a, b), c)))
-            out[k] = acc[0] + acc[1]
+        n = max(stop - 2, 0)
+        a, b, c = (_DD(self.xs[i:i + n], self.xs_lo[i:i + n]) for i in range(3))
+        acc = a * a + b * b + c * c - a * b * c
+        out[1:1 + n] = acc.hi + acc.lo
         return out
 
 
@@ -182,15 +206,12 @@ def fib_trace_orbit(lam: float, E: float, kmax: int) -> FibTraceOrbit:
     hi = np.full(kmax + 1, np.inf)
     lo = np.zeros(kmax + 1)
     overflow_at = None
-    vals: list[tuple[float, float]] = []
+    vals: list[_DD] = []
     for k in range(kmax + 1):
-        if k < len(seeds):
-            cur = (seeds[k], 0.0)
-        else:
-            cur = _dd_add(_dd_mul(vals[k - 1], vals[k - 2]), _dd_neg(vals[k - 3]))
+        cur = _DD(seeds[k]) if k < len(seeds) else vals[k - 1] * vals[k - 2] - vals[k - 3]
         vals.append(cur)
-        hi[k], lo[k] = cur
-        if not np.isfinite(cur[0]) or abs(cur[0]) > TRACE_OVERFLOW:
+        hi[k], lo[k] = cur.hi, cur.lo
+        if not np.isfinite(cur.hi) or abs(cur.hi) > TRACE_OVERFLOW:
             overflow_at = k
             break
     return FibTraceOrbit(lam=lam, E=E, xs=hi, xs_lo=lo, overflow_at=overflow_at)
@@ -385,87 +406,47 @@ def subst_trace_orbit(model: Model | str, lam: float, E: float, kmax: int) -> Su
 # ---------------------------------------------------------------------------
 # special energies
 
-def root_search_interval(lam: float) -> tuple[float, float]:
-    """Energy interval [-2 - lam, 2 + 2 lam] that contains all trace roots.
+#: Largest Bloch matrix the zero finders build: pd k <= 12, tm k <= 14.
+MAX_BLOCH_SITES = 4096
 
-    The spectra of the {0, lam} chains live in [-2, 2 + lam]; the interval
-    is padded on both sides for safety.
+#: Newton steps that polish every zero in double-double arithmetic.
+_NEWTON_STEPS = 5
+
+#: Thue-Morse candidates this close to the level-2 set x_2 = 2 are dropped.
+_LEVEL_TWO_TOL = 1e-9
+
+#: Thue-Morse zeros of different levels closer than this are one energy.
+_DUPLICATE_TOL = 1e-11
+
+
+def _pd_trace(lam: float, e, k: int):
+    """Period-doubling traces (x_k, y_k) at e: float64 arrays or _DD values."""
+    x, y = e, e - lam
+    for _ in range(k):
+        x, y = x * y - 2.0, x * x - 2.0
+    return x, y
+
+
+def _tm_trace(lam: float, e, j: int):
+    """Thue-Morse trace x_j at e: float64 arrays or _DD values.
+
+    Level 2 in closed form: with a = E, b = E - lam and unimodular blocks,
+    tr(A^2 B^2) = ab tr(AB) - a^2 - b^2 + 2 by Cayley-Hamilton.
     """
-    lam = abs(lam)
-    return -2.0 - lam, 2.0 + 2.0 * lam
-
-
-def _pd_trace_on_grid(lam: float, E: np.ndarray, k: int) -> np.ndarray:
-    x = np.asarray(E, dtype=np.float64).copy()
-    y = x - lam
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k):
-            x, y = x * y - 2.0, x * x - 2.0
-    return x
-
-
-def _bracketed_roots(f, lo: float, hi: float, n_grid: int, xtol: float) -> np.ndarray:
-    """All simple roots of f located by sign-change bracketing plus brentq."""
-    grid = np.linspace(lo, hi, n_grid)
-    vals = f(grid)
-    roots = []
-    for i in range(n_grid - 1):
-        a, b = vals[i], vals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            continue
-        if a == 0.0:
-            roots.append(grid[i])
-        elif a * b < 0.0:
-            roots.append(brentq(lambda t: float(f(np.array([t]))[0]), grid[i], grid[i + 1],
-                                xtol=xtol, rtol=8.0 * np.finfo(float).eps))
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
-    return np.array(sorted(roots))
-
-
-def pd_special_energies(lam: float, k: int, *, xtol: float = 1e-12, grid_factor: int = 64) -> np.ndarray:
-    """Real roots of the period-doubling trace x_k(E).
-
-    The trace is a degree-2^k polynomial in E; roots are isolated by dense
-    sign-change bracketing on the search interval and refined to ``xtol``.
-    A count different from 2^k triggers a warning, not an error.  At each
-    root the next-level blocks satisfy tr T0_{k+1} = -2 and T1_{k+1} = -I.
-    """
-    if k < 0:
-        raise DomainError("k must be nonnegative")
-    lo, hi = root_search_interval(lam)
-    n_grid = grid_factor * 2 ** k + 1
-    roots = _bracketed_roots(lambda E: _pd_trace_on_grid(lam, E, k), lo, hi, n_grid, xtol)
-    expected = 2 ** k
-    if roots.size != expected:
-        warnings.warn(
-            f"period-doubling trace level {k}: found {roots.size} roots, expected {expected} "
-            f"(lambda={lam}); grid may be too coarse or roots degenerate",
-            RuntimeWarning, stacklevel=2)
-    return np.array([
-        _dd_newton_root(lambda e: _pd_xy_dd(lam, e, k)[0],
-                        lambda e: _pd_x_dx(lam, e, k)[1], float(r))[0]
-        for r in roots])
-
-
-def _tm_trace_on_grid(lam: float, E: np.ndarray, k: int) -> np.ndarray:
-    # level 2 in closed form: with a = E, b = E - lam and unimodular blocks,
-    # tr(A^2 B^2) = ab tr(AB) - a^2 - b^2 + 2 by Cayley-Hamilton
-    E = np.asarray(E, dtype=np.float64)
-    if k == 0:
-        return E.copy()
-    a, b = E, E - lam
-    prev = a * b - 2.0
-    if k == 1:
-        return prev.copy()
-    cur = a * b * prev - a * a - b * b + 2.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k - 2):
-            prev, cur = cur, prev * prev * (cur - 2.0) + 2.0
+    if j == 0:
+        return e
+    a, b = e, e - lam
+    ab = a * b
+    prev = ab - 2.0
+    if j == 1:
+        return prev
+    cur = ab * prev - (a * a + b * b) + 2.0
+    for _ in range(j - 2):
+        prev, cur = cur, prev * prev * (cur - 2.0) + 2.0
     return cur
 
 
-def _pd_x_dx(lam: float, e: float, k: int) -> tuple[float, float]:
+def _pd_x_dx(lam: float, e, k: int):
     """Period-doubling trace and its energy derivative at level k."""
     x, y = e, e - lam
     dx, dy = 1.0, 1.0
@@ -474,7 +455,7 @@ def _pd_x_dx(lam: float, e: float, k: int) -> tuple[float, float]:
     return x, dx
 
 
-def _tm_x_dx(lam: float, e: float, j: int) -> tuple[float, float]:
+def _tm_x_dx(lam: float, e, j: int):
     """Thue-Morse trace and its energy derivative at level j."""
     a, b = e, e - lam
     if j == 0:
@@ -492,147 +473,126 @@ def _tm_x_dx(lam: float, e: float, j: int) -> tuple[float, float]:
     return cur, dcur
 
 
-_DD_TWO = (2.0, 0.0)
+def _trace_zeros(model: Model, lam: float, j: int) -> _DD:
+    """Zeros of the level-j block trace, ascending, polished in double-double.
 
-
-def _pd_xy_dd(lam: float, e: tuple[float, float], k: int) -> tuple[tuple[float, float], tuple[float, float]]:
-    x = e
-    y = _dd_add(e, (-lam, 0.0))
-    for _ in range(k):
-        x, y = (_dd_add(_dd_mul(x, y), _dd_neg(_DD_TWO)),
-                _dd_add(_dd_mul(x, x), _dd_neg(_DD_TWO)))
-    return x, y
-
-
-def _tm_x_dd(lam: float, e: tuple[float, float], j: int) -> tuple[float, float]:
-    if j == 0:
-        return e
-    a, b = e, _dd_add(e, (-lam, 0.0))
-    ab = _dd_mul(a, b)
-    x1 = _dd_add(ab, _dd_neg(_DD_TWO))
-    if j == 1:
-        return x1
-    x2 = _dd_add(_dd_add(_dd_mul(ab, x1), _dd_neg(_dd_add(_dd_mul(a, a), _dd_mul(b, b)))), _DD_TWO)
-    prev, cur = x1, x2
-    for _ in range(j - 2):
-        nxt = _dd_add(_dd_mul(_dd_mul(prev, prev), _dd_add(cur, _dd_neg(_DD_TWO))), _DD_TWO)
-        prev, cur = cur, nxt
-    return cur
-
-
-def _dd_newton_root(value_dd, derivative, e0: float, iterations: int = 5) -> tuple[float, float]:
-    """Polish a root in double-double energy arithmetic.
-
-    ``value_dd`` maps a double-double energy to a double-double residual;
-    ``derivative`` maps a plain float energy to the float residual slope.
-    Newton from an already bracketed estimate converges quadratically, so a
-    handful of steps reach the compensated noise floor ~1e-30.
+    The block trace is the discriminant of the chain that repeats the
+    level-j word, so its zeros are that chain's Bloch eigenvalues at
+    theta = i.  One vectorized Newton iteration in double-double energy
+    arithmetic then polishes all of them together; a zero whose slope is 0
+    or not finite keeps its last iterate.  Zeros that are not pairwise
+    distinct in float64 trigger a warning.
     """
-    e = (e0, 0.0)
-    for _ in range(iterations):
-        val = value_dd(e)
-        slope = derivative(e[0])
-        if slope == 0.0 or not np.isfinite(slope):
-            break
-        step_hi = val[0] / slope
-        step_lo = (val[1] - (step_hi * slope - val[0])) / slope
-        e = _dd_add(e, (-step_hi, -step_lo))
-    return e
+    if 2 ** j > MAX_BLOCH_SITES:
+        raise ResourceError(f"the level-{j} zero set needs a {2 ** j}-site Bloch matrix; "
+                            f"the cap is {MAX_BLOCH_SITES} sites")
+    pd = model is Model.PERIOD_DOUBLING
+    e = _DD(_bloch_eigenvalues(lam * substitution_word(model, j), 1j))
+    live = np.ones(e.hi.size, dtype=bool)
+    # a stopped zero may hold non-finite values; its steps are discarded
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            val = _pd_trace(lam, e, j)[0] if pd else _tm_trace(lam, e, j)
+            slope = (_pd_x_dx if pd else _tm_x_dx)(lam, e.hi, j)[1]
+            live &= np.isfinite(slope) & (slope != 0.0)
+            slope = np.where(live, slope, 1.0)
+            step_hi = val.hi / slope
+            step_lo = (val.lo - (step_hi * slope - val.hi)) / slope
+            nxt = e - _DD(step_hi, step_lo)
+            e = _DD(np.where(live, nxt.hi, e.hi), np.where(live, nxt.lo, e.lo))
+    order = np.argsort(e.hi, kind="stable")
+    zeros = _DD(e.hi[order], e.lo[order])
+    distinct = np.unique(zeros.hi).size
+    if distinct != zeros.hi.size:
+        warnings.warn(f"{model.value} trace level {j} (lambda={lam}): {distinct} distinct "
+                      f"zeros of {zeros.hi.size} in float64", RuntimeWarning, stacklevel=3)
+    return zeros
 
 
-def pd_root_certificates(lam: float, k: int, *, xtol: float = 1e-12) -> list[dict]:
+def pd_special_energies(lam: float, k: int) -> np.ndarray:
+    """Real roots of the period-doubling trace x_k(E), ascending.
+
+    The trace is a degree-2^k polynomial in E; its roots are the Bloch
+    eigenvalues at theta = i of the level-k word, polished in double-double
+    arithmetic.  At each root the next-level blocks satisfy
+    tr T0_{k+1} = -2 and T1_{k+1} = -I.
+    """
+    return _trace_zeros(Model.PERIOD_DOUBLING, lam, k).hi
+
+
+def pd_root_certificates(lam: float, k: int) -> list[dict]:
     """Per-root identity defects of the level-(k+1) period-doubling blocks.
 
     The blocks are unimodular, so Cayley-Hamilton gives exactly
-    tr T0_{k+1} + 2 = x_k y_k and T1_{k+1} + I = x_k T0_k.  Each root of
-    x_k is refined in double-double energy arithmetic and the two defects
-    are evaluated through these identities; this sidesteps the double-
-    precision floor |x_k| >= |x_k'| ulp(E) that a literal float64 matrix
-    product at a float64 root cannot beat.
+    tr T0_{k+1} + 2 = x_k y_k and T1_{k+1} + I = x_k T0_k.  The two defects
+    are evaluated through these identities at the double-double roots; this
+    sidesteps the double-precision floor |x_k| >= |x_k'| ulp(E) that a
+    literal float64 matrix product at a float64 root cannot beat.
     """
-    roots = pd_special_energies(lam, k, xtol=xtol)
+    zeros = _trace_zeros(Model.PERIOD_DOUBLING, lam, k)
+    x, y = _pd_trace(lam, zeros, k)
     certificates = []
-    for e0 in roots:
-        e_dd = _dd_newton_root(lambda e: _pd_xy_dd(lam, e, k)[0],
-                               lambda e: _pd_x_dx(lam, e, k)[1], float(e0))
-        x_dd, y_dd = _pd_xy_dd(lam, e_dd, k)
-        t0_k, _ = subst_transfer(Model.PERIOD_DOUBLING, lam, e_dd[0], k)
-        trace_defect = abs((_dd_mul(x_dd, y_dd))[0])
-        t1_defect = abs(x_dd[0] + x_dd[1]) * spectral_norm(t0_k)
+    for e, trace_defect, x_abs in zip(zeros.hi.tolist(), np.abs((x * y).hi).tolist(),
+                                      np.abs(x.hi + x.lo).tolist()):
+        t0_k, _ = subst_transfer(Model.PERIOD_DOUBLING, lam, e, k)
         certificates.append({
-            "E": float(e_dd[0]),
+            "E": e,
             "trace_defect": trace_defect,
-            "t1_plus_identity_norm": t1_defect,
+            "t1_plus_identity_norm": x_abs * spectral_norm(t0_k),
         })
     return certificates
 
 
-def tm_special_energies(lam: float, k: int, *, xtol: float = 1e-12, grid_factor: int = 64,
-                        exclusion_tol: float = 1e-9) -> np.ndarray:
+def tm_special_energies(lam: float, k: int) -> np.ndarray:
     """Energies with x_k = 2 for the Thue-Morse chain, level-2 set excluded.
 
     The factorization x_{j+2} - 2 = x_j^2 (x_{j+1} - 2) makes zeros of x_j
-    double roots of x_k - 2, invisible to sign-change bracketing on
-    x_k - 2 itself.  The returned set is therefore assembled as the union
-    of the zero sets of x_j for 1 <= j <= k - 2, which is exactly the
+    double roots of x_k - 2.  The returned set is therefore assembled as the
+    union of the zero sets of x_j for 1 <= j <= k - 2, which is exactly the
     level-k set minus the level-2 set; candidates that happen to lie in the
     level-2 set are dropped.  At every returned energy the level-k blocks
     are the identity.
     """
-    zero_sets = _tm_zero_sets(lam, k, xtol=xtol, grid_factor=grid_factor)
-    roots = [e for zeros in zero_sets.values() for e in zeros]
-    roots_arr = np.array(sorted(roots))
-    if roots_arr.size:
-        keep = np.ones(roots_arr.size, dtype=bool)
-        keep[1:] = np.diff(roots_arr) > 10.0 * xtol
-        roots_arr = roots_arr[keep]
-        x2 = _tm_trace_on_grid(lam, roots_arr, 2)
-        roots_arr = roots_arr[np.abs(x2 - 2.0) > exclusion_tol]
-    return roots_arr
+    roots = np.sort(np.concatenate([z.hi for z in _tm_zero_sets(lam, k).values()]))
+    keep = np.ones(roots.size, dtype=bool)
+    keep[1:] = np.diff(roots) > _DUPLICATE_TOL
+    roots = roots[keep]
+    return roots[np.abs(_tm_trace(lam, roots, 2) - 2.0) > _LEVEL_TWO_TOL]
 
 
-def _tm_zero_sets(lam: float, k: int, *, xtol: float = 1e-12,
-                  grid_factor: int = 64) -> dict[int, np.ndarray]:
-    """Zero sets of the Thue-Morse traces x_j for 1 <= j <= k - 2, polished."""
+def _tm_zero_sets(lam: float, k: int) -> dict[int, _DD]:
+    """Zero sets of the Thue-Morse traces x_j for 1 <= j <= k - 2, polished.
+
+    The largest level comes first, so an oversized request is refused
+    before any work.
+    """
     if k < 3:
         raise DomainError("the excluded-level construction needs k >= 3")
-    lo, hi = root_search_interval(lam)
-    out: dict[int, np.ndarray] = {}
-    for j in range(1, k - 1):
-        n_grid = grid_factor * 2 ** j + 1
-        raw = _bracketed_roots(lambda E: _tm_trace_on_grid(lam, E, j), lo, hi, n_grid, xtol)
-        out[j] = np.array([
-            _dd_newton_root(lambda e: _tm_x_dd(lam, e, j),
-                            lambda e: _tm_x_dx(lam, e, j)[1], float(r))[0]
-            for r in raw])
-    return out
+    return {j: _trace_zeros(Model.THUE_MORSE, lam, j) for j in range(k - 2, 0, -1)}
 
 
-def tm_root_certificates(lam: float, k: int, *, xtol: float = 1e-12) -> list[dict]:
+def tm_root_certificates(lam: float, k: int) -> list[dict]:
     """Identity defects ||T0_k - I||, ||T1_k - I|| at the special energies.
 
     At a zero of x_j the level-(j+2) blocks satisfy exactly
     T0_{j+2} - I = x_j (T0_j T1_j T0_j - T0_j) and
     T1_{j+2} - I = x_j (T1_j T0_j T1_j - T1_j), and defects propagate
-    linearly (D0, D1) -> (D0 + D1 + D1 D0).  With the root refined in
-    double-double arithmetic |x_j| sits at ~1e-30, so the quadratic terms
-    are negligible and the defect norms follow from float64 block matrices
-    scaled by the compensated x_j.
+    linearly (D0, D1) -> (D0 + D1 + D1 D0).  At the double-double zeros
+    |x_j| sits at ~1e-30, so the quadratic terms are negligible and the
+    defect norms follow from float64 block matrices scaled by the
+    compensated x_j.
     """
-    zero_sets = _tm_zero_sets(lam, k, xtol=xtol)
     certificates = []
-    for j, zeros in sorted(zero_sets.items()):
-        for e0 in zeros:
-            e_dd = _dd_newton_root(lambda e: _tm_x_dd(lam, e, j),
-                                   lambda e: _tm_x_dx(lam, e, j)[1], float(e0))
-            x_j = abs(_tm_x_dd(lam, e_dd, j)[0] + _tm_x_dd(lam, e_dd, j)[1])
-            t0, t1 = subst_transfer(Model.THUE_MORSE, lam, e_dd[0], j)
+    for j, zeros in sorted(_tm_zero_sets(lam, k).items()):
+        x = _tm_trace(lam, zeros, j)
+        for e, x_j in zip(zeros.hi.tolist(), np.abs(x.hi + x.lo).tolist()):
+            t0, t1 = subst_transfer(Model.THUE_MORSE, lam, e, j)
             m0 = t0 @ t1 @ t0 - t0
             m1 = t1 @ t0 @ t1 - t1
             for _ in range(j + 2, k):
                 m0, m1 = m0 + m1, m0 + m1
             certificates.append({
-                "E": float(e_dd[0]),
+                "E": e,
                 "source_level": j,
                 "x_defect": x_j,
                 "t0_minus_identity_norm": x_j * spectral_norm(m0),

@@ -60,6 +60,9 @@ def test_spectrum_rejects_other_models(runner, tmp_path):
     ["dynamics", "--model", "tm", "--lambda", "1", "--Tmin", "-4"],
     ["spectrum", "--lambda", "5", "--k", "3", "--edge-tol", "0"],
     ["verify", "covering", "--mmax", "1"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--window", "-3"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--geometry", "half-line", "--window", "0"],
+    ["trace", "--model", "tm", "--lambda", "1", "--roots", "2"],
 ])
 def test_bad_inputs_are_usage_errors(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path / "x.out")])
@@ -72,10 +75,12 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(quasidyn.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, quasidyn.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, quasidyn.cli; "
+            "print([m in sys.modules for m in ('scipy.stats', 'scipy.optimize')])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[False, False]"
+
 
 def test_spectrum_reads_config_file(runner, tmp_path):
     cfg = tmp_path / "run.cfg"
@@ -89,6 +94,35 @@ def test_spectrum_reads_config_file(runner, tmp_path):
                                   "--out", str(out)])
     assert result.exit_code == 0
     assert len(_data_rows(out)) == 3
+
+
+def test_dynamics_reads_config_file(runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command=dynamics\nlambda=1.0\nTmax=60\n")
+    out = tmp_path / "moments.csv"
+    base = ["dynamics", "--model", "tm", "--p", "1", "--Tmin", "1", "--Tcount", "5",
+            "--config", str(cfg), "--out", str(out)]
+    result = runner.invoke(main, base)
+    assert result.exit_code == 0, result.output
+    doc = json.loads(out.with_suffix(".json").read_text())
+    assert "lambda=1;" in doc["spec"] and doc["T_values"][-1] == 60.0
+    # explicit flags override file values
+    result = runner.invoke(main, base + ["--lambda", "2", "--Tmax", "40"])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(out.with_suffix(".json").read_text())
+    assert "lambda=2;" in doc["spec"] and doc["T_values"][-1] == 40.0
+
+
+def test_spectrum_model_flag_beats_config_file(runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("command=spectrum\nmodel=tm\nlambda=5.0\nk=4\n")
+    out = tmp_path / "bands.csv"
+    result = runner.invoke(main, ["spectrum", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2
+    result = runner.invoke(main, ["spectrum", "--model", "fib", "--config", str(cfg),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len(_data_rows(out)) == 5
 
 
 def test_trace_orbit_csv(runner, tmp_path):
@@ -105,6 +139,16 @@ def test_trace_root_list(runner, tmp_path):
                                   "--roots", "3", "--out", str(out)])
     assert result.exit_code == 0
     assert len(_data_rows(out)) == 8
+
+
+def test_trace_root_list_over_the_cap_is_a_budget_refusal(runner, tmp_path):
+    out = tmp_path / "roots.csv"
+    result = runner.invoke(main, ["trace", "--model", "pd", "--lambda", "1",
+                                  "--roots", "13", "--out", str(out)])
+    assert result.exit_code == 3
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line)["error"] == "budget"
+    assert not out.exists()
 
 
 def test_verify_invariant(runner):
@@ -175,6 +219,17 @@ def test_dynamics_budget_refusal(runner, tmp_path):
                                   "--p", "2", "--Tmax", "100000000",
                                   "--out", str(tmp_path / "m.csv")])
     assert result.exit_code == 3
+
+
+def test_dynamics_small_window_is_a_truncation_error(runner, tmp_path):
+    out = tmp_path / "moments.csv"
+    result = runner.invoke(main, ["dynamics", "--model", "tm", "--lambda", "1",
+                                  "--Tmin", "4", "--Tmax", "128", "--window", "10",
+                                  "--out", str(out)])
+    assert result.exit_code == 1
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line)["error"] == "truncation"
+    assert not out.exists()
 
 
 def test_dynamics_fib_reports_out_of_regime(runner, tmp_path):

@@ -87,6 +87,18 @@ def test_resolvent_truncation_guard():
         resolvent_vector(FREE, 0.1 + 0.01j, window, boundary_tol=1e-6)
 
 
+def test_resolvent_half_line_boundary_is_not_a_truncation_edge():
+    # site 1 is the physical boundary and holds the source, so only the far
+    # end of a half-line window counts toward the truncation weight
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0, Geometry.HALF_LINE)
+    window = LatticeWindow(1, 400, Geometry.HALF_LINE)
+    phi = resolvent_vector(spec, 0.3 + 0.1j, window, boundary_tol=1e-6)
+    assert abs(phi[-1]) ** 2 / np.sum(np.abs(phi) ** 2) < 1e-20
+    with pytest.raises(TruncationError):
+        resolvent_vector(spec, 0.3 + 0.01j, LatticeWindow(1, 40, Geometry.HALF_LINE),
+                         boundary_tol=1e-6)
+
+
 def test_resolvent_matches_transfer_propagation():
     spec = fib_spec(1.0)
     window = LatticeWindow(-300, 300)
@@ -166,6 +178,18 @@ def test_half_line_profile_mass():
     prof = profile_time(spec, 10.0)
     assert prof.window.geometry is Geometry.HALF_LINE
     assert prof.total_mass == pytest.approx(1.0 - math.exp(-12.0), abs=5e-3)
+
+
+def test_time_ladder_refuses_a_window_smaller_than_the_wave():
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0)
+    T_values = [4.0, 16.0, 64.0]
+    for prof in profiles_time_ladder(spec, T_values):
+        assert prof.meta["far_edge_share"] < 1e-30
+    with pytest.raises(TruncationError):
+        profiles_time_ladder(spec, T_values, window=LatticeWindow(-40, 40))
+    half = PotentialSpec(Model.THUE_MORSE, 1.0, Geometry.HALF_LINE)
+    with pytest.raises(TruncationError):
+        profiles_time_ladder(half, T_values, window=LatticeWindow(1, 40, Geometry.HALF_LINE))
 
 
 def test_ladder_shares_one_trajectory():

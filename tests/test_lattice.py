@@ -13,6 +13,7 @@ from quasidyn.lattice import (
     PotentialSpec,
     ResourceError,
     ScaleOverflowError,
+    _bloch_eigenvalues,
     _transfer_prefixes,
     _tridiag_apply,
     _tridiag_solve,
@@ -353,6 +354,22 @@ def test_tridiag_solve_matches_dense(spec, window, z, rng):
     expected = np.linalg.solve(_dense_hamiltonian(v) - z * np.eye(window.size), rhs)
     npt.assert_allclose(_tridiag_solve(v, z, rhs), expected, rtol=1e-10, atol=1e-12)
     npt.assert_array_equal(rhs, kept)
+
+
+@pytest.mark.parametrize("q", [1, 2, 7])
+@pytest.mark.parametrize("theta, level", [(1.0, 2.0), (-1.0, -2.0), (1j, 0.0)])
+def test_bloch_eigenvalues_are_trace_level_sets(q, theta, level, rng):
+    # a plain site-by-site product over one period has trace theta + 1/theta
+    # at every Bloch eigenvalue
+    word = rng.uniform(0.0, 2.0, size=q)
+    energies = _bloch_eigenvalues(word, theta)
+    assert energies.shape == (q,)
+    for energy in energies:
+        product = np.eye(2)
+        for v in word:
+            product = np.array([[energy - v, -1.0], [1.0, 0.0]]) @ product
+        assert np.trace(product) == pytest.approx(level, abs=1e-9)
+
 
 def test_window_validation():
     with pytest.raises(DomainError):

@@ -1,8 +1,11 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from quasidyn.lattice import Model, PotentialSpec, one_step_matrix, spectral_norm
+from quasidyn.lattice import Model, PotentialSpec, ResourceError, one_step_matrix, spectral_norm
 from quasidyn.spectra import approximant_spectrum, bound_parameters
 from quasidyn.traces import (
     FIB_CONVENTION_ID,
@@ -316,8 +319,110 @@ def test_tm_special_energy_nesting():
 
 def test_tm_level_two_set_is_excluded():
     # energies with x_2 = 2 are dropped from the returned special set
-    from quasidyn.traces import _tm_trace_on_grid
+    from quasidyn.traces import _tm_trace
 
     roots = tm_special_energies(1.0, 6)
-    x2 = _tm_trace_on_grid(1.0, roots, 2)
+    x2 = _tm_trace(1.0, roots, 2)
     assert np.all(np.abs(x2 - 2.0) > 1e-9)
+
+
+def _pd_trace_exact(lam: Fraction, e: Fraction, k: int) -> Fraction:
+    x, y = e, e - lam
+    for _ in range(k):
+        x, y = x * y - 2, x * x - 2
+    return x
+
+
+def _tm_trace_exact(lam: Fraction, e: Fraction, j: int) -> Fraction:
+    a, b = e, e - lam
+    if j == 0:
+        return a
+    prev = a * b - 2
+    if j == 1:
+        return prev
+    cur = a * b * prev - a * a - b * b + 2
+    for _ in range(j - 2):
+        prev, cur = cur, prev * prev * (cur - 2) + 2
+    return cur
+
+
+def _changes_sign_near(trace, e: float, h: Fraction = Fraction(1, 10 ** 13)) -> bool:
+    centre = Fraction(e)
+    return trace(centre - h) * trace(centre + h) < 0
+
+
+def test_pd_special_energies_full_set_at_strong_coupling():
+    # the grid-bracketing finder kept 152 of these 256 roots
+    lam = Fraction(5, 2)
+    roots = pd_special_energies(2.5, 8)
+    assert roots.size == 256
+    assert np.all(np.diff(roots) > 0)
+    for e in roots:
+        assert _changes_sign_near(lambda x: _pd_trace_exact(lam, x, 8), float(e))
+
+
+def test_tm_special_energies_full_set_at_strong_coupling():
+    # 2 + 4 + ... + 64 zeros of x_1 .. x_6; the grid-bracketing finder kept 94
+    from quasidyn.traces import _tm_zero_sets
+
+    lam = Fraction(5, 2)
+    assert tm_special_energies(2.5, 8).size == 126
+    for j, zeros in _tm_zero_sets(2.5, 8).items():
+        assert zeros.hi.size == 2 ** j
+        assert np.all(np.diff(zeros.hi) > 0)
+        for e in zeros.hi:
+            assert _changes_sign_near(lambda x: _tm_trace_exact(lam, x, j), float(e))
+
+
+def test_coinciding_zeros_warn():
+    with pytest.warns(RuntimeWarning, match="distinct zeros"):
+        roots = pd_special_energies(5.0, 9)
+    assert roots.size == 512
+
+
+def test_special_energy_levels_are_capped():
+    with pytest.raises(ResourceError):
+        pd_special_energies(1.0, 13)
+    with pytest.raises(ResourceError):
+        tm_special_energies(1.0, 15)
+
+
+# ---------------------------------------------------------------------------
+# double-double arithmetic
+
+def _random_dd(rng, size):
+    hi = rng.uniform(0.5, 2.0, size) * 2.0 ** rng.integers(-30, 30, size)
+    hi *= rng.choice([-1.0, 1.0], size)
+    lo = rng.uniform(-0.5, 0.5, size) * np.spacing(np.abs(hi))
+    return hi, lo
+
+
+def _exact(hi, lo) -> Fraction:
+    return Fraction(float(hi)) + Fraction(float(lo))
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_double_double_matches_exact_arithmetic(op, rng):
+    from quasidyn.traces import _DD
+
+    xh, xl = _random_dd(rng, 400)
+    yh, yl = _random_dd(rng, 400)
+    x, y = _DD(xh, xl), _DD(yh, yl)
+    got = {"add": lambda: x + y, "sub": lambda: x - y, "mul": lambda: x * y}[op]()
+    for i in range(xh.size):
+        a, b = _exact(xh[i], xl[i]), _exact(yh[i], yl[i])
+        exact = {"add": a + b, "sub": a - b, "mul": a * b}[op]
+        # sums are accurate relative to the operand sizes, products relative
+        # to the product
+        scale = abs(a) + abs(b) if op != "mul" else abs(exact)
+        assert abs(_exact(got.hi[i], got.lo[i]) - exact) <= scale * Fraction(1, 2 ** 100)
+
+
+def test_double_double_takes_floats_and_numpy_scalars():
+    from quasidyn.traces import _DD
+
+    third = _DD(1.0 / 3.0)
+    for other in (2.0, np.float64(2.0)):
+        for value in (other * third, third * other, other + third, third + other, third - other):
+            assert isinstance(value, _DD)
+    assert (np.float64(2.0) * _DD(0.5)).hi == 1.0
