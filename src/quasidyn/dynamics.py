@@ -269,41 +269,42 @@ def profile_resolvent(spec: PotentialSpec, T: float, window: LatticeWindow | Non
 # ---------------------------------------------------------------------------
 # time route
 
-def _chebyshev_order(x: float, tol: float, max_order: int) -> int:
-    """Smallest safe expansion order for phase argument x.
+def _chebyshev_coefficients(x: float, tol: float, max_order: int) -> np.ndarray:
+    """Bessel coefficients J_0(x) .. J_K(x) for phase argument x.
 
-    Bessel coefficients J_k(x) decay superexponentially past k ~ x; the
-    order is pushed until the next five coefficients all drop below tol.
+    J_k(x) decays superexponentially past k ~ x; the order K is pushed
+    until the next five coefficients all drop below tol.
     """
     k = int(x) + 8
     while True:
         if k > max_order:
             raise ResourceError("Chebyshev expansion order cap exceeded; "
                                 "lower the accuracy or shorten the step")
-        tail = np.abs(jv(np.arange(k, k + 5), x))
-        if np.all(tail < tol):
-            return k
+        coeff = jv(np.arange(k + 5), x)
+        if np.all(np.abs(coeff[k:]) < tol):
+            break
         k += max(4, k // 8)
+    return coeff[:k + 1]
 
 
 class _Propagator:
-    """Chebyshev propagator for the windowed chain Hamiltonian."""
+    """Chebyshev propagator over steps of length dt for the windowed chain
+    Hamiltonian; the expansion coefficients are computed once, here."""
 
-    def __init__(self, v: np.ndarray, *, tol: float = 1e-15, max_order: int = 1 << 17):
+    def __init__(self, v: np.ndarray, dt: float, *, tol: float = 1e-15,
+                 max_order: int = 1 << 17):
         self.v = v
         lo = float(self.v.min()) - 2.0
         hi = float(self.v.max()) + 2.0
         margin = 0.025 * (hi - lo)
         self.center = 0.5 * (hi + lo)
         self.half_width = 0.5 * (hi - lo) + margin
-        self.tol = tol
-        self.max_order = max_order
+        self.coeff = _chebyshev_coefficients(self.half_width * dt, tol, max_order)
+        self.shift = np.exp(-1j * self.center * dt)
 
-    def step(self, psi: np.ndarray, dt: float) -> np.ndarray:
+    def step(self, psi: np.ndarray) -> np.ndarray:
         """One exact-in-principle step of e^{-i dt H} via the expansion."""
-        x = self.half_width * dt
-        order = _chebyshev_order(x, self.tol, self.max_order)
-        coeff = jv(np.arange(order + 1), x)
+        coeff, order = self.coeff, self.coeff.size - 1
         a_inv = 1.0 / self.half_width
         tm1 = psi
         t0 = (_tridiag_apply(self.v, psi) - self.center * psi) * a_inv
@@ -314,7 +315,7 @@ class _Propagator:
             t1 = 2.0 * (_tridiag_apply(self.v, t0) - self.center * t0) * a_inv - tm1
             acc += (2.0 * coeff[k] * phase) * t1
             tm1, t0 = t0, t1
-        return np.exp(-1j * self.center * dt) * acc
+        return self.shift * acc
 
 
 def evolve_state(spec: PotentialSpec, t: float, window: LatticeWindow, *,
@@ -329,8 +330,7 @@ def evolve_state(spec: PotentialSpec, t: float, window: LatticeWindow, *,
     psi[window.index(1)] = 1.0
     if t == 0.0:
         return psi
-    prop = _Propagator(_window_potential(spec, window), tol=tol, max_order=max_order)
-    return prop.step(psi, t)
+    return _Propagator(_window_potential(spec, window), t, tol=tol, max_order=max_order).step(psi)
 
 
 def _time_grid_step(v: np.ndarray, dt: float | None) -> float:
@@ -339,6 +339,14 @@ def _time_grid_step(v: np.ndarray, dt: float | None) -> float:
     span = float(v.max() - v.min()) + 4.0
     # keep the sampling rate above the largest Bohr frequency (Nyquist)
     return min(0.5, 5.5 / span)
+
+
+def _check_sweep_cost(window: LatticeWindow, t_max: float, step: float, max_cost: float) -> None:
+    """Refuse a time-route sweep of more than max_cost site-steps."""
+    cost = (math.ceil(t_max / step) + 1) * window.size
+    if cost > max_cost:
+        raise ResourceError(f"sweep cost {cost:.2e} site-steps exceeds budget {max_cost:.2e}; "
+                            "lower Tmax, shrink the window or raise the budget")
 
 
 def profile_time(spec: PotentialSpec, T: float, window: LatticeWindow | None = None, *,
@@ -368,7 +376,7 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
     v = _window_potential(spec, window)
     step = _time_grid_step(v, dt)
     n_steps = int(math.ceil(t_max / step))
-    prop = _Propagator(v)
+    prop = _Propagator(v, step)
     psi = np.zeros(window.size, dtype=np.complex128)
     psi[window.index(1)] = 1.0
     acc = [np.zeros(window.size) for _ in T_values]
@@ -384,7 +392,7 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
                 acc[i] += w * prob
                 last_step[i] = j
         if j < n_steps:
-            psi = prop.step(psi, step)
+            psi = prop.step(psi)
     profiles = []
     for i, T in enumerate(T_values):
         # the endpoint trapezoid correction is skipped: the weight there is
@@ -584,14 +592,15 @@ def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Seque
     theoretical_slopes = {p: bound_slope(bound_id, p, lam=spec.lam or None,
                                          alpha=alpha, eta=eta) for p in p_values}
     t_max = TIME_CUTOFF * T_values[-1]
-    radius = default_window_radius(t_max)
-    est_cost = (t_max / 0.5) * (2.2 * radius)
-    if est_cost > max_cost:
-        raise ResourceError(
-            f"estimated sweep cost {est_cost:.2e} exceeds budget {max_cost:.2e}; "
-            "lower Tmax or raise the budget")
+    if window is None:
+        window = _origin_window(spec, default_window_radius(t_max))
+    # no time step is longer than 0.5 (or dt), so this refuses an oversized
+    # sweep before its window potential is built; then the real step counts
+    _check_sweep_cost(window, t_max, 0.5 if dt is None else dt, max_cost)
+    step = _time_grid_step(_window_potential(spec, window), dt)
+    _check_sweep_cost(window, t_max, step, max_cost)
     _check_ladder(T_values)
-    profiles = profiles_time_ladder(spec, T_values, window=window, dt=dt)
+    profiles = profiles_time_ladder(spec, T_values, window=window, dt=step)
     entries = []
     for p in p_values:
         series = moment_series(profiles, p)

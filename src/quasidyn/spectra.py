@@ -20,6 +20,7 @@ ratios between consecutive levels, and bandwidths shrinking no faster than
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -59,6 +60,15 @@ class BandKind(enum.Enum):
     UNCLASSIFIED = "?"
 
 
+def _chebyshev_interior(lo, hi, count: int) -> np.ndarray:
+    """Chebyshev-spaced points strictly inside [lo, hi]; array bounds of
+    shape (n, 1) give one row per interval."""
+    j = np.arange(count)
+    nodes = np.cos((2 * j + 1) * np.pi / (2 * count))
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return mid + half * nodes[::-1]
+
+
 @dataclass(frozen=True)
 class Band:
     lo: float
@@ -79,10 +89,7 @@ class Band:
 
     def interior_points(self, count: int) -> np.ndarray:
         """Chebyshev-spaced sample points strictly inside the band."""
-        j = np.arange(count)
-        nodes = np.cos((2 * j + 1) * np.pi / (2 * count))
-        mid, half = 0.5 * (self.lo + self.hi), 0.5 * self.width
-        return mid + half * nodes[::-1]
+        return _chebyshev_interior(self.lo, self.hi, count)
 
 
 @dataclass(frozen=True)
@@ -111,8 +118,18 @@ class BandSet:
         return float(min(b.width for b in self.bands))
 
     def covers(self, e_lo: float, e_hi: float, tol: float) -> bool:
-        """True if [e_lo, e_hi] lies inside a single band, up to tol."""
-        return any(b.lo - tol <= e_lo and e_hi <= b.hi + tol for b in self.bands)
+        """True if [e_lo, e_hi] lies inside a single band, up to tol.
+
+        Only the last band with lo - tol <= e_lo can hold it: any band
+        before it ends lower, and any band after it starts too high.
+        """
+        i = bisect.bisect_right(self.bands, e_lo, key=lambda b: b.lo - tol) - 1
+        return i >= 0 and e_hi <= self.bands[i].hi + tol
+
+    def interior_points(self, count: int) -> np.ndarray:
+        """``Band.interior_points`` of every band, one row per band."""
+        ends = np.array([(b.lo, b.hi) for b in self.bands])
+        return _chebyshev_interior(ends[:, :1], ends[:, 1:], count)
 
 
 @dataclass(frozen=True)
@@ -194,7 +211,7 @@ def _newton_polish_edges(lam: float, k: int, edges: np.ndarray, targets: np.ndar
         # the eigenvalue estimate is kept as is
         trusted = np.abs(step) <= cap
         trial = np.where(trusted, out - step, out)
-        xs_new, _ = trace_derivative_grid(lam, trial, k)
+        xs_new = fib_trace_orbit_grid(lam, trial, k)
         better = np.abs(xs_new[k] - targets) <= np.abs(resid)
         out = np.where(better, trial, out)
     return out
@@ -413,12 +430,13 @@ def derivative_ratio_check(lam: float, k: int, *, samples_per_band: int = 33,
     violations = []
     bound_a = lam + 11.0
     bound_b = 2.0 * lam + 22.0
-    for band in bands:
-        energies = band.interior_points(samples_per_band)
-        _, dxs = trace_derivative_grid(lam, energies, k)
+    # one grid call over every band's samples, then one row per band
+    _, dxs = trace_derivative_grid(lam, bands.interior_points(samples_per_band).ravel(), k)
+    dxs = dxs.reshape(k + 1, len(bands), samples_per_band)
+    for i, band in enumerate(bands):
         parent = k - 1 if band.kind is BandKind.TYPE_A else k - 2
-        denom = dxs[parent]
-        numer = dxs[k]
+        denom = dxs[parent, i]
+        numer = dxs[k, i]
         ok = denom != 0.0
         skipped += int(np.sum(~ok))
         ratios = np.abs(numer[ok] / denom[ok])
@@ -464,10 +482,8 @@ def measure_report(lam: float, kmax: int, *, edge_tol: float = 1e-10,
     c_estimate = 0.0
     for k in range(1, kmax + 1):
         bands = _cached_spectrum(lam, k, edge_tol)
-        peak_deriv = 0.0
-        for band in bands:
-            _, dxs = trace_derivative_grid(lam, band.interior_points(samples_per_band), k)
-            peak_deriv = max(peak_deriv, float(np.max(np.abs(dxs[k]))))
+        _, dxs = trace_derivative_grid(lam, bands.interior_points(samples_per_band).ravel(), k)
+        peak_deriv = float(np.max(np.abs(dxs[k])))
         c_estimate = max(c_estimate, peak_deriv / (2.0 * lam + 22.0) ** k)
         rows.append({
             "k": k,
@@ -501,11 +517,8 @@ def trace_bound_check(lam: float, k: int, *, samples_per_band: int = 33,
     if k < 1:
         raise DomainError("trace bound check needs k >= 1")
     params = bound_parameters(lam)
-    bands = _cached_spectrum(lam, k, edge_tol)
-    worst = 0.0
-    for band in bands:
-        xs = fib_trace_orbit_grid(lam, band.interior_points(samples_per_band), k)
-        worst = max(worst, float(np.max(np.abs(xs))))
+    energies = _cached_spectrum(lam, k, edge_tol).interior_points(samples_per_band).ravel()
+    worst = float(np.max(np.abs(fib_trace_orbit_grid(lam, energies, k))))
     return {
         "lam": lam,
         "k": k,

@@ -14,16 +14,21 @@ k = 0 block is taken to be the single one-step matrix at site 0.  The choice
 is checked numerically by :func:`indexing_convention_report` and recorded in
 :data:`FIB_CONVENTION_ID`, which output writers embed in their metadata.
 
-Trace orbits are iterated in double-double (compensated) arithmetic: the
-conserved quantity involves a cancellation of order |x|^3, so plain double
-precision loses it long before the |x| <= 1e6 window in which orbits are
-certified.
+Each trace map is written once, as a level iterator (``_fib_levels``,
+``_pd_levels``, ``_tm_levels``) whose arithmetic is only +, - and x.  It
+serves float64 arrays for energy grids, the double-double type ``_DD``, and
+the value-and-derivative type ``_Jet`` that gives every energy slope by the
+product rule.  Fibonacci orbits are iterated in double-double arithmetic:
+the conserved quantity involves a cancellation of order |x|^3, so plain
+double precision loses it long before the |x| <= 1e6 window in which orbits
+are certified.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -81,25 +86,39 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-class _DD:
-    """Double-double number hi + lo; hi and lo may be float64 arrays.
+class _Number:
+    """Operators shared by _DD and _Jet, the number types of the trace maps.
 
-    Floats enter as (v, 0).  Addition, subtraction and multiplication are
-    all the trace maps need, so each map is written once and serves float64
-    arrays and double-double values alike.
+    Floats enter as (v, 0); +, - and x are all the maps need, so each map
+    is written once for them and for float64 arrays.
     """
 
-    __slots__ = ("hi", "lo")
+    __slots__ = ()
     # without this, a NumPy scalar on the left broadcasts over the object
     # instead of deferring to the reflected operator
     __array_ufunc__ = None
 
+    @classmethod
+    def _of(cls, x):
+        return x if isinstance(x, cls) else cls(x)
+
+    def __radd__(self, other):
+        return self + other
+
+    def __sub__(self, other):
+        return self + -self._of(other)
+
+    def __rmul__(self, other):
+        return self * other
+
+
+class _DD(_Number):
+    """Double-double number hi + lo; hi and lo may be float64 arrays."""
+
+    __slots__ = ("hi", "lo")
+
     def __init__(self, hi, lo=0.0):
         self.hi, self.lo = hi, lo
-
-    @staticmethod
-    def _of(x) -> "_DD":
-        return x if isinstance(x, _DD) else _DD(x)
 
     def __add__(self, other) -> "_DD":
         other = _DD._of(other)
@@ -108,13 +127,8 @@ class _DD:
         s2 = s + e
         return _DD(s2, e - (s2 - s))
 
-    __radd__ = __add__
-
     def __neg__(self) -> "_DD":
         return _DD(-self.hi, -self.lo)
-
-    def __sub__(self, other) -> "_DD":
-        return self + -_DD._of(other)
 
     def __mul__(self, other) -> "_DD":
         other = _DD._of(other)
@@ -123,7 +137,27 @@ class _DD:
         p2 = p + e
         return _DD(p2, e - (p2 - p))
 
-    __rmul__ = __mul__
+
+class _Jet(_Number):
+    """Value and energy derivative v + d eps with eps^2 = 0; v and d may be
+    float64 arrays.  A map evaluated at _Jet(E, 1) carries dx/dE along by
+    the product rule, so no map is differentiated by hand."""
+
+    __slots__ = ("v", "d")
+
+    def __init__(self, v, d=0.0):
+        self.v, self.d = v, d
+
+    def __add__(self, other) -> "_Jet":
+        other = _Jet._of(other)
+        return _Jet(self.v + other.v, self.d + other.d)
+
+    def __neg__(self) -> "_Jet":
+        return _Jet(-self.v, -self.d)
+
+    def __mul__(self, other) -> "_Jet":
+        other = _Jet._of(other)
+        return _Jet(self.v * other.v, self.d * other.v + self.v * other.d)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +219,23 @@ class FibTraceOrbit:
         out = np.full(self.xs.size, np.nan)
         stop = self.xs.size if self.overflow_at is None else self.overflow_at
         n = max(stop - 2, 0)
-        a, b, c = (_DD(self.xs[i:i + n], self.xs_lo[i:i + n]) for i in range(3))
-        acc = a * a + b * b + c * c - a * b * c
+        acc = fib_invariant(*(_DD(self.xs[i:i + n], self.xs_lo[i:i + n]) for i in range(3)))
         out[1:1 + n] = acc.hi + acc.lo
         return out
+
+
+def _fib_levels(x0, x1, x2):
+    """Yield x_0, x_1, ... of the map x_{k+1} = x_k x_{k-1} - x_{k-2}.
+
+    The three seeds come from the caller and fix the number type: float64
+    arrays, _DD or _Jet values.  A level is computed only when requested.
+    """
+    yield x0
+    yield x1
+    prev2, prev, cur = x0, x1, x2
+    while True:
+        yield cur
+        prev2, prev, cur = prev, cur, cur * prev - prev2
 
 
 def fib_trace_orbit(lam: float, E: float, kmax: int) -> FibTraceOrbit:
@@ -201,15 +248,11 @@ def fib_trace_orbit(lam: float, E: float, kmax: int) -> FibTraceOrbit:
     if kmax < 1:
         raise DomainError("kmax must be at least 1")
     m0, m1 = fib_base_matrices(lam, E)
-    m2 = m0 @ m1
-    seeds = [np.trace(m).real for m in (m0, m1, m2)]
+    seeds = (_DD(np.trace(m).real) for m in (m0, m1, m0 @ m1))
     hi = np.full(kmax + 1, np.inf)
     lo = np.zeros(kmax + 1)
     overflow_at = None
-    vals: list[_DD] = []
-    for k in range(kmax + 1):
-        cur = _DD(seeds[k]) if k < len(seeds) else vals[k - 1] * vals[k - 2] - vals[k - 3]
-        vals.append(cur)
+    for k, cur in zip(range(kmax + 1), _fib_levels(*seeds)):
         hi[k], lo[k] = cur.hi, cur.lo
         if not np.isfinite(cur.hi) or abs(cur.hi) > TRACE_OVERFLOW:
             overflow_at = k
@@ -217,9 +260,9 @@ def fib_trace_orbit(lam: float, E: float, kmax: int) -> FibTraceOrbit:
     return FibTraceOrbit(lam=lam, E=E, xs=hi, xs_lo=lo, overflow_at=overflow_at)
 
 
-def fib_invariant(x_prev: float, x_cur: float, x_next: float):
-    """x_next^2 + x_cur^2 + x_prev^2 - x_next x_cur x_prev (plain doubles)."""
-    return x_next * x_next + x_cur * x_cur + x_prev * x_prev - x_next * x_cur * x_prev
+def fib_invariant(x_prev, x_cur, x_next):
+    """x_prev^2 + x_cur^2 + x_next^2 - x_prev x_cur x_next; floats or _DD values."""
+    return x_prev * x_prev + x_cur * x_cur + x_next * x_next - x_prev * x_cur * x_next
 
 
 def fib_trace_orbit_grid(lam: float, energies: np.ndarray, kmax: int) -> np.ndarray:
@@ -228,69 +271,23 @@ def fib_trace_orbit_grid(lam: float, energies: np.ndarray, kmax: int) -> np.ndar
     Returns an array of shape (kmax+1, len(energies)).  Intended for the
     bounded band regime; values overflow to inf harmlessly off the bands.
     """
-    E = np.asarray(energies, dtype=np.float64)
-    out = np.empty((kmax + 1, E.size), dtype=np.float64)
-    out[0] = E
-    if kmax >= 1:
-        out[1] = E - lam
-    if kmax >= 2:
-        out[2] = E * (E - lam) - 2.0
+    E = np.atleast_1d(np.asarray(energies, dtype=np.float64))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(3, kmax + 1):
-            out[k] = out[k - 1] * out[k - 2] - out[k - 3]
-    return out
+        return np.array(list(islice(_fib_levels(E, E - lam, E * (E - lam) - 2.0), kmax + 1)))
 
 
 def trace_derivative_grid(lam: float, energies: np.ndarray, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Traces and their energy derivatives over a grid, by joint recursion.
+    """Traces and their energy derivatives over a grid, in one _Jet pass.
 
-    The derivative recursion x'_{k+1} = x'_k x_{k-1} + x_k x'_{k-1} - x'_{k-2}
-    is seeded from analytically differentiated base products.
+    The seeds carry the derivatives 1, 1 and 2E - lambda of the base traces
+    E, E - lambda and E (E - lambda) - 2.
     """
-    E = np.asarray(energies, dtype=np.float64)
-    xs = fib_trace_orbit_grid(lam, E, kmax)
-    dxs = np.empty_like(xs)
-    dxs[0] = 1.0
-    if kmax >= 1:
-        dxs[1] = 1.0
-    if kmax >= 2:
-        dxs[2] = 2.0 * E - lam
+    E = np.atleast_1d(np.asarray(energies, dtype=np.float64))
+    one = np.ones_like(E)
+    seeds = (_Jet(E, one), _Jet(E - lam, one), _Jet(E * (E - lam) - 2.0, 2.0 * E - lam))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(3, kmax + 1):
-            dxs[k] = dxs[k - 1] * xs[k - 2] + xs[k - 1] * dxs[k - 2] - dxs[k - 3]
-    return xs, dxs
-
-
-@dataclass(frozen=True)
-class TraceDerivOrbit:
-    lam: float
-    E: float
-    xs: np.ndarray
-    dxs: np.ndarray
-
-
-def trace_derivative_orbit(lam: float, E: float, kmax: int) -> TraceDerivOrbit:
-    """Scalar (x_k, dx_k/dE) orbit; base derivatives from the product rule.
-
-    The base traces come from M_0, M_1, M_0 M_1 and their derivative
-    matrices D_k = dM_k/dE with dA/dE = [[1, 0], [0, 0]].
-    """
-    if kmax < 1:
-        raise DomainError("kmax must be at least 1")
-    m0, m1 = fib_base_matrices(lam, E)
-    d = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
-    mats = [m0, m1, m0 @ m1]
-    dmats = [d, d, d @ m1 + m0 @ d]
-    xs = np.empty(kmax + 1)
-    dxs = np.empty(kmax + 1)
-    for k in range(min(3, kmax + 1)):
-        xs[k] = np.trace(mats[k]).real
-        dxs[k] = np.trace(dmats[k]).real
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(3, kmax + 1):
-            xs[k] = xs[k - 1] * xs[k - 2] - xs[k - 3]
-            dxs[k] = dxs[k - 1] * xs[k - 2] + xs[k - 1] * dxs[k - 2] - dxs[k - 3]
-    return TraceDerivOrbit(lam=lam, E=E, xs=xs, dxs=dxs)
+        levels = list(islice(_fib_levels(*seeds), kmax + 1))
+    return np.array([x.v for x in levels]), np.array([x.d for x in levels])
 
 
 def indexing_convention_report(lam: float = 1.0, E: float = 0.7, kmax: int = 8) -> dict:
@@ -357,6 +354,45 @@ def subst_transfer(model: Model | str, lam: float, E: complex, k: int) -> tuple[
     return t0, t1
 
 
+def _pd_levels(lam: float, e):
+    """Yield the period-doubling traces (x_k, y_k), k = 0, 1, ...
+
+    x_{k+1} = x_k y_k - 2 and y_{k+1} = x_k^2 - 2 at e: float64 arrays, _DD
+    or _Jet values.
+    """
+    x, y = e, e - lam
+    while True:
+        yield x, y
+        x, y = x * y - 2.0, x * x - 2.0
+
+
+def _tm_levels(lam: float, e):
+    """Yield the Thue-Morse traces (x_k, y_k), k = 0, 1, ...
+
+    x_k = y_k from level 1 on, and x_{k+1} = x_{k-1}^2 (x_k - 2) + 2 from
+    level 2 on, at e: float64 arrays, _DD or _Jet values.  Level 2 in closed
+    form: with a = E, b = E - lam and unimodular blocks,
+    tr(A^2 B^2) = ab tr(AB) - a^2 - b^2 + 2 by Cayley-Hamilton.
+    """
+    a, b = e, e - lam
+    yield a, b
+    ab = a * b
+    prev = ab - 2.0
+    yield prev, prev
+    cur = ab * prev - (a * a + b * b) + 2.0
+    while True:
+        yield cur, cur
+        prev, cur = cur, prev * prev * (cur - 2.0) + 2.0
+
+
+_SUBST_LEVELS = {Model.PERIOD_DOUBLING: _pd_levels, Model.THUE_MORSE: _tm_levels}
+
+
+def _block_traces(model: Model, lam: float, e, j: int):
+    """Level-j block traces (x_j, y_j) = (tr T0_j, tr T1_j) of a substitution chain at e."""
+    return next(islice(_SUBST_LEVELS[model](lam, e), j, None))
+
+
 @dataclass(frozen=True)
 class SubstTraceOrbit:
     model: Model
@@ -368,38 +404,25 @@ class SubstTraceOrbit:
 
 
 def subst_trace_orbit(model: Model | str, lam: float, E: float, kmax: int) -> SubstTraceOrbit:
-    """Trace orbit (x_k, y_k) of the block matrices.
+    """Trace orbit (x_k, y_k) of the block matrices, up to the overflow gate.
 
     Period doubling: x_{k+1} = x_k y_k - 2, y_{k+1} = x_k^2 - 2.
     Thue-Morse: x_k = y_k for k >= 1 and x_{k+1} = x_{k-1}^2 (x_k - 2) + 2
-    for k >= 2; the first two levels are read off the matrices.
+    for k >= 2, with the first two levels in closed form.
     """
     model = Model.parse(model) if isinstance(model, str) else model
     if kmax < 1:
         raise DomainError("kmax must be at least 1")
+    if model not in _SUBST_LEVELS:
+        raise DomainError(f"{model} is not a substitution model")
     xs = np.full(kmax + 1, np.nan)
     ys = np.full(kmax + 1, np.nan)
-    xs[0], ys[0] = E, E - lam
     overflow_at = None
-    if model is Model.PERIOD_DOUBLING:
-        for k in range(kmax):
-            xs[k + 1] = xs[k] * ys[k] - 2.0
-            ys[k + 1] = xs[k] * xs[k] - 2.0
-            if not np.isfinite(xs[k + 1]) or abs(xs[k + 1]) > TRACE_OVERFLOW:
-                overflow_at = k + 1
-                break
-    elif model is Model.THUE_MORSE:
-        for k in (1, 2):
-            if k <= kmax:
-                t0, _ = subst_transfer(model, lam, E, k)
-                xs[k] = ys[k] = np.trace(t0).real
-        for k in range(2, kmax):
-            xs[k + 1] = ys[k + 1] = xs[k - 1] ** 2 * (xs[k] - 2.0) + 2.0
-            if not np.isfinite(xs[k + 1]) or abs(xs[k + 1]) > TRACE_OVERFLOW:
-                overflow_at = k + 1
-                break
-    else:
-        raise DomainError(f"{model} is not a substitution model")
+    for k, (x, y) in enumerate(islice(_SUBST_LEVELS[model](lam, E), kmax + 1)):
+        xs[k], ys[k] = x, y
+        if not np.isfinite(x) or abs(x) > TRACE_OVERFLOW:
+            overflow_at = k
+            break
     return SubstTraceOrbit(model=model, lam=lam, E=E, xs=xs, ys=ys, overflow_at=overflow_at)
 
 
@@ -419,60 +442,6 @@ _LEVEL_TWO_TOL = 1e-9
 _DUPLICATE_TOL = 1e-11
 
 
-def _pd_trace(lam: float, e, k: int):
-    """Period-doubling traces (x_k, y_k) at e: float64 arrays or _DD values."""
-    x, y = e, e - lam
-    for _ in range(k):
-        x, y = x * y - 2.0, x * x - 2.0
-    return x, y
-
-
-def _tm_trace(lam: float, e, j: int):
-    """Thue-Morse trace x_j at e: float64 arrays or _DD values.
-
-    Level 2 in closed form: with a = E, b = E - lam and unimodular blocks,
-    tr(A^2 B^2) = ab tr(AB) - a^2 - b^2 + 2 by Cayley-Hamilton.
-    """
-    if j == 0:
-        return e
-    a, b = e, e - lam
-    ab = a * b
-    prev = ab - 2.0
-    if j == 1:
-        return prev
-    cur = ab * prev - (a * a + b * b) + 2.0
-    for _ in range(j - 2):
-        prev, cur = cur, prev * prev * (cur - 2.0) + 2.0
-    return cur
-
-
-def _pd_x_dx(lam: float, e, k: int):
-    """Period-doubling trace and its energy derivative at level k."""
-    x, y = e, e - lam
-    dx, dy = 1.0, 1.0
-    for _ in range(k):
-        x, y, dx, dy = x * y - 2.0, x * x - 2.0, dx * y + x * dy, 2.0 * x * dx
-    return x, dx
-
-
-def _tm_x_dx(lam: float, e, j: int):
-    """Thue-Morse trace and its energy derivative at level j."""
-    a, b = e, e - lam
-    if j == 0:
-        return a, 1.0
-    x1, dx1 = a * b - 2.0, 2.0 * e - lam
-    if j == 1:
-        return x1, dx1
-    x2 = a * b * x1 - a * a - b * b + 2.0
-    dx2 = (2.0 * e - lam) * x1 + a * b * dx1 - 2.0 * a - 2.0 * b
-    prev, cur, dprev, dcur = x1, x2, dx1, dx2
-    for _ in range(j - 2):
-        nxt = prev * prev * (cur - 2.0) + 2.0
-        dnxt = 2.0 * prev * dprev * (cur - 2.0) + prev * prev * dcur
-        prev, cur, dprev, dcur = cur, nxt, dcur, dnxt
-    return cur, dcur
-
-
 def _trace_zeros(model: Model, lam: float, j: int) -> _DD:
     """Zeros of the level-j block trace, ascending, polished in double-double.
 
@@ -486,14 +455,13 @@ def _trace_zeros(model: Model, lam: float, j: int) -> _DD:
     if 2 ** j > MAX_BLOCH_SITES:
         raise ResourceError(f"the level-{j} zero set needs a {2 ** j}-site Bloch matrix; "
                             f"the cap is {MAX_BLOCH_SITES} sites")
-    pd = model is Model.PERIOD_DOUBLING
     e = _DD(_bloch_eigenvalues(lam * substitution_word(model, j), 1j))
     live = np.ones(e.hi.size, dtype=bool)
     # a stopped zero may hold non-finite values; its steps are discarded
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_NEWTON_STEPS):
-            val = _pd_trace(lam, e, j)[0] if pd else _tm_trace(lam, e, j)
-            slope = (_pd_x_dx if pd else _tm_x_dx)(lam, e.hi, j)[1]
+            val = _block_traces(model, lam, e, j)[0]
+            slope = _block_traces(model, lam, _Jet(e.hi, 1.0), j)[0].d
             live &= np.isfinite(slope) & (slope != 0.0)
             slope = np.where(live, slope, 1.0)
             step_hi = val.hi / slope
@@ -530,7 +498,7 @@ def pd_root_certificates(lam: float, k: int) -> list[dict]:
     literal float64 matrix product at a float64 root cannot beat.
     """
     zeros = _trace_zeros(Model.PERIOD_DOUBLING, lam, k)
-    x, y = _pd_trace(lam, zeros, k)
+    x, y = _block_traces(Model.PERIOD_DOUBLING, lam, zeros, k)
     certificates = []
     for e, trace_defect, x_abs in zip(zeros.hi.tolist(), np.abs((x * y).hi).tolist(),
                                       np.abs(x.hi + x.lo).tolist()):
@@ -557,7 +525,7 @@ def tm_special_energies(lam: float, k: int) -> np.ndarray:
     keep = np.ones(roots.size, dtype=bool)
     keep[1:] = np.diff(roots) > _DUPLICATE_TOL
     roots = roots[keep]
-    return roots[np.abs(_tm_trace(lam, roots, 2) - 2.0) > _LEVEL_TWO_TOL]
+    return roots[np.abs(_block_traces(Model.THUE_MORSE, lam, roots, 2)[0] - 2.0) > _LEVEL_TWO_TOL]
 
 
 def _tm_zero_sets(lam: float, k: int) -> dict[int, _DD]:
@@ -584,7 +552,7 @@ def tm_root_certificates(lam: float, k: int) -> list[dict]:
     """
     certificates = []
     for j, zeros in sorted(_tm_zero_sets(lam, k).items()):
-        x = _tm_trace(lam, zeros, j)
+        x = _block_traces(Model.THUE_MORSE, lam, zeros, j)[0]
         for e, x_j in zip(zeros.hi.tolist(), np.abs(x.hi + x.lo).tolist()):
             t0, t1 = subst_transfer(Model.THUE_MORSE, lam, e, j)
             m0 = t0 @ t1 @ t0 - t0

@@ -221,6 +221,17 @@ def test_dynamics_budget_refusal(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_dynamics_budget_counts_the_window(runner, tmp_path):
+    out = tmp_path / "m.csv"
+    result = runner.invoke(main, ["dynamics", "--model", "free", "--bound", "tm", "--p", "2",
+                                  "--Tmin", "1", "--Tmax", "100", "--window", "20000",
+                                  "--max-cost", "5e6", "--out", str(out)])
+    assert result.exit_code == 3
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line)["error"] == "budget"
+    assert not out.exists()
+
+
 def test_dynamics_small_window_is_a_truncation_error(runner, tmp_path):
     out = tmp_path / "moments.csv"
     result = runner.invoke(main, ["dynamics", "--model", "tm", "--lambda", "1",

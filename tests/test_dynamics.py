@@ -459,6 +459,44 @@ def test_bound_report_budget_guard():
         bound_report(FREE, [2.0], [10.0, 1e7], "tm", max_cost=1e6)
 
 
+def _no_propagator(*args, **kwargs):
+    raise AssertionError("the sweep started before the budget check")
+
+
+def test_bound_report_budget_counts_the_given_window(monkeypatch):
+    # 1201 samples on 40001 sites: 4.8e7 site-steps, far above the budget,
+    # although the default light-cone window would fit in it
+    from quasidyn import dynamics
+
+    monkeypatch.setattr(dynamics, "_Propagator", _no_propagator)
+    with pytest.raises(ResourceError, match="4.80e"):
+        dynamics.bound_report(FREE, [2.0], list(np.geomspace(1.0, 100.0, 7)), "tm",
+                              window=LatticeWindow(-20000, 20000), max_cost=5e6)
+
+
+def test_bound_report_budget_uses_the_real_time_step(monkeypatch):
+    # at lambda = 20 the step is 5.5/24, not 0.5: 10.7e6 site-steps, not 4.9e6
+    from quasidyn import dynamics
+
+    monkeypatch.setattr(dynamics, "_Propagator", _no_propagator)
+    spec = PotentialSpec(Model.THUE_MORSE, 20.0)
+    with pytest.raises(ResourceError, match="1.07e"):
+        dynamics.bound_report(spec, [2.0], list(np.geomspace(4.0, 128.0, 7)), max_cost=8e6)
+
+
+def test_ladder_computes_chebyshev_coefficients_once(monkeypatch):
+    from quasidyn import dynamics
+
+    calls = []
+    coefficients = dynamics._chebyshev_coefficients
+    monkeypatch.setattr(dynamics, "_chebyshev_coefficients",
+                        lambda *args: calls.append(args) or coefficients(*args))
+    profiles = profiles_time_ladder(PotentialSpec(Model.THUE_MORSE, 1.0),
+                                    list(np.geomspace(4.0, 32.0, 5)))
+    assert int(round(profiles[-1].meta["t_max"] / profiles[-1].meta["dt"])) > 100
+    assert len(calls) == 1
+
+
 def test_bound_report_checks_ladder_before_sweep(monkeypatch):
     from quasidyn import dynamics
 

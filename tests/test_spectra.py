@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from quasidyn.lattice import DomainError
 from quasidyn.spectra import (
+    Band,
     BandCountError,
     BandKind,
+    BandSet,
     approximant_spectrum,
     bound_parameters,
     classify_bands,
@@ -137,6 +139,19 @@ def test_merge_intervals_matches_brute_union(intervals, tol):
 
 # ---------------------------------------------------------------------------
 # covering and classification
+
+@pytest.mark.parametrize("tol", [0.0, 1e-3, 0.05, 0.3])
+def test_band_set_covers_matches_brute_scan(tol, rng):
+    for _ in range(40):
+        cuts = np.sort(rng.uniform(-3.0, 3.0, 2 * int(rng.integers(1, 9))))
+        bands = BandSet(lam=5.0, k=1, bands=tuple(
+            Band(lo=float(lo), hi=float(hi), k=1) for lo, hi in zip(cuts[::2], cuts[1::2])))
+        # query ends at and near the band ends as well as anywhere in between
+        ends = np.concatenate([cuts, cuts - tol, cuts + tol, rng.uniform(-3.5, 3.5, 20)])
+        for e_lo, e_hi in itertools.combinations(np.sort(ends), 2):
+            brute = any(b.lo - tol <= e_lo and e_hi <= b.hi + tol for b in bands)
+            assert bands.covers(float(e_lo), float(e_hi), tol) == brute
+
 
 @pytest.mark.parametrize("lam", [1.0, 2.0, 5.0])
 def test_covering_property(lam):

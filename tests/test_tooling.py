@@ -1,0 +1,41 @@
+"""The benchmark's span tracer wraps quasidyn functions by name and reads
+work counters from their arguments; these names must keep existing."""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+#: layer -> the argument its work counter reads, for the layers that read one
+COUNTER_ARGUMENT = {
+    "lattice.potential": "sites",
+    "traces.grid": "energies",
+    "spectra.edges": "k",
+    "cli.write": "path",
+}
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_layers_name_functions_with_their_counter_arguments():
+    tracer = _load_tracer()
+    assert set(COUNTER_ARGUMENT) <= set(tracer.COUNTERS)
+    for layer, (module_name, names) in tracer.LAYERS.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            fn = getattr(module, name, None)
+            assert callable(fn), f"{layer}: {module_name}.{name} is gone"
+            params = inspect.signature(fn).parameters
+            if layer in COUNTER_ARGUMENT:
+                assert COUNTER_ARGUMENT[layer] in params, f"{module_name}.{name}"
+    # evolve_state's propagate count reads its time argument
+    from quasidyn.dynamics import evolve_state
+
+    assert "t" in inspect.signature(evolve_state).parameters

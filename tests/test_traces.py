@@ -23,7 +23,6 @@ from quasidyn.traces import (
     tm_root_certificates,
     tm_special_energies,
     trace_derivative_grid,
-    trace_derivative_orbit,
 )
 
 from conftest import brute_transfer, fib_spec
@@ -146,31 +145,53 @@ def test_grid_orbit_matches_scalar():
 # ---------------------------------------------------------------------------
 # derivatives
 
-def test_derivative_orbit_base_cases():
+def test_derivative_grid_base_cases():
     lam, energy = 1.7, 0.4
-    orbit = trace_derivative_orbit(lam, energy, 3)
-    assert orbit.dxs[0] == 1.0
-    assert orbit.dxs[1] == 1.0
-    assert orbit.dxs[2] == pytest.approx(2.0 * energy - lam, abs=1e-14)
+    _, dxs = trace_derivative_grid(lam, np.array([energy]), 3)
+    assert dxs[0, 0] == 1.0
+    assert dxs[1, 0] == 1.0
+    assert dxs[2, 0] == pytest.approx(2.0 * energy - lam, abs=1e-14)
 
 
-def test_derivative_orbit_vs_finite_differences():
+def test_derivative_grid_vs_finite_differences():
     lam, energy, h = 1.0, 0.3, 1e-6
-    orbit = trace_derivative_orbit(lam, energy, 10)
+    _, dxs = trace_derivative_grid(lam, np.array([energy]), 10)
     plus = fib_trace_orbit(lam, energy + h, 10)
     minus = fib_trace_orbit(lam, energy - h, 10)
     fd = (plus.xs - minus.xs) / (2.0 * h)
     for k in range(11):
-        assert orbit.dxs[k] == pytest.approx(fd[k], rel=1e-4, abs=1e-6)
+        assert dxs[k, 0] == pytest.approx(fd[k], rel=1e-4, abs=1e-6)
 
 
-def test_derivative_grid_matches_orbit():
-    energies = np.linspace(3.2, 6.8, 7)
-    xs, dxs = trace_derivative_grid(5.0, energies, 8)
-    for i, energy in enumerate(energies):
-        orbit = trace_derivative_orbit(5.0, float(energy), 8)
-        npt.assert_allclose(xs[:, i], orbit.xs, rtol=1e-10, atol=1e-10)
-        npt.assert_allclose(dxs[:, i], orbit.dxs, rtol=1e-10, atol=1e-10)
+def _fib_trace_exact(lam: Fraction, e: Fraction, k: int) -> Fraction:
+    xs = [e, e - lam, e * (e - lam) - 2]
+    while len(xs) <= k:
+        xs.append(xs[-1] * xs[-2] - xs[-3])
+    return xs[k]
+
+
+def _kernel_slope(model: str, lam: float, energy: float, k: int) -> float:
+    from quasidyn.traces import _Jet, _block_traces
+
+    if model == "fib":
+        return float(trace_derivative_grid(lam, np.array([energy]), k)[1][k, 0])
+    subst = Model.PERIOD_DOUBLING if model == "pd" else Model.THUE_MORSE
+    return float(_block_traces(subst, lam, _Jet(energy, 1.0), k)[0].d)
+
+
+@pytest.mark.parametrize("model", ["fib", "pd", "tm"])
+def test_trace_slopes_match_exact_central_difference(model, rng):
+    # each recursion evaluated in exact rational arithmetic; with h = 2^-120
+    # the central difference equals the derivative far below float64 rounding
+    exact = {"fib": _fib_trace_exact, "pd": _pd_trace_exact, "tm": _tm_trace_exact}[model]
+    h = Fraction(1, 2 ** 120)
+    for lam in (1.0, 2.5, 5.0):
+        for energy in rng.uniform(-2.0, 2.0 + lam, 4):
+            e, lam_q = Fraction(float(energy)), Fraction(lam)
+            for k in range(9):
+                want = (exact(lam_q, e + h, k) - exact(lam_q, e - h, k)) / (2 * h)
+                got = Fraction(_kernel_slope(model, lam, float(energy), k))
+                assert abs(got - want) <= Fraction(1, 10 ** 10) * max(abs(want), 1)
 
 
 def test_derivative_ratio_inside_type_a_band():
@@ -319,10 +340,10 @@ def test_tm_special_energy_nesting():
 
 def test_tm_level_two_set_is_excluded():
     # energies with x_2 = 2 are dropped from the returned special set
-    from quasidyn.traces import _tm_trace
+    from quasidyn.traces import _block_traces
 
     roots = tm_special_energies(1.0, 6)
-    x2 = _tm_trace(1.0, roots, 2)
+    x2, _ = _block_traces(Model.THUE_MORSE, 1.0, roots, 2)
     assert np.all(np.abs(x2 - 2.0) > 1e-9)
 
 
@@ -426,3 +447,42 @@ def test_double_double_takes_floats_and_numpy_scalars():
         for value in (other * third, third * other, other + third, third + other, third - other):
             assert isinstance(value, _DD)
     assert (np.float64(2.0) * _DD(0.5)).hi == 1.0
+
+
+# ---------------------------------------------------------------------------
+# value-and-derivative arithmetic
+
+def _random_float(rng, size):
+    return rng.choice([-1.0, 1.0], size) * rng.uniform(0.5, 2.0, size) * 2.0 ** rng.integers(-20, 20, size)
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_jet_matches_exact_product_rule(op, rng):
+    from quasidyn.traces import _Jet
+
+    xv, xd, yv, yd = (_random_float(rng, 200) for _ in range(4))
+    got = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
+           "mul": lambda x, y: x * y}[op](_Jet(xv, xd), _Jet(yv, yd))
+    for i in range(xv.size):
+        a, da, b, db = (Fraction(float(arr[i])) for arr in (xv, xd, yv, yd))
+        value, slope, scale = {
+            "add": (a + b, da + db, abs(da) + abs(db)),
+            "sub": (a - b, da - db, abs(da) + abs(db)),
+            "mul": (a * b, da * b + a * db, abs(da * b) + abs(a * db)),
+        }[op]
+        # one rounding for the value, at most three for the slope
+        assert abs(Fraction(float(got.v[i])) - value) <= abs(value) * Fraction(1, 2 ** 53)
+        assert abs(Fraction(float(got.d[i])) - slope) <= scale * Fraction(1, 2 ** 51)
+
+
+def test_jet_takes_floats_and_numpy_scalars():
+    from quasidyn.traces import _Jet
+
+    jet = _Jet(3.0, 0.5)
+    for other in (2.0, np.float64(2.0)):
+        for value, want in ((other * jet, (6.0, 1.0)), (jet * other, (6.0, 1.0)),
+                            (other + jet, (5.0, 0.5)), (jet + other, (5.0, 0.5)),
+                            (jet - other, (1.0, 0.5))):
+            assert isinstance(value, _Jet)
+            assert (value.v, value.d) == want
+    assert (jet * jet).d == 3.0
