@@ -364,8 +364,9 @@ def _suite_covering(lam: float, mmax: int) -> dict:
             "mmax": mmax, "violations": worst}
 
 
-def _suite_parseval(model: str, lam: float, T: float) -> dict:
+def _suite_parseval(model: str, lam: float, T: float, max_cost: float) -> dict:
     spec = PotentialSpec(Model.parse(model), lam)
+    dynamics._check_parseval_cost(spec, T, max_cost)
     prof_t = dynamics.profile_time(spec, T)
     prof_r = dynamics.profile_resolvent(spec, T, window=prof_t.window)
     l1 = float(np.sum(np.abs(prof_t.a - prof_r.a)))
@@ -385,8 +386,11 @@ def _suite_parseval(model: str, lam: float, T: float) -> dict:
 @click.option("--T", "t_avg", type=float, default=50.0, show_default=True)
 @click.option("--mmax", type=int, default=9, show_default=True)
 @click.option("--seed", type=int, default=20250808, show_default=True)
+@click.option("--max-cost", type=float, default=5e10, show_default=True,
+              help="parseval: refuse a time-route sweep (site-steps) or resolvent "
+                   "quadrature (grid points x sites) above this")
 @click.option("--out", type=click.Path(path_type=Path), default=None)
-def verify(suite, model, lam, samples, t_avg, mmax, seed, out):
+def verify(suite, model, lam, samples, t_avg, mmax, seed, max_cost, out):
     """Run one named invariant suite and emit a JSON report."""
     if suite == "parseval":
         _positive(t_avg, "--T")
@@ -403,7 +407,11 @@ def verify(suite, model, lam, samples, t_avg, mmax, seed, out):
     elif suite == "covering":
         record = _suite_covering(lam if lam > 0 else 5.0, mmax)
     else:
-        record = _suite_parseval(model, lam, t_avg)
+        try:
+            record = _suite_parseval(model, lam, t_avg, max_cost)
+        except ResourceError as err:
+            _report_error("budget", str(err))
+            sys.exit(EXIT_RESOURCE)
     payload = {"suite": suite, "records": [record], "ok": record["ok"]}
     if out is not None:
         write_json(out, config, {}, payload)
@@ -434,6 +442,9 @@ def verify(suite, model, lam, samples, t_avg, mmax, seed, out):
 @click.option("--geometry", default="whole-line", show_default=True)
 @click.option("--seed-word", "seed", default=None)
 @click.option("--max-cost", type=float, default=5e10, show_default=True)
+@click.option("--alpha", type=float, default=None,
+              help="power-law exponent alpha of the one-energy bound")
+@click.option("--eta", type=float, default=None, help="exponent eta of the power-eta bound")
 @click.option("--out", type=click.Path(path_type=Path), default=Path("moments.csv"),
               show_default=True, help="moment CSV path; the report JSON sits next to it")
 @click.option("--profile-out", type=click.Path(path_type=Path), default=None,
@@ -442,7 +453,7 @@ def verify(suite, model, lam, samples, t_avg, mmax, seed, out):
               default="time", show_default=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_tol,
-                 perturb_sites, window_radius, geometry, seed, max_cost, out,
+                 perturb_sites, window_radius, geometry, seed, max_cost, alpha, eta, out,
                  profile_out, profile_method, config_path):
     """Moment ladder CSV plus a lower-bound verdict JSON."""
     file_vals = _load_config_file(config_path)
@@ -456,6 +467,11 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
         raise click.UsageError("--Tcount must be at least 5 for slope estimation")
     if window_radius is not None and window_radius < 1:
         raise click.UsageError("--window must be at least 1")
+    exponents = {name: value for name, value in (("alpha", alpha), ("eta", eta))
+                 if value is not None}
+    for name, value in exponents.items():
+        if value < 0:
+            raise click.UsageError(f"--{name} must be nonnegative")
     spec = _build_spec(model, lam, geometry, seed, perturb_sites)
     t_values = list(np.geomspace(t_min, t_max, t_count))
     config = RunConfig("dynamics", {
@@ -466,13 +482,14 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
         "slope_tol": _fmt(slope_tol),
         "perturb": ";".join(perturb_sites),
         "window": window_radius if window_radius is not None else "",
+        **{name: _fmt(value) for name, value in exponents.items()},
     })
     window = None if window_radius is None else dynamics._origin_window(spec, window_radius)
     t_start = time.monotonic()
     try:
         report = dynamics.bound_report(spec, list(p_values), t_values, bound_id,
                                        slope_tolerance=slope_tol, max_cost=max_cost,
-                                       window=window)
+                                       window=window, alpha=alpha, eta=eta)
     except ResourceError as err:
         _report_error("budget", str(err))
         sys.exit(EXIT_RESOURCE)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.blas import dgemm, zgemm
 from scipy.special import jv, logsumexp
 
 from quasidyn.lattice import (
@@ -165,10 +166,16 @@ def _origin_window(spec: PotentialSpec, radius: int) -> LatticeWindow:
     return LatticeWindow(-radius, radius)
 
 
+def _edge_weight(geometry: Geometry, weights: np.ndarray) -> np.ndarray:
+    """Weight on the truncation edges (first axis): both ends on the whole
+    line, the last site only on the half line (site 1 is its boundary and
+    source)."""
+    return weights[-1] if geometry is Geometry.HALF_LINE else weights[0] + weights[-1]
+
+
 def _far_edge_share(window: LatticeWindow, weights: np.ndarray) -> float:
-    """Share of the weight on the truncation edges: both ends on the whole line,
-    the last site only on the half line (site 1 is its boundary and source)."""
-    far = weights[-1] if window.geometry is Geometry.HALF_LINE else weights[0] + weights[-1]
+    """Share of the weight on the window's truncation edges."""
+    far = _edge_weight(window.geometry, weights)
     return float(far) / max(float(np.sum(weights)), np.finfo(float).tiny)
 
 
@@ -269,53 +276,134 @@ def profile_resolvent(spec: PotentialSpec, T: float, window: LatticeWindow | Non
 # ---------------------------------------------------------------------------
 # time route
 
-def _chebyshev_coefficients(x: float, tol: float, max_order: int) -> np.ndarray:
-    """Bessel coefficients J_0(x) .. J_K(x) for phase argument x.
+#: Grid steps covered by one Chebyshev expansion (one long step).
+STEP_SAMPLES = 16
+
+#: Chebyshev vectors T_k(H~) psi held at once; each full block is added into
+#: the long step's samples before the next block is built.
+BLOCK_VECTORS = 8
+
+
+def _cone_radius(t: float) -> int:
+    """Radius of the light-cone slice swept up to time t.
+
+    The window rule plus an Airy margin: the free chain's front sits at 2t
+    and its tail has width ~ t^(1/3), so a fixed margin falls behind it.
+    """
+    return default_window_radius(t) + int(math.ceil(8.0 * t ** (1.0 / 3.0)))
+
+
+def _chebyshev_coefficients(x: np.ndarray, tol: float, max_order: int) -> np.ndarray:
+    """Bessel coefficients J_0(x) .. J_K(x), one row per phase argument x.
 
     J_k(x) decays superexponentially past k ~ x; the order K is pushed
-    until the next five coefficients all drop below tol.
+    until the next five coefficients of every row all drop below tol.
     """
-    k = int(x) + 8
+    x = np.asarray(x, dtype=np.float64)[:, None]
+    k = int(np.abs(x).max()) + 8
     while True:
         if k > max_order:
             raise ResourceError("Chebyshev expansion order cap exceeded; "
                                 "lower the accuracy or shorten the step")
         coeff = jv(np.arange(k + 5), x)
-        if np.all(np.abs(coeff[k:]) < tol):
+        if np.all(np.abs(coeff[:, k:]) < tol):
             break
         k += max(4, k // 8)
-    return coeff[:k + 1]
+    return coeff[:, :k + 1]
 
 
-class _Propagator:
-    """Chebyshev propagator over steps of length dt for the windowed chain
-    Hamiltonian; the expansion coefficients are computed once, here."""
+def _chebyshev_samples(vc: np.ndarray, scale: float, coeff: np.ndarray, psi: np.ndarray,
+                       out: np.ndarray, block: np.ndarray) -> None:
+    """out[m] = sum_k coeff[m, k] T_k(H~) psi, with H~ = scale (H - center).
 
-    def __init__(self, v: np.ndarray, dt: float, *, tol: float = 1e-15,
-                 max_order: int = 1 << 17):
-        self.v = v
-        lo = float(self.v.min()) - 2.0
-        hi = float(self.v.max()) + 2.0
-        margin = 0.025 * (hi - lo)
-        self.center = 0.5 * (hi + lo)
-        self.half_width = 0.5 * (hi - lo) + margin
-        self.coeff = _chebyshev_coefficients(self.half_width * dt, tol, max_order)
-        self.shift = np.exp(-1j * self.center * dt)
+    ``vc`` is the slice's potential minus the center.  ``block`` is a ring of
+    vectors: T_k(H~) psi sits in row k mod BLOCK_VECTORS, and each filled ring
+    is added into ``out`` by one complex matrix product.
+    """
+    order, ring = coeff.shape[1] - 1, block.shape[0]
+    out.fill(0.0)
+    block[0] = psi
+    for k in range(1, order + 1):
+        dst = _tridiag_apply(vc, block[(k - 1) % ring], out=block[k % ring])
+        if k == 1:
+            dst *= scale
+        else:
+            dst *= 2.0 * scale
+            dst -= block[(k - 2) % ring]
+        if k % ring == ring - 1 or k == order:
+            first = k - k % ring
+            zgemm(1.0, block[:k - first + 1].T, coeff[:, first:k + 1].T, 1.0, out.T,
+                  overwrite_c=1)
 
-    def step(self, psi: np.ndarray) -> np.ndarray:
-        """One exact-in-principle step of e^{-i dt H} via the expansion."""
-        coeff, order = self.coeff, self.coeff.size - 1
-        a_inv = 1.0 / self.half_width
-        tm1 = psi
-        t0 = (_tridiag_apply(self.v, psi) - self.center * psi) * a_inv
-        acc = coeff[0] * tm1 + 2.0 * coeff[1] * (-1j) * t0
-        phase = -1j
-        for k in range(2, order + 1):
-            phase *= -1j
-            t1 = 2.0 * (_tridiag_apply(self.v, t0) - self.center * t0) * a_inv - tm1
-            acc += (2.0 * coeff[k] * phase) * t1
-            tm1, t0 = t0, t1
-        return self.shift * acc
+
+def _chebyshev_sweep(spec: PotentialSpec, window: LatticeWindow, psi: np.ndarray,
+                     v: np.ndarray, step: float, n_steps: int, stats: dict, *,
+                     tol: float = 1e-15, max_order: int = 1 << 17):
+    """Propagate ``psi`` in place over n_steps grid steps of length ``step``.
+
+    Each Chebyshev expansion covers a long step of up to STEP_SAMPLES grid
+    steps, with the coefficients of every sample time computed once, here.
+    A long step ending at time t sweeps only its light-cone slice, the
+    ``_cone_radius(t)`` origin window clipped to ``window``.  Should a slice
+    edge inside the window pass EDGE_MASS_TOL, the step is redone, and every
+    later step swept, on the whole window.
+
+    Yields (j, lo, prob) per long step: prob[m] is |psi((j + m) * step)|^2
+    on the window indices lo .. lo + prob.shape[1] - 1.  It is written over
+    the ring of Chebyshev vectors, which the next step reuses.  ``stats``
+    receives the work counters and the norm drift.
+
+    The sweep and its callers keep their matrix products on scipy's BLAS:
+    numpy may ship a second BLAS with its own thread pool, and two pools
+    spinning on two cores halved the speed of the T = 10..1000 ladders.
+    """
+    lo_e, hi_e = float(v.min()) - 2.0, float(v.max()) + 2.0
+    center = 0.5 * (hi_e + lo_e)
+    half_width = 0.5 * (hi_e - lo_e) + 0.025 * (hi_e - lo_e)
+    taus = step * np.arange(1, min(STEP_SAMPLES, n_steps) + 1)
+    bessel = _chebyshev_coefficients(half_width * taus, tol, max_order)
+    order = bessel.shape[1] - 1
+    phases = 2.0 * np.array([1.0, -1j, -1.0, 1j])[np.arange(order + 1) % 4]
+    phases[0] = 1.0
+    coeff = bessel * phases * np.exp(-1j * center * taus)[:, None]
+    vc = v - center
+    size = window.size
+    out_buf = np.empty(taus.size * size, dtype=np.complex128)
+    # the ring, and afterwards the probabilities (two per complex slot)
+    ring_buf = np.empty(max(BLOCK_VECTORS, (taus.size + 1) // 2) * size, dtype=np.complex128)
+    stats.update(chebyshev_order=order, block_samples=int(taus.size), matvecs=0,
+                 matvec_site_steps=0, norm_drift=0.0)
+    whole = False
+    j = 0
+    while j < n_steps:
+        count = min(taus.size, n_steps - j)
+        cone = _origin_window(spec, _cone_radius(abs(j + count) * abs(step)))
+        lo = 0 if whole else max(cone.lo - window.lo, 0)
+        hi = size if whole else min(cone.hi - window.lo + 1, size)
+        while True:
+            width = hi - lo
+            out = out_buf[:count * width].reshape(count, width)
+            _chebyshev_samples(vc[lo:hi], 1.0 / half_width, coeff[:count], psi[lo:hi], out,
+                               ring_buf[:BLOCK_VECTORS * width].reshape(BLOCK_VECTORS, width))
+            stats["matvecs"] += order
+            stats["matvec_site_steps"] += order * width
+            prob = ring_buf.view(np.float64)[:count * width].reshape(count, width)
+            np.abs(out, out=prob)
+            prob *= prob
+            inner = [col for col, inside in ((0, lo > 0), (-1, hi < size)) if inside]
+            if whole or not inner or np.max(prob[:, inner]) <= EDGE_MASS_TOL:
+                break
+            whole, lo, hi = True, 0, size
+        psi[lo:hi] = out[-1]
+        stats["norm_drift"] = max(stats["norm_drift"], abs(float(np.sum(prob[-1])) - 1.0))
+        yield j + 1, lo, prob
+        j += count
+
+
+def _source_state(window: LatticeWindow) -> np.ndarray:
+    psi = np.zeros(window.size, dtype=np.complex128)
+    psi[window.index(1)] = 1.0
+    return psi
 
 
 def evolve_state(spec: PotentialSpec, t: float, window: LatticeWindow, *,
@@ -325,12 +413,13 @@ def evolve_state(spec: PotentialSpec, t: float, window: LatticeWindow, *,
     The window must out-run the ballistic light cone (group velocity at most
     2 for unit hopping) so the Dirichlet truncation never matters.
     """
-    n = window.size
-    psi = np.zeros(n, dtype=np.complex128)
-    psi[window.index(1)] = 1.0
+    psi = _source_state(window)
     if t == 0.0:
         return psi
-    return _Propagator(_window_potential(spec, window), t, tol=tol, max_order=max_order).step(psi)
+    v = _window_potential(spec, window)
+    for _ in _chebyshev_sweep(spec, window, psi, v, t, 1, {}, tol=tol, max_order=max_order):
+        pass  # the sweep advances psi in place
+    return psi
 
 
 def _time_grid_step(v: np.ndarray, dt: float | None) -> float:
@@ -349,6 +438,35 @@ def _check_sweep_cost(window: LatticeWindow, t_max: float, step: float, max_cost
                             "lower Tmax, shrink the window or raise the budget")
 
 
+def _checked_time_step(spec: PotentialSpec, window: LatticeWindow, t_max: float,
+                       dt: float | None, max_cost: float) -> tuple[np.ndarray, float]:
+    """The window potential and time-route step, once the sweep fits max_cost.
+
+    No time step is longer than 0.5 (or dt), so the first check refuses an
+    oversized sweep before its window potential is built; then the real
+    step counts.
+    """
+    _check_sweep_cost(window, t_max, 0.5 if dt is None else dt, max_cost)
+    v = _window_potential(spec, window)
+    step = _time_grid_step(v, dt)
+    _check_sweep_cost(window, t_max, step, max_cost)
+    return v, step
+
+
+def _check_parseval_cost(spec: PotentialSpec, T: float, max_cost: float) -> None:
+    """Refuse a Parseval cross-check at T whose time route (site-steps) or
+    resolvent route (grid points x window sites) on the default window
+    would pass max_cost, before either sweeps."""
+    t_max = TIME_CUTOFF * T
+    window = _origin_window(spec, default_window_radius(t_max))
+    v = _checked_time_step(spec, window, t_max, None, max_cost)[0]
+    # profile_resolvent's default grid: eps = 1/T and pad 4
+    cost = _default_energy_grid(v, 1.0 / T, 4.0).size * window.size
+    if cost > max_cost:
+        raise ResourceError(f"resolvent cost {cost:.2e} grid-point sites exceeds budget "
+                            f"{max_cost:.2e}; lower T or raise the budget")
+
+
 def profile_time(spec: PotentialSpec, T: float, window: LatticeWindow | None = None, *,
                  dt: float | None = None, cutoff: float = TIME_CUTOFF) -> AmplitudeProfile:
     """Site probabilities a(n, T) by direct time averaging."""
@@ -363,9 +481,12 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
     The weighted time integrals for every T in the ladder share the same
     |psi(t, n)|^2 samples, so the state is propagated once out to
     cutoff * max(T) and each ladder entry accumulates its own trapezoid
-    sum, truncated at its own cutoff.  A profile whose far-edge share of
-    the mass passes :data:`EDGE_MASS_TOL` raises :class:`TruncationError`:
-    the window was too small for the wave.
+    sum, truncated at its own cutoff: the samples of one long step enter
+    every sum through one (ladder, samples) @ (samples, sites) product.  A
+    profile whose far-edge share of the mass, on the window edges or on
+    the edges of the light-cone slices swept, passes
+    :data:`EDGE_MASS_TOL` raises :class:`TruncationError`: the window was
+    too small for the wave.
     """
     T_values = sorted(float(T) for T in T_values)
     if not T_values or T_values[0] <= 0:
@@ -376,29 +497,28 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
     v = _window_potential(spec, window)
     step = _time_grid_step(v, dt)
     n_steps = int(math.ceil(t_max / step))
-    prop = _Propagator(v, step)
-    psi = np.zeros(window.size, dtype=np.complex128)
-    psi[window.index(1)] = 1.0
-    acc = [np.zeros(window.size) for _ in T_values]
-    last_step = [0] * len(T_values)
-    for j in range(n_steps + 1):
-        t = j * step
-        prob = np.abs(psi) ** 2
-        for i, T in enumerate(T_values):
-            if t <= cutoff * T + 0.5 * step:
-                w = math.exp(-2.0 * t / T)
-                if j == 0:
-                    w *= 0.5
-                acc[i] += w * prob
-                last_step[i] = j
-        if j < n_steps:
-            psi = prop.step(psi)
+    ts = np.array(T_values)[:, None]
+    limit = cutoff * ts + 0.5 * step
+    psi = _source_state(window)
+    acc = np.zeros((len(T_values), window.size))
+    acc[:, window.index(1)] = 0.5  # the t = 0 sample, at the trapezoid's half weight
+    slice_edge = np.zeros(len(T_values))
+    last_step = np.zeros(len(T_values), dtype=np.int64)
+    stats: dict = {}
+    for j, lo, prob in _chebyshev_sweep(spec, window, psi, v, step, n_steps, stats):
+        index = np.arange(j, j + prob.shape[0])
+        kept = index * step <= limit
+        weights = np.where(kept, np.exp(-2.0 * index * step / ts), 0.0)
+        acc[:, lo:lo + prob.shape[1]] += dgemm(1.0, prob.T, weights.T).T
+        slice_edge += weights @ _edge_weight(window.geometry, prob.T)
+        last_step = np.maximum(last_step, np.max(np.where(kept, index, 0), axis=1))
     profiles = []
     for i, T in enumerate(T_values):
         # the endpoint trapezoid correction is skipped: the weight there is
         # e^{-2 cutoff} ~ 6e-6, far below the quadrature tolerance
         a = (2.0 / T) * step * acc[i]
-        edge = _far_edge_share(window, a)
+        mass = max(float(np.sum(a)), np.finfo(float).tiny)
+        edge = max(_far_edge_share(window, a), (2.0 / T) * step * float(slice_edge[i]) / mass)
         if edge > EDGE_MASS_TOL:
             raise TruncationError(f"far-edge mass share {edge:.3e} of the T={T:g} profile "
                                   f"is above {EDGE_MASS_TOL:.0e}; enlarge the window")
@@ -410,9 +530,10 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
                 "T": T,
                 "dt": step,
                 "cutoff": cutoff,
-                "t_max": last_step[i] * step,
+                "t_max": int(last_step[i]) * step,
                 "far_edge_share": edge,
                 "convention": FIB_CONVENTION_ID,
+                **stats,
             }))
     return profiles
 
@@ -594,11 +715,7 @@ def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Seque
     t_max = TIME_CUTOFF * T_values[-1]
     if window is None:
         window = _origin_window(spec, default_window_radius(t_max))
-    # no time step is longer than 0.5 (or dt), so this refuses an oversized
-    # sweep before its window potential is built; then the real step counts
-    _check_sweep_cost(window, t_max, 0.5 if dt is None else dt, max_cost)
-    step = _time_grid_step(_window_potential(spec, window), dt)
-    _check_sweep_cost(window, t_max, step, max_cost)
+    step = _checked_time_step(spec, window, t_max, dt, max_cost)[1]
     _check_ladder(T_values)
     profiles = profiles_time_ladder(spec, T_values, window=window, dt=step)
     entries = []

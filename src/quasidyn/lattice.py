@@ -449,13 +449,13 @@ def _renorm(m: np.ndarray) -> tuple[float, np.ndarray]:
     return math.log(peak), m / peak
 
 
-def _tridiag_apply(v: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def _tridiag_apply(v: np.ndarray, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """H psi for the windowed chain with diagonal v (Dirichlet truncation).
 
     The one tridiagonal matvec: v * psi plus the two unit-hopping
-    neighbour shifts.
+    neighbour shifts, written into ``out`` when given.
     """
-    out = v * psi
+    out = np.multiply(v, psi, out=out)
     out[:-1] += psi[1:]
     out[1:] += psi[:-1]
     return out

@@ -63,6 +63,8 @@ def test_spectrum_rejects_other_models(runner, tmp_path):
     ["dynamics", "--model", "tm", "--lambda", "1", "--window", "-3"],
     ["dynamics", "--model", "tm", "--lambda", "1", "--geometry", "half-line", "--window", "0"],
     ["trace", "--model", "tm", "--lambda", "1", "--roots", "2"],
+    ["dynamics", "--model", "free", "--alpha", "-0.5"],
+    ["dynamics", "--model", "free", "--bound", "power-eta", "--eta", "-1"],
 ])
 def test_bad_inputs_are_usage_errors(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path / "x.out")])
@@ -176,6 +178,58 @@ def test_verify_parseval(runner, tmp_path):
     assert result.exit_code == 0
     doc = json.loads(out.read_text())
     assert doc["records"][0]["relative_l1"] <= 0.02
+
+
+def test_verify_parseval_budget_refusal(runner, tmp_path, monkeypatch):
+    from quasidyn import dynamics
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started before the budget check")
+
+    monkeypatch.setattr(dynamics, "_chebyshev_sweep", no_sweep)
+    out = tmp_path / "parseval.json"
+    result = runner.invoke(main, ["verify", "parseval", "--model", "free", "--T", "56",
+                                  "--max-cost", "1e5", "--out", str(out)])
+    assert result.exit_code == 3
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line)["error"] == "budget"
+    assert not out.exists()
+
+
+def test_verify_parseval_budget_counts_the_resolvent_grid(runner, tmp_path, monkeypatch):
+    # at T = 56 the time route sweeps 9.9e5 site-steps and the resolvent
+    # route 2688 grid points on 1473 sites (4.0e6): only the latter is refused
+    from quasidyn import dynamics
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the resolvent route started before the budget check")
+
+    monkeypatch.setattr(dynamics, "_tridiag_solve", no_solve)
+    result = runner.invoke(main, ["verify", "parseval", "--model", "free", "--T", "56",
+                                  "--max-cost", "2e6"])
+    assert result.exit_code == 3
+    (line,) = result.stderr.splitlines()
+    assert "3.96e+06" in json.loads(line)["message"]
+
+
+def test_dynamics_one_energy_bound_takes_alpha(runner, tmp_path):
+    out = tmp_path / "moments.csv"
+    result = runner.invoke(main, ["dynamics", "--model", "free", "--p", "2", "--Tmin", "1",
+                                  "--Tmax", "100", "--alpha", "0", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(out.with_suffix(".json").read_text())
+    assert doc["bound_id"] == "one-energy"
+    assert doc["entries"][0]["bound_slope"] == 1.0
+
+
+def test_dynamics_header_without_exponents_is_unchanged(runner, tmp_path):
+    # --alpha and --eta enter the configuration hash only when given, so
+    # this run keeps the hash it had before the flags existed
+    out = tmp_path / "moments.csv"
+    result = runner.invoke(main, ["dynamics", "--model", "free", "--bound", "tm", "--p", "2",
+                                  "--Tmin", "1", "--Tmax", "100", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "# config_hash: 16236b7bd45f0271" in out.read_text().splitlines()
 
 
 def test_dynamics_small_run(runner, tmp_path):

@@ -34,6 +34,7 @@ from quasidyn.lattice import (
     PotentialSpec,
     ResourceError,
     TruncationError,
+    potential_values,
     spectral_norm,
     transfer_matrix,
 )
@@ -150,6 +151,53 @@ def test_evolution_against_dense_diagonalization():
         assert np.linalg.norm(dense - cheb) <= 1e-8
 
 
+def _dense_ladder(spec, window, T_values, dt, cutoff=6.0):
+    """Trapezoid sums of |psi(t)|^2 from np.linalg.eigh of the window
+    Hamiltonian written out entry by entry."""
+    v = potential_values(spec, window.sites())
+    h = np.zeros((window.size, window.size))
+    for i in range(window.size):
+        h[i, i] = v[i]
+        if i + 1 < window.size:
+            h[i, i + 1] = h[i + 1, i] = 1.0
+    vals, vecs = np.linalg.eigh(h)
+    start = vecs[window.index(1)]
+    n_steps = math.ceil(cutoff * max(T_values) / dt)
+    probs = [np.abs(vecs @ (np.exp(-1j * vals * j * dt) * start)) ** 2
+             for j in range(n_steps + 1)]
+    profiles = []
+    for T in T_values:
+        acc = np.zeros(window.size)
+        for j, prob in enumerate(probs):
+            if j * dt <= cutoff * T + 0.5 * dt:
+                acc += (0.5 if j == 0 else 1.0) * math.exp(-2.0 * j * dt / T) * prob
+        profiles.append((2.0 / T) * dt * acc)
+    return profiles
+
+
+@pytest.mark.parametrize("geometry, window", [
+    (Geometry.WHOLE_LINE, LatticeWindow(-130, 130)),
+    (Geometry.HALF_LINE, LatticeWindow(1, 130, Geometry.HALF_LINE)),
+])
+def test_time_ladder_against_dense_diagonalization(geometry, window):
+    # 171 grid steps: ten long steps of 16 and a last one of 11; the cutoffs
+    # 7.8 and 17.4 fall inside the second and fifth long steps
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0, geometry)
+    T_values, dt = [1.3, 2.9, 7.1], 0.25
+    profiles = profiles_time_ladder(spec, T_values, window=window, dt=dt)
+    assert [prof.meta["t_max"] for prof in profiles] == [7.75, 17.5, 42.5]
+    for prof, dense in zip(profiles, _dense_ladder(spec, window, T_values, dt)):
+        assert np.max(np.abs(prof.a - dense)) <= 1e-13 * np.max(dense)
+
+
+def test_evolution_backward_in_time_is_the_conjugate():
+    # H is real, so e^{itH} delta_1 is the complex conjugate of e^{-itH} delta_1
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0)
+    window = LatticeWindow(-200, 200)
+    npt.assert_allclose(evolve_state(spec, -30.0, window),
+                        np.conj(evolve_state(spec, 30.0, window)), rtol=0, atol=1e-14)
+
+
 def test_evolution_order_cap():
     window = LatticeWindow(-900, 900)
     with pytest.raises(ResourceError):
@@ -190,6 +238,55 @@ def test_time_ladder_refuses_a_window_smaller_than_the_wave():
     half = PotentialSpec(Model.THUE_MORSE, 1.0, Geometry.HALF_LINE)
     with pytest.raises(TruncationError):
         profiles_time_ladder(half, T_values, window=LatticeWindow(1, 40, Geometry.HALF_LINE))
+
+
+def test_light_cone_slices_match_a_whole_window_sweep(monkeypatch):
+    from quasidyn import dynamics
+
+    ladder = [20.0, 60.0, 200.0]
+    sliced = profiles_time_ladder(FREE, ladder)
+    monkeypatch.setattr(dynamics, "_cone_radius", lambda t: 1 << 40)
+    whole = profiles_time_ladder(FREE, ladder)
+    for a, b in zip(sliced, whole):
+        assert np.max(np.abs(a.a - b.a)) <= 1e-12 * np.max(b.a)
+        assert a.meta["matvec_site_steps"] < b.meta["matvec_site_steps"]
+    assert whole[-1].meta["matvec_site_steps"] == whole[-1].meta["matvecs"] * whole[-1].window.size
+
+
+def test_slice_too_narrow_for_the_wave_sweeps_the_whole_window(monkeypatch):
+    # a slice three sites wide loses the wave at once: the kernel falls back
+    # to the whole window instead of truncating
+    from quasidyn import dynamics
+
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0)
+    ladder = [4.0, 16.0, 64.0]
+    reference = profiles_time_ladder(spec, ladder)
+    monkeypatch.setattr(dynamics, "_cone_radius", lambda t: 1)
+    narrow = profiles_time_ladder(spec, ladder)
+    for a, b in zip(narrow, reference):
+        assert np.max(np.abs(a.a - b.a)) <= 1e-12 * np.max(b.a)
+        assert a.meta["far_edge_share"] < 1e-30
+    meta = narrow[-1].meta
+    # the first long step ran twice: on the narrow slice, then on the window
+    assert meta["matvec_site_steps"] == (meta["matvecs"] - meta["chebyshev_order"]) \
+        * narrow[-1].window.size + meta["chebyshev_order"] * 3
+    psi = evolve_state(spec, 5.0, LatticeWindow(-40, 40))
+    monkeypatch.undo()
+    npt.assert_allclose(psi, evolve_state(spec, 5.0, LatticeWindow(-40, 40)), atol=1e-14)
+
+
+def test_time_ladder_reports_its_work_and_health():
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0)
+    profiles = profiles_time_ladder(spec, [4.0, 16.0, 64.0])
+    meta = profiles[-1].meta
+    n_steps = round(meta["t_max"] / meta["dt"])
+    assert meta["block_samples"] == 16
+    assert meta["matvecs"] == meta["chebyshev_order"] * math.ceil(n_steps / 16)
+    assert 0 < meta["matvec_site_steps"] < meta["matvecs"] * profiles[-1].window.size
+    assert meta["norm_drift"] < 1e-12
+    # the slice edges carry some weight, far below the truncation tolerance
+    assert 0.0 < meta["far_edge_share"] < 1e-30
+    assert all(prof.meta["matvecs"] == meta["matvecs"] for prof in profiles)
 
 
 def test_ladder_shares_one_trajectory():
@@ -459,7 +556,7 @@ def test_bound_report_budget_guard():
         bound_report(FREE, [2.0], [10.0, 1e7], "tm", max_cost=1e6)
 
 
-def _no_propagator(*args, **kwargs):
+def _no_sweep(*args, **kwargs):
     raise AssertionError("the sweep started before the budget check")
 
 
@@ -468,7 +565,7 @@ def test_bound_report_budget_counts_the_given_window(monkeypatch):
     # although the default light-cone window would fit in it
     from quasidyn import dynamics
 
-    monkeypatch.setattr(dynamics, "_Propagator", _no_propagator)
+    monkeypatch.setattr(dynamics, "_chebyshev_sweep", _no_sweep)
     with pytest.raises(ResourceError, match="4.80e"):
         dynamics.bound_report(FREE, [2.0], list(np.geomspace(1.0, 100.0, 7)), "tm",
                               window=LatticeWindow(-20000, 20000), max_cost=5e6)
@@ -478,7 +575,7 @@ def test_bound_report_budget_uses_the_real_time_step(monkeypatch):
     # at lambda = 20 the step is 5.5/24, not 0.5: 10.7e6 site-steps, not 4.9e6
     from quasidyn import dynamics
 
-    monkeypatch.setattr(dynamics, "_Propagator", _no_propagator)
+    monkeypatch.setattr(dynamics, "_chebyshev_sweep", _no_sweep)
     spec = PotentialSpec(Model.THUE_MORSE, 20.0)
     with pytest.raises(ResourceError, match="1.07e"):
         dynamics.bound_report(spec, [2.0], list(np.geomspace(4.0, 128.0, 7)), max_cost=8e6)

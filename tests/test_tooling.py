@@ -39,3 +39,22 @@ def test_tracer_layers_name_functions_with_their_counter_arguments():
     from quasidyn.dynamics import evolve_state
 
     assert "t" in inspect.signature(evolve_state).parameters
+
+
+def test_propagate_counts_read_real_time_route_results():
+    # the propagate counters read dt, t_max and the window size from what
+    # the time route returns; a rename there would zero them silently
+    from quasidyn.dynamics import evolve_state, profile_time, profiles_time_ladder
+    from quasidyn.lattice import LatticeWindow, Model, PotentialSpec
+
+    tracer = _load_tracer()
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0)
+    ladder = profiles_time_ladder(spec, [2.0, 5.0])
+    counts = tracer._propagate_counts({}, ladder)
+    samples = round(ladder[-1].meta["t_max"] / ladder[-1].meta["dt"]) + 1
+    assert counts["site_steps"] == samples * ladder[-1].window.size > 0
+    assert 0 < counts["cone_site_steps"] <= counts["site_steps"]
+    assert tracer._propagate_counts({}, profile_time(spec, 2.0))["site_steps"] > 0
+    window = LatticeWindow(-40, 40)
+    counts = tracer._propagate_counts({"t": 5.0}, evolve_state(spec, 5.0, window))
+    assert counts["site_steps"] == window.size
