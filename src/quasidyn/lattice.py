@@ -474,6 +474,19 @@ def _tridiag_solve(v: np.ndarray, z: complex, rhs: np.ndarray) -> np.ndarray:
     return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
 
 
+#: Largest dense Bloch matrix the eigen-kernel builds, in bytes (q^2 entries):
+#: 4096 complex sites (pd k <= 12, tm k <= 14) or F_18 = 4181 real sites.
+MAX_BLOCH_BYTES = 2 ** 28
+
+
+def _check_bloch_size(q: int, theta: complex, what: str) -> None:
+    """Refuse ``what``, a period-q Bloch matrix at phase theta, past the cap."""
+    nbytes = q * q * (8 if complex(theta).imag == 0.0 else 16)
+    if nbytes > MAX_BLOCH_BYTES:
+        raise ResourceError(f"{what} needs a {q}-site Bloch matrix of {nbytes:.3g} bytes; "
+                            f"the cap is {MAX_BLOCH_BYTES} bytes")
+
+
 def _bloch_eigenvalues(v: np.ndarray, theta: complex) -> np.ndarray:
     """Ascending energies of the period-q chain v with Bloch phase |theta| = 1.
 

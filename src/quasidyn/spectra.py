@@ -34,6 +34,7 @@ from quasidyn.lattice import (
     Model,
     PotentialSpec,
     _bloch_eigenvalues,
+    _check_bloch_size,
     potential_values,
 )
 from quasidyn.traces import (
@@ -225,12 +226,14 @@ def approximant_spectrum(lam: float, k: int, *, edge_tol: float = 1e-10,
     polished against the trace polynomial to ``edge_tol``.  Bands separated
     by less than ``merge_tol`` are merged (closed gaps).  For lambda > 4 the
     band count must equal F_k, otherwise :class:`BandCountError` is raised;
-    for smaller coupling the count is reported without assertion.
+    for smaller coupling the count is reported without assertion.  Levels
+    past the Bloch cap (k >= 19) raise :class:`ResourceError` before any work.
     """
     if k < 0:
         raise DomainError("approximant level must be nonnegative")
     if edge_tol <= 0:
         raise DomainError("edge tolerance must be positive")
+    _check_bloch_size(int(fibonacci_numbers(k)[k]), 1.0, f"the level-{k} band set")
     row = _approximant_potential_row(lam, k)
     e_per = _bloch_eigenvalues(row, 1.0)
     e_anti = _bloch_eigenvalues(row, -1.0)

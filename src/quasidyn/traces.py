@@ -36,9 +36,9 @@ from quasidyn.lattice import (
     DomainError,
     Model,
     PotentialSpec,
-    ResourceError,
     ScaleOverflowError,
     _bloch_eigenvalues,
+    _check_bloch_size,
     _transfer_prefixes,
     one_step_matrix,
     potential_values,
@@ -429,9 +429,6 @@ def subst_trace_orbit(model: Model | str, lam: float, E: float, kmax: int) -> Su
 # ---------------------------------------------------------------------------
 # special energies
 
-#: Largest Bloch matrix the zero finders build: pd k <= 12, tm k <= 14.
-MAX_BLOCH_SITES = 4096
-
 #: Newton steps that polish every zero in double-double arithmetic.
 _NEWTON_STEPS = 5
 
@@ -452,9 +449,7 @@ def _trace_zeros(model: Model, lam: float, j: int) -> _DD:
     or not finite keeps its last iterate.  Zeros that are not pairwise
     distinct in float64 trigger a warning.
     """
-    if 2 ** j > MAX_BLOCH_SITES:
-        raise ResourceError(f"the level-{j} zero set needs a {2 ** j}-site Bloch matrix; "
-                            f"the cap is {MAX_BLOCH_SITES} sites")
+    _check_bloch_size(2 ** j, 1j, f"the level-{j} zero set")
     e = _DD(_bloch_eigenvalues(lam * substitution_word(model, j), 1j))
     live = np.ones(e.hi.size, dtype=bool)
     # a stopped zero may hold non-finite values; its steps are discarded

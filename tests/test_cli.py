@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ import pytest
 from click.testing import CliRunner
 
 import quasidyn
+from quasidyn import spectra
 from quasidyn.cli import main
+from quasidyn.lattice import ResourceError, ScaleOverflowError, TruncationError
 
 
 @pytest.fixture
@@ -65,6 +68,13 @@ def test_spectrum_rejects_other_models(runner, tmp_path):
     ["trace", "--model", "tm", "--lambda", "1", "--roots", "2"],
     ["dynamics", "--model", "free", "--alpha", "-0.5"],
     ["dynamics", "--model", "free", "--bound", "power-eta", "--eta", "-1"],
+    ["spectrum", "--lambda", "1", "--k", "3", "--measure"],
+    ["dynamics", "--model", "xyz"],
+    ["verify", "parseval", "--model", "xyz"],
+    ["trace", "--model", "fib", "--lambda", "1", "--geometry", "foo"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--perturb", "abc"],
+    ["trace", "--model", "fib", "--lambda", "1", "--kmax", "-1"],
+    ["verify", "invariant", "--samples", "-1"],
 ])
 def test_bad_inputs_are_usage_errors(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path / "x.out")])
@@ -113,6 +123,11 @@ def test_dynamics_reads_config_file(runner, tmp_path):
     assert result.exit_code == 0, result.output
     doc = json.loads(out.with_suffix(".json").read_text())
     assert "lambda=2;" in doc["spec"] and doc["T_values"][-1] == 40.0
+    # file values pass the same checks as the flags
+    cfg.write_text("command=dynamics\nlambda=1.0\nTmax=-60\n")
+    result = runner.invoke(main, base)
+    assert result.exit_code == 2
+    assert "--Tmax" in result.stderr
 
 
 def test_spectrum_model_flag_beats_config_file(runner, tmp_path):
@@ -151,6 +166,18 @@ def test_trace_root_list_over_the_cap_is_a_budget_refusal(runner, tmp_path):
     (line,) = result.stderr.splitlines()
     assert json.loads(line)["error"] == "budget"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--lambda", "5", "--k", "40"],
+    ["powerlaw", "--model", "fib", "--lambda", "1", "--from-level", "40"],
+])
+def test_oversized_bloch_matrix_is_a_budget_refusal(runner, tmp_path, args):
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "x.csv")])
+    assert result.exit_code == 3
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line)["error"] == "budget"
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_invariant(runner):
@@ -344,3 +371,60 @@ def test_config_round_trip():
     assert parsed.command == "spectrum"
     assert parsed.values == config.values
     assert parsed.hash() == config.hash()
+
+
+# ---------------------------------------------------------------------------
+# the runner: one error table, one run line
+
+
+@pytest.mark.parametrize("error, kind, code", [
+    (ResourceError, "budget", 3),
+    (TruncationError, "truncation", 1),
+    (ScaleOverflowError, "overflow", 1),
+    (spectra.BandCountError, "band-count", 1),
+    (spectra.ClassificationError, "classification", 1),
+])
+def test_runner_maps_each_library_error(runner, tmp_path, monkeypatch, error, kind, code):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(spectra, "approximant_spectrum", fail)
+    result = runner.invoke(main, ["spectrum", "--lambda", "1", "--k", "3",
+                                  "--out", str(tmp_path / "bands.csv")])
+    assert result.exit_code == code
+    (line,) = result.stderr.splitlines()
+    record = json.loads(line)
+    assert (record["error"], record["command"], record["exit"]) == (kind, "spectrum", code)
+    assert record["message"] == "injected"
+    assert not list(tmp_path.iterdir())
+
+
+def test_runner_prints_one_run_line(runner):
+    result = runner.invoke(main, ["verify", "algebra"])
+    assert result.exit_code == 0
+    (line,) = result.stderr.splitlines()
+    record = json.loads(line)
+    assert record["command"] == "verify" and record["exit"] == 0
+    assert record["wall_s"] >= 0.0 and "error" not in record
+
+
+def test_every_command_runs_under_the_runner():
+    from quasidyn.cli import _Run
+
+    assert main.commands
+    assert all(isinstance(cmd, _Run) for cmd in main.commands.values())
+
+
+def test_refused_short_ladder_keeps_the_benchmark_message(runner, tmp_path, monkeypatch):
+    # the benchmark's refused transport job looks for this exact text on stderr
+    jobs = Path(__file__).resolve().parents[1] / "bench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("bench_jobs", jobs)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    out = tmp_path / "moments.csv"
+    result = runner.invoke(main, ["dynamics", "--model", "tm", "--lambda", "1", "--p", "2",
+                                  "--Tmax", "60", "--out", str(out)])
+    assert result.exit_code == 2
+    assert module.DECADES_MESSAGE in result.stderr
+    assert not out.exists()

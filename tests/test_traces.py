@@ -406,6 +406,16 @@ def test_special_energy_levels_are_capped():
         pd_special_energies(1.0, 13)
     with pytest.raises(ResourceError):
         tm_special_energies(1.0, 15)
+    with pytest.raises(ResourceError):
+        approximant_spectrum(1.0, 19)
+    # the byte cap keeps pd k <= 12 and tm k <= 14 (4096 complex sites) and
+    # Fibonacci k <= 18 (F_18 = 4181 real sites)
+    from quasidyn.lattice import _check_bloch_size
+
+    _check_bloch_size(2 ** 12, 1j, "pd level 12")
+    _check_bloch_size(int(fibonacci_numbers(18)[18]), 1.0, "fib level 18")
+    with pytest.raises(ResourceError):
+        _check_bloch_size(2 ** 12 + 1, 1j, "one site more")
 
 
 # ---------------------------------------------------------------------------
