@@ -235,13 +235,12 @@ def main() -> None:
 @click.option("--model", default="fib", show_default=True)
 @click.option("--lambda", "lam", type=float, default=0.0, help="coupling constant")
 @click.option("--k", type=int, default=0, help="approximant level")
-@click.option("--edge-tol", type=_POSITIVE, default=1e-10, show_default=True)
 @click.option("--measure", "with_measure", is_flag=True,
               help="also emit the measure-decay report JSON (coupling above 4)")
 @click.option("--out", type=click.Path(path_type=Path), default=Path("bands.csv"),
               show_default=True, help="band CSV path; a JSON summary sits next to it")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-def spectrum(model, lam, k, edge_tol, with_measure, out, config_path):
+def spectrum(model, lam, k, with_measure, out, config_path):
     """Band table of the level-k Fibonacci periodic approximant."""
     file_vals = _load_config_file(config_path)
     lam = _flag_or_file(file_vals, "lam", "lambda")
@@ -255,16 +254,15 @@ def spectrum(model, lam, k, edge_tol, with_measure, out, config_path):
         raise click.UsageError("--k must be at least 1")
     if with_measure and lam <= 4.0:
         raise click.UsageError("--measure needs coupling above 4")
-    config = RunConfig("spectrum", {"model": model.value, "lambda": _fmt(lam),
-                                    "k": k, "edge_tol": _fmt(edge_tol)})
+    config = RunConfig("spectrum", {"model": model.value, "lambda": _fmt(lam), "k": k})
     if lam > 4.0 and k >= 2:
-        bands = spectra.classify_bands(lam, k, edge_tol=edge_tol)
+        bands = spectra.classify_bands(lam, k)
     else:
-        bands = spectra.approximant_spectrum(lam, k, edge_tol=edge_tol)
+        bands = spectra.approximant_spectrum(lam, k)
     rows = [(k, i, b.lo, b.hi, b.width, b.kind.value) for i, b in enumerate(bands)]
-    write_csv(out, config, {"edge": edge_tol},
+    write_csv(out, config, {},
               ["k", "band_index", "lo", "hi", "width", "kind"], rows)
-    write_json(out.with_suffix(".json"), config, {"edge": edge_tol}, {
+    write_json(out.with_suffix(".json"), config, {}, {
         "lambda": lam,
         "k": k,
         "n_bands": len(bands),
@@ -272,8 +270,8 @@ def spectrum(model, lam, k, edge_tol, with_measure, out, config_path):
         "min_width": bands.min_width,
     })
     if with_measure:
-        measure = spectra.measure_report(lam, k, edge_tol=edge_tol)
-        write_json(out.with_suffix(".measure.json"), config, {"edge": edge_tol}, measure)
+        measure = spectra.measure_report(lam, k)
+        write_json(out.with_suffix(".measure.json"), config, {}, measure)
     click.echo(f"{len(bands)} bands -> {out}")
     return True
 
@@ -538,7 +536,7 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
               help="explicit energies; defaults per model")
 @click.option("--from-level", "from_level", type=int, default=None,
               help="sample energies from this approximant level (fib only)")
-@click.option("--count", type=int, default=20, show_default=True)
+@click.option("--count", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--mmax", type=click.IntRange(min=2), default=1000, show_default=True)
 @click.option("--alpha", type=float, default=None,
               help="power-law exponent; defaults to the model's own")

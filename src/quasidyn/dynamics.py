@@ -635,7 +635,7 @@ def good_set_moment_bound(inp: GoodSetInput, T: float, p: float) -> dict:
     }
 
 
-def fibonacci_good_set(lam: float, *, edge_tol: float = 1e-10) -> GoodSetInput:
+def fibonacci_good_set(lam: float) -> GoodSetInput:
     """Good-set provider choosing the approximant level from the scale N.
 
     Given N, the level k with F_{k-1} < N <= F_k is selected and A(N) is the
@@ -648,7 +648,7 @@ def fibonacci_good_set(lam: float, *, edge_tol: float = 1e-10) -> GoodSetInput:
         k = 1
         while fib[k] < n:
             k += 1
-        bands = approximant_spectrum(lam, k, edge_tol=edge_tol)
+        bands = approximant_spectrum(lam, k)
         return [(b.lo, b.hi) for b in bands]
 
     return GoodSetInput(alpha=params.alpha, a_of_n=a_of_n)
@@ -889,7 +889,7 @@ def complex_energy_bound_check(spec: PotentialSpec, E: float, N: int,
 
 
 def resolvent_tail_scaling(spec: PotentialSpec, T_values: Sequence[float], *,
-                           energies_per_t: int = 5, edge_tol: float = 1e-10) -> dict:
+                           energies_per_t: int = 5) -> dict:
     """Scaling of the far-mass resolvent sum along a time ladder.
 
     For each ladder time T, energies are sampled from B(T) (the 1/T
@@ -900,7 +900,7 @@ def resolvent_tail_scaling(spec: PotentialSpec, T_values: Sequence[float], *,
     """
     if spec.model is not Model.FIBONACCI:
         raise DomainError("the tail-scaling check drives the Fibonacci good sets")
-    inp = fibonacci_good_set(spec.lam, edge_tol=edge_tol)
+    inp = fibonacci_good_set(spec.lam)
     rows = []
     for T in sorted(float(t) for t in T_values):
         n_of_t = T ** (1.0 / (1.0 + inp.alpha))

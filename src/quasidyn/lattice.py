@@ -474,43 +474,6 @@ def _tridiag_solve(v: np.ndarray, z: complex, rhs: np.ndarray) -> np.ndarray:
     return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
 
 
-#: Largest dense Bloch matrix the eigen-kernel builds, in bytes (q^2 entries):
-#: 4096 complex sites (pd k <= 12, tm k <= 14) or F_18 = 4181 real sites.
-MAX_BLOCH_BYTES = 2 ** 28
-
-
-def _check_bloch_size(q: int, theta: complex, what: str) -> None:
-    """Refuse ``what``, a period-q Bloch matrix at phase theta, past the cap."""
-    nbytes = q * q * (8 if complex(theta).imag == 0.0 else 16)
-    if nbytes > MAX_BLOCH_BYTES:
-        raise ResourceError(f"{what} needs a {q}-site Bloch matrix of {nbytes:.3g} bytes; "
-                            f"the cap is {MAX_BLOCH_BYTES} bytes")
-
-
-def _bloch_eigenvalues(v: np.ndarray, theta: complex) -> np.ndarray:
-    """Ascending energies of the period-q chain v with Bloch phase |theta| = 1.
-
-    The one periodic eigen-kernel: psi(n + q) = theta psi(n) solves the chain
-    exactly where the period's transfer matrix has trace theta + 1/theta, so
-    theta = 1, -1 and i give the level sets trace = 2, -2 and 0.  The
-    wrap-around hoppings are conj(theta) at (0, q-1) and theta at (q-1, 0),
-    or 2 Re theta on the diagonal when q = 1; the matrix is real when theta is.
-    """
-    theta = complex(theta)
-    theta = theta.real if theta.imag == 0.0 else theta
-    q = v.size
-    h = np.diag(np.asarray(v, dtype=type(theta)))
-    if q == 1:
-        h[0, 0] += 2.0 * theta.real
-    else:
-        idx = np.arange(q - 1)
-        h[idx, idx + 1] = 1.0
-        h[idx + 1, idx] = 1.0
-        h[0, q - 1] += theta.conjugate()
-        h[q - 1, 0] += theta
-    return np.linalg.eigvalsh(h)
-
-
 def apply_hamiltonian(spec: PotentialSpec, window: LatticeWindow, v: np.ndarray) -> np.ndarray:
     """Apply the chain Hamiltonian on a window with Dirichlet truncation."""
     v = np.asarray(v)

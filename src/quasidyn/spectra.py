@@ -3,12 +3,11 @@
 The level-k approximant spectrum is the set of energies where the block
 trace satisfies |x_k| <= 2.  It coincides with the spectrum of the periodic
 chain whose period is the length-F_k prefix of the Fibonacci potential, so
-its band edges are the eigenvalues of the F_k x F_k periodic (trace = +2)
-and antiperiodic (trace = -2) matrices, from the Bloch eigen-kernel
-``lattice._bloch_eigenvalues`` that also gives the special energies.  That
-eigenvalue route finds every edge to machine precision with no
-sampling-resolution risk; a short Newton polish against the trace
-polynomial then tightens the edges to the requested tolerance.
+each of its F_k bands lies between two consecutive Dirichlet eigenvalues of
+that period cell, and its edges are the crossings of x_k with -2 and 2
+there.  The level-set kernel ``traces._level_crossings``, which also gives
+the special energies, bisects them on the trace map to float64
+resolution, with no matrix and no tolerance to choose.
 
 For coupling above 4 three consecutive traces can never be simultaneously
 bounded by 2 in absolute value, which forces the band combinatorics: each
@@ -29,15 +28,12 @@ from typing import Iterable
 
 import numpy as np
 
-from quasidyn.lattice import (
-    DomainError,
-    Model,
-    PotentialSpec,
-    _bloch_eigenvalues,
-    _check_bloch_size,
-    potential_values,
-)
+from quasidyn.lattice import DomainError, Model
 from quasidyn.traces import (
+    _DD,
+    _level_crossings,
+    _level_trace,
+    _period_cell,
     fib_trace_orbit_grid,
     fibonacci_numbers,
     trace_derivative_grid,
@@ -178,84 +174,42 @@ def merge_intervals(intervals: Iterable[tuple[float, float]],
     return [(lo, hi) for lo, hi in merged]
 
 
-def _approximant_potential_row(lam: float, k: int) -> np.ndarray:
-    """Periodic potential row whose discriminant is the level-k trace.
-
-    Level 0 is the single site 0 (value 0); level k >= 1 takes sites
-    1 .. F_k of the Fibonacci chain.
-    """
-    spec = PotentialSpec(Model.FIBONACCI, lam)
-    if k == 0:
-        return potential_values(spec, np.array([0]))
-    f_k = int(fibonacci_numbers(k)[k])
-    return potential_values(spec, np.arange(1, f_k + 1))
+#: A gap is closed when |x_k| at its midpoint, in double-double, exceeds 2
+#: by at most this: the trace only touches 2 there (excess never positive at
+#: lambda = 0, k <= 18), while an open gap's is ~lambda^2 / 4 at small lambda.
+_CLOSED_GAP_EXCESS = 1e-20
 
 
-def _newton_polish_edges(lam: float, k: int, edges: np.ndarray, targets: np.ndarray,
-                         edge_tol: float) -> np.ndarray:
-    """A few Newton steps of x_k(E) - target, kept only where they help.
-
-    At a closed gap the trace is tangent to the target level and the Newton
-    step is noise; such edges keep their eigenvalue estimate, preserving the
-    coincidence that the merge stage relies on.
-    """
-    out = edges.copy()
-    cap = 10.0 * edge_tol + 1e-9
-    for _ in range(3):
-        xs, dxs = trace_derivative_grid(lam, out, k)
-        resid = xs[k] - targets
-        step = np.zeros_like(out)
-        good = np.abs(dxs[k]) > 0
-        step[good] = resid[good] / dxs[k][good]
-        # a trustworthy eigenvalue needs at most a tiny correction; a large
-        # predicted step means the derivative is noise (tangent edge), and
-        # the eigenvalue estimate is kept as is
-        trusted = np.abs(step) <= cap
-        trial = np.where(trusted, out - step, out)
-        xs_new = fib_trace_orbit_grid(lam, trial, k)
-        better = np.abs(xs_new[k] - targets) <= np.abs(resid)
-        out = np.where(better, trial, out)
-    return out
-
-
-def approximant_spectrum(lam: float, k: int, *, edge_tol: float = 1e-10,
-                         merge_tol: float = 1e-10) -> BandSet:
+def approximant_spectrum(lam: float, k: int) -> BandSet:
     """All maximal energy intervals with |x_k| <= 2, as a sorted BandSet.
 
-    Edges come from the periodic/antiperiodic eigenvalue problems and are
-    polished against the trace polynomial to ``edge_tol``.  Bands separated
-    by less than ``merge_tol`` are merged (closed gaps).  For lambda > 4 the
-    band count must equal F_k, otherwise :class:`BandCountError` is raised;
-    for smaller coupling the count is reported without assertion.  Levels
-    past the Bloch cap (k >= 19) raise :class:`ResourceError` before any work.
+    Band i runs between its crossings of -2 and 2 in the i-th Dirichlet
+    bracket (``traces._level_crossings``); bands across a closed gap
+    (``_CLOSED_GAP_EXCESS``) are one.  For lambda > 4 the band count must
+    equal F_k, otherwise :class:`BandCountError` is raised; for smaller
+    coupling it is reported without assertion.  Levels past the period cap
+    (k >= 19) raise :class:`ResourceError` before any work.
     """
     if k < 0:
         raise DomainError("approximant level must be nonnegative")
-    if edge_tol <= 0:
-        raise DomainError("edge tolerance must be positive")
-    _check_bloch_size(int(fibonacci_numbers(k)[k]), 1.0, f"the level-{k} band set")
-    row = _approximant_potential_row(lam, k)
-    e_per = _bloch_eigenvalues(row, 1.0)
-    e_anti = _bloch_eigenvalues(row, -1.0)
-    edges = np.concatenate([e_per, e_anti])
-    targets = np.concatenate([np.full(e_per.size, 2.0), np.full(e_anti.size, -2.0)])
-    order = np.argsort(edges, kind="stable")
-    edges, targets = edges[order], targets[order]
-    if k >= 1:
-        edges = _newton_polish_edges(lam, k, edges, targets, edge_tol)
-        edges = np.sort(edges)
-    intervals = [(edges[2 * i], edges[2 * i + 1]) for i in range(edges.size // 2)]
-    bands = tuple(Band(lo=lo, hi=hi, k=k) for lo, hi in merge_intervals(intervals, merge_tol))
-    expected = int(fibonacci_numbers(k)[k])
-    if lam > 4.0 and len(bands) != expected:
+    cell = _period_cell(Model.FIBONACCI, lam, k, f"the level-{k} band set")
+    lo, hi = np.sort(_level_crossings(*cell, (-2.0, 2.0))[0], axis=0)
+    with np.errstate(all="ignore"):
+        x = _level_trace(Model.FIBONACCI, lam, k, _DD(0.5 * (hi[:-1] + lo[1:])))
+        excess = (np.abs(x.hi) - 2.0) + np.sign(x.hi) * x.lo
+    # inf or NaN past the double-double range is an open gap; meeting crossings leave none
+    open_gap = ~(excess <= _CLOSED_GAP_EXCESS) & (hi[:-1] < lo[1:])
+    runs = np.split(np.arange(lo.size), np.flatnonzero(open_gap) + 1)
+    bands = tuple(Band(lo=lo[run[0]], hi=hi[run[-1]], k=k) for run in runs)
+    if lam > 4.0 and len(bands) != lo.size:
         raise BandCountError(
-            f"level {k} at lambda={lam}: found {len(bands)} bands, expected F_{k} = {expected}")
+            f"level {k} at lambda={lam}: found {len(bands)} bands, expected F_{k} = {lo.size}")
     return BandSet(lam=lam, k=k, bands=bands)
 
 
 @lru_cache(maxsize=256)
-def _cached_spectrum(lam: float, k: int, edge_tol: float) -> BandSet:
-    return approximant_spectrum(lam, k, edge_tol=edge_tol)
+def _cached_spectrum(lam: float, k: int) -> BandSet:
+    return approximant_spectrum(lam, k)
 
 
 @dataclass(frozen=True)
@@ -266,8 +220,7 @@ class CoveringReport:
     violations: tuple[tuple[int, float, float], ...]
 
 
-def covering_check(lam: float, m: int, *, tol: float = 1e-8,
-                   edge_tol: float = 1e-10) -> CoveringReport:
+def covering_check(lam: float, m: int, *, tol: float = 1e-8) -> CoveringReport:
     """Check that level m and m+1 bands lie inside the level m-1/m union.
 
     Every band of sigma_m and sigma_{m+1} must be contained, within ``tol``,
@@ -276,20 +229,19 @@ def covering_check(lam: float, m: int, *, tol: float = 1e-8,
     if m < 2:
         raise DomainError("covering check needs m >= 2")
     cover: list[tuple[float, float]] = []
-    for src in (_cached_spectrum(lam, m - 1, edge_tol), _cached_spectrum(lam, m, edge_tol)):
+    for src in (_cached_spectrum(lam, m - 1), _cached_spectrum(lam, m)):
         cover.extend((b.lo, b.hi) for b in src)
     union = merge_intervals(cover, tol)
     violations = []
     for level in (m, m + 1):
-        for band in _cached_spectrum(lam, level, edge_tol):
+        for band in _cached_spectrum(lam, level):
             inside = any(lo - tol <= band.lo and band.hi <= hi + tol for lo, hi in union)
             if not inside:
                 violations.append((level, band.lo, band.hi))
     return CoveringReport(lam=lam, m=m, ok=not violations, violations=tuple(violations))
 
 
-def classify_bands(lam: float, k: int, *, edge_tol: float = 1e-10,
-                   containment_tol: float = 1e-9) -> BandSet:
+def classify_bands(lam: float, k: int, *, containment_tol: float = 1e-9) -> BandSet:
     """Label each level-k band type A (inside level k-1) or B (inside k-2).
 
     Only meaningful above coupling 4, where the two cases are exhaustive and
@@ -300,9 +252,9 @@ def classify_bands(lam: float, k: int, *, edge_tol: float = 1e-10,
         raise DomainError("band classification requires lambda > 4")
     if k < 2:
         raise DomainError("classification needs k >= 2")
-    cur = _cached_spectrum(lam, k, edge_tol)
-    parent_a = _cached_spectrum(lam, k - 1, edge_tol)
-    parent_b = _cached_spectrum(lam, k - 2, edge_tol)
+    cur = _cached_spectrum(lam, k)
+    parent_a = _cached_spectrum(lam, k - 1)
+    parent_b = _cached_spectrum(lam, k - 2)
     labeled = []
     for band in cur:
         in_a = parent_a.covers(band.lo, band.hi, containment_tol)
@@ -315,7 +267,7 @@ def classify_bands(lam: float, k: int, *, edge_tol: float = 1e-10,
     return BandSet(lam=lam, k=k, bands=tuple(labeled))
 
 
-def genealogy_check(lam: float, k: int, *, edge_tol: float = 1e-10) -> dict:
+def genealogy_check(lam: float, k: int) -> dict:
     """Verify the two-generation refinement counts of the level-k bands.
 
     A type A band contains exactly one level-(k+2) band (type B) and none
@@ -327,9 +279,9 @@ def genealogy_check(lam: float, k: int, *, edge_tol: float = 1e-10) -> dict:
     if lam <= 4.0:
         raise DomainError("genealogy counts require lambda > 4")
     tol = 1e-9
-    cur = classify_bands(lam, k, edge_tol=edge_tol)
-    child1 = classify_bands(lam, k + 1, edge_tol=edge_tol)
-    child2 = classify_bands(lam, k + 2, edge_tol=edge_tol)
+    cur = classify_bands(lam, k)
+    child1 = classify_bands(lam, k + 1)
+    child2 = classify_bands(lam, k + 2)
     failures = []
     for band in cur:
         c1 = [c for c in child1 if band.contains(c, tol)]
@@ -418,7 +370,7 @@ def partials_bound_check(lams=(4.5, 5.0, 8.0), n_samples_log2: int = 14,
 
 
 def derivative_ratio_check(lam: float, k: int, *, samples_per_band: int = 33,
-                           tol: float = 1e-6, edge_tol: float = 1e-10) -> dict:
+                           tol: float = 1e-6) -> dict:
     """Derivative-ratio bounds between a band's level and its parent level.
 
     On a type A band of level k the ratio |x_k' / x_{k-1}'| stays below
@@ -426,7 +378,7 @@ def derivative_ratio_check(lam: float, k: int, *, samples_per_band: int = 33,
     2 lambda + 22.  Samples with a vanishing parent derivative are skipped
     and counted.
     """
-    bands = classify_bands(lam, k, edge_tol=edge_tol)
+    bands = classify_bands(lam, k)
     max_a = 0.0
     max_b = 0.0
     skipped = 0
@@ -468,8 +420,7 @@ def derivative_ratio_check(lam: float, k: int, *, samples_per_band: int = 33,
     }
 
 
-def measure_report(lam: float, kmax: int, *, edge_tol: float = 1e-10,
-                   samples_per_band: int = 33) -> dict:
+def measure_report(lam: float, kmax: int, *, samples_per_band: int = 33) -> dict:
     """Per-level measure table with the decay-exponent fit.
 
     Reports |sigma_k|, the minimum bandwidth, the log-log fit of measure
@@ -484,7 +435,7 @@ def measure_report(lam: float, kmax: int, *, edge_tol: float = 1e-10,
     rows = []
     c_estimate = 0.0
     for k in range(1, kmax + 1):
-        bands = _cached_spectrum(lam, k, edge_tol)
+        bands = _cached_spectrum(lam, k)
         _, dxs = trace_derivative_grid(lam, bands.interior_points(samples_per_band).ravel(), k)
         peak_deriv = float(np.max(np.abs(dxs[k])))
         c_estimate = max(c_estimate, peak_deriv / (2.0 * lam + 22.0) ** k)
@@ -514,13 +465,12 @@ def measure_report(lam: float, kmax: int, *, edge_tol: float = 1e-10,
     }
 
 
-def trace_bound_check(lam: float, k: int, *, samples_per_band: int = 33,
-                      edge_tol: float = 1e-10) -> dict:
+def trace_bound_check(lam: float, k: int, *, samples_per_band: int = 33) -> dict:
     """Verify |x_i| <= C_lambda for 0 <= i <= k on sampled level-k energies."""
     if k < 1:
         raise DomainError("trace bound check needs k >= 1")
     params = bound_parameters(lam)
-    energies = _cached_spectrum(lam, k, edge_tol).interior_points(samples_per_band).ravel()
+    energies = _cached_spectrum(lam, k).interior_points(samples_per_band).ravel()
     worst = float(np.max(np.abs(fib_trace_orbit_grid(lam, energies, k))))
     return {
         "lam": lam,

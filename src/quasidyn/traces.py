@@ -18,7 +18,9 @@ Each trace map is written once, as a level iterator (``_fib_levels``,
 ``_pd_levels``, ``_tm_levels``) whose arithmetic is only +, - and x.  It
 serves float64 arrays for energy grids, the double-double type ``_DD``, and
 the value-and-derivative type ``_Jet`` that gives every energy slope by the
-product rule.  Fibonacci orbits are iterated in double-double arithmetic:
+product rule, and the clipped type ``_Clip`` on which the level-set kernel
+``_level_crossings`` bisects band edges and special energies alike.
+Fibonacci orbits are iterated in double-double arithmetic:
 the conserved quantity involves a cancellation of order |x|^3, so plain
 double precision loses it long before the |x| <= 1e6 window in which orbits
 are certified.
@@ -31,14 +33,14 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from quasidyn.lattice import (
     DomainError,
     Model,
     PotentialSpec,
+    ResourceError,
     ScaleOverflowError,
-    _bloch_eigenvalues,
-    _check_bloch_size,
     _transfer_prefixes,
     one_step_matrix,
     potential_values,
@@ -57,6 +59,8 @@ def fibonacci_numbers(kmax: int) -> np.ndarray:
     """Fibonacci numbers F_0 = F_1 = 1, F_{k+1} = F_k + F_{k-1}."""
     if kmax < 0:
         raise DomainError("kmax must be nonnegative")
+    if kmax > 91:  # F_92 > 2^63 would wrap
+        raise DomainError(f"F_{kmax} does not fit in int64; the largest level is 91")
     out = np.ones(kmax + 1, dtype=np.int64)
     for k in range(2, kmax + 1):
         out[k] = out[k - 1] + out[k - 2]
@@ -158,6 +162,26 @@ class _Jet(_Number):
     def __mul__(self, other) -> "_Jet":
         other = _Jet._of(other)
         return _Jet(self.v * other.v, self.d * other.v + self.v * other.d)
+
+
+class _Clip(_Number):
+    """Float64 array whose sums are clipped to +-TRACE_OVERFLOW.  Each map
+    level ends in a sum, so each level is clipped while the product inside
+    it keeps its sign: the sign survives where plain float64 gives NaN."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
+
+    def __add__(self, other) -> "_Clip":
+        return _Clip(np.clip(self.v + _Clip._of(other).v, -TRACE_OVERFLOW, TRACE_OVERFLOW))
+
+    def __neg__(self) -> "_Clip":
+        return _Clip(-self.v)
+
+    def __mul__(self, other) -> "_Clip":
+        return _Clip(self.v * _Clip._of(other).v)
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +301,12 @@ def fib_trace_orbit_grid(lam: float, energies: np.ndarray, kmax: int) -> np.ndar
 
 
 def trace_derivative_grid(lam: float, energies: np.ndarray, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Traces and their energy derivatives over a grid, in one _Jet pass.
-
-    The seeds carry the derivatives 1, 1 and 2E - lambda of the base traces
-    E, E - lambda and E (E - lambda) - 2.
-    """
+    """Traces and their energy derivatives over a grid, in one pass of the
+    level traces at _Jet(E, 1)."""
     E = np.atleast_1d(np.asarray(energies, dtype=np.float64))
-    one = np.ones_like(E)
-    seeds = (_Jet(E, one), _Jet(E - lam, one), _Jet(E * (E - lam) - 2.0, 2.0 * E - lam))
+    e = _Jet(E, np.ones_like(E))
     with np.errstate(over="ignore", invalid="ignore"):
-        levels = list(islice(_fib_levels(*seeds), kmax + 1))
+        levels = list(islice(_fib_levels(e, e - lam, e * (e - lam) - 2.0), kmax + 1))
     return np.array([x.v for x in levels]), np.array([x.d for x in levels])
 
 
@@ -427,6 +447,74 @@ def subst_trace_orbit(model: Model | str, lam: float, E: float, kmax: int) -> Su
 
 
 # ---------------------------------------------------------------------------
+# level sets
+
+#: Most sites per period cell of a level set: F_18 (Fibonacci k <= 18, words j <= 12).
+MAX_PERIOD_SITES = 4181
+
+
+def _check_period_sites(q: int, what: str) -> None:
+    """Refuse ``what``, a level set of a q-site period cell, past the cap."""
+    if q > MAX_PERIOD_SITES:
+        raise ResourceError(f"{what} needs more than the cap of {MAX_PERIOD_SITES} sites")
+
+
+def _level_trace(model: Model, lam: float, level: int, e):
+    """The level trace at e: x_k of the Fibonacci map, or tr T0_j of a
+    substitution chain, for float64 arrays, _DD, _Jet or _Clip values."""
+    if model is Model.FIBONACCI:
+        return next(islice(_fib_levels(e, e - lam, e * (e - lam) - 2.0), level, None))
+    return _block_traces(model, lam, e, level)[0]
+
+
+def _period_cell(model: Model, lam: float, level: int, what: str):
+    """(row, trace) of the chain whose discriminant is the level trace: sites
+    1..F_k of the Fibonacci chain (site 0 at level 0) or lam times the
+    level-j word, and the trace on float64 energies, run on _Clip values.
+    ``what`` is refused past the cap before any word or row is built."""
+    q, prev = 1, 0
+    for _ in range(level):
+        q, prev = (q + prev if model is Model.FIBONACCI else 2 * q), q
+        _check_period_sites(q, what)
+    if model is Model.FIBONACCI:
+        row = potential_values(PotentialSpec(model, lam), np.arange(1, q + 1) if level else [0])
+    else:
+        row = lam * substitution_word(model, level)
+    return row, lambda energies: _level_trace(model, lam, level, _Clip(energies)).v
+
+
+def _level_crossings(v: np.ndarray, trace, targets: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Crossings of the discriminant ``trace`` of the period cell v with each target.
+
+    The q - 1 Dirichlet eigenvalues of the cell (sites 1..q-1) lie one in
+    each closed gap, and the spectrum in [min v - 2, max v + 2].  So bracket
+    i holds band i, where the discriminant runs monotonically from -2 to 2
+    if q - 1 - i is even (it grows like E^q) and back otherwise, and each
+    target in [-2, 2] is crossed once.  Bisection on the sign of trace - c
+    (``trace`` must keep it) runs until no midpoint moves and keeps the
+    closer end.  Returns the (len(targets), q) crossings and the q + 1
+    bracket ends."""
+    q = v.size
+    dirichlet = eigvalsh_tridiagonal(v[:-1], np.ones(q - 2)) if q > 1 else []
+    ends = np.concatenate([[v.min() - 2.0], dirichlet, [v.max() + 2.0]])
+    lo, hi = np.tile(ends[:-1], len(targets)), np.tile(ends[1:], len(targets))
+    rising = np.tile((q - 1 - np.arange(q)) % 2 == 0, len(targets))
+    target = np.repeat(np.asarray(targets, dtype=np.float64), q)
+    todo = np.arange(lo.size)
+    # the clipped Thue-Morse step may overflow inside a level; the sum clips it
+    with np.errstate(over="ignore"):
+        while todo.size:
+            mid = 0.5 * (lo[todo] + hi[todo])
+            moved = (lo[todo] < mid) & (mid < hi[todo])
+            todo, mid = todo[moved], mid[moved]
+            left = (trace(mid) > target[todo]) == rising[todo]
+            hi[todo[left]] = mid[left]
+            lo[todo[~left]] = mid[~left]
+        closer_hi = np.abs(trace(hi) - target) < np.abs(trace(lo) - target)
+    return np.where(closer_hi, hi, lo).reshape(-1, q), ends
+
+
+# ---------------------------------------------------------------------------
 # special energies
 
 #: Newton steps that polish every zero in double-double arithmetic.
@@ -442,42 +530,42 @@ _DUPLICATE_TOL = 1e-11
 def _trace_zeros(model: Model, lam: float, j: int) -> _DD:
     """Zeros of the level-j block trace, ascending, polished in double-double.
 
-    The block trace is the discriminant of the chain that repeats the
-    level-j word, so its zeros are that chain's Bloch eigenvalues at
-    theta = i.  One vectorized Newton iteration in double-double energy
-    arithmetic then polishes all of them together; a zero whose slope is 0
-    or not finite keeps its last iterate.  Zeros that are not pairwise
-    distinct in float64 trigger a warning.
+    The float64 zeros are the kernel's crossings of 0, one per Dirichlet
+    bracket.  One vectorized double-double Newton iteration polishes them
+    together, each iterate clipped to its own bracket; a zero whose slope
+    is 0 or not finite keeps its last iterate.  Zeros that are not
+    pairwise distinct in float64 trigger a warning.
     """
-    _check_bloch_size(2 ** j, 1j, f"the level-{j} zero set")
-    e = _DD(_bloch_eigenvalues(lam * substitution_word(model, j), 1j))
-    live = np.ones(e.hi.size, dtype=bool)
+    (start,), ends = _level_crossings(*_period_cell(model, lam, j, f"the level-{j} zero set"),
+                                      (0.0,))
+    e = _DD(start)
+    live = np.ones(start.size, dtype=bool)
     # a stopped zero may hold non-finite values; its steps are discarded
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_NEWTON_STEPS):
-            val = _block_traces(model, lam, e, j)[0]
-            slope = _block_traces(model, lam, _Jet(e.hi, 1.0), j)[0].d
+            val = _level_trace(model, lam, j, e)
+            slope = _level_trace(model, lam, j, _Jet(e.hi, 1.0)).d
             live &= np.isfinite(slope) & (slope != 0.0)
             slope = np.where(live, slope, 1.0)
             step_hi = val.hi / slope
             step_lo = (val.lo - (step_hi * slope - val.hi)) / slope
             nxt = e - _DD(step_hi, step_lo)
-            e = _DD(np.where(live, nxt.hi, e.hi), np.where(live, nxt.lo, e.lo))
-    order = np.argsort(e.hi, kind="stable")
-    zeros = _DD(e.hi[order], e.lo[order])
-    distinct = np.unique(zeros.hi).size
-    if distinct != zeros.hi.size:
+            hi = np.clip(nxt.hi, ends[:-1], ends[1:])
+            lo = np.where(hi == nxt.hi, nxt.lo, 0.0)
+            e = _DD(np.where(live, hi, e.hi), np.where(live, lo, e.lo))
+    distinct = np.unique(e.hi).size
+    if distinct != e.hi.size:
         warnings.warn(f"{model.value} trace level {j} (lambda={lam}): {distinct} distinct "
-                      f"zeros of {zeros.hi.size} in float64", RuntimeWarning, stacklevel=3)
-    return zeros
+                      f"zeros of {e.hi.size} in float64", RuntimeWarning, stacklevel=3)
+    return e
 
 
 def pd_special_energies(lam: float, k: int) -> np.ndarray:
     """Real roots of the period-doubling trace x_k(E), ascending.
 
-    The trace is a degree-2^k polynomial in E; its roots are the Bloch
-    eigenvalues at theta = i of the level-k word, polished in double-double
-    arithmetic.  At each root the next-level blocks satisfy
+    The trace is a degree-2^k polynomial in E with one root in each
+    Dirichlet bracket of the level-k word, bisected there and polished in
+    double-double arithmetic.  At each root the next-level blocks satisfy
     tr T0_{k+1} = -2 and T1_{k+1} = -I.
     """
     return _trace_zeros(Model.PERIOD_DOUBLING, lam, k).hi

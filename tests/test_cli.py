@@ -61,7 +61,6 @@ def test_spectrum_rejects_other_models(runner, tmp_path):
     ["verify", "parseval", "--T", "-5"],
     ["dynamics", "--model", "tm", "--lambda", "1", "--Tmin", "0"],
     ["dynamics", "--model", "tm", "--lambda", "1", "--Tmin", "-4"],
-    ["spectrum", "--lambda", "5", "--k", "3", "--edge-tol", "0"],
     ["verify", "covering", "--mmax", "1"],
     ["dynamics", "--model", "tm", "--lambda", "1", "--window", "-3"],
     ["dynamics", "--model", "tm", "--lambda", "1", "--geometry", "half-line", "--window", "0"],
@@ -75,6 +74,8 @@ def test_spectrum_rejects_other_models(runner, tmp_path):
     ["dynamics", "--model", "tm", "--lambda", "1", "--perturb", "abc"],
     ["trace", "--model", "fib", "--lambda", "1", "--kmax", "-1"],
     ["verify", "invariant", "--samples", "-1"],
+    ["powerlaw", "--model", "fib", "--lambda", "1", "--count", "0"],
+    ["powerlaw", "--model", "fib", "--lambda", "1", "--count", "-1"],
 ])
 def test_bad_inputs_are_usage_errors(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path / "x.out")])
@@ -171,12 +172,17 @@ def test_trace_root_list_over_the_cap_is_a_budget_refusal(runner, tmp_path):
 @pytest.mark.parametrize("args", [
     ["spectrum", "--lambda", "5", "--k", "40"],
     ["powerlaw", "--model", "fib", "--lambda", "1", "--from-level", "40"],
+    ["spectrum", "--lambda", "5", "--k", "100"],
 ])
 def test_oversized_bloch_matrix_is_a_budget_refusal(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path / "x.csv")])
     assert result.exit_code == 3
     (line,) = result.stderr.splitlines()
-    assert json.loads(line)["error"] == "budget"
+    record = json.loads(line)
+    assert record["error"] == "budget"
+    # the message names the site cap, never a period size wrapped past int64
+    assert "4181 sites" in record["message"]
+    assert "1298777728820984005" not in record["message"]
     assert not list(tmp_path.iterdir())
 
 

@@ -13,7 +13,6 @@ from quasidyn.lattice import (
     PotentialSpec,
     ResourceError,
     ScaleOverflowError,
-    _bloch_eigenvalues,
     _transfer_prefixes,
     _tridiag_apply,
     _tridiag_solve,
@@ -356,14 +355,31 @@ def test_tridiag_solve_matches_dense(spec, window, z, rng):
     npt.assert_array_equal(rhs, kept)
 
 
+def _product_traces(word, energies):
+    """Traces of the plain site-by-site period products, one per energy."""
+    p = np.zeros((energies.size, 2, 2))
+    p[:, 0, 0] = p[:, 1, 1] = 1.0
+    for v in word:
+        step = np.zeros_like(p)
+        step[:, 0, 0], step[:, 0, 1], step[:, 1, 0] = energies - v, -1.0, 1.0
+        p = step @ p
+    return p[:, 0, 0] + p[:, 1, 1]
+
+
 @pytest.mark.parametrize("q", [1, 2, 7])
 @pytest.mark.parametrize("theta, level", [(1.0, 2.0), (-1.0, -2.0), (1j, 0.0)])
 def test_bloch_eigenvalues_are_trace_level_sets(q, theta, level, rng):
-    # a plain site-by-site product over one period has trace theta + 1/theta
-    # at every Bloch eigenvalue
+    # the Bloch solutions of phase theta sit where the period trace is
+    # theta + 1/theta; the level-set kernel finds one in each Dirichlet
+    # bracket, and a plain site-by-site product over one period has that
+    # trace at every one of them
+    from quasidyn.traces import _level_crossings
+
+    assert theta + 1.0 / theta == level
     word = rng.uniform(0.0, 2.0, size=q)
-    energies = _bloch_eigenvalues(word, theta)
-    assert energies.shape == (q,)
+    (energies,), ends = _level_crossings(word, lambda e: _product_traces(word, e), (level,))
+    assert energies.shape == (q,) and ends.shape == (q + 1,)
+    assert np.all((ends[:-1] <= energies) & (energies <= ends[1:]))
     for energy in energies:
         product = np.eye(2)
         for v in word:

@@ -5,7 +5,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from quasidyn.lattice import Model, PotentialSpec, ResourceError, one_step_matrix, spectral_norm
+from quasidyn.lattice import (
+    DomainError,
+    Model,
+    PotentialSpec,
+    ResourceError,
+    one_step_matrix,
+    spectral_norm,
+)
 from quasidyn.spectra import approximant_spectrum, bound_parameters
 from quasidyn.traces import (
     FIB_CONVENTION_ID,
@@ -30,6 +37,10 @@ from conftest import brute_transfer, fib_spec
 
 def test_fibonacci_numbers():
     npt.assert_array_equal(fibonacci_numbers(10), [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89])
+    # the last level that fits in int64, and the first that would wrap
+    assert fibonacci_numbers(91)[91] == 7540113804746346429
+    with pytest.raises(DomainError):
+        fibonacci_numbers(92)
 
 
 def test_indexing_oracle_picks_site_one_product():
@@ -401,6 +412,19 @@ def test_coinciding_zeros_warn():
     assert roots.size == 512
 
 
+def test_polished_zeros_stay_in_their_brackets():
+    # in the pd lambda = 5 cluster, Newton steps not clipped to their
+    # Dirichlet brackets leave them and unsort the zeros
+    from quasidyn.traces import _level_crossings, _period_cell, _trace_zeros
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        zeros = _trace_zeros(Model.PERIOD_DOUBLING, 5.0, 9).hi
+    _, ends = _level_crossings(*_period_cell(Model.PERIOD_DOUBLING, 5.0, 9, "pd level 9"), (0.0,))
+    assert np.all((ends[:-1] <= zeros) & (zeros <= ends[1:]))
+    assert np.all(np.diff(zeros) >= 0)
+
+
 def test_special_energy_levels_are_capped():
     with pytest.raises(ResourceError):
         pd_special_energies(1.0, 13)
@@ -408,14 +432,37 @@ def test_special_energy_levels_are_capped():
         tm_special_energies(1.0, 15)
     with pytest.raises(ResourceError):
         approximant_spectrum(1.0, 19)
-    # the byte cap keeps pd k <= 12 and tm k <= 14 (4096 complex sites) and
-    # Fibonacci k <= 18 (F_18 = 4181 real sites)
-    from quasidyn.lattice import _check_bloch_size
-
-    _check_bloch_size(2 ** 12, 1j, "pd level 12")
-    _check_bloch_size(int(fibonacci_numbers(18)[18]), 1.0, "fib level 18")
+    # refused from the level alone: no F_k array, word or row of 10^9 levels
     with pytest.raises(ResourceError):
-        _check_bloch_size(2 ** 12 + 1, 1j, "one site more")
+        approximant_spectrum(5.0, 10 ** 9)
+    # the site cap keeps pd k <= 12 and tm k <= 14 (4096 sites) and
+    # Fibonacci k <= 18 (F_18 = 4181 sites)
+    from quasidyn.traces import MAX_PERIOD_SITES, _check_period_sites
+
+    assert MAX_PERIOD_SITES == fibonacci_numbers(18)[18]
+    _check_period_sites(2 ** 12, "pd level 12")
+    _check_period_sites(4181, "fib level 18")
+    with pytest.raises(ResourceError):
+        _check_period_sites(4182, "one site more")
+
+
+def test_level_signs_past_float64_overflow_match_exact_trace():
+    # at lambda = 5, k = 18 the plain float64 map gives NaN at some bracket
+    # midpoints; the kernel's clipped map keeps the exact sign of x_k - c
+    from quasidyn.traces import _level_crossings, _period_cell
+
+    lam, k = 5.0, 18
+    row, trace = _period_cell(Model.FIBONACCI, lam, k, "fib level 18")
+    _, ends = _level_crossings(row, trace, (0.0,))
+    mids = 0.5 * (ends[:-1] + ends[1:])
+    with np.errstate(all="ignore"):
+        plain = fib_trace_orbit_grid(lam, mids, k)[k]
+    lost = mids[np.isnan(plain)]
+    assert lost.size > 0
+    for e, x in zip(lost, trace(lost)):
+        exact = _fib_trace_exact(Fraction(lam), Fraction(float(e)), k)
+        for c in (-2, 0, 2):
+            assert np.sign(x - c) == np.sign(exact - c)
 
 
 # ---------------------------------------------------------------------------
