@@ -27,6 +27,7 @@ normalized away at the smallest ladder time.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -153,10 +154,15 @@ class GoodSetInput:
 # ---------------------------------------------------------------------------
 # resolvent route
 
+@functools.lru_cache(maxsize=4)
 def _window_potential(spec: PotentialSpec, window: LatticeWindow) -> np.ndarray:
+    """The potential on the window, built once per (spec, window) and read-only:
+    a command's budget check and its sweeps share the one array."""
     if spec.geometry is not window.geometry:
         raise DomainError("window geometry does not match the potential spec")
-    return potential_values(spec, window.sites())
+    v = potential_values(spec, window.sites())
+    v.flags.writeable = False
+    return v
 
 
 def _origin_window(spec: PotentialSpec, radius: int) -> LatticeWindow:
@@ -180,14 +186,13 @@ def _far_edge_share(window: LatticeWindow, weights: np.ndarray) -> float:
 
 
 def resolvent_vector(spec: PotentialSpec, z: complex, window: LatticeWindow, *,
-                     boundary_tol: float | None = None,
-                     residual_tol: float = 1e-12) -> np.ndarray:
+                     boundary_tol: float | None = None) -> np.ndarray:
     """Solve (H - z) phi = delta_1 on the window (Dirichlet truncation).
 
-    Requires Im z > 0.  The banded solve is verified against its residual;
-    if ``boundary_tol`` is given, the squared amplitude on the far edges
-    relative to the squared vector norm must stay below it, otherwise
-    :class:`TruncationError` signals that the window is too small.
+    Requires Im z > 0.  The banded solve is verified against its residual
+    (1e-12 relative); if ``boundary_tol`` is given, the squared amplitude on
+    the far edges relative to the squared vector norm must stay below it,
+    otherwise :class:`TruncationError` signals that the window is too small.
     """
     if z.imag <= 0:
         raise DomainError("resolvent vectors are computed for Im z > 0")
@@ -197,7 +202,7 @@ def resolvent_vector(spec: PotentialSpec, z: complex, window: LatticeWindow, *,
     phi = _tridiag_solve(v, z, rhs)
     norm = float(np.linalg.norm(phi))
     resid = _tridiag_apply(v - z, phi) - rhs
-    if np.linalg.norm(resid) > residual_tol * max(norm, 1.0):
+    if np.linalg.norm(resid) > 1e-12 * max(norm, 1.0):
         raise ArithmeticError("resolvent solve residual above tolerance")
     if boundary_tol is not None and window.size > 2:
         edge = _far_edge_share(window, np.abs(phi) ** 2)
@@ -207,17 +212,17 @@ def resolvent_vector(spec: PotentialSpec, z: complex, window: LatticeWindow, *,
     return phi
 
 
-def _default_energy_grid(v: np.ndarray, eps: float, pad: float) -> np.ndarray:
+def _grid_cells(v: np.ndarray, eps: float) -> tuple[float, float, int]:
+    """Span [lo, hi] of the default energy grid, the spectral window
+    [min v - 2, max v + 2] padded by 4, and its count of cells at most eps/4 wide."""
+    pad, spacing = 4.0, eps / 4.0
     lo = float(v.min()) - 2.0 - pad
     hi = float(v.max()) + 2.0 + pad
-    spacing = eps / 4.0
-    count = int(math.ceil((hi - lo) / spacing))
-    # midpoint nodes of a uniform partition
-    return lo + (np.arange(count) + 0.5) * (hi - lo) / count
+    return lo, hi, int(math.ceil((hi - lo) / spacing))
 
 
 def profile_resolvent(spec: PotentialSpec, T: float, window: LatticeWindow | None = None, *,
-                      energy_grid: np.ndarray | None = None, pad: float = 4.0,
+                      energy_grid: np.ndarray | None = None,
                       richardson: bool = False) -> AmplitudeProfile:
     """Site probabilities a(n, T) from the resolvent side of the identity.
 
@@ -231,11 +236,11 @@ def profile_resolvent(spec: PotentialSpec, T: float, window: LatticeWindow | Non
     if T <= 0:
         raise DomainError("T must be positive")
     eps = 1.0 / T
-    if window is None:
-        window = _origin_window(spec, default_window_radius(TIME_CUTOFF * T))
-    v = _window_potential(spec, window)
+    window, v, _ = _profile_setup(spec, T, window)
     if energy_grid is None:
-        grid = _default_energy_grid(v, eps, pad)
+        lo, hi, count = _grid_cells(v, eps)
+        # midpoint nodes of a uniform partition
+        grid = lo + (np.arange(count) + 0.5) * (hi - lo) / count
     else:
         grid = np.asarray(energy_grid, dtype=np.float64)
         spacings = np.diff(grid)
@@ -338,7 +343,7 @@ def _chebyshev_samples(vc: np.ndarray, scale: float, coeff: np.ndarray, psi: np.
 
 def _chebyshev_sweep(spec: PotentialSpec, window: LatticeWindow, psi: np.ndarray,
                      v: np.ndarray, step: float, n_steps: int, stats: dict, *,
-                     tol: float = 1e-15, max_order: int = 1 << 17):
+                     max_order: int = 1 << 17):
     """Propagate ``psi`` in place over n_steps grid steps of length ``step``.
 
     Each Chebyshev expansion covers a long step of up to STEP_SAMPLES grid
@@ -361,7 +366,7 @@ def _chebyshev_sweep(spec: PotentialSpec, window: LatticeWindow, psi: np.ndarray
     center = 0.5 * (hi_e + lo_e)
     half_width = 0.5 * (hi_e - lo_e) + 0.025 * (hi_e - lo_e)
     taus = step * np.arange(1, min(STEP_SAMPLES, n_steps) + 1)
-    bessel = _chebyshev_coefficients(half_width * taus, tol, max_order)
+    bessel = _chebyshev_coefficients(half_width * taus, 1e-15, max_order)
     order = bessel.shape[1] - 1
     phases = 2.0 * np.array([1.0, -1j, -1.0, 1j])[np.arange(order + 1) % 4]
     phases[0] = 1.0
@@ -407,7 +412,7 @@ def _source_state(window: LatticeWindow) -> np.ndarray:
 
 
 def evolve_state(spec: PotentialSpec, t: float, window: LatticeWindow, *,
-                 tol: float = 1e-15, max_order: int = 1 << 17) -> np.ndarray:
+                 max_order: int = 1 << 17) -> np.ndarray:
     """The state e^{-itH} delta_1 on the window, from a single expansion.
 
     The window must out-run the ballistic light cone (group velocity at most
@@ -417,70 +422,61 @@ def evolve_state(spec: PotentialSpec, t: float, window: LatticeWindow, *,
     if t == 0.0:
         return psi
     v = _window_potential(spec, window)
-    for _ in _chebyshev_sweep(spec, window, psi, v, t, 1, {}, tol=tol, max_order=max_order):
+    for _ in _chebyshev_sweep(spec, window, psi, v, t, 1, {}, max_order=max_order):
         pass  # the sweep advances psi in place
     return psi
 
 
-def _time_grid_step(v: np.ndarray, dt: float | None) -> float:
-    if dt is not None:
-        return dt
-    span = float(v.max() - v.min()) + 4.0
-    # keep the sampling rate above the largest Bohr frequency (Nyquist)
-    return min(0.5, 5.5 / span)
+def _profile_setup(spec: PotentialSpec, T: float, window: LatticeWindow | None,
+                   max_cost: float = math.inf, *, dt: float | None = None,
+                   resolvent: bool = False) -> tuple[LatticeWindow, np.ndarray, float]:
+    """Window, window potential and time step of the profiles at averaging
+    time T, once the routes to be run fit max_cost.
 
-
-def _check_sweep_cost(window: LatticeWindow, t_max: float, step: float, max_cost: float) -> None:
-    """Refuse a time-route sweep of more than max_cost site-steps."""
-    cost = (math.ceil(t_max / step) + 1) * window.size
-    if cost > max_cost:
-        raise ResourceError(f"sweep cost {cost:.2e} site-steps exceeds budget {max_cost:.2e}; "
-                            "lower Tmax, shrink the window or raise the budget")
-
-
-def _checked_time_step(spec: PotentialSpec, window: LatticeWindow, t_max: float,
-                       dt: float | None, max_cost: float) -> tuple[np.ndarray, float]:
-    """The window potential and time-route step, once the sweep fits max_cost.
-
-    No time step is longer than 0.5 (or dt), so the first check refuses an
-    oversized sweep before its window potential is built; then the real
-    step counts.
+    The one budget check, run before any sweep.  The window defaults to the
+    light-cone rule.  The time route costs its samples x window sites: no
+    step is longer than 0.5 (or dt), so an oversized sweep is refused before
+    the window potential is built, and then the real step counts.  With
+    ``resolvent`` set, the resolvent route on the default energy grid counts
+    too, as grid points x window sites.
     """
-    _check_sweep_cost(window, t_max, 0.5 if dt is None else dt, max_cost)
-    v = _window_potential(spec, window)
-    step = _time_grid_step(v, dt)
-    _check_sweep_cost(window, t_max, step, max_cost)
-    return v, step
-
-
-def _check_parseval_cost(spec: PotentialSpec, T: float, max_cost: float) -> None:
-    """Refuse a Parseval cross-check at T whose time route (site-steps) or
-    resolvent route (grid points x window sites) on the default window
-    would pass max_cost, before either sweeps."""
     t_max = TIME_CUTOFF * T
-    window = _origin_window(spec, default_window_radius(t_max))
-    v = _checked_time_step(spec, window, t_max, None, max_cost)[0]
-    # profile_resolvent's default grid: eps = 1/T and pad 4
-    cost = _default_energy_grid(v, 1.0 / T, 4.0).size * window.size
-    if cost > max_cost:
-        raise ResourceError(f"resolvent cost {cost:.2e} grid-point sites exceeds budget "
-                            f"{max_cost:.2e}; lower T or raise the budget")
+    if window is None:
+        window = _origin_window(spec, default_window_radius(t_max))
+
+    def check_sweep(step: float) -> None:
+        cost = (math.ceil(t_max / step) + 1) * window.size
+        if cost > max_cost:
+            raise ResourceError(f"sweep cost {cost:.2e} site-steps exceeds budget "
+                                f"{max_cost:.2e}; lower Tmax, shrink the window or raise the budget")
+
+    check_sweep(0.5 if dt is None else dt)
+    v = _window_potential(spec, window)
+    # keep the sampling rate above the largest Bohr frequency (Nyquist)
+    step = dt if dt is not None else min(0.5, 5.5 / (float(v.max() - v.min()) + 4.0))
+    check_sweep(step)
+    if resolvent:
+        cost = _grid_cells(v, 1.0 / T)[2] * window.size
+        if cost > max_cost:
+            raise ResourceError(f"resolvent cost {cost:.2e} grid-point sites exceeds budget "
+                                f"{max_cost:.2e}; lower T or raise the budget")
+    return window, v, step
 
 
 def profile_time(spec: PotentialSpec, T: float, window: LatticeWindow | None = None, *,
-                 dt: float | None = None, cutoff: float = TIME_CUTOFF) -> AmplitudeProfile:
+                 dt: float | None = None) -> AmplitudeProfile:
     """Site probabilities a(n, T) by direct time averaging."""
-    return profiles_time_ladder(spec, [T], window=window, dt=dt, cutoff=cutoff)[0]
+    return profiles_time_ladder(spec, [T], window=window, dt=dt)[0]
 
 
 def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
-                         window: LatticeWindow | None = None, *, dt: float | None = None,
-                         cutoff: float = TIME_CUTOFF) -> list[AmplitudeProfile]:
+                         window: LatticeWindow | None = None, *,
+                         dt: float | None = None) -> list[AmplitudeProfile]:
     """Profiles for a whole ladder of averaging times from one trajectory.
 
     The weighted time integrals for every T in the ladder share the same
     |psi(t, n)|^2 samples, so the state is propagated once out to
-    cutoff * max(T) and each ladder entry accumulates its own trapezoid
+    TIME_CUTOFF * max(T) and each ladder entry accumulates its own trapezoid
     sum, truncated at its own cutoff: the samples of one long step enter
     every sum through one (ladder, samples) @ (samples, sites) product.  A
     profile whose far-edge share of the mass, on the window edges or on
@@ -491,14 +487,10 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
     T_values = sorted(float(T) for T in T_values)
     if not T_values or T_values[0] <= 0:
         raise DomainError("averaging times must be positive")
-    t_max = cutoff * T_values[-1]
-    if window is None:
-        window = _origin_window(spec, default_window_radius(t_max))
-    v = _window_potential(spec, window)
-    step = _time_grid_step(v, dt)
-    n_steps = int(math.ceil(t_max / step))
+    window, v, step = _profile_setup(spec, T_values[-1], window, dt=dt)
+    n_steps = int(math.ceil(TIME_CUTOFF * T_values[-1] / step))
     ts = np.array(T_values)[:, None]
-    limit = cutoff * ts + 0.5 * step
+    limit = TIME_CUTOFF * ts + 0.5 * step
     psi = _source_state(window)
     acc = np.zeros((len(T_values), window.size))
     acc[:, window.index(1)] = 0.5  # the t = 0 sample, at the trapezoid's half weight
@@ -529,7 +521,7 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
                 "lambda": spec.lam,
                 "T": T,
                 "dt": step,
-                "cutoff": cutoff,
+                "cutoff": TIME_CUTOFF,
                 "t_max": int(last_step[i]) * step,
                 "far_edge_share": edge,
                 "convention": FIB_CONVENTION_ID,
@@ -692,7 +684,7 @@ def default_bound_id(model: Model) -> str:
 
 def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Sequence[float],
                  bound_id: str | None = None, *, slope_tolerance: float = 0.15,
-                 dt: float | None = None, alpha: float | None = None,
+                 alpha: float | None = None,
                  eta: float | None = None, window: LatticeWindow | None = None,
                  max_cost: float = 5e10) -> BoundReport:
     """Measured finite-time slopes against a theoretical lower bound.
@@ -712,12 +704,9 @@ def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Seque
     # parameter fails before the expensive sweep starts
     theoretical_slopes = {p: bound_slope(bound_id, p, lam=spec.lam or None,
                                          alpha=alpha, eta=eta) for p in p_values}
-    t_max = TIME_CUTOFF * T_values[-1]
-    if window is None:
-        window = _origin_window(spec, default_window_radius(t_max))
-    step = _checked_time_step(spec, window, t_max, dt, max_cost)[1]
+    window = _profile_setup(spec, T_values[-1], window, max_cost)[0]
     _check_ladder(T_values)
-    profiles = profiles_time_ladder(spec, T_values, window=window, dt=step)
+    profiles = profiles_time_ladder(spec, T_values, window=window)
     entries = []
     for p in p_values:
         series = moment_series(profiles, p)
@@ -738,7 +727,7 @@ def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Seque
         "geometry": spec.geometry.value,
         "perturbation": list(spec.perturbation),
         "convention": FIB_CONVENTION_ID,
-        "dt": dt,
+        "dt": None,
         "cutoff": TIME_CUTOFF,
     }
     return BoundReport(spec_description=spec.describe(), bound_id=bound_id,
@@ -838,10 +827,11 @@ def zeckendorf_bound_check(spec: PotentialSpec, E: float, m_max: int, d: float) 
 
 def _zeckendorf_report(norms: dict[int, float], E: float, m_max: int, d: float) -> dict:
     log_d = math.log(d)
+    # the top Zeckendorf index of m is max{i : F_i <= m}, with F_1 = 1, F_2 = 2, ...
+    tops = np.searchsorted(fibonacci_numbers(91)[1:], np.arange(1, m_max + 1), side="right")
     worst_margin = -math.inf
     violations = []
-    for m in range(1, m_max + 1):
-        m_top = zeckendorf(m)[-1]
+    for m, m_top in enumerate(tops.tolist(), start=1):
         margin = math.log(norms[m]) - m_top * log_d
         worst_margin = max(worst_margin, margin)
         if margin > 0:
@@ -896,7 +886,8 @@ def resolvent_tail_scaling(spec: PotentialSpec, T_values: Sequence[float], *,
     neighborhood of the good band set at scale N(T)) and the quantity
     S(T) = min_E sum_{|n| >= N(T)/2} |R(E + i/T) delta_1(n)|^2 is recorded.
     The returned exponents are the log-log slope of S against T and its
-    restatement per log N(T).
+    restatement per log N(T).  A 4T + 64 window whose far edges carry more
+    than EDGE_MASS_TOL of |R delta_1|^2 raises :class:`TruncationError`.
     """
     if spec.model is not Model.FIBONACCI:
         raise DomainError("the tail-scaling check drives the Fibonacci good sets")
@@ -912,7 +903,7 @@ def resolvent_tail_scaling(spec: PotentialSpec, T_values: Sequence[float], *,
         window = LatticeWindow(-radius, radius)
         s_min = math.inf
         for E in energies:
-            phi = resolvent_vector(spec, E + 1j / T, window)
+            phi = resolvent_vector(spec, E + 1j / T, window, boundary_tol=EDGE_MASS_TOL)
             sites = window.sites()
             s_val = float(np.sum(np.abs(phi[np.abs(sites) >= n_of_t / 2.0]) ** 2))
             s_min = min(s_min, s_val)

@@ -245,6 +245,46 @@ def test_verify_parseval_budget_counts_the_resolvent_grid(runner, tmp_path, monk
     assert "3.96e+06" in json.loads(line)["message"]
 
 
+def test_dynamics_budget_counts_the_resolvent_profile(runner, tmp_path, monkeypatch):
+    # the time ladder fits 1e7, but the resolvent profile at Tmax = 128 sweeps
+    # 6656 grid points on 3201 sites (2.13e7): refused before either route runs
+    from quasidyn import dynamics
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a route started before the budget check")
+
+    monkeypatch.setattr(dynamics, "_chebyshev_sweep", no_sweep)
+    monkeypatch.setattr(dynamics, "_tridiag_solve", no_sweep)
+    out, prof_out = tmp_path / "m.csv", tmp_path / "p.csv"
+    result = runner.invoke(main, ["dynamics", "--model", "tm", "--lambda", "1",
+                                  "--Tmin", "4", "--Tmax", "128", "--max-cost", "1e7",
+                                  "--out", str(out), "--profile-out", str(prof_out),
+                                  "--profile-method", "resolvent"])
+    assert result.exit_code == 3
+    (line,) = result.stderr.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "budget" and "2.13e+07" in record["message"]
+    assert not out.exists() and not prof_out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "parseval", "--model", "tm", "--lambda", "1", "--T", "20"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--p", "2", "--Tmin", "1", "--Tmax", "40",
+     "--Tcount", "5", "--out", "{tmp}/m.csv"],
+])
+def test_command_builds_its_window_potential_once(runner, tmp_path, monkeypatch, args):
+    from quasidyn import dynamics
+
+    calls = []
+    values = dynamics.potential_values
+    monkeypatch.setattr(dynamics, "potential_values",
+                        lambda spec, sites: calls.append(sites.size) or values(spec, sites))
+    dynamics._window_potential.cache_clear()
+    result = runner.invoke(main, [a.replace("{tmp}", str(tmp_path)) for a in args])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
 def test_dynamics_one_energy_bound_takes_alpha(runner, tmp_path):
     out = tmp_path / "moments.csv"
     result = runner.invoke(main, ["dynamics", "--model", "free", "--p", "2", "--Tmin", "1",

@@ -498,6 +498,18 @@ def test_zeckendorf_bound_on_band_energy():
     assert report["ok"]
 
 
+def test_zeckendorf_report_matches_the_per_m_coding():
+    lam = 1.0
+    band = approximant_spectrum(lam, 10).bands[40]
+    energy, d = 0.5 * (band.lo + band.hi), 1.1
+    norms = transfer_norms_from_origin(fib_spec(lam), energy, 300)
+    margins = [math.log(norms[m]) - zeckendorf(m)[-1] * math.log(d) for m in range(1, 301)]
+    report = zeckendorf_bound_check(fib_spec(lam), energy, 300, d)
+    assert report["worst_log_margin"] == max(margins)
+    assert report["violations"] == [m for m, g in enumerate(margins, start=1) if g > 0]
+    assert report["violations"] and not report["ok"]
+
+
 # ---------------------------------------------------------------------------
 # perturbed-energy bounds and tail scaling
 
@@ -530,6 +542,12 @@ def test_complex_energy_bound_gap_energy_has_finite_constant():
     across_box = spectral_norm(brute_transfer(fib_spec(1.0), 89, -89, 3.5))
     assert report["K"] >= across_box * (1.0 - 1e-12)
     assert math.isfinite(report["max_ratio"])
+
+
+def test_tail_scaling_refuses_a_window_too_small_for_the_resolvent():
+    # at lambda = 0.1 the 4T + 64 window leaves ~1e-4 of |R delta_1|^2 on its edges
+    with pytest.raises(TruncationError, match="enlarge the window"):
+        resolvent_tail_scaling(fib_spec(0.1), [100.0, 1000.0])
 
 
 def test_tail_scaling_grows_along_ladder():

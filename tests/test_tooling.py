@@ -58,3 +58,17 @@ def test_propagate_counts_read_real_time_route_results():
     window = LatticeWindow(-40, 40)
     counts = tracer._propagate_counts({"t": 5.0}, evolve_state(spec, 5.0, window))
     assert counts["site_steps"] == window.size
+
+
+def test_resolvent_counts_read_real_resolvent_results():
+    # the resolvent counter reads the grid size from the profile's metadata;
+    # a renamed key would zero dynamics.resolvent.solves silently
+    from quasidyn.dynamics import profile_resolvent, resolvent_vector
+    from quasidyn.lattice import LatticeWindow, Model, PotentialSpec
+
+    tracer = _load_tracer()
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0)
+    prof = profile_resolvent(spec, 2.0)
+    assert tracer._resolvent_counts({}, prof)["solves"] == prof.meta["grid_points"] > 0
+    phi = resolvent_vector(spec, 0.3 + 0.5j, LatticeWindow(-20, 20))
+    assert tracer._resolvent_counts({}, phi) == {"solves": 1}
