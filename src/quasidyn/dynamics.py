@@ -12,9 +12,11 @@ integrates on a uniform grid; the resolvent route uses the Parseval identity
 
     a(n, T) = (eps/pi) Int |((H - E - i eps)^{-1} delta_1)(n)|^2 dE,
 
-with eps = 1/T, evaluated by midpoint quadrature over an energy grid and a
-banded tridiagonal solve per grid point.  Their agreement is a strong
-end-to-end check of both pipelines.
+with eps = 1/T, evaluated by midpoint quadrature over an energy grid.  One
+kernel sweeps the Dirichlet continued fractions of the window across all grid
+energies at once and checks the profile's mass against the Ward identity
+sum_n |G(n, 1)|^2 = Im G(1, 1)/eps.  Their agreement is a strong end-to-end
+check of both pipelines.
 
 Moments of the position operator are accumulated in the log domain so that
 orders up to p ~ 120 stay inside the floating-point range, and finite-time
@@ -59,6 +61,10 @@ TIME_CUTOFF = 6.0
 
 #: Largest far-edge share of a time-route profile's mass (window too small past it).
 EDGE_MASS_TOL = 1e-6
+
+#: Largest relative gap between a resolvent profile's mass and the Ward
+#: identity's (h/pi) sum_E Im G(1, 1; E + i eps) (the quadrature kernel is wrong past it).
+MASS_IDENTITY_TOL = 1e-12
 
 #: Window sizing rule for evolutions and profiles (radius in sites).
 def default_window_radius(t_max: float) -> int:
@@ -221,17 +227,101 @@ def _grid_cells(v: np.ndarray, eps: float) -> tuple[float, float, int]:
     return lo, hi, int(math.ceil((hi - lo) / spacing))
 
 
+def _fraction_sweep(v_side: np.ndarray, z: np.ndarray, log_edge: np.ndarray | None = None,
+                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Dirichlet continued fraction g <- 1/(v_i - z - g) for every energy
+    z, over ``v_side`` from the truncation edge in (g = 0 past the edge).
+
+    Returns the last g as (Re g, Im g) and log prod_i |v_i - z - g_{i-1}|^2,
+    which is -log prod_i |g_i|^2.  Every |v_i - z - g| lies between Im z and
+    D = max|v| + max|z| + 1/Im z (|g| <= 1/Im z), so the running product is
+    moved into its log every 125/log10 D steps and stays within 1e+-250.
+    Given ``log_edge`` = log |G(edge, s)|^2 this is the weights pass:
+    G(i + 1, s) = -(v_i - z - g_{i-1}) G(i, s), so the product times
+    exp(log_edge + log) is |G(i, s)|^2, and out[i] gets its energy sum.
+    """
+    E, eta = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
+    bound = float(np.max(np.abs(v_side), initial=0.0) + np.max(np.abs(z)) + 1.0 / np.min(eta))
+    block = max(1, int(125.0 / math.log10(max(bound, 10.0))))
+    g_re, g_im = np.zeros_like(E), np.zeros_like(E)
+    d_re, d_im, d2 = np.empty_like(E), np.empty_like(E), np.empty_like(E)
+    prod, log_prod = np.ones_like(E), np.zeros_like(E)
+    if out is not None:
+        scale = np.exp(log_edge)
+    for i, vi in enumerate(v_side.tolist()):
+        if out is not None:
+            out[i] = prod @ scale
+        np.subtract(vi, E, out=d_re)
+        d_re -= g_re
+        np.add(g_im, eta, out=d_im)  # -Im(v_i - z - g), at least eta
+        np.multiply(d_re, d_re, out=d2)
+        d2 += np.multiply(d_im, d_im, out=g_im)  # g_im is free until set below
+        np.divide(d_re, d2, out=g_re)
+        np.divide(d_im, d2, out=g_im)
+        prod *= d2
+        if (i + 1) % block == 0:
+            log_prod += np.log(prod)
+            prod.fill(1.0)
+            if out is not None:
+                np.exp(log_edge + log_prod, out=scale)
+    log_prod += np.log(prod)
+    return g_re, g_im, log_prod
+
+
+def _source_green(v: np.ndarray, z: np.ndarray, src: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """G(s, s; z) at source index s for every energy, and log prod |g|^2 of
+    each side (left, right): pass 1 of :func:`_resolvent_weights`.
+
+    Each side runs its fraction from the truncation edge in to the source;
+    G(s, s) = 1/(v_s - z - g_left - g_right).
+    """
+    denominator = v[src] - z
+    log_sides = []
+    for side in (v[:src], v[:src:-1]):
+        g_re, g_im, log_prod = _fraction_sweep(side, z)
+        denominator -= g_re + 1j * g_im
+        log_sides.append(-log_prod)
+    return 1.0 / denominator, log_sides
+
+
+def _resolvent_weights(v: np.ndarray, z: np.ndarray, src: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_E |G(n, s; z)|^2 for every window site n, and G(s, s; z).
+
+    The one resolvent quadrature kernel, with the energies as the vector axis
+    and O(grid + window) working memory.  Pass 1 (:func:`_source_green`)
+    gives G(s, s) and each side's log prod |g|^2, so log |G(edge, s)|^2 =
+    log |G(s, s)|^2 + log prod |g|^2.  Pass 2 reruns each side's fractions
+    from its edge, growing |G(n, s)|^2 inward under a carried log scale (so
+    nothing underflows to a false zero or overflows), one dot product per
+    site.  Requires Im z > 0, which keeps every denominator away from zero
+    without pivoting.
+    """
+    green, log_sides = _source_green(v, z, src)
+    green2 = green.real ** 2 + green.imag ** 2
+    totals = np.empty(v.size)
+    totals[src] = np.sum(green2)
+    for side, log_side, out in zip((v[:src], v[:src:-1]), log_sides,
+                                   (totals[:src], totals[:src:-1])):
+        _fraction_sweep(side, z, np.log(green2) + log_side, out)
+    return totals, green
+
+
 def profile_resolvent(spec: PotentialSpec, T: float, window: LatticeWindow | None = None, *,
                       energy_grid: np.ndarray | None = None,
                       richardson: bool = False) -> AmplitudeProfile:
     """Site probabilities a(n, T) from the resolvent side of the identity.
 
     Midpoint quadrature of (eps/pi) |R(E + i eps) delta_1(n)|^2 over the
-    energy grid, eps = 1/T.  A caller-provided grid must be uniform with
-    spacing at most eps/4 and span the padded spectral window, otherwise it
-    is rejected.  With ``richardson`` set, every 16th quadrature cell is
-    re-evaluated at half spacing and the worst relative cell discrepancy is
-    reported in the profile metadata as a convergence diagnostic.
+    energy grid, eps = 1/T, from one :func:`_resolvent_weights` call.  A
+    caller-provided grid must be uniform with spacing at most eps/4 and span
+    the padded spectral window, otherwise it is rejected.  The profile's mass
+    must match the Ward identity sum_n |G(n, 1)|^2 = Im G(1, 1)/eps, that is
+    (h/pi) sum_E Im G(1, 1; E + i eps), to ``MASS_IDENTITY_TOL``
+    (``meta["mass_identity_drift"]``), and every site weight must be finite;
+    otherwise :class:`ArithmeticError`.  With ``richardson`` set, every 16th
+    quadrature cell's mass Im G(1, 1)/eps is re-evaluated at half spacing
+    (E +- h/4) and the worst relative cell discrepancy is reported in the
+    profile metadata as a convergence diagnostic.
     """
     if T <= 0:
         raise DomainError("T must be positive")
@@ -251,19 +341,15 @@ def profile_resolvent(spec: PotentialSpec, T: float, window: LatticeWindow | Non
         if grid[0] > v.min() - 2.0 - 1.0 or grid[-1] < v.max() + 2.0 + 1.0:
             raise DomainError("energy grid must span the padded spectral window")
     h = float(grid[1] - grid[0])
-    rhs = np.zeros(window.size, dtype=np.complex128)
-    rhs[window.index(1)] = 1.0
-    total = np.zeros(window.size)
-    worst = 0.0
-    for i, E in enumerate(grid):
-        weights = np.abs(_tridiag_solve(v, E + 1j * eps, rhs)) ** 2
-        total += weights
-        if richardson and i % 16 == 0:
-            refined = sum(0.5 * np.sum(np.abs(_tridiag_solve(v, E + offset + 1j * eps, rhs)) ** 2)
-                          for offset in (-0.25 * h, 0.25 * h))
-            coarse = float(np.sum(weights))
-            worst = max(worst, abs(float(refined) - coarse) / max(coarse, 1e-300))
-    a = (eps / math.pi) * h * total
+    src = window.index(1)
+    totals, green = _resolvent_weights(v, grid + 1j * eps, src)
+    if not np.all(np.isfinite(totals)):
+        raise ArithmeticError("resolvent quadrature produced a non-finite site weight")
+    a = (eps / math.pi) * h * totals
+    ward = (h / math.pi) * float(np.sum(green.imag))
+    drift = abs(float(np.sum(a)) - ward) / ward
+    if not drift <= MASS_IDENTITY_TOL:
+        raise ArithmeticError(f"resolvent profile mass off the Ward identity by {drift:.3e}")
     meta = {
         "model": spec.model.value,
         "lambda": spec.lam,
@@ -272,9 +358,16 @@ def profile_resolvent(spec: PotentialSpec, T: float, window: LatticeWindow | Non
         "grid_points": int(grid.size),
         "grid_spacing": h,
         "convention": FIB_CONVENTION_ID,
+        "site_energy_steps": 2 * (window.size - 1) * int(grid.size),
+        "mass_identity_drift": drift,
     }
     if richardson:
-        meta["richardson_max_rel_delta"] = worst
+        nodes = grid[::16]
+        refined_z = np.concatenate([nodes - 0.25 * h, nodes + 0.25 * h]) + 1j * eps
+        refined = _source_green(v, refined_z, src)[0].imag.reshape(2, -1).mean(axis=0)
+        coarse = green.imag[::16]  # Im G(1, 1) >= eps |G(1, 1)|^2 > 0
+        meta["richardson_max_rel_delta"] = float(np.max(np.abs(refined - coarse) / coarse))
+        meta["site_energy_steps"] += (window.size - 1) * refined_z.size
     return AmplitudeProfile(T=T, window=window, a=a, method="resolvent", meta=meta)
 
 

@@ -237,7 +237,7 @@ def test_verify_parseval_budget_counts_the_resolvent_grid(runner, tmp_path, monk
     def no_solve(*args, **kwargs):
         raise AssertionError("the resolvent route started before the budget check")
 
-    monkeypatch.setattr(dynamics, "_tridiag_solve", no_solve)
+    monkeypatch.setattr(dynamics, "_resolvent_weights", no_solve)
     result = runner.invoke(main, ["verify", "parseval", "--model", "free", "--T", "56",
                                   "--max-cost", "2e6"])
     assert result.exit_code == 3
@@ -254,7 +254,7 @@ def test_dynamics_budget_counts_the_resolvent_profile(runner, tmp_path, monkeypa
         raise AssertionError("a route started before the budget check")
 
     monkeypatch.setattr(dynamics, "_chebyshev_sweep", no_sweep)
-    monkeypatch.setattr(dynamics, "_tridiag_solve", no_sweep)
+    monkeypatch.setattr(dynamics, "_resolvent_weights", no_sweep)
     out, prof_out = tmp_path / "m.csv", tmp_path / "p.csv"
     result = runner.invoke(main, ["dynamics", "--model", "tm", "--lambda", "1",
                                   "--Tmin", "4", "--Tmax", "128", "--max-cost", "1e7",

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from quasidyn import dynamics
 from quasidyn.dynamics import (
     AmplitudeProfile,
     GoodSetInput,
@@ -35,6 +37,7 @@ from quasidyn.lattice import (
     ResourceError,
     TruncationError,
     potential_values,
+    _tridiag_solve,
     spectral_norm,
     transfer_matrix,
 )
@@ -315,6 +318,112 @@ def test_resolvent_profile_rejects_coarse_grid():
     grid = np.linspace(-7.0, 7.0, 100)
     with pytest.raises(DomainError):
         profile_resolvent(FREE, 50.0, window=window, energy_grid=grid)
+
+
+def _dense_green_columns(v: np.ndarray, z: np.ndarray, src: int) -> np.ndarray:
+    """|G(n, src; z)|^2 as (energy, site), from the window Hamiltonian built
+    entry by entry and one dense solve per energy."""
+    n = v.size
+    H = np.zeros((n, n))
+    for i in range(n):
+        H[i, i] = v[i]
+        if i + 1 < n:
+            H[i, i + 1] = H[i + 1, i] = 1.0
+    rhs = np.zeros(n)
+    rhs[src] = 1.0
+    return np.array([np.linalg.solve(H - zk * np.eye(n), rhs) for zk in z])
+
+
+@pytest.mark.parametrize("geometry, window", [
+    (Geometry.WHOLE_LINE, LatticeWindow(-40, 40)),
+    (Geometry.HALF_LINE, LatticeWindow(1, 80, Geometry.HALF_LINE)),
+])
+@pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
+def test_resolvent_weights_match_dense_solves(geometry, window, lam):
+    v = potential_values(PotentialSpec(Model.FIBONACCI, lam, geometry=geometry), window.sites())
+    src = window.index(1)
+    inside = np.linspace(-2.5, lam + 2.5, 61)
+    far = np.array([-1e4, -300.0, 300.0, 1e4])
+    z = np.concatenate([inside, far]) + 0.05j
+    G = _dense_green_columns(v, z, src)
+    expected = np.sum(np.abs(G) ** 2, axis=0)
+    # the farthest energy puts |G|^2 at the last site below 1e-300
+    assert np.abs(G[-1, -1]) ** 2 < 1e-300
+    totals, green = dynamics._resolvent_weights(v, z, src)
+    assert np.all(np.isfinite(totals)) and np.all(totals >= 0.0)
+    assert np.max(np.abs(totals - expected)) <= 1e-12 * np.max(expected)
+    npt.assert_allclose(green, G[:, src], rtol=1e-12)
+    far_totals, _ = dynamics._resolvent_weights(v, far + 0.05j, src)
+    far_expected = np.sum(np.abs(G[-far.size:]) ** 2, axis=0)
+    assert np.all(np.isfinite(far_totals)) and np.all(far_totals >= 0.0)
+    assert np.max(np.abs(far_totals - far_expected)) <= 1e-12 * np.max(far_expected)
+
+
+@pytest.mark.parametrize("geometry", [Geometry.WHOLE_LINE, Geometry.HALF_LINE])
+def test_resolvent_richardson_matches_re_solved_cells(geometry):
+    # the parent formula: every 16th cell's mass sum_n |G(n, 1)|^2 re-solved
+    # at E -+ h/4; the kernel reads the cell masses off the Ward identity
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0, geometry=geometry)
+    T, eps = 20.0, 1.0 / 20.0
+    window = LatticeWindow(-150, 150) if geometry is Geometry.WHOLE_LINE \
+        else LatticeWindow(1, 300, Geometry.HALF_LINE)
+    grid = np.linspace(-7.0, 7.0, 1200)
+    h = grid[1] - grid[0]
+    prof = profile_resolvent(spec, T, window=window, energy_grid=grid, richardson=True)
+    v = potential_values(spec, window.sites())
+    rhs = np.zeros(window.size, dtype=complex)
+    rhs[window.index(1)] = 1.0
+
+    def cell(E):
+        return np.sum(np.abs(_tridiag_solve(v, E + 1j * eps, rhs)) ** 2)
+
+    worst = max(abs(0.5 * (cell(E - h / 4) + cell(E + h / 4)) - cell(E)) / cell(E)
+                for E in grid[::16])
+    # a relative cell discrepancy: both cell masses agree to 1e-12 of themselves
+    assert abs(prof.meta["richardson_max_rel_delta"] - worst) <= 1e-12
+
+
+@pytest.mark.parametrize("model", ["tm", "fib", "free", "pd"])
+@pytest.mark.parametrize("geometry", [Geometry.WHOLE_LINE, Geometry.HALF_LINE])
+def test_resolvent_profile_meets_the_ward_identity(model, geometry):
+    prof = profile_resolvent(PotentialSpec(Model.parse(model), 1.0, geometry=geometry), 20.0)
+    assert 0.0 <= prof.meta["mass_identity_drift"] <= 1e-12
+    assert prof.meta["site_energy_steps"] == 2 * (prof.window.size - 1) * prof.meta["grid_points"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda totals: totals * (1.0 + 1e-9),
+    lambda totals: np.where(np.arange(totals.size) == 3, np.nan, totals),
+])
+def test_resolvent_profile_refuses_a_broken_quadrature(monkeypatch, corrupt):
+    kernel = dynamics._resolvent_weights
+
+    def broken(v, z, src):
+        totals, green = kernel(v, z, src)
+        return corrupt(totals), green
+
+    monkeypatch.setattr(dynamics, "_resolvent_weights", broken)
+    with pytest.raises(ArithmeticError):
+        profile_resolvent(FREE, 20.0)
+
+
+#: Grid- or window-length complex vectors the resolvent route may hold at once.
+RESOLVENT_WORK_VECTORS = 12
+
+
+def test_resolvent_profile_memory_is_linear_in_grid_and_window():
+    # a kernel storing every fraction g (grid x window) would take 69 MB here
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0)
+    profile_resolvent(spec, 56.0)  # the window potential is built once, outside the count
+    tracemalloc.start()
+    try:
+        prof = profile_resolvent(spec, 56.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    limit = RESOLVENT_WORK_VECTORS * (prof.meta["grid_points"] + prof.window.size) * 16
+    assert limit < 2 * 1024 * 1024
+    assert peak < limit
 
 
 # ---------------------------------------------------------------------------
