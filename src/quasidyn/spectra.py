@@ -19,11 +19,10 @@ ratios between consecutive levels, and bandwidths shrinking no faster than
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -96,9 +95,8 @@ class BandSet:
     bands: tuple[Band, ...]
 
     def __post_init__(self):
-        for left, right in zip(self.bands, self.bands[1:]):
-            if not left.hi < right.lo:
-                raise DomainError("bands must be sorted and pairwise disjoint")
+        if not np.all(self._ends[:-1, 1] < self._ends[1:, 0]):
+            raise DomainError("bands must be sorted and pairwise disjoint")
 
     def __len__(self) -> int:
         return len(self.bands)
@@ -114,19 +112,26 @@ class BandSet:
     def min_width(self) -> float:
         return float(min(b.width for b in self.bands))
 
-    def covers(self, e_lo: float, e_hi: float, tol: float) -> bool:
-        """True if [e_lo, e_hi] lies inside a single band, up to tol.
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        """(n, 2) array of the band ends (lo, hi), ascending."""
+        return np.array([(b.lo, b.hi) for b in self.bands]).reshape(-1, 2)
 
-        Only the last band with lo - tol <= e_lo can hold it: any band
-        before it ends lower, and any band after it starts too high.
-        """
-        i = bisect.bisect_right(self.bands, e_lo, key=lambda b: b.lo - tol) - 1
-        return i >= 0 and e_hi <= self.bands[i].hi + tol
+    def covers(self, e_lo: float, e_hi: float, tol: float) -> bool:
+        """True if [e_lo, e_hi] lies inside a single band, up to tol."""
+        return bool(_held(self._ends, e_lo, e_hi, tol))
 
     def interior_points(self, count: int) -> np.ndarray:
         """``Band.interior_points`` of every band, one row per band."""
-        ends = np.array([(b.lo, b.hi) for b in self.bands])
-        return _chebyshev_interior(ends[:, :1], ends[:, 1:], count)
+        return _chebyshev_interior(self._ends[:, :1], self._ends[:, 1:], count)
+
+
+def _held(ends: np.ndarray, q_lo, q_hi, tol: float):
+    """Whether each query [q_lo, q_hi] lies in an interval of the sorted, disjoint
+    (n, 2) set ``ends``, up to tol.  Only the last interval with lo - tol <= q_lo can
+    hold it, so its hi + tol decides.  Swapped ends (b, a) ask if [a, b] meets one."""
+    i = np.searchsorted(ends[:, 0] - tol, q_lo, side="right")
+    return (i > 0) & (q_hi <= np.r_[-np.inf, ends[:, 1] + tol][i])
 
 
 @dataclass(frozen=True)
@@ -199,8 +204,8 @@ def approximant_spectrum(lam: float, k: int) -> BandSet:
         excess = (np.abs(x.hi) - 2.0) + np.sign(x.hi) * x.lo
     # inf or NaN past the double-double range is an open gap; meeting crossings leave none
     open_gap = ~(excess <= _CLOSED_GAP_EXCESS) & (hi[:-1] < lo[1:])
-    runs = np.split(np.arange(lo.size), np.flatnonzero(open_gap) + 1)
-    bands = tuple(Band(lo=lo[run[0]], hi=hi[run[-1]], k=k) for run in runs)
+    first, last = np.r_[True, open_gap], np.r_[open_gap, True]
+    bands = tuple(Band(lo=a, hi=b, k=k) for a, b in zip(lo[first], hi[last]))
     if lam > 4.0 and len(bands) != lo.size:
         raise BandCountError(
             f"level {k} at lambda={lam}: found {len(bands)} bands, expected F_{k} = {lo.size}")
@@ -228,16 +233,13 @@ def covering_check(lam: float, m: int, *, tol: float = 1e-8) -> CoveringReport:
     """
     if m < 2:
         raise DomainError("covering check needs m >= 2")
-    cover: list[tuple[float, float]] = []
-    for src in (_cached_spectrum(lam, m - 1), _cached_spectrum(lam, m)):
-        cover.extend((b.lo, b.hi) for b in src)
-    union = merge_intervals(cover, tol)
+    cover = np.concatenate([_cached_spectrum(lam, j)._ends for j in (m - 1, m)])
+    union = np.array(merge_intervals(cover.tolist(), tol)).reshape(-1, 2)
     violations = []
     for level in (m, m + 1):
-        for band in _cached_spectrum(lam, level):
-            inside = any(lo - tol <= band.lo and band.hi <= hi + tol for lo, hi in union)
-            if not inside:
-                violations.append((level, band.lo, band.hi))
+        bands = _cached_spectrum(lam, level)
+        violations.extend((level, b.lo, b.hi)
+                          for b, ok in zip(bands, _held(union, *bands._ends.T, tol)) if not ok)
     return CoveringReport(lam=lam, m=m, ok=not violations, violations=tuple(violations))
 
 
@@ -253,12 +255,10 @@ def classify_bands(lam: float, k: int, *, containment_tol: float = 1e-9) -> Band
     if k < 2:
         raise DomainError("classification needs k >= 2")
     cur = _cached_spectrum(lam, k)
-    parent_a = _cached_spectrum(lam, k - 1)
-    parent_b = _cached_spectrum(lam, k - 2)
+    held = [_held(_cached_spectrum(lam, j)._ends, *cur._ends.T, containment_tol).tolist()
+            for j in (k - 1, k - 2)]
     labeled = []
-    for band in cur:
-        in_a = parent_a.covers(band.lo, band.hi, containment_tol)
-        in_b = parent_b.covers(band.lo, band.hi, containment_tol)
+    for band, in_a, in_b in zip(cur, *held):
         if in_a == in_b:
             raise ClassificationError(
                 f"band [{band.lo}, {band.hi}] of level {k}: in_a={in_a}, in_b={in_b}")
@@ -282,10 +282,13 @@ def genealogy_check(lam: float, k: int) -> dict:
     cur = classify_bands(lam, k)
     child1 = classify_bands(lam, k + 1)
     child2 = classify_bands(lam, k + 2)
+    # a band holds the run of children from lo >= band.lo - tol to hi <= band.hi + tol
+    runs = [zip(np.searchsorted(child._ends[:, 0], cur._ends[:, 0] - tol).tolist(),
+                np.searchsorted(child._ends[:, 1], cur._ends[:, 1] + tol, side="right").tolist())
+            for child in (child1, child2)]
     failures = []
-    for band in cur:
-        c1 = [c for c in child1 if band.contains(c, tol)]
-        c2 = [c for c in child2 if band.contains(c, tol)]
+    for band, (a1, b1), (a2, b2) in zip(cur, *runs):
+        c1, c2 = child1.bands[a1:b1], child2.bands[a2:b2]
         if band.kind is BandKind.TYPE_A:
             if len(c1) != 0 or len(c2) != 1 or c2[0].kind is not BandKind.TYPE_B:
                 failures.append(("A", band.lo, band.hi, len(c1), len(c2)))
@@ -295,12 +298,9 @@ def genealogy_check(lam: float, k: int) -> dict:
                   and c2[0].hi < c1[0].lo and c1[0].hi < c2[1].lo)
             if not ok:
                 failures.append(("B", band.lo, band.hi, len(c1), len(c2)))
-    triple_overlap = []
-    for grand in child2:
-        meets_cur = any(b.lo - tol <= grand.hi and grand.lo <= b.hi + tol for b in cur)
-        meets_child1 = any(b.lo - tol <= grand.hi and grand.lo <= b.hi + tol for b in child1)
-        if meets_cur and meets_child1:
-            triple_overlap.append((grand.lo, grand.hi))
+    # swapped query ends: does a level-(k+2) band meet a band of each set
+    meets = [_held(bands._ends, *child2._ends.T[::-1], tol) for bands in (cur, child1)]
+    triple_overlap = [(g.lo, g.hi) for g, both in zip(child2, meets[0] & meets[1]) if both]
     counts = {
         "n_bands": len(cur),
         "n_type_a": sum(b.kind is BandKind.TYPE_A for b in cur),

@@ -165,8 +165,8 @@ class _Jet(_Number):
 
 
 class _Clip(_Number):
-    """Float64 array whose sums are clipped to +-TRACE_OVERFLOW.  Each map
-    level ends in a sum, so each level is clipped while the product inside
+    """Float64 array whose sums are clipped to +-TRACE_OVERFLOW in place.  Each
+    map level ends in a sum, so each level is clipped while the product inside
     it keeps its sign: the sign survives where plain float64 gives NaN."""
 
     __slots__ = ("v",)
@@ -175,10 +175,12 @@ class _Clip(_Number):
         self.v = v
 
     def __add__(self, other) -> "_Clip":
-        return _Clip(np.clip(self.v + _Clip._of(other).v, -TRACE_OVERFLOW, TRACE_OVERFLOW))
+        s = self.v + _Clip._of(other).v
+        return _Clip(np.minimum(np.maximum(s, -TRACE_OVERFLOW, out=s), TRACE_OVERFLOW, out=s))
 
-    def __neg__(self) -> "_Clip":
-        return _Clip(-self.v)
+    def __sub__(self, other) -> "_Clip":
+        s = self.v - _Clip._of(other).v
+        return _Clip(np.minimum(np.maximum(s, -TRACE_OVERFLOW, out=s), TRACE_OVERFLOW, out=s))
 
     def __mul__(self, other) -> "_Clip":
         return _Clip(self.v * _Clip._of(other).v)
@@ -491,25 +493,23 @@ def _level_crossings(v: np.ndarray, trace, targets: tuple[float, ...]) -> tuple[
     i holds band i, where the discriminant runs monotonically from -2 to 2
     if q - 1 - i is even (it grows like E^q) and back otherwise, and each
     target in [-2, 2] is crossed once.  Bisection on the sign of trace - c
-    (``trace`` must keep it) runs until no midpoint moves and keeps the
-    closer end.  Returns the (len(targets), q) crossings and the q + 1
-    bracket ends."""
+    (``trace`` must keep it) steps all brackets at once, moving an end where the
+    midpoint lies strictly inside, and keeps the closer end once none does.
+    Returns the (len(targets), q) crossings and the q + 1 bracket ends."""
     q = v.size
     dirichlet = eigvalsh_tridiagonal(v[:-1], np.ones(q - 2)) if q > 1 else []
     ends = np.concatenate([[v.min() - 2.0], dirichlet, [v.max() + 2.0]])
     lo, hi = np.tile(ends[:-1], len(targets)), np.tile(ends[1:], len(targets))
     rising = np.tile((q - 1 - np.arange(q)) % 2 == 0, len(targets))
     target = np.repeat(np.asarray(targets, dtype=np.float64), q)
-    todo = np.arange(lo.size)
     # the clipped Thue-Morse step may overflow inside a level; the sum clips it
     with np.errstate(over="ignore"):
-        while todo.size:
-            mid = 0.5 * (lo[todo] + hi[todo])
-            moved = (lo[todo] < mid) & (mid < hi[todo])
-            todo, mid = todo[moved], mid[moved]
-            left = (trace(mid) > target[todo]) == rising[todo]
-            hi[todo[left]] = mid[left]
-            lo[todo[~left]] = mid[~left]
+        mid = 0.5 * (lo + hi)
+        while (moved := (lo < mid) & (mid < hi)).any():
+            left = (trace(mid) > target) == rising
+            hi = np.where(moved & left, mid, hi)
+            lo = np.where(moved & ~left, mid, lo)
+            mid = 0.5 * (lo + hi)
         closer_hi = np.abs(trace(hi) - target) < np.abs(trace(lo) - target)
     return np.where(closer_hi, hi, lo).reshape(-1, q), ends
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasidyn.lattice import DomainError
@@ -13,6 +13,7 @@ from quasidyn.spectra import (
     BandCountError,
     BandKind,
     BandSet,
+    _held,
     approximant_spectrum,
     bound_parameters,
     classify_bands,
@@ -155,6 +156,33 @@ def test_band_set_covers_matches_brute_scan(tol, rng):
             assert bands.covers(float(e_lo), float(e_hi), tol) == brute
 
 
+@settings(max_examples=200, derandomize=True)
+@given(start=st.integers(-16, 16),
+       pieces=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 12)), max_size=6),
+       tol=st.sampled_from([0.0, 0.25, 0.5]),
+       extra=st.lists(st.integers(-40, 120), max_size=6))
+@example(start=0, pieces=[], tol=0.25, extra=[-3, 0, 5])
+@example(start=0, pieces=[(4, 3), (4, 1), (0, 2), (2, 12)], tol=0.25, extra=[])
+def test_containment_kernel_matches_scan(start, pieces, tol, extra):
+    # intervals (width w/8, then a gap g/8 >= 1/8) in ascending order; with
+    # tol = 0.25 a gap of 3/8 lies between tol and 2 tol
+    ends, x = [], start / 8.0
+    for width, gap in pieces:
+        ends.append((x, x + width / 8.0))
+        x += (width + gap) / 8.0
+    # query ends at and tol beyond every interval end, left of the first
+    # interval, and anywhere
+    points = sorted({p + d for lo, hi in ends for p in (lo, hi) for d in (-tol, 0.0, tol)}
+                    | {start / 8.0 - 1.0} | {e / 8.0 for e in extra})
+    q_lo, q_hi = np.array(list(itertools.combinations_with_replacement(points, 2))).T
+    ends_array = np.array(ends).reshape(-1, 2)
+    held = _held(ends_array, q_lo, q_hi, tol)
+    meets = _held(ends_array, q_hi, q_lo, tol)
+    for a, b, h, m in zip(q_lo, q_hi, held, meets):
+        assert h == any(lo - tol <= a and b <= hi + tol for lo, hi in ends), (a, b)
+        assert m == any(lo - tol <= b and a <= hi + tol for lo, hi in ends), (a, b)
+
+
 @pytest.mark.parametrize("lam", [1.0, 2.0, 5.0])
 def test_covering_property(lam):
     for m in range(2, 10):
@@ -195,6 +223,48 @@ def test_type_a_bands_avoid_next_level():
             continue
         for other in child:
             assert other.hi < band.lo or band.hi < other.lo
+
+
+def _genealogy_scan(cur, child1, child2, tol):
+    """The genealogy failures and triple overlaps by testing every pair of bands."""
+    failures = []
+    for band in cur:
+        c1 = [c for c in child1 if band.contains(c, tol)]
+        c2 = [c for c in child2 if band.contains(c, tol)]
+        if band.kind is BandKind.TYPE_A:
+            if len(c1) != 0 or len(c2) != 1 or c2[0].kind is not BandKind.TYPE_B:
+                failures.append(("A", band.lo, band.hi, len(c1), len(c2)))
+        else:
+            ok = (len(c1) == 1 and c1[0].kind is BandKind.TYPE_A
+                  and len(c2) == 2 and all(c.kind is BandKind.TYPE_B for c in c2)
+                  and c2[0].hi < c1[0].lo and c1[0].hi < c2[1].lo)
+            if not ok:
+                failures.append(("B", band.lo, band.hi, len(c1), len(c2)))
+    meets = lambda g, bands: any(b.lo - tol <= g.hi and g.lo <= b.hi + tol for b in bands)
+    triple = [(g.lo, g.hi) for g in child2 if meets(g, cur) and meets(g, child1)]
+    return failures, triple
+
+
+def test_genealogy_matches_pairwise_scan(monkeypatch, rng):
+    # band ends on a grid of tol/2 = 5e-10, so bands nest, touch and sit
+    # within tol of each other in every way, two parents within 2 tol of
+    # one child included
+    def band_set(k):
+        cuts = np.sort(rng.choice(80, size=2 * int(rng.integers(1, 12)), replace=False)) * 5e-10
+        kinds = rng.choice([BandKind.TYPE_A, BandKind.TYPE_B], size=cuts.size // 2)
+        return BandSet(lam=5.0, k=k, bands=tuple(
+            Band(lo=lo, hi=hi, k=k, kind=kind) for lo, hi, kind in zip(cuts[::2], cuts[1::2], kinds)))
+
+    checked = 0
+    for _ in range(300):
+        sets = {k: band_set(k) for k in (3, 4, 5)}
+        monkeypatch.setattr("quasidyn.spectra.classify_bands", lambda lam, k: sets[k])
+        report = genealogy_check(5.0, 3)
+        failures, triple = _genealogy_scan(sets[3], sets[4], sets[5], 1e-9)
+        assert report["failures"] == failures
+        assert report["triple_overlap"] == triple
+        checked += len(failures) < len(sets[3])
+    assert checked > 0  # some bands passed their rule too
 
 
 def test_no_three_consecutive_small_traces():

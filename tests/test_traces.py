@@ -465,6 +465,86 @@ def test_level_signs_past_float64_overflow_match_exact_trace():
             assert np.sign(x - c) == np.sign(exact - c)
 
 
+def _scalar_crossings(ends, trace, targets):
+    """Bisection of one bracket at a time in Python floats: the midpoint
+    0.5 (lo + hi) until it no longer lies strictly inside, then the end
+    whose trace is closer to the target."""
+    q = len(ends) - 1
+    value = lambda e: float(trace(np.array([e]))[0])
+    out = []
+    for target in targets:
+        row = []
+        for i in range(q):
+            lo, hi = float(ends[i]), float(ends[i + 1])
+            rising = (q - 1 - i) % 2 == 0
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                if (value(mid) > target) == rising:
+                    hi = mid
+                else:
+                    lo = mid
+            row.append(hi if abs(value(hi) - target) < abs(value(lo) - target) else lo)
+        out.append(row)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("model, lam, levels, targets", [
+    (Model.FIBONACCI, 1.0, range(9), (-2.0, 2.0)),
+    (Model.FIBONACCI, 5.0, range(9), (-2.0, 2.0)),
+    (Model.PERIOD_DOUBLING, 1.0, range(6), (0.0,)),
+    (Model.THUE_MORSE, 1.0, range(6), (0.0,)),
+])
+def test_level_crossings_match_scalar_bisection(model, lam, levels, targets):
+    # the fixed-shape vector loop stops each bracket where a one-bracket
+    # bisection would, so every crossing is the same float
+    from quasidyn.traces import _level_crossings, _period_cell
+
+    for level in levels:
+        row, trace = _period_cell(model, lam, level, "oracle level")
+        crossings, ends = _level_crossings(row, trace, targets)
+        oracle = _scalar_crossings(ends, trace, targets)
+        assert crossings.shape == (len(targets), row.size)
+        assert np.array_equal(crossings, oracle), (model, lam, level)
+
+
+def test_clip_matches_clipped_float_arithmetic():
+    # +, - and x on _Clip values give the parent forms bit for bit:
+    # clip(a + b), clip(a + (-b)) and a * b
+    from quasidyn.traces import TRACE_OVERFLOW, _Clip
+
+    values = np.array([np.inf, -np.inf, np.nan, 1e200, -1e200, 1e150, 0.0, -0.0, 1.0, -3.5])
+    a, b = (x.ravel() for x in np.meshgrid(values, values))
+    clip = lambda x: np.clip(x, -TRACE_OVERFLOW, TRACE_OVERFLOW)
+    with np.errstate(all="ignore"):
+        cases = [
+            ((_Clip(a) + _Clip(b)).v, clip(a + b)),
+            ((_Clip(a) - _Clip(b)).v, clip(a + -b)),
+            ((_Clip(a) * _Clip(b)).v, a * b),
+            ((_Clip(a) - 2.0).v, clip(a + -2.0)),
+            ((2.0 + _Clip(a)).v, clip(a + 2.0)),
+        ]
+    for got, want in cases:
+        assert np.array_equal(got, want, equal_nan=True)
+        sign_known = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[sign_known]), np.signbit(want[sign_known]))
+    # operands are not written to
+    assert np.array_equal(a, np.meshgrid(values, values)[0].ravel(), equal_nan=True)
+
+
+def test_clip_keeps_the_sign_of_an_overflowing_level():
+    # x y - z with |x y| past float64: the product is +-inf, the level is
+    # clipped to +-TRACE_OVERFLOW with the sign of the product
+    from quasidyn.traces import TRACE_OVERFLOW, _Clip
+
+    x = np.array([1e200, -1e200, 1e200, 1e100])
+    y = np.array([1e200, 1e200, -1e200, 1e100])
+    z = np.array([5.0, 5.0, -5.0, 1e149])
+    with np.errstate(over="ignore"):
+        level = (_Clip(x) * _Clip(y) - _Clip(z)).v
+    assert np.array_equal(level, [TRACE_OVERFLOW, -TRACE_OVERFLOW, -TRACE_OVERFLOW,
+                                  TRACE_OVERFLOW])
+
+
 # ---------------------------------------------------------------------------
 # double-double arithmetic
 
