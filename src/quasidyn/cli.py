@@ -24,6 +24,7 @@ the files preserves the determinism contract.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 import re
@@ -130,16 +131,24 @@ def _flag_or_file(file_vals: dict, name: str, key: str):
     return ctx.params[name]
 
 
+#: Cell formatters, tried in order against a cell's type (the first that matches).
+_FORMATS = (
+    ((bool, np.bool_), lambda v: "true" if v else "false"),
+    ((float, np.floating), lambda v: f"{float(v):.17g}"),
+    ((int, np.integer), lambda v: str(int(v))),
+    (enum.Enum, lambda v: str(v.value)),
+    (object, str),
+)
+
+
+@functools.cache
+def _formatter(cls: type):
+    return next(fmt for types, fmt in _FORMATS if issubclass(cls, types))
+
+
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, enum.Enum):
-        return str(value.value)
-    return str(value)
+    """A CSV cell or config value as text; the formatter is looked up once per type."""
+    return _formatter(type(value))(value)
 
 
 def _meta_lines(config: RunConfig, tolerances: dict) -> list[str]:
@@ -549,13 +558,12 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
 def powerlaw(model, lam, energies, from_level, count, mmax, alpha, geometry, out):
     """Transfer-norm power-law sweep with the Fibonacci coding bound."""
     spec = _build_spec(model, lam, geometry, None, ())
+    if alpha is None and spec.model is Model.FIBONACCI:
+        alpha = spectra.bound_parameters(lam).alpha
+    elif alpha is None:
+        alpha = {Model.PERIOD_DOUBLING: 1.0, Model.THUE_MORSE: 0.0}.get(spec.model)
     if alpha is None:
-        alpha = {Model.FIBONACCI: None, Model.PERIOD_DOUBLING: 1.0,
-                 Model.THUE_MORSE: 0.0}.get(spec.model)
-        if alpha is None and spec.model is Model.FIBONACCI:
-            alpha = spectra.bound_parameters(lam).alpha
-        elif alpha is None:
-            raise click.UsageError("--alpha is required for this model")
+        raise click.UsageError("--alpha is required for this model")
     energy_list = list(energies)
     if not energy_list:
         if spec.model is Model.FIBONACCI:

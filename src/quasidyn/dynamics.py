@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -39,6 +40,7 @@ from scipy.linalg.blas import dgemm, zgemm
 from scipy.special import jv, logsumexp
 
 from quasidyn.lattice import (
+    MAX_WORD_LENGTH,
     DomainError,
     Geometry,
     LatticeWindow,
@@ -832,21 +834,52 @@ def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Seque
 # ---------------------------------------------------------------------------
 # transfer-matrix power laws
 
-def transfer_norms_from_origin(spec: PotentialSpec, E: complex, m_max: int) -> dict[int, float]:
-    """Spectral norms of T(m, 1; E) for 1 <= |m| <= m_max, swept incrementally.
+class TransferNorms(Mapping):
+    """||T(m, 1; E)|| by m, read-only, over arrays ``m`` (consecutive, ascending) and ``norms``."""
+
+    def __init__(self, m: np.ndarray, norms: np.ndarray):
+        self.m, self.norms = m, norms
+        m.flags.writeable = norms.flags.writeable = False
+
+    def __getitem__(self, m) -> float:
+        if not (isinstance(m, (int, np.integer)) and self.m[0] <= m <= self.m[-1]):
+            raise KeyError(m)
+        return float(self.norms[m - self.m[0]])
+
+    def __iter__(self):
+        return iter(self.m.tolist())
+
+    def __len__(self) -> int:
+        return self.m.size
+
+    def items(self):
+        return _NormItems(self)
+
+
+class _NormItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping.m.tolist(), self._mapping.norms.tolist())
+
+
+def transfer_norms_from_origin(spec: PotentialSpec, E: complex, m_max: int) -> TransferNorms:
+    """Spectral norms of T(m, 1; E) for 1 <= |m| <= m_max (and m = 0 on the whole line).
 
     On the whole line the negative side uses ||T(m, 1)|| = ||T(1, m)||,
     valid because transfer matrices are unimodular, and
     ||A(1) ... A(m+1)|| = ||A(m+1) ... A(1)||, valid because
     A^T = D A D with D = diag(1, -1); so it is the same forward sweep fed
-    the sites 1, 0, -1, ....
+    the sites 1, 0, -1, ....  An m_max past MAX_WORD_LENGTH raises
+    :class:`ResourceError` (and one below 1 :class:`DomainError`) before any site is built.
     """
-    forward = _transfer_prefixes(potential_values(spec, np.arange(2, m_max + 1)), E)
-    norms = dict(zip(range(1, m_max + 1), spectral_norm(forward).tolist()))
+    if m_max < 1:
+        raise DomainError("m_max must be at least 1")
+    if m_max > MAX_WORD_LENGTH:
+        raise ResourceError(f"transfer sweep to m_max={m_max} exceeds cap {MAX_WORD_LENGTH}")
+    norms = spectral_norm(_transfer_prefixes(potential_values(spec, np.arange(2, m_max + 1)), E))
     if spec.geometry is Geometry.WHOLE_LINE:
         backward = _transfer_prefixes(potential_values(spec, np.arange(1, -m_max, -1)), E)
-        norms.update(zip(range(0, -m_max - 1, -1), spectral_norm(backward[1:]).tolist()))
-    return norms
+        norms = np.concatenate([spectral_norm(backward[1:])[::-1], norms])
+    return TransferNorms(np.arange(m_max + 1 - norms.size, m_max + 1), norms)
 
 
 @dataclass(frozen=True)
@@ -871,22 +904,19 @@ def powerlaw_check(spec: PotentialSpec, E: float, alpha: float, m_max: int, *,
     return _powerlaw_report(transfer_norms_from_origin(spec, E, m_max), E, alpha, m_max, cap)
 
 
-def _powerlaw_report(norms: dict[int, float], E: float, alpha: float, m_max: int,
+def _powerlaw_report(norms: TransferNorms, E: float, alpha: float, m_max: int,
                      cap: float | None = None) -> PowerlawReport:
-    best_ratio, best_m, max_norm = 0.0, 1, 0.0
-    violations = []
-    for m, norm in sorted(norms.items()):
-        if m == 0:
-            continue
-        ratio = norm / abs(m) ** alpha
-        max_norm = max(max_norm, norm)
-        if ratio > best_ratio:
-            best_ratio, best_m = ratio, m
-        if cap is not None and ratio > cap:
-            violations.append(m)
-    return PowerlawReport(E=E, alpha=alpha, m_max=m_max, c_estimate=best_ratio,
-                          argmax_m=best_m, max_norm=max_norm,
-                          violations=tuple(violations))
+    keep = norms.m != 0
+    m, values = norms.m[keep], norms.norms[keep]
+    # |m|^alpha by Python **: np.power differs from it in the last bit on some m
+    with np.errstate(divide="raise"):
+        ratios = values / np.array([abs(k) ** alpha for k in m.tolist()], dtype=np.float64)
+    best = int(np.argmax(np.where(ratios > 0.0, ratios, 0.0)))  # a strict > scan in ascending m
+    c_estimate, argmax_m = (float(ratios[best]), int(m[best])) if ratios[best] > 0.0 else (0.0, 1)
+    violations = () if cap is None else tuple(m[ratios > cap].tolist())
+    return PowerlawReport(E=E, alpha=alpha, m_max=m_max, c_estimate=c_estimate,
+                          argmax_m=argmax_m, max_norm=float(values.max()),
+                          violations=violations)
 
 
 def zeckendorf(m: int) -> list[int]:
@@ -898,19 +928,15 @@ def zeckendorf(m: int) -> list[int]:
     """
     if m < 1:
         raise DomainError("Zeckendorf coding needs m >= 1")
-    fib = [1, 1]
+    fib = [1, 2]  # F_i is fib[i - 1]
     while fib[-1] <= m:
         fib.append(fib[-1] + fib[-2])
     indices = []
-    rest = m
-    i = len(fib) - 2
-    while rest > 0:
-        while fib[i] > rest:
-            i -= 1
-        indices.append(i)
-        rest -= fib[i]
-        i -= 2
-    return sorted(indices)
+    for i in range(len(fib), 0, -1):
+        if fib[i - 1] <= m:  # then m - F_i < F_(i-1), so index i - 1 is never taken
+            indices.append(i)
+            m -= fib[i - 1]
+    return indices[::-1]
 
 
 def zeckendorf_bound_check(spec: PotentialSpec, E: float, m_max: int, d: float) -> dict:
@@ -918,18 +944,16 @@ def zeckendorf_bound_check(spec: PotentialSpec, E: float, m_max: int, d: float) 
     return _zeckendorf_report(transfer_norms_from_origin(spec, E, m_max), E, m_max, d)
 
 
-def _zeckendorf_report(norms: dict[int, float], E: float, m_max: int, d: float) -> dict:
+def _zeckendorf_report(norms: TransferNorms, E: float, m_max: int, d: float) -> dict:
     log_d = math.log(d)
+    m = np.arange(1, m_max + 1)
     # the top Zeckendorf index of m is max{i : F_i <= m}, with F_1 = 1, F_2 = 2, ...
-    tops = np.searchsorted(fibonacci_numbers(91)[1:], np.arange(1, m_max + 1), side="right")
-    worst_margin = -math.inf
-    violations = []
-    for m, m_top in enumerate(tops.tolist(), start=1):
-        margin = math.log(norms[m]) - m_top * log_d
-        worst_margin = max(worst_margin, margin)
-        if margin > 0:
-            violations.append(m)
-    return {"E": E, "m_max": m_max, "d": d, "worst_log_margin": worst_margin,
+    tops = np.searchsorted(fibonacci_numbers(91)[1:], m, side="right")
+    # math.log per norm: np.log differs from it in the last bit on a few values
+    logs = np.fromiter(map(math.log, norms.norms[m - norms.m[0]].tolist()), np.float64, m_max)
+    margins = logs - tops * log_d
+    violations = m[margins > 0].tolist()
+    return {"E": E, "m_max": m_max, "d": d, "worst_log_margin": float(margins.max()),
             "violations": violations, "ok": not violations}
 
 

@@ -72,21 +72,11 @@ class Model(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "Model":
-        key = name.strip().lower()
-        aliases = {
-            "fib": cls.FIBONACCI,
-            "fibonacci": cls.FIBONACCI,
-            "pd": cls.PERIOD_DOUBLING,
-            "period-doubling": cls.PERIOD_DOUBLING,
-            "perioddoubling": cls.PERIOD_DOUBLING,
-            "tm": cls.THUE_MORSE,
-            "thue-morse": cls.THUE_MORSE,
-            "thuemorse": cls.THUE_MORSE,
-            "free": cls.FREE,
-            "periodic": cls.EXPLICIT_PERIODIC,
-        }
+        """A model by its value, its value without hyphens, or fib, pd or tm."""
+        aliases = {"fib": cls.FIBONACCI, "pd": cls.PERIOD_DOUBLING, "tm": cls.THUE_MORSE,
+                   **{m.value.replace("-", ""): m for m in cls}, **{m.value: m for m in cls}}
         try:
-            return aliases[key]
+            return aliases[name.strip().lower()]
         except KeyError:
             raise DomainError(f"unknown model {name!r}") from None
 
@@ -124,27 +114,17 @@ def substitution_word(model: Model | str, k: int, *, max_len: int = MAX_WORD_LEN
 
 
 @lru_cache(maxsize=32)
-def _fixed_point_prefix(model: Model, min_len: int) -> np.ndarray:
-    """Prefix of the one-sided substitution fixed point starting from 0."""
-    word = np.array([0], dtype=np.uint8)
-    images = SUBSTITUTIONS[model]
-    while word.size < min_len:
-        word = images[word].reshape(-1)
-        if word.size > MAX_WORD_LENGTH:
-            raise ResourceError("substitution fixed point grew past the word cap")
-    return word
+def _fixed_point_word(model: Model, letter: int, min_len: int) -> np.ndarray:
+    """S^{2K}(letter) for the least K that gives at least ``min_len`` letters.
 
-
-@lru_cache(maxsize=32)
-def _left_fixed_suffix(model: Model, min_len: int) -> np.ndarray:
-    """Suffix of S^{2K}(1), read as the left half of the two-sided word.
-
-    Both substitutions satisfy: S^2(1) ends with 1 and S^2(0) begins with 0,
-    and the pair "10" occurs in the one-sided fixed point.  The two-sided
+    From letter 0 this is a prefix of the one-sided fixed point.  From
+    letter 1 it is read as the left half of the two-sided word: both
+    substitutions satisfy: S^2(1) ends with 1 and S^2(0) begins with 0, and
+    the pair "10" occurs in the one-sided fixed point.  The two-sided
     sequence ... S^{2K}(1) | S^{2K}(0) ... is therefore a legal subshift
     element; every finite subword of it occurs inside some S^{2K}("10").
     """
-    word = np.array([1], dtype=np.uint8)
+    word = np.array([letter], dtype=np.uint8)
     images = SUBSTITUTIONS[model]
     while word.size < min_len:
         word = images[images[word].reshape(-1)].reshape(-1)
@@ -265,29 +245,19 @@ def _substitution_letters(spec: PotentialSpec, sites: np.ndarray) -> np.ndarray:
     reads the left half of the canonical two-sided element (or the explicit
     seed when one was supplied).
     """
-    letters = np.empty(sites.shape, dtype=np.uint8)
     pos = sites >= 1
+    need_right = int(sites[pos].max()) if pos.any() else 0
+    need_left = 1 - int(sites[~pos].min()) if not pos.all() else 0
     if isinstance(spec.seed, str):
         left, right = _parse_two_sided_seed(spec.seed)
-        if np.any(pos):
-            idx = sites[pos] - 1
-            if idx.size and idx.max() >= right.size:
-                raise DomainError("explicit seed word too short for requested sites")
-            letters[pos] = right[idx]
-        if np.any(~pos):
-            idx = -sites[~pos]
-            if idx.size and idx.max() >= left.size:
-                raise DomainError("explicit seed word too short for requested sites")
-            letters[~pos] = left[left.size - 1 - idx]
-        return letters
-    if np.any(pos):
-        need = int(sites[pos].max())
-        right = _fixed_point_prefix(spec.model, need)
-        letters[pos] = right[sites[pos] - 1]
-    if np.any(~pos):
-        need = int(-sites[~pos].min()) + 1
-        left = _left_fixed_suffix(spec.model, need)
-        letters[~pos] = left[left.size - 1 + sites[~pos]]
+        if need_right > right.size or need_left > left.size:
+            raise DomainError("explicit seed word too short for requested sites")
+    else:
+        right = _fixed_point_word(spec.model, 0, need_right)
+        left = _fixed_point_word(spec.model, 1, need_left)
+    letters = np.empty(sites.shape, dtype=np.uint8)
+    letters[pos] = right[sites[pos] - 1]
+    letters[~pos] = left[left.size - 1 + sites[~pos]]
     return letters
 
 
@@ -374,19 +344,20 @@ def _transfer_prefixes(vals: np.ndarray, z: complex) -> np.ndarray:
 
     The one kernel behind all transfer products.  Each step maps the top
     row to (z - v) top - bottom and the bottom row to the old top row, so
-    only top rows are carried through the loop.  The arithmetic is real
-    when z is.  Raises :class:`ScaleOverflowError` at the first site whose
-    entries pass :data:`OVERFLOW_LIMIT` or stop being finite.
+    only top rows are carried through the loop, as two columns.  The
+    arithmetic is real when z is.  Raises :class:`ScaleOverflowError` at the
+    first site whose entries pass :data:`OVERFLOW_LIMIT` or stop being finite.
     """
     z = complex(z)
     z = z.real if z.imag == 0.0 else z
     a, b, c, d = 1.0, 0.0, 0.0, 1.0  # rows (a, b) and (c, d) of the product
-    tops = [(a, b)]
+    col_a, col_b = [a], [b]
     for v in np.asarray(vals, dtype=np.float64).tolist():
         e = z - v
         a, b, c, d = e * a - c, e * b - d, a, b
-        tops.append((a, b))
-    top = np.array(tops)
+        col_a.append(a)
+        col_b.append(b)
+    top = np.stack([np.array(col_a), np.array(col_b)], axis=1)
     # the bottom row of each prefix is the previous top row, so checking
     # the top rows checks every entry
     bad = np.flatnonzero(~(np.max(np.abs(top), axis=1) <= OVERFLOW_LIMIT))

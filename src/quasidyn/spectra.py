@@ -80,9 +80,6 @@ class Band:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, other: "Band", tol: float = 0.0) -> bool:
-        return self.lo - tol <= other.lo and other.hi <= self.hi + tol
-
     def interior_points(self, count: int) -> np.ndarray:
         """Chebyshev-spaced sample points strictly inside the band."""
         return _chebyshev_interior(self.lo, self.hi, count)

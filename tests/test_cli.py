@@ -1,3 +1,4 @@
+import enum
 import importlib.util
 import json
 import os
@@ -5,13 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import quasidyn
 from quasidyn import spectra
 from quasidyn.cli import main
-from quasidyn.lattice import ResourceError, ScaleOverflowError, TruncationError
+from quasidyn.lattice import Model, ResourceError, ScaleOverflowError, TruncationError
 
 
 @pytest.fixture
@@ -443,6 +445,57 @@ def test_runner_maps_each_library_error(runner, tmp_path, monkeypatch, error, ki
     assert (record["error"], record["command"], record["exit"]) == (kind, "spectrum", code)
     assert record["message"] == "injected"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("model", ["free", "fib", "tm", "pd"])
+def test_oversized_powerlaw_sweep_is_a_budget_refusal(runner, tmp_path, monkeypatch, model):
+    from quasidyn import dynamics
+    from quasidyn.lattice import MAX_WORD_LENGTH
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(dynamics, "_transfer_prefixes", unreachable)
+    monkeypatch.setattr(dynamics, "potential_values", unreachable)
+    out = tmp_path / "powerlaw.csv"
+    result = runner.invoke(main, ["powerlaw", "--model", model, "--lambda", "1",
+                                  "--energy", "0.3", "--alpha", "1",
+                                  "--mmax", str(MAX_WORD_LENGTH + 1), "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line)["error"] == "budget"
+    assert not out.exists()
+
+
+class _Kind(enum.Enum):
+    A = "A"
+
+
+def _fmt_chain(value):
+    """Cell formatting as a chain of isinstance tests."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, enum.Enum):
+        return str(value.value)
+    return str(value)
+
+
+@pytest.mark.parametrize("value, text", [
+    (True, "true"), (False, "false"), (np.bool_(True), "true"), (np.bool_(False), "false"),
+    (0.1, "0.10000000000000001"), (-0.0, "-0"), (float("inf"), "inf"),
+    (np.float64(1.0) / 3.0, "0.33333333333333331"), (np.float32(0.5), "0.5"),
+    (7, "7"), (np.int64(-12), "-12"), (np.uint8(200), "200"),
+    (_Kind.A, "A"), (Model.THUE_MORSE, "thue-morse"), ("x,y", "x,y"), (None, "None"),
+])
+def test_cell_formats_match_the_isinstance_chain(value, text):
+    from quasidyn.cli import _fmt
+
+    assert _fmt(value) == _fmt_chain(value) == text
+    assert _fmt(value) == text  # the second call reads the cached formatter
 
 
 def test_runner_prints_one_run_line(runner):

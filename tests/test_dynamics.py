@@ -4,11 +4,15 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasidyn import dynamics
 from quasidyn.dynamics import (
     AmplitudeProfile,
     GoodSetInput,
+    PowerlawReport,
+    TransferNorms,
     Verdict,
     bound_slope,
     complex_energy_bound_check,
@@ -29,6 +33,7 @@ from quasidyn.dynamics import (
     zeckendorf_bound_check,
 )
 from quasidyn.lattice import (
+    MAX_WORD_LENGTH,
     DomainError,
     Geometry,
     LatticeWindow,
@@ -39,6 +44,7 @@ from quasidyn.lattice import (
     potential_values,
     _tridiag_solve,
     spectral_norm,
+    _transfer_prefixes,
     transfer_matrix,
 )
 from quasidyn.spectra import approximant_spectrum, bound_parameters
@@ -617,6 +623,138 @@ def test_zeckendorf_report_matches_the_per_m_coding():
     assert report["worst_log_margin"] == max(margins)
     assert report["violations"] == [m for m, g in enumerate(margins, start=1) if g > 0]
     assert report["violations"] and not report["ok"]
+
+
+def _norms_dict(spec, E, m_max):
+    """The norm sweep as a dict, one entry per m."""
+    forward = _transfer_prefixes(potential_values(spec, np.arange(2, m_max + 1)), E)
+    norms = dict(zip(range(1, m_max + 1), spectral_norm(forward).tolist()))
+    if spec.geometry is Geometry.WHOLE_LINE:
+        backward = _transfer_prefixes(potential_values(spec, np.arange(1, -m_max, -1)), E)
+        norms.update(zip(range(0, -m_max - 1, -1), spectral_norm(backward[1:]).tolist()))
+    return norms
+
+
+def _powerlaw_loop(norms, E, alpha, m_max, cap=None):
+    """The power-law report as a per-m loop: one strict > scan in ascending m."""
+    best_ratio, best_m, max_norm = 0.0, 1, 0.0
+    violations = []
+    for m, norm in sorted(norms.items()):
+        if m == 0:
+            continue
+        ratio = norm / abs(m) ** alpha
+        max_norm = max(max_norm, norm)
+        if ratio > best_ratio:
+            best_ratio, best_m = ratio, m
+        if cap is not None and ratio > cap:
+            violations.append(m)
+    return PowerlawReport(E=E, alpha=alpha, m_max=m_max, c_estimate=best_ratio,
+                          argmax_m=best_m, max_norm=max_norm,
+                          violations=tuple(violations))
+
+
+def _zeckendorf_loop(norms, E, m_max, d):
+    """The coding-bound report as a per-m loop over the Zeckendorf codings."""
+    log_d = math.log(d)
+    worst_margin = -math.inf
+    violations = []
+    for m in range(1, m_max + 1):
+        margin = math.log(norms[m]) - zeckendorf(m)[-1] * log_d
+        worst_margin = max(worst_margin, margin)
+        if margin > 0:
+            violations.append(m)
+    return {"E": E, "m_max": m_max, "d": d, "worst_log_margin": worst_margin,
+            "violations": violations, "ok": not violations}
+
+
+@pytest.mark.parametrize("geometry", list(Geometry))
+@pytest.mark.parametrize("spec", [fib_spec(1.0), PotentialSpec(Model.THUE_MORSE, 1.0),
+                                  PotentialSpec(Model.PERIOD_DOUBLING, 2.0)],
+                         ids=["fib", "tm", "pd"])
+def test_norm_mapping_matches_the_dict(spec, geometry):
+    spec = PotentialSpec(spec.model, spec.lam, geometry)
+    for m_max, energy in ((1, 0.3), (2, 0.3), (377, 0.3), (377, 1.1 + 0.05j)):
+        old = _norms_dict(spec, energy, m_max)
+        new = transfer_norms_from_origin(spec, energy, m_max)
+        assert isinstance(new, TransferNorms) and len(new) == len(old)
+        assert sorted(new) == sorted(old) and list(new) == sorted(old)
+        assert sorted(new.items()) == sorted(old.items())
+        assert all(new[m] == v and type(new[m]) is float for m, v in old.items())
+        assert new == old and dict(new) == old
+        for missing in (m_max + 1, min(old) - 1, 0.5, "1"):
+            assert missing not in new
+        with pytest.raises(ValueError):
+            new.norms[0] = 0.0
+
+
+_TIED = st.sampled_from([1.0, 1.0, 2.0, 2.5, 4.0, 1e3])
+
+
+@settings(max_examples=80, deadline=None)
+@given(m_max=st.integers(1, 40), whole=st.booleans(), data=st.data(),
+       alpha=st.sampled_from([0.0, 1.0, 26.6]),
+       cap=st.sampled_from([None, 0.5, 2.0, 1e-30]))
+def test_reports_match_the_per_m_loops(m_max, whole, data, alpha, cap):
+    size = 2 * m_max + 1 if whole else m_max
+    values = data.draw(st.lists(_TIED | st.floats(1.0, 1e6), min_size=size, max_size=size))
+    norms = TransferNorms(np.arange(m_max + 1 - size, m_max + 1), np.array(values))
+    report = dynamics._powerlaw_report(norms, 0.25, alpha, m_max, cap)
+    assert report == _powerlaw_loop(norms, 0.25, alpha, m_max, cap)
+    assert type(report.argmax_m) is int and all(type(m) is int for m in report.violations)
+    for d in (1.1, 1e3):
+        coding = dynamics._zeckendorf_report(norms, 0.25, m_max, d)
+        assert coding == _zeckendorf_loop(norms, 0.25, m_max, d)
+        assert all(type(m) is int for m in coding["violations"])
+
+
+def test_reports_keep_the_first_of_tied_maxima():
+    # m = 0 holds the largest norm and is left out
+    norms = TransferNorms(np.arange(-3, 4), np.array([2.0, 5.0, 1.0, 9.0, 5.0, 3.0, 5.0]))
+    report = dynamics._powerlaw_report(norms, 0.0, 0.0, 3)
+    assert (report.argmax_m, report.c_estimate, report.max_norm) == (-2, 5.0, 5.0)
+    assert _powerlaw_loop(norms, 0.0, 0.0, 3) == report
+    # no positive ratio: c 0 at m = 1
+    zeros = TransferNorms(np.arange(-3, 4), np.zeros(7))
+    report = dynamics._powerlaw_report(zeros, 0.0, 1.0, 3, cap=0.0)
+    assert (report.argmax_m, report.c_estimate, report.violations) == (1, 0.0, ())
+    assert report == _powerlaw_loop(zeros, 0.0, 1.0, 3, cap=0.0)
+    # at alpha = NaN only m = +-1 (1 ** NaN = 1) give a ratio; the NaNs are skipped
+    report = dynamics._powerlaw_report(norms, 0.0, math.nan, 3, cap=0.0)
+    assert (report.argmax_m, report.c_estimate, report.violations) == (1, 5.0, (-1, 1))
+    expected = _powerlaw_loop(norms, 0.0, math.nan, 3, cap=0.0)
+    assert (report.c_estimate, report.argmax_m, report.max_norm, report.violations) == (
+        expected.c_estimate, expected.argmax_m, expected.max_norm, expected.violations)
+
+
+def test_reports_keep_the_bits_of_python_pow_and_log():
+    # on some hosts np.power(69.0, 26.6) and np.log(2714.3829971557802) differ
+    # from Python's 69 ** 26.6 and math.log in the last bit
+    peak = np.ones(100)
+    peak[68] = 1e60  # m = 69, the largest ratio at alpha 26.6
+    norms = TransferNorms(np.arange(1, 101), peak)
+    assert dynamics._powerlaw_report(norms, 0.0, 26.6, 100) == _powerlaw_loop(norms, 0.0, 26.6, 100)
+    logs = np.ones(100)
+    logs[0] = 2714.3829971557802  # m = 1, the worst margin
+    norms = TransferNorms(np.arange(1, 101), logs)
+    report = dynamics._zeckendorf_report(norms, 0.0, 100, 1.0001)
+    assert report == _zeckendorf_loop(norms, 0.0, 100, 1.0001)
+    assert report["worst_log_margin"] == math.log(2714.3829971557802) - math.log(1.0001)
+
+
+@pytest.mark.parametrize("spec", [FREE, fib_spec(1.0), PotentialSpec(Model.THUE_MORSE, 1.0),
+                                  PotentialSpec(Model.PERIOD_DOUBLING, 1.0),
+                                  PotentialSpec(Model.EXPLICIT_PERIODIC, 1.0, seed="01")],
+                         ids=["free", "fib", "tm", "pd", "periodic"])
+def test_oversized_norm_sweep_is_refused_before_any_site(spec, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(dynamics, "_transfer_prefixes", unreachable)
+    monkeypatch.setattr(dynamics, "potential_values", unreachable)
+    with pytest.raises(ResourceError, match="exceeds cap"):
+        transfer_norms_from_origin(spec, 0.3, MAX_WORD_LENGTH + 1)
+    with pytest.raises(DomainError):
+        transfer_norms_from_origin(spec, 0.3, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from quasidyn.lattice import (
     OVERFLOW_LIMIT,
+    SUBSTITUTIONS,
     DomainError,
     Geometry,
     LatticeWindow,
@@ -83,6 +84,38 @@ def test_explicit_two_sided_seed():
     assert [potential_value(spec, n) for n in (0, -1, -2, -3)] == [0, 2.0, 2.0, 0]
     with pytest.raises(DomainError):
         potential_value(spec, 5)
+
+
+@pytest.mark.parametrize("model", [Model.PERIOD_DOUBLING, Model.THUE_MORSE])
+def test_substitution_letters_on_both_sides(model):
+    # right of the origin: S^k(0); left of it: the tail of S^(2K)(1), which
+    # ends every longer S^(2K + 2)(1) because S^2(1) ends with 1
+    images = SUBSTITUTIONS[model]
+    left = np.array([1], dtype=np.uint8)
+    for _ in range(12):
+        left = images[left].reshape(-1)
+    sites = np.arange(-4000, 4001)
+    expected = np.concatenate([left[-4001:], substitution_word(model, 12)[:4000]])
+    npt.assert_array_equal(potential_values(PotentialSpec(model, 1.0), sites), expected)
+    npt.assert_array_equal(potential_values(PotentialSpec(model, 1.0), sites[::-1]),
+                           expected[::-1])
+    seeded = PotentialSpec(model, 1.0, seed="0110|01")
+    npt.assert_array_equal(potential_values(seeded, np.arange(-3, 3)), [0, 1, 1, 0, 0, 1])
+    for site in (-4, 3):
+        with pytest.raises(DomainError):
+            potential_values(seeded, np.array([site]))
+
+
+def test_model_aliases():
+    aliases = {"fib": "fibonacci", "fibonacci": "fibonacci", "pd": "period-doubling",
+               "period-doubling": "period-doubling", "perioddoubling": "period-doubling",
+               "tm": "thue-morse", "thue-morse": "thue-morse", "thuemorse": "thue-morse",
+               "free": "free", "periodic": "periodic"}
+    for name, value in aliases.items():
+        assert Model.parse(f" {name.upper()} ") is Model(value)
+    for name in ("fibonaci", "thue_morse", "pdd", ""):
+        with pytest.raises(DomainError):
+            Model.parse(name)
 
 
 def test_explicit_periodic_model():
@@ -267,6 +300,36 @@ def test_prefix_kernel_overflows_at_first_site_past_limit():
         _transfer_prefixes(vals[:first], z)
     with pytest.raises(ScaleOverflowError):
         _transfer_prefixes(np.array([0.0, np.nan]), 0.5)
+
+
+def _tuple_prefixes(vals, z):
+    """The prefix kernel on a list of (a, b) row tuples: the reference for the column kernel."""
+    z = complex(z)
+    z = z.real if z.imag == 0.0 else z
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    tops = [(a, b)]
+    for v in np.asarray(vals, dtype=np.float64).tolist():
+        e = z - v
+        a, b, c, d = e * a - c, e * b - d, a, b
+        tops.append((a, b))
+    top = np.array(tops)
+    bottom = np.concatenate([[(0.0, 1.0)], top[:-1]])
+    return np.stack([top, bottom], axis=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vals=st.lists(st.floats(-3.0, 3.0), max_size=250),
+       re=st.floats(-3.0, 3.0), im=st.sampled_from([0.0, 1e-3, -0.25, 0.5]))
+def test_column_kernel_matches_the_tuple_loop(vals, re, im):
+    z = complex(re, im) if im else re
+    expected = _tuple_prefixes(vals, z)
+    if not np.all(np.abs(expected[:, 0]) <= OVERFLOW_LIMIT):
+        with pytest.raises(ScaleOverflowError):
+            _transfer_prefixes(np.array(vals), z)
+        return
+    got = _transfer_prefixes(np.array(vals), z)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()  # bit for bit, signed zeros included
 
 
 def test_spectral_norm_far_from_unit_scale():

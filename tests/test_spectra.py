@@ -229,8 +229,8 @@ def _genealogy_scan(cur, child1, child2, tol):
     """The genealogy failures and triple overlaps by testing every pair of bands."""
     failures = []
     for band in cur:
-        c1 = [c for c in child1 if band.contains(c, tol)]
-        c2 = [c for c in child2 if band.contains(c, tol)]
+        c1 = [c for c in child1 if band.lo - tol <= c.lo and c.hi <= band.hi + tol]
+        c2 = [c for c in child2 if band.lo - tol <= c.lo and c.hi <= band.hi + tol]
         if band.kind is BandKind.TYPE_A:
             if len(c1) != 0 or len(c2) != 1 or c2[0].kind is not BandKind.TYPE_B:
                 failures.append(("A", band.lo, band.hi, len(c1), len(c2)))
