@@ -27,6 +27,7 @@ import enum
 import functools
 import hashlib
 import json
+import math
 import re
 import time
 from dataclasses import dataclass, field
@@ -69,7 +70,32 @@ ERRORS: dict[type[Exception], tuple[str, int]] = {
     spectra.ClassificationError: ("classification", EXIT_CHECK_FAILED),
 }
 
-_POSITIVE = click.FloatRange(min=0.0, min_open=True)
+
+class _Number(click.FloatRange):
+    """A float option within its range, never NaN, and finite unless ``allow_inf``.
+
+    NaN passes every comparison of ``click.FloatRange``, so it is refused here.
+    """
+
+    def __init__(self, *args, allow_inf: bool = False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.allow_inf = allow_inf
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if math.isnan(number) or (math.isinf(number) and not self.allow_inf):
+            self.fail(f"{number} is not a finite number.", param, ctx)
+        return number
+
+    def _describe_range(self) -> str:
+        return super()._describe_range() if (self.min, self.max) != (None, None) else "finite"
+
+
+_FLOAT = _Number()
+_POSITIVE = _Number(min=0.0, min_open=True)
+_NONNEGATIVE = _Number(min=0.0)
+#: A work budget: positive, and inf for none.
+_BUDGET = _Number(min=0.0, min_open=True, allow_inf=True)
 _GEOMETRY = click.Choice([g.value for g in Geometry])
 
 #: One ``--perturb`` item: an integer site, a colon and a decimal value.
@@ -242,7 +268,7 @@ def main() -> None:
 
 @main.command()
 @click.option("--model", default="fib", show_default=True)
-@click.option("--lambda", "lam", type=float, default=0.0, help="coupling constant")
+@click.option("--lambda", "lam", type=_FLOAT, default=0.0, help="coupling constant")
 @click.option("--k", type=int, default=0, help="approximant level")
 @click.option("--measure", "with_measure", is_flag=True,
               help="also emit the measure-decay report JSON (coupling above 4)")
@@ -290,8 +316,8 @@ def spectrum(model, lam, k, with_measure, out, config_path):
 
 @main.command()
 @click.option("--model", required=True)
-@click.option("--lambda", "lam", type=float, required=True)
-@click.option("--energy", "--E", "energy", type=float, default=0.0, show_default=True)
+@click.option("--lambda", "lam", type=_FLOAT, required=True)
+@click.option("--energy", "--E", "energy", type=_FLOAT, default=0.0, show_default=True)
 @click.option("--kmax", type=click.IntRange(min=1), default=12, show_default=True)
 @click.option("--roots", "roots_level", type=int, default=None,
               help="emit the special-energy root list of this level instead of an orbit")
@@ -408,13 +434,13 @@ def _suite_parseval(model: str, lam: float, T: float, max_cost: float) -> dict:
 @main.command()
 @click.argument("suite", type=click.Choice(["invariant", "algebra", "covering", "parseval"]))
 @click.option("--model", default="fib", show_default=True)
-@click.option("--lambda", "lam", type=float, default=0.0,
+@click.option("--lambda", "lam", type=_FLOAT, default=0.0,
               help="coupling; 0 samples couplings at random where applicable")
 @click.option("--samples", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--T", "t_avg", type=_POSITIVE, default=50.0, show_default=True)
 @click.option("--mmax", type=click.IntRange(min=2), default=9, show_default=True)
 @click.option("--seed", type=int, default=20250808, show_default=True)
-@click.option("--max-cost", type=float, default=5e10, show_default=True,
+@click.option("--max-cost", type=_BUDGET, default=5e10, show_default=True,
               help="parseval: refuse a time-route sweep (site-steps) or resolvent "
                    "quadrature (grid points x sites) above this")
 @click.option("--out", type=click.Path(path_type=Path), default=None)
@@ -444,25 +470,25 @@ def verify(suite, model, lam, samples, t_avg, mmax, seed, max_cost, out):
 
 @main.command(name="dynamics")
 @click.option("--model", required=True)
-@click.option("--lambda", "lam", type=float, default=0.0, show_default=True)
-@click.option("--p", "p_values", type=float, multiple=True, default=(2.0,),
+@click.option("--lambda", "lam", type=_FLOAT, default=0.0, show_default=True)
+@click.option("--p", "p_values", type=_POSITIVE, multiple=True, default=(2.0,),
               show_default=True)
 @click.option("--Tmax", "t_max", type=_POSITIVE, default=1000.0, show_default=True)
 @click.option("--Tcount", "t_count", type=click.IntRange(min=5), default=7, show_default=True)
 @click.option("--Tmin", "t_min", type=_POSITIVE, default=10.0, show_default=True)
 @click.option("--bound", "bound_id", default=None,
               help="bound formula id; defaults to the model's own bound")
-@click.option("--slope-tol", type=float, default=0.15, show_default=True)
+@click.option("--slope-tol", type=_FLOAT, default=0.15, show_default=True)
 @click.option("--perturb", "perturb_sites", multiple=True,
               help="site:value overlay, repeatable")
 @click.option("--window", "window_radius", type=click.IntRange(min=1), default=None,
               help="window radius override (default: light-cone sized)")
 @click.option("--geometry", type=_GEOMETRY, default="whole-line", show_default=True)
 @click.option("--seed-word", "seed", default=None)
-@click.option("--max-cost", type=float, default=5e10, show_default=True)
-@click.option("--alpha", type=click.FloatRange(min=0.0), default=None,
+@click.option("--max-cost", type=_BUDGET, default=5e10, show_default=True)
+@click.option("--alpha", type=_NONNEGATIVE, default=None,
               help="power-law exponent alpha of the one-energy bound")
-@click.option("--eta", type=click.FloatRange(min=0.0), default=None,
+@click.option("--eta", type=_NONNEGATIVE, default=None,
               help="exponent eta of the power-eta bound")
 @click.option("--out", type=click.Path(path_type=Path), default=Path("moments.csv"),
               show_default=True, help="moment CSV path; the report JSON sits next to it")
@@ -502,10 +528,7 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
                                    slope_tolerance=slope_tol, max_cost=max_cost,
                                    window=window, alpha=alpha, eta=eta)
     profiles = report.profiles
-    rows = []
-    for p in p_values:
-        series = dynamics.moment_series(profiles, p)
-        rows += [(T, p, logm) for T, logm in series.points]
+    rows = [(T, series.p, logm) for series in report.series for T, logm in series.points]
     tolerances = {"slope": slope_tol}
     write_csv(out, config, tolerances, ["T", "p", "log_moment"], rows)
     if profile_out is not None:
@@ -543,14 +566,14 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
 
 @main.command()
 @click.option("--model", required=True)
-@click.option("--lambda", "lam", type=float, required=True)
-@click.option("--energy", "--E", "energies", type=float, multiple=True,
+@click.option("--lambda", "lam", type=_FLOAT, required=True)
+@click.option("--energy", "--E", "energies", type=_FLOAT, multiple=True,
               help="explicit energies; defaults per model")
 @click.option("--from-level", "from_level", type=int, default=None,
               help="sample energies from this approximant level (fib only)")
 @click.option("--count", type=click.IntRange(min=1), default=20, show_default=True)
 @click.option("--mmax", type=click.IntRange(min=2), default=1000, show_default=True)
-@click.option("--alpha", type=float, default=None,
+@click.option("--alpha", type=_NONNEGATIVE, default=None,
               help="power-law exponent; defaults to the model's own")
 @click.option("--geometry", type=_GEOMETRY, default="whole-line", show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), default=Path("powerlaw.csv"),
@@ -558,10 +581,8 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
 def powerlaw(model, lam, energies, from_level, count, mmax, alpha, geometry, out):
     """Transfer-norm power-law sweep with the Fibonacci coding bound."""
     spec = _build_spec(model, lam, geometry, None, ())
-    if alpha is None and spec.model is Model.FIBONACCI:
-        alpha = spectra.bound_parameters(lam).alpha
-    elif alpha is None:
-        alpha = {Model.PERIOD_DOUBLING: 1.0, Model.THUE_MORSE: 0.0}.get(spec.model)
+    if alpha is None and spec.model in dynamics.MODEL_ALPHA:
+        alpha = dynamics.MODEL_ALPHA[spec.model](lam)
     if alpha is None:
         raise click.UsageError("--alpha is required for this model")
     energy_list = list(energies)

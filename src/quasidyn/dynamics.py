@@ -141,6 +141,8 @@ class BoundReport:
     meta: dict = field(default_factory=dict)
     #: the time-route profiles the slopes were fitted to, one per ladder time
     profiles: tuple[AmplitudeProfile, ...] = field(default=(), compare=False, repr=False)
+    #: the moment series fitted, one per entry
+    series: tuple[MomentSeries, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -728,7 +730,6 @@ def fibonacci_good_set(lam: float) -> GoodSetInput:
     Given N, the level k with F_{k-1} < N <= F_k is selected and A(N) is the
     level-k band set.
     """
-    params = bound_parameters(lam)
 
     def a_of_n(n: float) -> list[tuple[float, float]]:
         fib = fibonacci_numbers(32)
@@ -738,43 +739,44 @@ def fibonacci_good_set(lam: float) -> GoodSetInput:
         bands = approximant_spectrum(lam, k)
         return [(b.lo, b.hi) for b in bands]
 
-    return GoodSetInput(alpha=params.alpha, a_of_n=a_of_n)
+    return GoodSetInput(alpha=MODEL_ALPHA[Model.FIBONACCI](lam), a_of_n=a_of_n)
 
 
-_BOUND_FORMULAS: dict[str, Callable[[float, dict], float]] = {
-    "tm": lambda p, ctx: p - 1.0,
-    "pd": lambda p, ctx: (p - 5.0) / 2.0,
-    "fib-a": lambda p, ctx: (p - 1.0 - 4.0 * ctx["alpha"]) / (1.0 + ctx["alpha"]),
-    "fib-b": lambda p, ctx: (p - ctx["gamma"] - 3.0 * ctx["alpha"]) / (1.0 + ctx["alpha"]),
-    "one-energy": lambda p, ctx: (p - 1.0 - 4.0 * ctx["alpha"]) / (1.0 + ctx["alpha"]),
-    "power-eta": lambda p, ctx: (p - 1.0 - 8.0 * ctx["eta"]) / (1.0 + 2.0 * ctx["eta"]),
-}
+#: Each model's own exponent alpha, from the coupling: ||T(n, 1; E)|| <= C n^alpha
+#: on a nonempty energy set.  The free and periodic models have none.
+MODEL_ALPHA: dict[Model, Callable[[float], float]] = {
+    Model.THUE_MORSE: lambda lam: 0.0, Model.PERIOD_DOUBLING: lambda lam: 1.0,
+    Model.FIBONACCI: lambda lam: bound_parameters(lam).alpha}
+#: Bound id -> the model whose own alpha it takes; a model's first id is its default.
+_BOUNDS = {"tm": Model.THUE_MORSE, "pd": Model.PERIOD_DOUBLING, "fib-a": Model.FIBONACCI,
+           "fib-b": Model.FIBONACCI, "one-energy": None, "power-eta": None}
 
 
 def bound_slope(bound_id: str, p: float, *, lam: float | None = None,
                 alpha: float | None = None, eta: float | None = None) -> float:
-    """Theoretical lower-bound slope for the p-th moment growth."""
-    if bound_id not in _BOUND_FORMULAS:
-        raise DomainError(f"unknown bound id {bound_id!r}; known: {sorted(_BOUND_FORMULAS)}")
-    ctx: dict = {"alpha": alpha, "eta": eta, "gamma": None}
-    if bound_id in ("fib-a", "fib-b"):
-        if lam is None:
-            raise DomainError("fibonacci bounds need the coupling")
+    """Lower-bound slope of the p-th moment growth: (p - 1 - 4 alpha)/(1 + alpha)
+    at the model's own alpha (tm, pd, fib-a), at ``alpha`` (one-energy) or at
+    2 eta (power-eta), and (p - gamma - 3 alpha)/(1 + alpha) for fib-b."""
+    if bound_id not in _BOUNDS:
+        raise DomainError(f"unknown bound id {bound_id!r}; known: {sorted(_BOUNDS)}")
+    if bound_id.startswith("fib") and lam is None:
+        raise DomainError("fibonacci bounds need the coupling")
+    if _BOUNDS[bound_id] is not None:
+        alpha = MODEL_ALPHA[_BOUNDS[bound_id]](lam)
+    elif bound_id == "power-eta":
+        alpha = None if eta is None else 2.0 * eta
+    if alpha is None:
+        raise DomainError(f"{bound_id} bound needs {'eta' if bound_id == 'power-eta' else 'alpha'}")
+    if bound_id == "fib-b":
         params = bound_parameters(lam)
-        ctx["alpha"] = params.alpha
-        ctx["gamma"] = params.gamma
-        if bound_id == "fib-b" and not params.gamma_in_regime:
+        if not params.gamma_in_regime:
             raise DomainError("fib-b requires lambda > 4")
-    if bound_id == "one-energy" and ctx["alpha"] is None:
-        raise DomainError("one-energy bound needs alpha")
-    if bound_id == "power-eta" and ctx["eta"] is None:
-        raise DomainError("power-eta bound needs eta")
-    return float(_BOUND_FORMULAS[bound_id](p, ctx))
+        return float((p - params.gamma - 3.0 * alpha) / (1.0 + alpha))
+    return float((p - 1.0 - 4.0 * alpha) / (1.0 + alpha))
 
 
 def default_bound_id(model: Model) -> str:
-    return {Model.THUE_MORSE: "tm", Model.PERIOD_DOUBLING: "pd",
-            Model.FIBONACCI: "fib-a"}.get(model, "one-energy")
+    return next((bid for bid, own in _BOUNDS.items() if own is model), "one-energy")
 
 
 def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Sequence[float],
@@ -785,7 +787,8 @@ def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Seque
     """Measured finite-time slopes against a theoretical lower bound.
 
     Runs the shared-trajectory time profiles over the ladder (kept in the
-    report's ``profiles``), fits one slope per moment order, and grades each
+    report's ``profiles``), fits one slope per moment order (its moment
+    series kept in ``series``, in the order of ``p_values``), and grades each
     against the chosen bound formula: OUT_OF_REGIME when the bound slope is
     nonpositive (the bound is trivial there and asserts nothing), PASS when
     the measured slope clears bound - slope_tolerance, SOFT_FAIL otherwise.
@@ -802,10 +805,10 @@ def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Seque
     window = _profile_setup(spec, T_values[-1], window, max_cost)[0]
     _check_ladder(T_values)
     profiles = profiles_time_ladder(spec, T_values, window=window)
+    series = tuple(moment_series(profiles, p) for p in p_values)
     entries = []
-    for p in p_values:
-        series = moment_series(profiles, p)
-        fit = growth_exponent(series)
+    for p, one in zip(p_values, series):
+        fit = growth_exponent(one)
         theoretical = theoretical_slopes[p]
         if theoretical <= 0.0:
             verdict = Verdict.OUT_OF_REGIME
@@ -828,7 +831,7 @@ def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Seque
     return BoundReport(spec_description=spec.describe(), bound_id=bound_id,
                        entries=tuple(entries), T_values=tuple(T_values),
                        slope_tolerance=slope_tolerance, meta=meta,
-                       profiles=tuple(profiles))
+                       profiles=tuple(profiles), series=series)
 
 
 # ---------------------------------------------------------------------------
@@ -909,8 +912,11 @@ def _powerlaw_report(norms: TransferNorms, E: float, alpha: float, m_max: int,
     keep = norms.m != 0
     m, values = norms.m[keep], norms.norms[keep]
     # |m|^alpha by Python **: np.power differs from it in the last bit on some m
-    with np.errstate(divide="raise"):
-        ratios = values / np.array([abs(k) ** alpha for k in m.tolist()], dtype=np.float64)
+    try:
+        with np.errstate(divide="raise"):
+            ratios = values / np.array([abs(k) ** alpha for k in m.tolist()], dtype=np.float64)
+    except OverflowError:
+        raise ScaleOverflowError(f"|m|^alpha overflows at alpha={alpha:g}") from None
     best = int(np.argmax(np.where(ratios > 0.0, ratios, 0.0)))  # a strict > scan in ascending m
     c_estimate, argmax_m = (float(ratios[best]), int(m[best])) if ratios[best] > 0.0 else (0.0, 1)
     violations = () if cap is None else tuple(m[ratios > cap].tolist())
@@ -995,6 +1001,25 @@ def complex_energy_bound_check(spec: PotentialSpec, E: float, N: int,
             "max_abs_delta": max_abs_delta, "ok": worst <= 1.0 + 1e-9}
 
 
+#: Doublings of a tail-scaling window past its 4T + 64 start, at most.
+TAIL_WINDOW_DOUBLINGS = 4
+
+
+def _tail_resolvent(spec: PotentialSpec, z: complex,
+                    radius: int) -> tuple[LatticeWindow, np.ndarray]:
+    """R(z) delta_1 on the origin window of ``radius``, the radius doubled while
+    the far edges carry more than EDGE_MASS_TOL of |R delta_1|^2, at most
+    TAIL_WINDOW_DOUBLINGS times; past that :class:`TruncationError`."""
+    for _ in range(TAIL_WINDOW_DOUBLINGS):
+        window = LatticeWindow(-radius, radius)
+        phi = resolvent_vector(spec, z, window)
+        if _far_edge_share(window, np.abs(phi) ** 2) <= EDGE_MASS_TOL:
+            return window, phi
+        radius *= 2
+    window = LatticeWindow(-radius, radius)
+    return window, resolvent_vector(spec, z, window, boundary_tol=EDGE_MASS_TOL)
+
+
 def resolvent_tail_scaling(spec: PotentialSpec, T_values: Sequence[float], *,
                            energies_per_t: int = 5) -> dict:
     """Scaling of the far-mass resolvent sum along a time ladder.
@@ -1003,8 +1028,9 @@ def resolvent_tail_scaling(spec: PotentialSpec, T_values: Sequence[float], *,
     neighborhood of the good band set at scale N(T)) and the quantity
     S(T) = min_E sum_{|n| >= N(T)/2} |R(E + i/T) delta_1(n)|^2 is recorded.
     The returned exponents are the log-log slope of S against T and its
-    restatement per log N(T).  A 4T + 64 window whose far edges carry more
-    than EDGE_MASS_TOL of |R delta_1|^2 raises :class:`TruncationError`.
+    restatement per log N(T).  Each energy's window starts at radius 4T + 64
+    and doubles while its far edges carry more than EDGE_MASS_TOL of
+    |R delta_1|^2 (:func:`_tail_resolvent`).
     """
     if spec.model is not Model.FIBONACCI:
         raise DomainError("the tail-scaling check drives the Fibonacci good sets")
@@ -1016,11 +1042,9 @@ def resolvent_tail_scaling(spec: PotentialSpec, T_values: Sequence[float], *,
         mids = [0.5 * (lo + hi) for lo, hi in intervals]
         offsets = np.linspace(-1.0, 1.0, max(energies_per_t // len(mids), 1)) / T
         energies = sorted(m + o for m in mids for o in offsets)[:max(energies_per_t, 1)]
-        radius = int(math.ceil(4.0 * T)) + 64
-        window = LatticeWindow(-radius, radius)
         s_min = math.inf
         for E in energies:
-            phi = resolvent_vector(spec, E + 1j / T, window, boundary_tol=EDGE_MASS_TOL)
+            window, phi = _tail_resolvent(spec, E + 1j / T, int(math.ceil(4.0 * T)) + 64)
             sites = window.sites()
             s_val = float(np.sum(np.abs(phi[np.abs(sites) >= n_of_t / 2.0]) ** 2))
             s_min = min(s_min, s_val)

@@ -527,3 +527,129 @@ def test_refused_short_ladder_keeps_the_benchmark_message(runner, tmp_path, monk
     assert result.exit_code == 2
     assert module.DECADES_MESSAGE in result.stderr
     assert not out.exists()
+
+
+@pytest.fixture
+def no_kernels(monkeypatch):
+    """Every sweep kernel a command could reach, patched to fail when called."""
+    from quasidyn import cli, dynamics
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a sweep kernel ran")
+
+    for module, name in [(dynamics, "_chebyshev_sweep"), (dynamics, "_resolvent_weights"),
+                         (dynamics, "_transfer_prefixes"), (dynamics, "potential_values"),
+                         (spectra, "approximant_spectrum"), (spectra, "classify_bands"),
+                         (cli, "fib_trace_orbit"), (cli, "subst_trace_orbit")]:
+        monkeypatch.setattr(module, name, unreachable)
+
+
+@pytest.mark.parametrize("args", [
+    ["dynamics", "--model", "tm", "--lambda", "1", "--Tmin", "1", "--Tmax", "50",
+     "--max-cost", "nan"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--max-cost", "0"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--max-cost", "-1e9"],
+    ["verify", "parseval", "--T", "20", "--max-cost", "nan"],
+    ["spectrum", "--lambda", "nan", "--k", "3"],
+    ["spectrum", "--lambda", "inf", "--k", "3"],
+    ["powerlaw", "--model", "fib", "--lambda", "nan"],
+    ["powerlaw", "--model", "fib", "--lambda", "inf"],
+    ["dynamics", "--model", "tm", "--lambda", "nan"],
+    ["dynamics", "--model", "tm", "--lambda", "inf"],
+    ["verify", "parseval", "--lambda", "nan"],
+    ["verify", "parseval", "--lambda", "inf"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--Tmax", "inf"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--Tmin", "nan"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--p", "nan"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--p", "0"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--slope-tol", "nan"],
+    ["dynamics", "--model", "free", "--alpha", "nan"],
+    ["dynamics", "--model", "free", "--bound", "power-eta", "--eta", "inf"],
+    ["verify", "parseval", "--T", "inf"],
+    ["powerlaw", "--model", "tm", "--lambda", "1", "--alpha", "-100"],
+    ["powerlaw", "--model", "tm", "--lambda", "1", "--alpha", "nan"],
+    ["powerlaw", "--model", "fib", "--lambda", "1", "--energy", "nan"],
+    ["trace", "--model", "fib", "--lambda", "1", "--energy", "nan"],
+    ["trace", "--model", "tm", "--lambda", "inf"],
+])
+def test_bad_numbers_are_refused_before_any_work(runner, tmp_path, no_kernels, args):
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "x.out")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Invalid value" in result.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, text", [
+    ("dynamics", "command=dynamics\nlambda=nan\n"),
+    ("dynamics", "command=dynamics\nlambda=1.0\nTmax=inf\n"),
+    ("spectrum", "command=spectrum\nlambda=inf\nk=3\n"),
+])
+def test_bad_numbers_in_a_config_file_are_refused(runner, tmp_path, no_kernels, command, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "x.out")]
+    if command == "dynamics":
+        args += ["--model", "tm"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "is not a finite number" in result.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_powerlaw_alpha_past_the_float_range_is_an_overflow(runner, tmp_path):
+    # 2 ** 1e4 overflows a float: one JSON overflow line, exit 1, no file
+    out = tmp_path / "powerlaw.csv"
+    result = runner.invoke(main, ["powerlaw", "--model", "tm", "--lambda", "1",
+                                  "--energy", "0.3", "--mmax", "10", "--alpha", "1e4",
+                                  "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line)["error"] == "overflow"
+    assert not out.exists()
+
+
+def test_dynamics_infinite_budget_means_none(runner, tmp_path):
+    out = tmp_path / "moments.csv"
+    args = ["dynamics", "--model", "tm", "--lambda", "1", "--Tmin", "1", "--Tmax", "50",
+            "--Tcount", "5", "--out", str(out)]
+    assert runner.invoke(main, args + ["--max-cost", "1e3"]).exit_code == 3
+    result = runner.invoke(main, args + ["--max-cost", "inf"])
+    assert result.exit_code == 0, result.output
+    assert len(_data_rows(out)) == 5
+
+
+@pytest.mark.parametrize("model, lam, alpha", [
+    ("fib", 1.0, spectra.bound_parameters(1.0).alpha),
+    ("tm", 1.0, 0.0),
+    ("pd", 1.0, 1.0),
+])
+def test_powerlaw_default_alpha_is_the_models_own(runner, tmp_path, model, lam, alpha):
+    from quasidyn import dynamics
+
+    # the same alpha the model's own moment bound takes
+    bound_id = dynamics.default_bound_id(Model.parse(model))
+    slope = (9.0 - 1.0 - 4.0 * alpha) / (1.0 + alpha)
+    assert dynamics.bound_slope(bound_id, 9.0, lam=lam) == slope
+    args = ["powerlaw", "--model", model, "--lambda", repr(lam), "--count", "2", "--mmax", "60"]
+    default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+    for extra, out in (([], default), (["--alpha", repr(alpha)], explicit)):
+        assert runner.invoke(main, args + extra + ["--out", str(out)]).exit_code == 0
+    assert default.read_bytes() == explicit.read_bytes()
+
+
+def test_dynamics_fits_each_moment_series_once(runner, tmp_path, monkeypatch):
+    from quasidyn import dynamics
+
+    orders = []
+    series = dynamics.moment_series
+    monkeypatch.setattr(dynamics, "moment_series",
+                        lambda profiles, p: orders.append(p) or series(profiles, p))
+    out = tmp_path / "moments.csv"
+    result = runner.invoke(main, ["dynamics", "--model", "tm", "--lambda", "1", "--p", "2",
+                                  "--p", "8", "--Tmin", "1", "--Tmax", "40", "--Tcount", "5",
+                                  "--slope-tol", "2", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert orders == [2.0, 8.0]
+    rows = [row.split(",") for row in _data_rows(out)]
+    assert [float(p) for _, p, _ in rows] == [2.0] * 5 + [8.0] * 5

@@ -557,6 +557,67 @@ def test_bound_slope_formulas():
         bound_slope("nonsense", 2.0)
 
 
+#: The six bound formulas as separate lambdas over a context dict, verbatim:
+#: the oracle of the one formula (p - 1 - 4 alpha)/(1 + alpha) and fib-b.
+_BOUND_FORMULAS_ORACLE = {
+    "tm": lambda p, ctx: p - 1.0,
+    "pd": lambda p, ctx: (p - 5.0) / 2.0,
+    "fib-a": lambda p, ctx: (p - 1.0 - 4.0 * ctx["alpha"]) / (1.0 + ctx["alpha"]),
+    "fib-b": lambda p, ctx: (p - ctx["gamma"] - 3.0 * ctx["alpha"]) / (1.0 + ctx["alpha"]),
+    "one-energy": lambda p, ctx: (p - 1.0 - 4.0 * ctx["alpha"]) / (1.0 + ctx["alpha"]),
+    "power-eta": lambda p, ctx: (p - 1.0 - 8.0 * ctx["eta"]) / (1.0 + 2.0 * ctx["eta"]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_id=st.sampled_from(sorted(_BOUND_FORMULAS_ORACLE)),
+       p=st.floats(0.5, 200.0),
+       alpha=st.floats(0.0, 1e3),
+       eta=st.floats(0.0, 1e3),
+       lam=st.sampled_from([1.0, 5.0, 16.0]))
+def test_bound_slope_matches_the_six_formulas(bound_id, p, alpha, eta, lam):
+    ctx = {"alpha": alpha, "eta": eta, "gamma": None}
+    if bound_id.startswith("fib"):
+        params = bound_parameters(lam)
+        ctx.update(alpha=params.alpha, gamma=params.gamma)
+        if bound_id == "fib-b" and not params.gamma_in_regime:
+            with pytest.raises(DomainError, match="fib-b requires lambda > 4"):
+                bound_slope(bound_id, p, lam=lam, alpha=alpha, eta=eta)
+            return
+    expected = float(_BOUND_FORMULAS_ORACLE[bound_id](p, ctx))
+    assert bound_slope(bound_id, p, lam=lam, alpha=alpha, eta=eta) == expected
+
+
+def test_bound_slope_keeps_its_errors():
+    for bound_id, kwargs, message in [
+        ("nonsense", {}, "unknown bound id 'nonsense'; known: "
+                         "['fib-a', 'fib-b', 'one-energy', 'pd', 'power-eta', 'tm']"),
+        ("fib-a", {}, "fibonacci bounds need the coupling"),
+        ("fib-b", {"alpha": 1.0}, "fibonacci bounds need the coupling"),
+        ("fib-b", {"lam": 4.0}, "fib-b requires lambda > 4"),
+        ("one-energy", {"eta": 1.0}, "one-energy bound needs alpha"),
+        ("power-eta", {"alpha": 1.0}, "power-eta bound needs eta"),
+    ]:
+        with pytest.raises(DomainError) as err:
+            bound_slope(bound_id, 2.0, **kwargs)
+        assert str(err.value) == message
+
+
+def test_each_model_takes_its_own_alpha():
+    # tm, pd and fib-a are the one formula at the model's own alpha, which is
+    # also the default exponent of the powerlaw command
+    for model, lam in [(Model.THUE_MORSE, 1.0), (Model.PERIOD_DOUBLING, 1.0),
+                       (Model.FIBONACCI, 1.0), (Model.FIBONACCI, 5.0)]:
+        alpha = dynamics.MODEL_ALPHA[model](lam)
+        bound_id = dynamics.default_bound_id(model)
+        assert bound_slope(bound_id, 7.0, lam=lam) == (7.0 - 1.0 - 4.0 * alpha) / (1.0 + alpha)
+    assert dynamics.MODEL_ALPHA[Model.FIBONACCI](5.0) == bound_parameters(5.0).alpha
+    assert dynamics.fibonacci_good_set(5.0).alpha == bound_parameters(5.0).alpha
+    for model in (Model.FREE, Model.EXPLICIT_PERIODIC):
+        assert model not in dynamics.MODEL_ALPHA
+        assert dynamics.default_bound_id(model) == "one-energy"
+
+
 # ---------------------------------------------------------------------------
 # transfer-norm power laws
 
@@ -791,10 +852,44 @@ def test_complex_energy_bound_gap_energy_has_finite_constant():
     assert math.isfinite(report["max_ratio"])
 
 
-def test_tail_scaling_refuses_a_window_too_small_for_the_resolvent():
-    # at lambda = 0.1 the 4T + 64 window leaves ~1e-4 of |R delta_1|^2 on its edges
+def test_tail_scaling_refuses_a_window_too_small_for_the_resolvent(monkeypatch):
+    # at lambda = 0.1 the 4T + 64 window leaves ~1e-4 of |R delta_1|^2 on its
+    # edges; with no doubling left past it, the window is refused
+    monkeypatch.setattr(dynamics, "TAIL_WINDOW_DOUBLINGS", 0)
     with pytest.raises(TruncationError, match="enlarge the window"):
         resolvent_tail_scaling(fib_spec(0.1), [100.0, 1000.0])
+
+
+@pytest.fixture
+def resolvent_radii(monkeypatch):
+    """The window radius of every resolvent_vector call, in order."""
+    radii = []
+    solve = dynamics.resolvent_vector
+
+    def spy(spec, z, window, **kwargs):
+        radii.append(window.hi)
+        return solve(spec, z, window, **kwargs)
+
+    monkeypatch.setattr(dynamics, "resolvent_vector", spy)
+    return radii
+
+
+@pytest.mark.parametrize("lam, ladder", [
+    (0.1, [100.0, 1000.0]), (0.3, [50.0, 200.0]), (0.5, [50.0, 200.0]), (0.7, [50.0, 200.0]),
+])
+def test_tail_scaling_grows_the_window_to_fit_the_decay(resolvent_radii, lam, ladder):
+    report = resolvent_tail_scaling(fib_spec(lam), ladder)
+    assert all(math.isfinite(row["S_min"]) and row["S_min"] > 0.0 for row in report["rows"])
+    starts = {int(math.ceil(4.0 * T)) + 64 for T in ladder}
+    assert set(resolvent_radii) - starts  # some window doubled past its 4T + 64 start
+    doubled = {s * 2 ** j for s in starts for j in range(dynamics.TAIL_WINDOW_DOUBLINGS + 1)}
+    assert set(resolvent_radii) <= doubled
+
+
+def test_tail_scaling_keeps_the_start_window_when_it_fits(resolvent_radii):
+    # at lambda = 1 no window grows: each energy is solved once, on 4T + 64
+    resolvent_tail_scaling(fib_spec(1.0), [50.0, 200.0], energies_per_t=4)
+    assert resolvent_radii == [264] * 4 + [864] * 4
 
 
 def test_tail_scaling_grows_along_ladder():
@@ -880,3 +975,11 @@ def test_bound_report_keeps_its_profiles():
     assert [prof.T for prof in report.profiles] == pytest.approx(ladder)
     series = moment_series(report.profiles, 2.0)
     assert growth_exponent(series).slope == pytest.approx(report.entries[0].measured_slope)
+
+
+def test_bound_report_keeps_the_series_it_fitted():
+    report = dynamics.bound_report(FREE, [8.0, 2.0, 8.0], list(np.geomspace(2.0, 80.0, 5)), "tm")
+    assert [one.p for one in report.series] == [8.0, 2.0, 8.0]
+    for one, entry in zip(report.series, report.entries):
+        assert one == moment_series(report.profiles, entry.p)
+        assert growth_exponent(one).slope == entry.measured_slope
