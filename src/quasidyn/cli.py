@@ -139,22 +139,28 @@ class RunConfig:
         return cls(command=command, values=values)
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    return RunConfig.from_text(Path(path).read_text()).values
-
-
-def _flag_or_file(file_vals: dict, name: str, key: str):
-    """The flag ``name`` if given, else the config file's ``key``, else the default.
-
-    A file value passes the same checks as the flag, through the option's type.
+def _flags_or_file(path: str | None, **keys: str) -> list:
+    """Each option ``name=key`` from its flag if given, else from the config file's
+    ``key``, else its default.  A file value passes the same checks as the flag,
+    through the option's type.  A file key the command does not read, or a
+    ``command`` line naming another command, is a usage error.
     """
     ctx = click.get_current_context()
-    if ctx.get_parameter_source(name) is ParameterSource.DEFAULT and key in file_vals:
-        (param,) = (p for p in ctx.command.params if p.name == name)
-        return param.type_cast_value(ctx, file_vals[key])
-    return ctx.params[name]
+    config = RunConfig.from_text(Path(path).read_text()) if path else RunConfig(ctx.command.name)
+    refused = sorted(set(config.values) - set(keys.values()))
+    if config.command not in ("", ctx.command.name):
+        refused.insert(0, f"command={config.command}")
+    if refused:
+        raise click.UsageError(f"{ctx.command.name} reads only the config keys "
+                               f"{', '.join(keys.values())}; not read: {', '.join(refused)}")
+    values = []
+    for name, key in keys.items():
+        if ctx.get_parameter_source(name) is ParameterSource.DEFAULT and key in config.values:
+            (param,) = (p for p in ctx.command.params if p.name == name)
+            values.append(param.type_cast_value(ctx, config.values[key]))
+        else:
+            values.append(ctx.params[name])
+    return values
 
 
 #: Cell formatters, tried in order against a cell's type (the first that matches).
@@ -277,10 +283,8 @@ def main() -> None:
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 def spectrum(model, lam, k, with_measure, out, config_path):
     """Band table of the level-k Fibonacci periodic approximant."""
-    file_vals = _load_config_file(config_path)
-    lam = _flag_or_file(file_vals, "lam", "lambda")
-    k = _flag_or_file(file_vals, "k", "k")
-    model = Model.parse(_flag_or_file(file_vals, "model", "model"))
+    lam, k, model = _flags_or_file(config_path, lam="lambda", k="k", model="model")
+    model = Model.parse(model)
     if model is not Model.FIBONACCI:
         raise click.UsageError("band spectra are computed for the Fibonacci model only")
     if lam <= 0:
@@ -501,9 +505,7 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
                  perturb_sites, window_radius, geometry, seed, max_cost, alpha, eta, out,
                  profile_out, profile_method, config_path):
     """Moment ladder CSV plus a lower-bound verdict JSON."""
-    file_vals = _load_config_file(config_path)
-    lam = _flag_or_file(file_vals, "lam", "lambda")
-    t_max = _flag_or_file(file_vals, "t_max", "Tmax")
+    lam, t_max = _flags_or_file(config_path, lam="lambda", t_max="Tmax")
     if Model.parse(model) is not Model.FREE and lam <= 0:
         raise click.UsageError("--lambda must be positive for the aperiodic models")
     exponents = {name: value for name, value in (("alpha", alpha), ("eta", eta))

@@ -40,7 +40,6 @@ from scipy.linalg.blas import dgemm, zgemm
 from scipy.special import jv, logsumexp
 
 from quasidyn.lattice import (
-    MAX_WORD_LENGTH,
     DomainError,
     Geometry,
     LatticeWindow,
@@ -105,7 +104,6 @@ class AmplitudeProfile:
 class MomentSeries:
     p: float
     points: tuple[tuple[float, float], ...]  # (T, log moment)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         ts = [t for t, _ in self.points]
@@ -119,7 +117,6 @@ class MomentSeries:
 class GrowthFit:
     slope: float
     confidence: float
-    n_points_used: int
 
 
 @dataclass(frozen=True)
@@ -138,7 +135,6 @@ class BoundReport:
     entries: tuple[BoundEntry, ...]
     T_values: tuple[float, ...]
     slope_tolerance: float
-    meta: dict = field(default_factory=dict)
     #: the time-route profiles the slopes were fitted to, one per ladder time
     profiles: tuple[AmplitudeProfile, ...] = field(default=(), compare=False, repr=False)
     #: the moment series fitted, one per entry
@@ -651,9 +647,7 @@ def moments(profile: AmplitudeProfile, p: float) -> float:
 
 def moment_series(profiles: Sequence[AmplitudeProfile], p: float) -> MomentSeries:
     pts = tuple(sorted((prof.T, moments(prof, p)) for prof in profiles))
-    meta = dict(profiles[0].meta) if profiles else {}
-    meta["p"] = p
-    return MomentSeries(p=p, points=pts, meta=meta)
+    return MomentSeries(p=p, points=pts)
 
 
 def outside_probability(profile: AmplitudeProfile, gamma: float) -> float:
@@ -690,7 +684,7 @@ def growth_exponent(series: MomentSeries) -> GrowthFit:
     resid = y - (slope * x + intercept)
     dof = max(x.size - 2, 1)
     se = math.sqrt(float(np.sum(resid ** 2)) / dof / float(np.sum((x - x.mean()) ** 2)))
-    return GrowthFit(slope=float(slope), confidence=2.0 * se, n_points_used=int(x.size))
+    return GrowthFit(slope=float(slope), confidence=2.0 * se)
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +750,8 @@ def bound_slope(bound_id: str, p: float, *, lam: float | None = None,
                 alpha: float | None = None, eta: float | None = None) -> float:
     """Lower-bound slope of the p-th moment growth: (p - 1 - 4 alpha)/(1 + alpha)
     at the model's own alpha (tm, pd, fib-a), at ``alpha`` (one-energy) or at
-    2 eta (power-eta), and (p - gamma - 3 alpha)/(1 + alpha) for fib-b."""
+    2 eta (power-eta), and (p - gamma - 3 alpha)/(1 + alpha) for fib-b.  A
+    slope that is not finite (alpha or eta near the float range) is refused."""
     if bound_id not in _BOUNDS:
         raise DomainError(f"unknown bound id {bound_id!r}; known: {sorted(_BOUNDS)}")
     if bound_id.startswith("fib") and lam is None:
@@ -771,8 +766,12 @@ def bound_slope(bound_id: str, p: float, *, lam: float | None = None,
         params = bound_parameters(lam)
         if not params.gamma_in_regime:
             raise DomainError("fib-b requires lambda > 4")
-        return float((p - params.gamma - 3.0 * alpha) / (1.0 + alpha))
-    return float((p - 1.0 - 4.0 * alpha) / (1.0 + alpha))
+        slope = (p - params.gamma - 3.0 * alpha) / (1.0 + alpha)
+    else:
+        slope = (p - 1.0 - 4.0 * alpha) / (1.0 + alpha)
+    if not math.isfinite(slope):
+        raise DomainError(f"the {bound_id} bound slope at p={p:g} is not finite: {slope}")
+    return float(slope)
 
 
 def default_bound_id(model: Model) -> str:
@@ -802,6 +801,10 @@ def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Seque
     # parameter fails before the expensive sweep starts
     theoretical_slopes = {p: bound_slope(bound_id, p, lam=spec.lam or None,
                                          alpha=alpha, eta=eta) for p in p_values}
+    # each exponent is read by one bound only; any other would drop it
+    for name, value, reader in (("alpha", alpha, "one-energy"), ("eta", eta, "power-eta")):
+        if value is not None and bound_id != reader:
+            raise DomainError(f"{name} is read by the {reader} bound only, not by {bound_id}")
     window = _profile_setup(spec, T_values[-1], window, max_cost)[0]
     _check_ladder(T_values)
     profiles = profiles_time_ladder(spec, T_values, window=window)
@@ -819,19 +822,9 @@ def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Seque
         entries.append(BoundEntry(p=float(p), measured_slope=fit.slope,
                                   slope_confidence=fit.confidence,
                                   bound_slope=theoretical, verdict=verdict))
-    meta = {
-        "model": spec.model.value,
-        "lambda": spec.lam,
-        "geometry": spec.geometry.value,
-        "perturbation": list(spec.perturbation),
-        "convention": FIB_CONVENTION_ID,
-        "dt": None,
-        "cutoff": TIME_CUTOFF,
-    }
     return BoundReport(spec_description=spec.describe(), bound_id=bound_id,
                        entries=tuple(entries), T_values=tuple(T_values),
-                       slope_tolerance=slope_tolerance, meta=meta,
-                       profiles=tuple(profiles), series=series)
+                       slope_tolerance=slope_tolerance, profiles=tuple(profiles), series=series)
 
 
 # ---------------------------------------------------------------------------
@@ -864,6 +857,15 @@ class _NormItems(ItemsView):
         return zip(self._mapping.m.tolist(), self._mapping.norms.tolist())
 
 
+#: Most memory a transfer-norm sweep may take.
+MAX_SWEEP_BYTES = 1 << 30
+
+#: Bytes per m charged to a transfer-norm sweep.  Its peak (tracemalloc, m_max from
+#: 10,000 to 400,000) is 137-139 on the half line and 147-152 on the whole line at
+#: real energies, and 217.5 and 225.5 at complex ones; the charge keeps a margin.
+_SWEEP_BYTES_PER_M = 240
+
+
 def transfer_norms_from_origin(spec: PotentialSpec, E: complex, m_max: int) -> TransferNorms:
     """Spectral norms of T(m, 1; E) for 1 <= |m| <= m_max (and m = 0 on the whole line).
 
@@ -871,13 +873,16 @@ def transfer_norms_from_origin(spec: PotentialSpec, E: complex, m_max: int) -> T
     valid because transfer matrices are unimodular, and
     ||A(1) ... A(m+1)|| = ||A(m+1) ... A(1)||, valid because
     A^T = D A D with D = diag(1, -1); so it is the same forward sweep fed
-    the sites 1, 0, -1, ....  An m_max past MAX_WORD_LENGTH raises
-    :class:`ResourceError` (and one below 1 :class:`DomainError`) before any site is built.
+    the sites 1, 0, -1, ....  An m_max whose sweep would take more than
+    MAX_SWEEP_BYTES raises :class:`ResourceError` (and one below 1
+    :class:`DomainError`) before any site is built.
     """
     if m_max < 1:
         raise DomainError("m_max must be at least 1")
-    if m_max > MAX_WORD_LENGTH:
-        raise ResourceError(f"transfer sweep to m_max={m_max} exceeds cap {MAX_WORD_LENGTH}")
+    if m_max * _SWEEP_BYTES_PER_M > MAX_SWEEP_BYTES:
+        raise ResourceError(f"transfer sweep to m_max={m_max} needs about "
+                            f"{m_max * _SWEEP_BYTES_PER_M / 2 ** 30:.2f} GiB and exceeds cap "
+                            f"{MAX_SWEEP_BYTES / 2 ** 30:g} GiB")
     norms = spectral_norm(_transfer_prefixes(potential_values(spec, np.arange(2, m_max + 1)), E))
     if spec.geometry is Geometry.WHOLE_LINE:
         backward = _transfer_prefixes(potential_values(spec, np.arange(1, -m_max, -1)), E)

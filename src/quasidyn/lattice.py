@@ -159,9 +159,8 @@ class PotentialSpec:
     seed:
         For the substitution models, an optional explicit two-sided word
         "LEFT|RIGHT" overriding the canonical subshift element; for
-        EXPLICIT_PERIODIC the mandatory period word.  Integers are accepted
-        as a substitution-iterate hint and otherwise ignored (words are
-        grown on demand).
+        EXPLICIT_PERIODIC the mandatory period word.  The Fibonacci and free
+        models read no seed, and a seed that is not a string is refused.
     perturbation:
         Finitely supported overlay added on top of the base potential,
         stored as a sorted tuple of (site, value) pairs.
@@ -170,7 +169,7 @@ class PotentialSpec:
     model: Model
     lam: float = 0.0
     geometry: Geometry = Geometry.WHOLE_LINE
-    seed: int | str | None = None
+    seed: str | None = None
     perturbation: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
@@ -178,8 +177,12 @@ class PotentialSpec:
         object.__setattr__(self, "model", model)
         if isinstance(self.geometry, str):
             object.__setattr__(self, "geometry", Geometry(self.geometry))
-        if model is Model.EXPLICIT_PERIODIC and not isinstance(self.seed, str):
+        if model is Model.EXPLICIT_PERIODIC and self.seed is None:
             raise DomainError("explicit periodic model requires a seed word")
+        if self.seed is not None and not isinstance(self.seed, str):
+            raise DomainError(f"a seed is a word string, not {self.seed!r}")
+        if self.seed is not None and model in (Model.FIBONACCI, Model.FREE):
+            raise DomainError(f"the {model.value} model reads no seed word")
         pert = tuple(sorted((int(n), float(v)) for n, v in dict(self.perturbation).items())
                      if isinstance(self.perturbation, Mapping) else
                      sorted((int(n), float(v)) for n, v in self.perturbation))
@@ -248,7 +251,7 @@ def _substitution_letters(spec: PotentialSpec, sites: np.ndarray) -> np.ndarray:
     pos = sites >= 1
     need_right = int(sites[pos].max()) if pos.any() else 0
     need_left = 1 - int(sites[~pos].min()) if not pos.all() else 0
-    if isinstance(spec.seed, str):
+    if spec.seed is not None:
         left, right = _parse_two_sided_seed(spec.seed)
         if need_right > right.size or need_left > left.size:
             raise DomainError("explicit seed word too short for requested sites")
@@ -274,9 +277,9 @@ def potential_values(spec: PotentialSpec, sites: np.ndarray) -> np.ndarray:
     elif spec.model in SUBSTITUTIONS:
         vals = spec.lam * _substitution_letters(spec, sites).astype(np.float64)
     elif spec.model is Model.EXPLICIT_PERIODIC:
-        if not set(str(spec.seed)) <= {"0", "1"}:
+        if not set(spec.seed) <= {"0", "1"}:
             raise DomainError("periodic seed words use letters 0 and 1 only")
-        word = np.frombuffer(str(spec.seed).encode(), dtype=np.uint8) - ord("0")
+        word = np.frombuffer(spec.seed.encode(), dtype=np.uint8) - ord("0")
         vals = spec.lam * word[(sites - 1) % word.size].astype(np.float64)
     else:  # pragma: no cover - enum is closed
         raise DomainError(f"unhandled model {spec.model}")

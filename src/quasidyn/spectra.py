@@ -23,6 +23,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -30,16 +31,22 @@ import numpy as np
 from quasidyn.lattice import DomainError, Model
 from quasidyn.traces import (
     _DD,
+    _Jet,
     _level_crossings,
     _level_trace,
     _period_cell,
-    fib_trace_orbit_grid,
+    _walk,
     fibonacci_numbers,
-    trace_derivative_grid,
 )
 
 #: Inverse golden mean; its reciprocal (1 + sqrt 5)/2 drives all exponents.
 _LOG_OMEGA_INV = math.log((1.0 + math.sqrt(5.0)) / 2.0)
+
+#: A band lies inside another when each end is inside it up to this.
+CONTAINMENT_TOL = 1e-9
+
+#: Chebyshev sample energies per band of the band laws.
+SAMPLES_PER_BAND = 33
 
 
 class BandCountError(RuntimeError):
@@ -240,7 +247,7 @@ def covering_check(lam: float, m: int, *, tol: float = 1e-8) -> CoveringReport:
     return CoveringReport(lam=lam, m=m, ok=not violations, violations=tuple(violations))
 
 
-def classify_bands(lam: float, k: int, *, containment_tol: float = 1e-9) -> BandSet:
+def classify_bands(lam: float, k: int) -> BandSet:
     """Label each level-k band type A (inside level k-1) or B (inside k-2).
 
     Only meaningful above coupling 4, where the two cases are exhaustive and
@@ -252,7 +259,7 @@ def classify_bands(lam: float, k: int, *, containment_tol: float = 1e-9) -> Band
     if k < 2:
         raise DomainError("classification needs k >= 2")
     cur = _cached_spectrum(lam, k)
-    held = [_held(_cached_spectrum(lam, j)._ends, *cur._ends.T, containment_tol).tolist()
+    held = [_held(_cached_spectrum(lam, j)._ends, *cur._ends.T, CONTAINMENT_TOL).tolist()
             for j in (k - 1, k - 2)]
     labeled = []
     for band, in_a, in_b in zip(cur, *held):
@@ -275,7 +282,7 @@ def genealogy_check(lam: float, k: int) -> dict:
     """
     if lam <= 4.0:
         raise DomainError("genealogy counts require lambda > 4")
-    tol = 1e-9
+    tol = CONTAINMENT_TOL
     cur = classify_bands(lam, k)
     child1 = classify_bands(lam, k + 1)
     child2 = classify_bands(lam, k + 2)
@@ -366,7 +373,15 @@ def partials_bound_check(lams=(4.5, 5.0, 8.0), n_samples_log2: int = 14,
             "n_samples": n_samples, "lams": tuple(lams)}
 
 
-def derivative_ratio_check(lam: float, k: int, *, samples_per_band: int = 33,
+def _level_slopes(lam: float, energies: np.ndarray, k: int, count: int) -> list[np.ndarray]:
+    """dx_j/dE at the energies for the ``count`` levels j = k - count + 1 .. k,
+    read off one walk at _Jet(E, 1); no other level is kept."""
+    e = _Jet(energies, np.ones_like(energies))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [x.d for x in islice(_walk(Model.FIBONACCI, lam, e), k + 1 - count, k + 1)]
+
+
+def derivative_ratio_check(lam: float, k: int, *, samples_per_band: int = SAMPLES_PER_BAND,
                            tol: float = 1e-6) -> dict:
     """Derivative-ratio bounds between a band's level and its parent level.
 
@@ -376,40 +391,32 @@ def derivative_ratio_check(lam: float, k: int, *, samples_per_band: int = 33,
     and counted.
     """
     bands = classify_bands(lam, k)
-    max_a = 0.0
-    max_b = 0.0
+    # one walk over every band's samples: levels k - 2, k - 1 and k, one row per band
+    d_k2, d_k1, d_k = _level_slopes(lam, bands.interior_points(samples_per_band), k, 3)
+    # one rule per kind: the parent level's slopes, the ratio bound and the peak ratio
+    parent = {BandKind.TYPE_A: d_k1, BandKind.TYPE_B: d_k2}
+    bound = {BandKind.TYPE_A: lam + 11.0, BandKind.TYPE_B: 2.0 * lam + 22.0}
+    peak = dict.fromkeys(bound, 0.0)
     skipped = 0
     violations = []
-    bound_a = lam + 11.0
-    bound_b = 2.0 * lam + 22.0
-    # one grid call over every band's samples, then one row per band
-    _, dxs = trace_derivative_grid(lam, bands.interior_points(samples_per_band).ravel(), k)
-    dxs = dxs.reshape(k + 1, len(bands), samples_per_band)
     for i, band in enumerate(bands):
-        parent = k - 1 if band.kind is BandKind.TYPE_A else k - 2
-        denom = dxs[parent, i]
-        numer = dxs[k, i]
+        denom = parent[band.kind][i]
         ok = denom != 0.0
         skipped += int(np.sum(~ok))
-        ratios = np.abs(numer[ok] / denom[ok])
+        ratios = np.abs(d_k[i][ok] / denom[ok])
         if ratios.size == 0:
             continue
-        peak = float(np.max(ratios))
-        if band.kind is BandKind.TYPE_A:
-            max_a = max(max_a, peak)
-            if peak > bound_a * (1.0 + tol) + tol:
-                violations.append(("A", band.lo, band.hi, peak))
-        else:
-            max_b = max(max_b, peak)
-            if peak > bound_b * (1.0 + tol) + tol:
-                violations.append(("B", band.lo, band.hi, peak))
+        top = float(np.max(ratios))
+        peak[band.kind] = max(peak[band.kind], top)
+        if top > bound[band.kind] * (1.0 + tol) + tol:
+            violations.append((band.kind.value, band.lo, band.hi, top))
     return {
         "lam": lam,
         "k": k,
-        "max_ratio_type_a": max_a,
-        "max_ratio_type_b": max_b,
-        "bound_type_a": bound_a,
-        "bound_type_b": bound_b,
+        "max_ratio_type_a": peak[BandKind.TYPE_A],
+        "max_ratio_type_b": peak[BandKind.TYPE_B],
+        "bound_type_a": bound[BandKind.TYPE_A],
+        "bound_type_b": bound[BandKind.TYPE_B],
         "samples_per_band": samples_per_band,
         "skipped_zero_derivative": skipped,
         "violations": violations,
@@ -417,7 +424,7 @@ def derivative_ratio_check(lam: float, k: int, *, samples_per_band: int = 33,
     }
 
 
-def measure_report(lam: float, kmax: int, *, samples_per_band: int = 33) -> dict:
+def measure_report(lam: float, kmax: int) -> dict:
     """Per-level measure table with the decay-exponent fit.
 
     Reports |sigma_k|, the minimum bandwidth, the log-log fit of measure
@@ -433,8 +440,8 @@ def measure_report(lam: float, kmax: int, *, samples_per_band: int = 33) -> dict
     c_estimate = 0.0
     for k in range(1, kmax + 1):
         bands = _cached_spectrum(lam, k)
-        _, dxs = trace_derivative_grid(lam, bands.interior_points(samples_per_band).ravel(), k)
-        peak_deriv = float(np.max(np.abs(dxs[k])))
+        (d_k,) = _level_slopes(lam, bands.interior_points(SAMPLES_PER_BAND), k, 1)
+        peak_deriv = float(np.max(np.abs(d_k)))
         c_estimate = max(c_estimate, peak_deriv / (2.0 * lam + 22.0) ** k)
         rows.append({
             "k": k,
@@ -462,13 +469,15 @@ def measure_report(lam: float, kmax: int, *, samples_per_band: int = 33) -> dict
     }
 
 
-def trace_bound_check(lam: float, k: int, *, samples_per_band: int = 33) -> dict:
+def trace_bound_check(lam: float, k: int, *, samples_per_band: int = SAMPLES_PER_BAND) -> dict:
     """Verify |x_i| <= C_lambda for 0 <= i <= k on sampled level-k energies."""
     if k < 1:
         raise DomainError("trace bound check needs k >= 1")
     params = bound_parameters(lam)
-    energies = _cached_spectrum(lam, k).interior_points(samples_per_band).ravel()
-    worst = float(np.max(np.abs(fib_trace_orbit_grid(lam, energies, k))))
+    energies = _cached_spectrum(lam, k).interior_points(samples_per_band)
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = islice(_walk(Model.FIBONACCI, lam, energies), k + 1)
+        worst = float(np.max([np.max(np.abs(x)) for x in levels]))  # NaN if any level is
     return {
         "lam": lam,
         "k": k,

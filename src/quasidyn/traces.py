@@ -14,10 +14,10 @@ k = 0 block is taken to be the single one-step matrix at site 0.  The choice
 is checked numerically by :func:`indexing_convention_report` and recorded in
 :data:`FIB_CONVENTION_ID`, which output writers embed in their metadata.
 
-Each trace map is written once, as a level iterator (``_fib_levels``,
-``_pd_levels``, ``_tm_levels``) whose arithmetic is only +, - and x.  It
-serves float64 arrays for energy grids, the double-double type ``_DD``, and
-the value-and-derivative type ``_Jet`` that gives every energy slope by the
+Each trace map is written once (``_fib_levels``, ``_pd_levels``,
+``_tm_levels``) with only +, - and x, and every level is read off one walk,
+``_walk``, for float64 arrays, the double-double type ``_DD``, the
+value-and-derivative type ``_Jet`` that gives every energy slope by the
 product rule, and the clipped type ``_Clip`` on which the level-set kernel
 ``_level_crossings`` bisects band edges and special energies alike.
 Fibonacci orbits are iterated in double-double arithmetic:
@@ -299,16 +299,15 @@ def fib_trace_orbit_grid(lam: float, energies: np.ndarray, kmax: int) -> np.ndar
     """
     E = np.atleast_1d(np.asarray(energies, dtype=np.float64))
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.array(list(islice(_fib_levels(E, E - lam, E * (E - lam) - 2.0), kmax + 1)))
+        return np.array(list(islice(_walk(Model.FIBONACCI, lam, E), kmax + 1)))
 
 
 def trace_derivative_grid(lam: float, energies: np.ndarray, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Traces and their energy derivatives over a grid, in one pass of the
     level traces at _Jet(E, 1)."""
     E = np.atleast_1d(np.asarray(energies, dtype=np.float64))
-    e = _Jet(E, np.ones_like(E))
     with np.errstate(over="ignore", invalid="ignore"):
-        levels = list(islice(_fib_levels(e, e - lam, e * (e - lam) - 2.0), kmax + 1))
+        levels = list(islice(_walk(Model.FIBONACCI, lam, _Jet(E, np.ones_like(E))), kmax + 1))
     return np.array([x.v for x in levels]), np.array([x.d for x in levels])
 
 
@@ -410,9 +409,13 @@ def _tm_levels(lam: float, e):
 _SUBST_LEVELS = {Model.PERIOD_DOUBLING: _pd_levels, Model.THUE_MORSE: _tm_levels}
 
 
-def _block_traces(model: Model, lam: float, e, j: int):
-    """Level-j block traces (x_j, y_j) = (tr T0_j, tr T1_j) of a substitution chain at e."""
-    return next(islice(_SUBST_LEVELS[model](lam, e), j, None))
+def _walk(model: Model, lam: float, e):
+    """Yield level 0, 1, ... of the model's trace map at e, each computed when
+    requested: x_k of the Fibonacci map, or (x_k, y_k) = (tr T0_k, tr T1_k) of a
+    substitution chain.  e fixes the number type."""
+    if model is Model.FIBONACCI:
+        return _fib_levels(e, e - lam, e * (e - lam) - 2.0)
+    return _SUBST_LEVELS[model](lam, e)
 
 
 @dataclass(frozen=True)
@@ -440,7 +443,7 @@ def subst_trace_orbit(model: Model | str, lam: float, E: float, kmax: int) -> Su
     xs = np.full(kmax + 1, np.nan)
     ys = np.full(kmax + 1, np.nan)
     overflow_at = None
-    for k, (x, y) in enumerate(islice(_SUBST_LEVELS[model](lam, E), kmax + 1)):
+    for k, (x, y) in enumerate(islice(_walk(model, lam, E), kmax + 1)):
         xs[k], ys[k] = x, y
         if not np.isfinite(x) or abs(x) > TRACE_OVERFLOW:
             overflow_at = k
@@ -462,11 +465,10 @@ def _check_period_sites(q: int, what: str) -> None:
 
 
 def _level_trace(model: Model, lam: float, level: int, e):
-    """The level trace at e: x_k of the Fibonacci map, or tr T0_j of a
-    substitution chain, for float64 arrays, _DD, _Jet or _Clip values."""
-    if model is Model.FIBONACCI:
-        return next(islice(_fib_levels(e, e - lam, e * (e - lam) - 2.0), level, None))
-    return _block_traces(model, lam, e, level)[0]
+    """The level trace at e, read off the walk: x_k of the Fibonacci map, or
+    tr T0_j of a substitution chain."""
+    x = next(islice(_walk(model, lam, e), level, None))
+    return x if model is Model.FIBONACCI else x[0]
 
 
 def _period_cell(model: Model, lam: float, level: int, what: str):
@@ -581,7 +583,7 @@ def pd_root_certificates(lam: float, k: int) -> list[dict]:
     literal float64 matrix product at a float64 root cannot beat.
     """
     zeros = _trace_zeros(Model.PERIOD_DOUBLING, lam, k)
-    x, y = _block_traces(Model.PERIOD_DOUBLING, lam, zeros, k)
+    x, y = next(islice(_walk(Model.PERIOD_DOUBLING, lam, zeros), k, None))
     certificates = []
     for e, trace_defect, x_abs in zip(zeros.hi.tolist(), np.abs((x * y).hi).tolist(),
                                       np.abs(x.hi + x.lo).tolist()):
@@ -608,7 +610,7 @@ def tm_special_energies(lam: float, k: int) -> np.ndarray:
     keep = np.ones(roots.size, dtype=bool)
     keep[1:] = np.diff(roots) > _DUPLICATE_TOL
     roots = roots[keep]
-    return roots[np.abs(_block_traces(Model.THUE_MORSE, lam, roots, 2)[0] - 2.0) > _LEVEL_TWO_TOL]
+    return roots[np.abs(_level_trace(Model.THUE_MORSE, lam, 2, roots) - 2.0) > _LEVEL_TWO_TOL]
 
 
 def _tm_zero_sets(lam: float, k: int) -> dict[int, _DD]:
@@ -635,7 +637,7 @@ def tm_root_certificates(lam: float, k: int) -> list[dict]:
     """
     certificates = []
     for j, zeros in sorted(_tm_zero_sets(lam, k).items()):
-        x = _block_traces(Model.THUE_MORSE, lam, zeros, j)[0]
+        x = _level_trace(Model.THUE_MORSE, lam, j, zeros)
         for e, x_j in zip(zeros.hi.tolist(), np.abs(x.hi + x.lo).tolist()):
             t0, t1 = subst_transfer(Model.THUE_MORSE, lam, e, j)
             m0 = t0 @ t1 @ t0 - t0

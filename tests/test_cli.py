@@ -597,6 +597,45 @@ def test_bad_numbers_in_a_config_file_are_refused(runner, tmp_path, no_kernels, 
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--model", "free", "--Tmin", "1", "--Tmax", "100", "--bound", "power-eta",
+      "--eta", "1e308"], "not finite"),
+    (["--model", "free", "--Tmin", "1", "--Tmax", "100", "--bound", "one-energy",
+      "--alpha", "1e308"], "not finite"),
+    (["--model", "tm", "--lambda", "1", "--alpha", "3"],
+     "alpha is read by the one-energy bound only"),
+    (["--model", "tm", "--lambda", "1", "--eta", "2"],
+     "eta is read by the power-eta bound only"),
+    (["--model", "fib", "--lambda", "1", "--seed-word", "01|10"], "reads no seed word"),
+])
+def test_dynamics_inputs_it_would_drop_are_refused(runner, tmp_path, no_kernels, args, message):
+    result = runner.invoke(main, ["dynamics", *args, "--out", str(tmp_path / "m.csv")])
+    assert result.exit_code == 2, result.output
+    assert message in result.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, text, reads", [
+    ("dynamics", "lambda=1\nTmax=60\nTmin=1\np=4\nbogus=3\n",
+     "lambda, Tmax; not read: Tmin, bogus, p"),
+    ("dynamics", "command=spectrum\nlambda=1\n",
+     "lambda, Tmax; not read: command=spectrum"),
+    ("spectrum", "command=spectrum\nlambda=5\nk=3\nkmax=4\n",
+     "lambda, k, model; not read: kmax"),
+    ("spectrum", "command=dynamics\nlambda=5\nk=3\n",
+     "lambda, k, model; not read: command=dynamics"),
+])
+def test_config_keys_the_command_does_not_read_are_refused(runner, tmp_path, no_kernels,
+                                                           command, text, reads):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    result = runner.invoke(main, [command, "--model", "tm" if command == "dynamics" else "fib",
+                                  "--config", str(cfg), "--out", str(tmp_path / "x.out")])
+    assert result.exit_code == 2, result.output
+    assert f"{command} reads only the config keys {reads}" in result.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_powerlaw_alpha_past_the_float_range_is_an_overflow(runner, tmp_path):
     # 2 ** 1e4 overflows a float: one JSON overflow line, exit 1, no file
     out = tmp_path / "powerlaw.csv"

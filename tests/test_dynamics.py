@@ -802,6 +802,40 @@ def test_reports_keep_the_bits_of_python_pow_and_log():
     assert report["worst_log_margin"] == math.log(2714.3829971557802) - math.log(1.0001)
 
 
+@pytest.mark.parametrize("geometry", list(Geometry))
+def test_norm_sweep_is_capped_by_memory(geometry, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(dynamics, "_transfer_prefixes", reached)
+    monkeypatch.setattr(dynamics, "potential_values", reached)
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0, geometry)
+    largest = dynamics.MAX_SWEEP_BYTES // dynamics._SWEEP_BYTES_PER_M
+    assert 100_000 < largest < MAX_WORD_LENGTH
+    with pytest.raises(Reached):
+        transfer_norms_from_origin(spec, 0.3, largest)
+    with pytest.raises(ResourceError, match="exceeds cap 1 GiB"):
+        transfer_norms_from_origin(spec, 0.3, largest + 1)
+
+
+def test_norm_sweep_memory_per_site_is_within_its_charge():
+    # the charged bytes per m hold on both geometries, at real and complex energies
+    for geometry in Geometry:
+        spec = PotentialSpec(Model.THUE_MORSE, 1.0, geometry)
+        transfer_norms_from_origin(spec, 0.3, 100)
+        for energy in (0.3, 0.3 + 1e-12j):
+            tracemalloc.start()
+            try:
+                transfer_norms_from_origin(spec, energy, 10_000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= dynamics._SWEEP_BYTES_PER_M * 10_000
+
+
 @pytest.mark.parametrize("spec", [FREE, fib_spec(1.0), PotentialSpec(Model.THUE_MORSE, 1.0),
                                   PotentialSpec(Model.PERIOD_DOUBLING, 1.0),
                                   PotentialSpec(Model.EXPLICIT_PERIODIC, 1.0, seed="01")],

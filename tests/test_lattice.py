@@ -86,6 +86,13 @@ def test_explicit_two_sided_seed():
         potential_value(spec, 5)
 
 
+@pytest.mark.parametrize("model, seed", [(Model.FIBONACCI, "01|10"), (Model.FREE, "0|1"),
+                                         (Model.THUE_MORSE, 3), (Model.EXPLICIT_PERIODIC, 101)])
+def test_a_seed_the_model_does_not_read_is_refused(model, seed):
+    with pytest.raises(DomainError):
+        PotentialSpec(model, 1.0, seed=seed)
+
+
 @pytest.mark.parametrize("model", [Model.PERIOD_DOUBLING, Model.THUE_MORSE])
 def test_substitution_letters_on_both_sides(model):
     # right of the origin: S^k(0); left of it: the tail of S^(2K)(1), which

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +14,7 @@ from quasidyn.spectra import (
     BandCountError,
     BandKind,
     BandSet,
+    _cached_spectrum,
     _held,
     approximant_spectrum,
     bound_parameters,
@@ -353,3 +355,91 @@ def test_trace_bound_on_sampled_bands():
     report = trace_bound_check(5.0, 8, samples_per_band=10)
     assert report["ok"]
     assert report["max_abs_trace"] <= 2.0 + math.sqrt(33.0)
+
+
+def _derivative_ratio_all_levels(lam, k, *, samples_per_band=33, tol=1e-6):
+    """Oracle: the ratio check read off the whole (k + 1)-level derivative
+    table, with one branch per band kind."""
+    bands = classify_bands(lam, k)
+    max_a = 0.0
+    max_b = 0.0
+    skipped = 0
+    violations = []
+    bound_a = lam + 11.0
+    bound_b = 2.0 * lam + 22.0
+    # one grid call over every band's samples, then one row per band
+    _, dxs = trace_derivative_grid(lam, bands.interior_points(samples_per_band).ravel(), k)
+    dxs = dxs.reshape(k + 1, len(bands), samples_per_band)
+    for i, band in enumerate(bands):
+        parent = k - 1 if band.kind is BandKind.TYPE_A else k - 2
+        denom = dxs[parent, i]
+        numer = dxs[k, i]
+        ok = denom != 0.0
+        skipped += int(np.sum(~ok))
+        ratios = np.abs(numer[ok] / denom[ok])
+        if ratios.size == 0:
+            continue
+        peak = float(np.max(ratios))
+        if band.kind is BandKind.TYPE_A:
+            max_a = max(max_a, peak)
+            if peak > bound_a * (1.0 + tol) + tol:
+                violations.append(("A", band.lo, band.hi, peak))
+        else:
+            max_b = max(max_b, peak)
+            if peak > bound_b * (1.0 + tol) + tol:
+                violations.append(("B", band.lo, band.hi, peak))
+    return {
+        "lam": lam,
+        "k": k,
+        "max_ratio_type_a": max_a,
+        "max_ratio_type_b": max_b,
+        "bound_type_a": bound_a,
+        "bound_type_b": bound_b,
+        "samples_per_band": samples_per_band,
+        "skipped_zero_derivative": skipped,
+        "violations": violations,
+        "ok": not violations,
+    }
+
+
+def _trace_bound_all_levels(lam, k, *, samples_per_band=33):
+    """Oracle: the trace bound read off the whole (k + 1)-level orbit table."""
+    params = bound_parameters(lam)
+    energies = _cached_spectrum(lam, k).interior_points(samples_per_band).ravel()
+    worst = float(np.max(np.abs(fib_trace_orbit_grid(lam, energies, k))))
+    return {
+        "lam": lam,
+        "k": k,
+        "max_abs_trace": worst,
+        "c_lambda": params.c_lambda,
+        "ok": worst <= params.c_lambda + 1e-9,
+    }
+
+
+@pytest.mark.parametrize("lam", [4.5, 5.0, 8.0])
+def test_derivative_ratio_check_matches_the_all_levels_table(lam):
+    for k in range(3, 12):
+        assert derivative_ratio_check(lam, k) == _derivative_ratio_all_levels(lam, k)
+
+
+@pytest.mark.parametrize("lam", [1.0, 5.0])
+def test_trace_bound_check_matches_the_all_levels_table(lam):
+    for k in (5, 10, 14):
+        assert trace_bound_check(lam, k) == _trace_bound_all_levels(lam, k)
+
+
+def test_measure_report_holds_only_the_level_it_reads():
+    # band sets cached: levels 0..k read for every k would peak at 21.5 MB, level k alone at ~5 MB
+    report = measure_report(5.0, 15)
+    tracemalloc.start()
+    try:
+        assert measure_report(5.0, 15) == report
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    for row in report["rows"]:
+        k = row["k"]
+        energies = _cached_spectrum(5.0, k).interior_points(33).ravel()
+        slopes = trace_derivative_grid(5.0, energies, k)[1][k]
+        assert row["max_abs_trace_derivative"] == float(np.max(np.abs(slopes)))

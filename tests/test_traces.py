@@ -182,12 +182,12 @@ def _fib_trace_exact(lam: Fraction, e: Fraction, k: int) -> Fraction:
 
 
 def _kernel_slope(model: str, lam: float, energy: float, k: int) -> float:
-    from quasidyn.traces import _Jet, _block_traces
+    from quasidyn.traces import _Jet, _level_trace
 
     if model == "fib":
         return float(trace_derivative_grid(lam, np.array([energy]), k)[1][k, 0])
     subst = Model.PERIOD_DOUBLING if model == "pd" else Model.THUE_MORSE
-    return float(_block_traces(subst, lam, _Jet(energy, 1.0), k)[0].d)
+    return float(_level_trace(subst, lam, k, _Jet(energy, 1.0)).d)
 
 
 @pytest.mark.parametrize("model", ["fib", "pd", "tm"])
@@ -351,10 +351,10 @@ def test_tm_special_energy_nesting():
 
 def test_tm_level_two_set_is_excluded():
     # energies with x_2 = 2 are dropped from the returned special set
-    from quasidyn.traces import _block_traces
+    from quasidyn.traces import _level_trace
 
     roots = tm_special_energies(1.0, 6)
-    x2, _ = _block_traces(Model.THUE_MORSE, 1.0, roots, 2)
+    x2 = _level_trace(Model.THUE_MORSE, 1.0, 2, roots)
     assert np.all(np.abs(x2 - 2.0) > 1e-9)
 
 
@@ -623,3 +623,66 @@ def test_jet_takes_floats_and_numpy_scalars():
             assert isinstance(value, _Jet)
             assert (value.v, value.d) == want
     assert (jet * jet).d == 3.0
+
+
+# ---------------------------------------------------------------------------
+# the one walk
+
+def _spelled_out(model, lam, e, count):
+    """The first ``count`` levels of each map, written out from its seeds at e."""
+    if model is Model.FIBONACCI:
+        xs = [e, e - lam, e * (e - lam) - 2.0]
+        while len(xs) < count:
+            xs.append(xs[-1] * xs[-2] - xs[-3])
+        return xs[:count]
+    if model is Model.PERIOD_DOUBLING:
+        levels = [(e, e - lam)]
+        while len(levels) < count:
+            x, y = levels[-1]
+            levels.append((x * y - 2.0, x * x - 2.0))
+        return levels
+    a, b = e, e - lam
+    xs = [a * b - 2.0]
+    xs.append(a * b * xs[0] - (a * a + b * b) + 2.0)
+    while len(xs) < count - 1:
+        xs.append(xs[-2] * xs[-2] * (xs[-1] - 2.0) + 2.0)
+    return [(a, b)] + [(x, x) for x in xs[:count - 1]]
+
+
+def _parts(level):
+    """The float64 arrays that hold one level (a pair of traces, or one)."""
+    if isinstance(level, tuple):
+        return [part for x in level for part in _parts(x)]
+    from quasidyn.traces import _DD, _Clip, _Jet
+
+    if isinstance(level, _DD):
+        return [level.hi, level.lo]
+    if isinstance(level, _Jet):
+        return [level.v, level.d]
+    return [level.v if isinstance(level, _Clip) else level]
+
+
+@pytest.mark.parametrize("number", ["float64", "dd", "jet", "clip"])
+@pytest.mark.parametrize("model", [Model.FIBONACCI, Model.PERIOD_DOUBLING, Model.THUE_MORSE])
+def test_walk_is_each_map_from_its_seeds_bit_for_bit(model, number):
+    from itertools import islice
+
+    from quasidyn.traces import _DD, _Clip, _Jet, _walk
+
+    # energies far off the bands, where levels pass the float range
+    energies = np.linspace(-7.0, 10.0, 69)
+    make = {"float64": lambda: energies.copy(),
+            "dd": lambda: _DD(energies, np.zeros_like(energies)),
+            "jet": lambda: _Jet(energies, np.ones_like(energies)),
+            "clip": lambda: _Clip(energies.copy())}
+    count = 24
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = list(islice(_walk(model, 2.5, make[number]()), count))
+        want = _spelled_out(model, 2.5, make[number](), count)
+    assert len(got) == len(want) == count
+    got_parts = [p for level in got for p in _parts(level)]
+    want_parts = [p for level in want for p in _parts(level)]
+    for g, w in zip(got_parts, want_parts):
+        assert np.array_equal(g, w, equal_nan=True)
+    if number != "clip":
+        assert not all(np.isfinite(p).all() for p in got_parts)
