@@ -10,7 +10,6 @@ from quasidyn.lattice import (
     ResourceError,
     ScaleOverflowError,
     TruncationError,
-    apply_hamiltonian,
     one_step_matrix,
     perturb,
     potential_value,
@@ -65,7 +64,6 @@ from quasidyn.dynamics import (
     profiles_time_ladder,
     resolvent_vector,
     good_set_moment_bound,
-    zeckendorf,
 )
 
 __version__ = "0.1.0"

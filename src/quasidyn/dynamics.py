@@ -37,7 +37,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg.blas import dgemm, zgemm
-from scipy.special import jv, logsumexp
 
 from quasidyn.lattice import (
     DomainError,
@@ -381,7 +380,6 @@ STEP_SAMPLES = 16
 #: the long step's samples before the next block is built.
 BLOCK_VECTORS = 8
 
-
 def _cone_radius(t: float) -> int:
     """Radius of the light-cone slice swept up to time t.
 
@@ -391,23 +389,79 @@ def _cone_radius(t: float) -> int:
     return default_window_radius(t) + int(math.ceil(8.0 * t ** (1.0 / 3.0)))
 
 
+def _kapteyn_bound(n: int, x: float) -> float:
+    """Kapteyn's bound on |J_n(y)| for every |y| <= x: (z e^w / (1 + w))^n,
+    z = x/n, w = sqrt(1 - z^2), when x < n (1 otherwise).
+
+    It grows with x and falls with n, so one value covers a block of rows
+    and every higher order.
+    """
+    if x >= n:
+        return 1.0
+    if x == 0.0:
+        return 0.0
+    z = x / n
+    w = math.sqrt((1.0 - z) * (1.0 + z))
+    return math.exp(n * (math.log(z) + w - math.log1p(w)))
+
+
+def _bessel_block(x: np.ndarray, top: int, start: int) -> np.ndarray:
+    """J_0(x) .. J_top(x), one row per x, by Miller's backward recurrence
+    J_{k-1} = (2k/|x|) J_k - J_{k+1} from J_{start+1} = 0, J_start = 1.
+
+    All rows run at once.  A row is rescaled by a power of two when it
+    nears 1e150, and normalized at the end by J_0 + 2 sum_k J_2k = 1;
+    J_k(-x) = (-1)^k J_k(x).  A row with |x| < 1e-8 is the series' first
+    term (x/2)^k / k!, within 2.5e-17 relative and exact at x = 0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty((x.size, top + 1))
+    tiny = np.abs(x) < 1e-8
+    series = np.ones((np.count_nonzero(tiny), top + 1))
+    series[:, 1:] = 0.5 * x[tiny, None] / np.arange(1.0, top + 1)
+    out[tiny] = np.cumprod(series, axis=1)
+    rows = x[~tiny]
+    if rows.size:
+        f = np.zeros((start + 2, rows.size))
+        f[start] = 1.0
+        ratio = np.arange(0.0, 2.0 * start + 1.0, 2.0)[:, None] / np.abs(rows)
+        with np.errstate(over="ignore"):
+            for k in range(start, 0, -1):
+                row = np.multiply(ratio[k], f[k], out=f[k - 1])
+                row -= f[k + 1]
+                if row @ row > 1e300:
+                    _, exponent = np.frexp(np.maximum(np.abs(row), np.abs(f[k])))
+                    f[k - 1:] = np.ldexp(f[k - 1:], -exponent)
+        f[1::2] *= np.sign(rows)
+        out[~tiny] = (f[:top + 1] / (f[0] + 2.0 * f[2::2].sum(axis=0))).T
+    return out
+
+
 def _chebyshev_coefficients(x: np.ndarray, tol: float, max_order: int) -> np.ndarray:
     """Bessel coefficients J_0(x) .. J_K(x), one row per phase argument x.
 
-    J_k(x) decays superexponentially past k ~ x; the order K is pushed
-    until the next five coefficients of every row all drop below tol.
+    J_k(x) decays superexponentially past k ~ |x|.  K is the first order of
+    k = |x| + 8, then k + max(4, k // 8), ..., at which the next five
+    coefficients of every row all drop below tol.  One ``_bessel_block``
+    holds every order that rule reads: up to the first candidate that
+    Kapteyn's bound clears, or the last one within max_order.
     """
-    x = np.asarray(x, dtype=np.float64)[:, None]
-    k = int(np.abs(x).max()) + 8
-    while True:
-        if k > max_order:
-            raise ResourceError("Chebyshev expansion order cap exceeded; "
-                                "lower the accuracy or shorten the step")
-        coeff = jv(np.arange(k + 5), x)
-        if np.all(np.abs(coeff[:, k:]) < tol):
+    x = np.asarray(x, dtype=np.float64)
+    x_max = float(np.abs(x).max())
+    candidates, k = [], int(x_max) + 8
+    while k <= max_order:
+        candidates.append(k)
+        if _kapteyn_bound(k, x_max) < tol:
             break
         k += max(4, k // 8)
-    return coeff[:, :k + 1]
+    if candidates:
+        coeff = _bessel_block(x, candidates[-1] + 4, candidates[-1] + 5)
+        small = np.all(np.abs(coeff) < tol, axis=0)
+        for k in candidates:
+            if small[k:k + 5].all():
+                return coeff[:, :k + 1]
+    raise ResourceError("Chebyshev expansion order cap exceeded; "
+                        "lower the accuracy or shorten the step")
 
 
 def _chebyshev_samples(vc: np.ndarray, scale: float, coeff: np.ndarray, psi: np.ndarray,
@@ -629,8 +683,8 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
 def moments(profile: AmplitudeProfile, p: float) -> float:
     """log of the p-th absolute position moment of the profile.
 
-    Accumulated as logsumexp of p log|n| + log a(n), in a fixed site order,
-    so that orders well past p = 100 remain finite and reductions are
+    Accumulated as ``_logsumexp`` of p log|n| + log a(n), in a fixed site
+    order, so that orders well past p = 100 remain finite and reductions are
     deterministic.
     """
     if p <= 0:
@@ -641,8 +695,22 @@ def moments(profile: AmplitudeProfile, p: float) -> float:
     mask = (sites != 0) & (profile.a > 0.0)
     if not np.any(mask):
         raise DomainError("profile carries no off-origin mass")
-    terms = p * np.log(np.abs(sites[mask]).astype(np.float64)) + np.log(profile.a[mask])
-    return float(logsumexp(terms))
+    return _logsumexp(p * np.log(np.abs(sites[mask]).astype(np.float64))
+                      + np.log(profile.a[mask]))
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum exp(a) over a finite float64 vector, which it overwrites.
+
+    scipy.special.logsumexp's own steps, so the bits are its bits: the
+    maxima leave the sum, which is then divided by their count m, and the
+    result is log1p(s) + log(m) + max.
+    """
+    top = a.max()
+    ties = a == top
+    a[ties] = -np.inf
+    m = np.float64(np.count_nonzero(ties))
+    return float(np.log1p(np.sum(np.exp(a - top)) / m) + np.log(m) + top)
 
 
 def moment_series(profiles: Sequence[AmplitudeProfile], p: float) -> MomentSeries:
@@ -928,26 +996,6 @@ def _powerlaw_report(norms: TransferNorms, E: float, alpha: float, m_max: int,
     return PowerlawReport(E=E, alpha=alpha, m_max=m_max, c_estimate=c_estimate,
                           argmax_m=argmax_m, max_norm=float(values.max()),
                           violations=violations)
-
-
-def zeckendorf(m: int) -> list[int]:
-    """Indices k_0 < k_1 < ... of the greedy Fibonacci coding of m.
-
-    Uses the index convention F_1 = 1, F_2 = 2, F_3 = 3, F_4 = 5, ...; the
-    greedy choice guarantees consecutive indices differ by at least 2, and
-    the top index is max{i : F_i <= m}.
-    """
-    if m < 1:
-        raise DomainError("Zeckendorf coding needs m >= 1")
-    fib = [1, 2]  # F_i is fib[i - 1]
-    while fib[-1] <= m:
-        fib.append(fib[-1] + fib[-2])
-    indices = []
-    for i in range(len(fib), 0, -1):
-        if fib[i - 1] <= m:  # then m - F_i < F_(i-1), so index i - 1 is never taken
-            indices.append(i)
-            m -= fib[i - 1]
-    return indices[::-1]
 
 
 def zeckendorf_bound_check(spec: PotentialSpec, E: float, m_max: int, d: float) -> dict:

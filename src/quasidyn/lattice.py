@@ -446,13 +446,3 @@ def _tridiag_solve(v: np.ndarray, z: complex, rhs: np.ndarray) -> np.ndarray:
     ab[1, :] = v - z
     ab[2, :-1] = 1.0
     return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
-
-
-def apply_hamiltonian(spec: PotentialSpec, window: LatticeWindow, v: np.ndarray) -> np.ndarray:
-    """Apply the chain Hamiltonian on a window with Dirichlet truncation."""
-    v = np.asarray(v)
-    if v.shape[0] != window.size:
-        raise DomainError(f"vector length {v.shape[0]} does not match window size {window.size}")
-    if spec.geometry is not window.geometry:
-        raise DomainError("window geometry does not match the potential spec")
-    return _tridiag_apply(potential_values(spec, window.sites()), v)

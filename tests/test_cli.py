@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -86,15 +87,26 @@ def test_bad_inputs_are_usage_errors(runner, tmp_path, args):
     assert not list(tmp_path.iterdir())
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    """The modules that ``import quasidyn.cli`` loads in a fresh interpreter."""
     src = str(Path(quasidyn.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, quasidyn.cli; "
-            "print([m in sys.modules for m in ('scipy.stats', 'scipy.optimize')])")
+    code = "import sys, quasidyn.cli; print(*sorted(sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.strip() == "[False, False]"
+    modules = set(done.stdout.split())
+    assert "quasidyn.cli" in modules
+    return modules
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(cli_import_modules):
+    assert not {"scipy.stats", "scipy.optimize"} & cli_import_modules
+
+
+def test_cli_import_leaves_scipy_special_unloaded(cli_import_modules):
+    assert "scipy.special" not in cli_import_modules
 
 
 def test_spectrum_reads_config_file(runner, tmp_path):
@@ -505,6 +517,16 @@ def test_runner_prints_one_run_line(runner):
     record = json.loads(line)
     assert record["command"] == "verify" and record["exit"] == 0
     assert record["wall_s"] >= 0.0 and "error" not in record
+
+
+def test_run_line_reports_the_setup_cpu(runner):
+    before = time.process_time()
+    result = runner.invoke(main, ["verify", "algebra"])
+    assert result.exit_code == 0
+    (line,) = result.stderr.splitlines()
+    setup = json.loads(line)["setup_cpu_s"]
+    # the process's CPU at command entry: at least what it had spent before the call
+    assert 0.0 <= round(before, 3) <= setup <= time.process_time() + 0.001
 
 
 def test_every_command_runs_under_the_runner():

@@ -29,7 +29,6 @@ from quasidyn.dynamics import (
     resolvent_vector,
     good_set_moment_bound,
     transfer_norms_from_origin,
-    zeckendorf,
     zeckendorf_bound_check,
 )
 from quasidyn.lattice import (
@@ -211,6 +210,115 @@ def test_evolution_order_cap():
     window = LatticeWindow(-900, 900)
     with pytest.raises(ResourceError):
         evolve_state(FREE, 400.0, window, max_order=64)
+
+
+# ---------------------------------------------------------------------------
+# Bessel coefficients: Miller's recurrence against scipy's jv and mpmath
+
+def _jv_order(x, tol, max_order):
+    """The Chebyshev order rule on scipy's jv, one jv block per candidate."""
+    from scipy.special import jv
+
+    x = np.asarray(x, dtype=np.float64)[:, None]
+    k = int(np.abs(x).max()) + 8
+    while True:
+        if k > max_order:
+            raise ResourceError("Chebyshev expansion order cap exceeded")
+        if np.all(np.abs(jv(np.arange(k + 5), x)[:, k:]) < tol):
+            return k
+        k += max(4, k // 8)
+
+
+@pytest.mark.parametrize("x, orders", [
+    (25.2, range(58)),
+    # mpmath takes ~30 ms per order here: the oscillatory, turning and tail regions
+    (2000.0, [0, 1, 1000, 1900, 2000, 2100, 2259]),
+])
+def test_bessel_coefficients_beat_jv_against_mpmath(x, orders):
+    import mpmath
+    from scipy.special import jv
+
+    coeff = dynamics._chebyshev_coefficients(np.array([x]), 1e-15, 1 << 17)[0]
+    orders = np.array(orders)
+    assert orders[-1] < coeff.size
+    with mpmath.workdps(30):
+        exact = np.array([float(mpmath.besselj(int(k), x)) for k in orders])
+    ours = np.max(np.abs(coeff[orders] - exact))
+    assert ours <= np.max(np.abs(jv(orders, x) - exact))
+    assert ours < 5e-16
+
+
+def test_bessel_block_at_large_argument_does_not_depend_on_its_start():
+    # an argument of the size evolve_state reaches by t ~ 6000, where mpmath
+    # does not converge: a start 400 orders higher is the oracle
+    x = np.array([19000.0])
+    coeff = dynamics._chebyshev_coefficients(x, 1e-15, 1 << 17)
+    top = coeff.shape[1] - 1
+    later = dynamics._bessel_block(x, top, top + 405)
+    assert np.max(np.abs(coeff - later)) < 4e-15
+
+
+def test_bessel_rows_at_zero_and_negative_arguments():
+    from scipy.special import jv
+
+    x = np.array([0.0, -0.0, 1e-300, -1e-9, 3.7, -3.7, 25.2, -25.2])
+    coeff = dynamics._chebyshev_coefficients(x, 1e-15, 1 << 17)
+    for row in coeff[:2]:
+        assert row[0] == 1.0 and not np.any(row[1:])
+    sign = (-1.0) ** np.arange(coeff.shape[1])
+    npt.assert_array_equal(coeff[5], sign * coeff[4])
+    npt.assert_array_equal(coeff[7], sign * coeff[6])
+    npt.assert_allclose(coeff, jv(np.arange(coeff.shape[1]), x[:, None]), rtol=0, atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 2000), z=st.floats(0.0, 1.0))
+def test_kapteyn_bound_bounds_jv(n, z):
+    from scipy.special import jv
+
+    x = z * n
+    bound = dynamics._kapteyn_bound(n, x)
+    ys = x * np.linspace(0.0, 1.0, 9)
+    assert np.all(np.abs(jv(n, ys)) <= bound * (1.0 + 1e-12) + 1e-300)
+    assert dynamics._kapteyn_bound(n + 1, x) <= bound
+
+
+def test_chebyshev_order_is_the_jv_rule():
+    cases = [h * dt * np.arange(1, 17) for h in (2.1, 2.625, 3.15, 9.45) for dt in (0.5, 0.37, 0.1)]
+    cases += [np.array([x]) for x in (0.3, 5.0, 94.5, 840.0)]
+    for x in cases:
+        assert dynamics._chebyshev_coefficients(x, 1e-15, 1 << 17).shape[1] - 1 \
+            == _jv_order(x, 1e-15, 1 << 17)
+    # a cap between the first candidate and the order: refused the same way
+    x = np.array([100.0])
+    for cap in (108, 110, 120, 121, 140):
+        try:
+            expected = _jv_order(x, 1e-15, cap)
+        except ResourceError:
+            with pytest.raises(ResourceError, match="order cap exceeded"):
+                dynamics._chebyshev_coefficients(x, 1e-15, cap)
+        else:
+            assert dynamics._chebyshev_coefficients(x, 1e-15, cap).shape[1] - 1 == expected
+
+
+def test_order_cap_is_refused_before_the_recurrence(monkeypatch):
+    def no_recurrence(*args):
+        raise AssertionError("the recurrence ran")
+
+    monkeypatch.setattr(dynamics, "_bessel_block", no_recurrence)
+    with pytest.raises(ResourceError):
+        evolve_state(FREE, 400.0, LatticeWindow(-900, 900), max_order=64)
+
+
+@pytest.mark.parametrize("lam, ladder, order, matvecs", [
+    # the counters with scipy's jv coefficients
+    (1.0, [4.0, 16.0, 64.0], 51, 2448),
+    (2.5, [4.0, 16.0, 64.0], 60, 2880),
+    (0.3, [2.0, 8.0, 32.0], 47, 1128),
+])
+def test_time_ladder_work_is_unchanged(lam, ladder, order, matvecs):
+    meta = profiles_time_ladder(PotentialSpec(Model.THUE_MORSE, lam), ladder)[-1].meta
+    assert (meta["chebyshev_order"], meta["matvecs"]) == (order, matvecs)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +576,34 @@ def test_moment_large_order_stays_finite():
     assert np.isfinite(moments(prof, 120.0))
 
 
+@st.composite
+def _log_terms(draw):
+    """Vectors of one to 40 finite terms, spread up to 1e3, often tied at the max."""
+    unit = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40)))
+    a = draw(st.floats(-1e3, 1e3)) + draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3])) * unit
+    a[draw(st.lists(st.integers(0, a.size - 1), max_size=a.size))] = a.max()
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(_log_terms())
+def test_logsumexp_is_scipys(a):
+    from scipy.special import logsumexp
+
+    assert dynamics._logsumexp(a.copy()) == float(logsumexp(a))
+
+
+def test_moments_are_scipys_logsumexp():
+    from scipy.special import logsumexp
+
+    prof = profile_time(PotentialSpec(Model.THUE_MORSE, 1.0), 30.0)
+    sites = prof.sites()
+    keep = (sites != 0) & (prof.a > 0.0)
+    for p in (0.5, 1.0, 2.0, 4.0, 8.0, 30.0, 120.0):
+        terms = p * np.log(np.abs(sites[keep]).astype(np.float64)) + np.log(prof.a[keep])
+        assert moments(prof, p) == float(logsumexp(terms))
+
+
 def test_outside_probability_limits():
     prof = _uniform_profile(100)
     assert outside_probability(prof, 0.7) == pytest.approx(prof.total_mass)  # T = 1
@@ -651,6 +787,26 @@ def test_powerlaw_fib_on_band_energies():
         report = powerlaw_check(spec, energy, alpha, 89, cap=bound_parameters(lam).d)
         assert report.violations == ()
         assert report.c_estimate <= bound_parameters(lam).d
+
+
+def zeckendorf(m: int) -> list[int]:
+    """Indices k_0 < k_1 < ... of the greedy Fibonacci coding of m.
+
+    The index convention is F_1 = 1, F_2 = 2, F_3 = 3, F_4 = 5, ...; the
+    greedy choice makes consecutive indices differ by at least 2, and the
+    top index is max{i : F_i <= m}.  An oracle for the coding reports, which
+    read the top index off ``searchsorted`` instead.
+    """
+    assert m >= 1
+    fib = [1, 2]  # F_i is fib[i - 1]
+    while fib[-1] <= m:
+        fib.append(fib[-1] + fib[-2])
+    indices = []
+    for i in range(len(fib), 0, -1):
+        if fib[i - 1] <= m:  # then m - F_i < F_(i-1), so index i - 1 is never taken
+            indices.append(i)
+            m -= fib[i - 1]
+    return indices[::-1]
 
 
 def test_zeckendorf_codings():

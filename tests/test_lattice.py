@@ -17,7 +17,6 @@ from quasidyn.lattice import (
     _transfer_prefixes,
     _tridiag_apply,
     _tridiag_solve,
-    apply_hamiltonian,
     mat_inv_unimodular,
     one_step_matrix,
     perturb,
@@ -352,38 +351,42 @@ def test_mat_inv_unimodular():
 # ---------------------------------------------------------------------------
 # operator action
 
-def test_apply_hamiltonian_free_delta():
-    spec = PotentialSpec(Model.FREE)
+def test_tridiag_apply_free_delta():
     window = LatticeWindow(-4, 4)
-    v = np.zeros(window.size, dtype=complex)
-    v[window.index(1)] = 1.0
-    out = apply_hamiltonian(spec, window, v)
+    v = potential_values(PotentialSpec(Model.FREE), window.sites())
+    psi = np.zeros(window.size, dtype=complex)
+    psi[window.index(1)] = 1.0
+    out = _tridiag_apply(v, psi)
     expected = np.zeros(window.size, dtype=complex)
     expected[window.index(0)] = 1.0
     expected[window.index(2)] = 1.0
     npt.assert_array_equal(out, expected)
+    npt.assert_array_equal(out, _dense_hamiltonian(v) @ psi)
 
 
-def test_apply_hamiltonian_half_line_boundary():
+def test_tridiag_apply_half_line_boundary():
     spec = PotentialSpec(Model.FIBONACCI, 2.0, Geometry.HALF_LINE)
     window = LatticeWindow(1, 6, Geometry.HALF_LINE)
-    v = np.zeros(window.size, dtype=complex)
-    v[window.index(1)] = 1.0
-    out = apply_hamiltonian(spec, window, v)
+    v = potential_values(spec, window.sites())
+    psi = np.zeros(window.size, dtype=complex)
+    psi[window.index(1)] = 1.0
+    out = _tridiag_apply(v, psi)
     assert out[window.index(1)] == potential_value(spec, 1)
     assert out[window.index(2)] == 1.0
     assert np.all(out[2:] == 0)
+    npt.assert_array_equal(out, _dense_hamiltonian(v) @ psi)
 
 
-def test_apply_hamiltonian_symmetric(rng):
-    spec = fib_spec(1.3)
+def test_tridiag_apply_symmetric(rng):
     window = LatticeWindow(-30, 30)
+    v = potential_values(fib_spec(1.3), window.sites())
     u = rng.normal(size=window.size) + 1j * rng.normal(size=window.size)
-    v = rng.normal(size=window.size) + 1j * rng.normal(size=window.size)
-    lhs = np.vdot(apply_hamiltonian(spec, window, u), v)
-    rhs = np.vdot(u, apply_hamiltonian(spec, window, v))
+    w = rng.normal(size=window.size) + 1j * rng.normal(size=window.size)
+    lhs = np.vdot(_tridiag_apply(v, u), w)
+    rhs = np.vdot(u, _tridiag_apply(v, w))
     assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
-
+    h = _dense_hamiltonian(v)
+    npt.assert_allclose(_tridiag_apply(v, u), h @ u, rtol=0, atol=1e-13)
 
 
 KERNEL_WINDOWS = [
