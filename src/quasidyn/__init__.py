@@ -17,7 +17,6 @@ from quasidyn.lattice import (
     spectral_norm,
     substitution_word,
     transfer_matrix,
-    transfer_matrix_scaled,
 )
 from quasidyn.traces import (
     FIB_CONVENTION_ID,
@@ -58,7 +57,6 @@ from quasidyn.dynamics import (
     moment_series,
     moments,
     outside_probability,
-    powerlaw_check,
     profile_resolvent,
     profile_time,
     profiles_time_ladder,

@@ -107,7 +107,7 @@ _SITE_VALUE = re.compile(r"[+-]?\d+:[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration; round-trips through flat key=value text."""
+    """Resolved run configuration, read from flat key=value text."""
 
     command: str
     values: dict = field(default_factory=dict)
@@ -115,11 +115,6 @@ class RunConfig:
     def hash(self) -> str:
         canon = "\n".join(f"{k}={self.values[k]}" for k in sorted(self.values))
         return hashlib.sha256(f"{self.command}\n{canon}".encode()).hexdigest()[:16]
-
-    def to_text(self) -> str:
-        lines = [f"command={self.command}"]
-        lines += [f"{k}={self.values[k]}" for k in sorted(self.values)]
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -407,7 +402,7 @@ def _suite_invariant(lam: float, samples: int, seed: int) -> dict:
             "triples_checked": checked, "samples": samples}
 
 
-def _suite_algebra(lam: float, seed: int) -> dict:
+def _suite_algebra(lam: float) -> dict:
     report = indexing_convention_report(lam=lam if lam > 0 else 1.0)
     ok = report["adopted"] == "A(F_k)...A(1)" and report["residual_adopted"] < 1e-10
     return {"name": "block-convention", "ok": ok, **report}
@@ -457,7 +452,7 @@ def verify(suite, model, lam, samples, t_avg, mmax, seed, max_cost, out):
     if suite == "invariant":
         record = _suite_invariant(lam, samples, seed)
     elif suite == "algebra":
-        record = _suite_algebra(lam, seed)
+        record = _suite_algebra(lam)
     elif suite == "covering":
         record = _suite_covering(lam if lam > 0 else 5.0, mmax)
     else:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -687,8 +686,8 @@ def moments(profile: AmplitudeProfile, p: float) -> float:
     order, so that orders well past p = 100 remain finite and reductions are
     deterministic.
     """
-    if p <= 0:
-        raise DomainError("moment order must be positive")
+    if not 0 < p < math.inf:  # NaN fails too
+        raise DomainError(f"moment order must be positive and finite, not {p}")
     if profile.a.size == 0:
         raise DomainError("empty profile")
     sites = profile.sites()
@@ -898,31 +897,19 @@ def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Seque
 # ---------------------------------------------------------------------------
 # transfer-matrix power laws
 
-class TransferNorms(Mapping):
-    """||T(m, 1; E)|| by m, read-only, over arrays ``m`` (consecutive, ascending) and ``norms``."""
+class TransferNorms:
+    """||T(m, 1; E)|| as two read-only arrays: ``m`` (consecutive, ascending) and ``norms``."""
 
     def __init__(self, m: np.ndarray, norms: np.ndarray):
         self.m, self.norms = m, norms
         m.flags.writeable = norms.flags.writeable = False
 
-    def __getitem__(self, m) -> float:
-        if not (isinstance(m, (int, np.integer)) and self.m[0] <= m <= self.m[-1]):
-            raise KeyError(m)
-        return float(self.norms[m - self.m[0]])
-
-    def __iter__(self):
-        return iter(self.m.tolist())
-
     def __len__(self) -> int:
         return self.m.size
 
     def items(self):
-        return _NormItems(self)
-
-
-class _NormItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping.m.tolist(), self._mapping.norms.tolist())
+        """An iterator over the (m, norm) pairs as Python ints and floats, ascending in m."""
+        return zip(self.m.tolist(), self.norms.tolist())
 
 
 #: Most memory a transfer-norm sweep may take.
@@ -969,19 +956,12 @@ class PowerlawReport:
     violations: tuple[int, ...]
 
 
-def powerlaw_check(spec: PotentialSpec, E: float, alpha: float, m_max: int, *,
-                   cap: float | None = None) -> PowerlawReport:
-    """Max of ||T(m, 1; E)|| / |m|^alpha over the swept range.
+def _powerlaw_report(norms: TransferNorms, E: float, alpha: float, m_max: int,
+                     cap: float | None = None) -> PowerlawReport:
+    """Max of ||T(m, 1; E)|| / |m|^alpha over the swept m != 0.
 
     ``cap``, when given, marks the m whose ratio exceeds it as violations.
     """
-    if m_max < 2:
-        raise DomainError("m_max must be at least 2")
-    return _powerlaw_report(transfer_norms_from_origin(spec, E, m_max), E, alpha, m_max, cap)
-
-
-def _powerlaw_report(norms: TransferNorms, E: float, alpha: float, m_max: int,
-                     cap: float | None = None) -> PowerlawReport:
     keep = norms.m != 0
     m, values = norms.m[keep], norms.norms[keep]
     # |m|^alpha by Python **: np.power differs from it in the last bit on some m

@@ -36,7 +36,8 @@ OMEGA = (math.sqrt(5.0) - 1.0) / 2.0
 #: Left endpoint of the half-open arc that marks the high sites.
 _FIB_THRESHOLD = 1.0 - OMEGA
 
-#: Entry magnitude at which transfer products are declared overflowed.
+#: The one overflow limit: site products, blocks and trace orbits passing this
+#: magnitude are declared overflowed, and clipped trace values are held to it.
 OVERFLOW_LIMIT = 1e150
 
 #: Hard cap on generated substitution words.
@@ -52,11 +53,7 @@ class ResourceError(RuntimeError):
 
 
 class ScaleOverflowError(OverflowError):
-    """Transfer-product entries left the floating-point range.
-
-    Callers should switch to :func:`transfer_matrix_scaled`, which tracks a
-    logarithmic scale factor alongside a normalized matrix.
-    """
+    """Transfer-product or block entries passed :data:`OVERFLOW_LIMIT` or stopped being finite."""
 
 
 class TruncationError(RuntimeError):
@@ -93,19 +90,19 @@ SUBSTITUTIONS: dict[Model, np.ndarray] = {
 }
 
 
-def substitution_word(model: Model | str, k: int, *, max_len: int = MAX_WORD_LENGTH) -> np.ndarray:
+def substitution_word(model: Model | str, k: int) -> np.ndarray:
     """Return the k-th substitution iterate S^k(0) as a uint8 letter array.
 
-    The word has length 2**k.  Iterates longer than ``max_len`` raise
-    :class:`ResourceError`.
+    The word has length 2**k.  Iterates longer than :data:`MAX_WORD_LENGTH`
+    raise :class:`ResourceError`.
     """
     model = Model.parse(model) if isinstance(model, str) else model
     if model not in SUBSTITUTIONS:
         raise DomainError(f"{model} is not a substitution model")
     if k < 0:
         raise DomainError("iterate count must be nonnegative")
-    if 2 ** k > max_len:
-        raise ResourceError(f"word of length 2**{k} exceeds cap {max_len}")
+    if 2 ** k > MAX_WORD_LENGTH:
+        raise ResourceError(f"word of length 2**{k} exceeds cap {MAX_WORD_LENGTH}")
     images = SUBSTITUTIONS[model]
     word = np.array([0], dtype=np.uint8)
     for _ in range(k):
@@ -297,14 +294,12 @@ def potential_value(spec: PotentialSpec, n: int) -> float:
 
 def one_step_matrix(spec: PotentialSpec, n: int, z: complex) -> np.ndarray:
     """One-step matrix [[z - V(n), -1], [1, 0]]; determinant is exactly 1."""
-    v = potential_value(spec, n)
+    return _one_step(potential_value(spec, n), z)
+
+
+def _one_step(v: float, z: complex) -> np.ndarray:
+    """The one-step matrix [[z - v, -1], [1, 0]] of the potential value v, complex."""
     return np.array([[z - v, -1.0], [1.0, 0.0]], dtype=np.complex128)
-
-
-def det2(m: np.ndarray) -> complex | np.ndarray:
-    """Determinant of a 2x2 matrix (broadcasts over leading axes)."""
-    m = np.asarray(m)
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 def mat_inv_unimodular(m: np.ndarray) -> np.ndarray:
@@ -328,18 +323,9 @@ def spectral_norm(m: np.ndarray) -> float | np.ndarray:
     """
     m = np.asarray(m)
     fro2 = np.sum(np.abs(m) ** 2, axis=(-2, -1))
-    d2 = 2.0 * np.abs(det2(m))
+    d2 = 2.0 * np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
     out = 0.5 * (np.sqrt(fro2 + d2) + np.sqrt(np.maximum(fro2 - d2, 0.0)))
     return float(out) if out.ndim == 0 else out
-
-
-def _site_range_values(spec: PotentialSpec, lo: int, hi: int) -> np.ndarray:
-    return potential_values(spec, np.arange(lo, hi + 1, dtype=np.int64))
-
-
-def _check_transfer_sites(spec: PotentialSpec, n: int, m: int) -> None:
-    if spec.geometry is Geometry.HALF_LINE and min(n, m) < 0:
-        raise DomainError("half-line transfer matrices need n, m >= 0")
 
 
 def _transfer_prefixes(vals: np.ndarray, z: complex) -> np.ndarray:
@@ -367,7 +353,7 @@ def _transfer_prefixes(vals: np.ndarray, z: complex) -> np.ndarray:
     if bad.size:
         raise ScaleOverflowError(
             f"transfer product entries passed {OVERFLOW_LIMIT:.0e} after {bad[0]} "
-            f"of {top.shape[0] - 1} sites; use transfer_matrix_scaled")
+            f"of {top.shape[0] - 1} sites")
     bottom = np.concatenate([[(0.0, 1.0)], top[:-1]])
     return np.stack([top, bottom], axis=1)
 
@@ -379,48 +365,14 @@ def transfer_matrix(spec: PotentialSpec, n: int, m: int, z: complex) -> np.ndarr
     the identity; for n < m the unimodular inverse of T(m, n; z).  Raises
     :class:`ScaleOverflowError` when entries leave the floating-point range.
     """
-    _check_transfer_sites(spec, n, m)
+    if spec.geometry is Geometry.HALF_LINE and min(n, m) < 0:
+        raise DomainError("half-line transfer matrices need n, m >= 0")
     if n == m:
         return np.eye(2, dtype=np.complex128)
     if n < m:
         return mat_inv_unimodular(transfer_matrix(spec, m, n, z))
-    return _transfer_prefixes(_site_range_values(spec, m + 1, n), z)[-1].astype(np.complex128)
-
-
-def transfer_matrix_scaled(spec: PotentialSpec, n: int, m: int, z: complex) -> tuple[float, np.ndarray]:
-    """Transfer matrix as (log_scale, normalized matrix).
-
-    The true matrix is exp(log_scale) times the returned one; useful off the
-    spectrum where entries grow exponentially.  The sites are cut into
-    blocks of L sites with (|z| + max|V| + 2)^L under the overflow limit, so
-    no block product can overflow, and the block products are chained with
-    a renormalization after each.
-    """
-    _check_transfer_sites(spec, n, m)
-    if n == m:
-        return 0.0, np.eye(2, dtype=np.complex128)
-    if n < m:
-        log_scale, mat = transfer_matrix_scaled(spec, m, n, z)
-        # the true matrix e^ls M has det 1, so its inverse is its adjugate
-        # e^ls adj(M); the adjugate is linear in the entries for 2x2.
-        ds, inv = _renorm(mat_inv_unimodular(mat))
-        return log_scale + ds, inv
-    vals = _site_range_values(spec, m + 1, n)
-    growth = math.log(abs(z) + float(np.max(np.abs(vals))) + 2.0)
-    block = max(1, int(math.log(OVERFLOW_LIMIT) / growth))
-    out = np.eye(2, dtype=np.complex128)
-    log_scale = 0.0
-    for start in range(0, vals.size, block):
-        ds, out = _renorm(_transfer_prefixes(vals[start:start + block], z)[-1] @ out)
-        log_scale += ds
-    return log_scale, out
-
-
-def _renorm(m: np.ndarray) -> tuple[float, np.ndarray]:
-    peak = float(np.max(np.abs(m)))
-    if peak == 0.0 or peak == 1.0:
-        return 0.0, m
-    return math.log(peak), m / peak
+    vals = potential_values(spec, np.arange(m + 1, n + 1, dtype=np.int64))
+    return _transfer_prefixes(vals, z)[-1].astype(np.complex128)
 
 
 def _tridiag_apply(v: np.ndarray, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

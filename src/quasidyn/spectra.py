@@ -48,6 +48,9 @@ CONTAINMENT_TOL = 1e-9
 #: Chebyshev sample energies per band of the band laws.
 SAMPLES_PER_BAND = 33
 
+#: Covering: bands closer than this join, and a band may stick out of the union by it.
+COVERING_TOL = 1e-8
+
 
 class BandCountError(RuntimeError):
     """Band count disagrees with F_k in the regime where it is guaranteed."""
@@ -87,10 +90,6 @@ class Band:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def interior_points(self, count: int) -> np.ndarray:
-        """Chebyshev-spaced sample points strictly inside the band."""
-        return _chebyshev_interior(self.lo, self.hi, count)
-
 
 @dataclass(frozen=True)
 class BandSet:
@@ -121,12 +120,8 @@ class BandSet:
         """(n, 2) array of the band ends (lo, hi), ascending."""
         return np.array([(b.lo, b.hi) for b in self.bands]).reshape(-1, 2)
 
-    def covers(self, e_lo: float, e_hi: float, tol: float) -> bool:
-        """True if [e_lo, e_hi] lies inside a single band, up to tol."""
-        return bool(_held(self._ends, e_lo, e_hi, tol))
-
     def interior_points(self, count: int) -> np.ndarray:
-        """``Band.interior_points`` of every band, one row per band."""
+        """Chebyshev-spaced sample points strictly inside each band, one row per band."""
         return _chebyshev_interior(self._ends[:, :1], self._ends[:, 1:], count)
 
 
@@ -229,21 +224,22 @@ class CoveringReport:
     violations: tuple[tuple[int, float, float], ...]
 
 
-def covering_check(lam: float, m: int, *, tol: float = 1e-8) -> CoveringReport:
+def covering_check(lam: float, m: int) -> CoveringReport:
     """Check that level m and m+1 bands lie inside the level m-1/m union.
 
-    Every band of sigma_m and sigma_{m+1} must be contained, within ``tol``,
-    in the union of the bands of sigma_{m-1} and sigma_m.
+    Every band of sigma_m and sigma_{m+1} must be contained, within
+    ``COVERING_TOL``, in the union of the bands of sigma_{m-1} and sigma_m.
     """
     if m < 2:
         raise DomainError("covering check needs m >= 2")
     cover = np.concatenate([_cached_spectrum(lam, j)._ends for j in (m - 1, m)])
-    union = np.array(merge_intervals(cover.tolist(), tol)).reshape(-1, 2)
+    union = np.array(merge_intervals(cover.tolist(), COVERING_TOL)).reshape(-1, 2)
     violations = []
     for level in (m, m + 1):
         bands = _cached_spectrum(lam, level)
         violations.extend((level, b.lo, b.hi)
-                          for b, ok in zip(bands, _held(union, *bands._ends.T, tol)) if not ok)
+                          for b, ok in zip(bands, _held(union, *bands._ends.T, COVERING_TOL))
+                          if not ok)
     return CoveringReport(lam=lam, m=m, ok=not violations, violations=tuple(violations))
 
 

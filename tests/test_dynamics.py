@@ -21,7 +21,6 @@ from quasidyn.dynamics import (
     moment_series,
     moments,
     outside_probability,
-    powerlaw_check,
     profile_resolvent,
     profile_time,
     profiles_time_ladder,
@@ -576,6 +575,15 @@ def test_moment_large_order_stays_finite():
     assert np.isfinite(moments(prof, 120.0))
 
 
+def test_moment_order_must_be_positive_and_finite():
+    prof = _uniform_profile(3)
+    for p in (0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="positive and finite"):
+            moments(prof, p)
+    # the largest finite order is a number: 1e308 log 3
+    assert moments(prof, 1e308) == 1e308 * math.log(3.0)
+
+
 @st.composite
 def _log_terms(draw):
     """Vectors of one to 40 finite terms, spread up to 1e3, often tied at the max."""
@@ -765,7 +773,7 @@ def test_powerlaw_pd_linear_growth():
         if m == 0:
             continue
         assert norm <= c * c * (math.sqrt(2.0) + 0.5 * abs(m))
-    report = powerlaw_check(spec, 0.0, 1.0, 3000)
+    report = dynamics._powerlaw_report(norms, 0.0, 1.0, 3000)
     assert report.c_estimate <= c * c * (math.sqrt(2.0) + 0.5)
 
 
@@ -784,7 +792,8 @@ def test_powerlaw_fib_on_band_energies():
     spec = fib_spec(lam)
     for band in bands.bands[:: len(bands.bands) // 4]:
         energy = 0.5 * (band.lo + band.hi)
-        report = powerlaw_check(spec, energy, alpha, 89, cap=bound_parameters(lam).d)
+        norms = transfer_norms_from_origin(spec, energy, 89)
+        report = dynamics._powerlaw_report(norms, energy, alpha, 89, cap=bound_parameters(lam).d)
         assert report.violations == ()
         assert report.c_estimate <= bound_parameters(lam).d
 
@@ -834,7 +843,7 @@ def test_zeckendorf_report_matches_the_per_m_coding():
     lam = 1.0
     band = approximant_spectrum(lam, 10).bands[40]
     energy, d = 0.5 * (band.lo + band.hi), 1.1
-    norms = transfer_norms_from_origin(fib_spec(lam), energy, 300)
+    norms = dict(transfer_norms_from_origin(fib_spec(lam), energy, 300).items())
     margins = [math.log(norms[m]) - zeckendorf(m)[-1] * math.log(d) for m in range(1, 301)]
     report = zeckendorf_bound_check(fib_spec(lam), energy, 300, d)
     assert report["worst_log_margin"] == max(margins)
@@ -873,6 +882,7 @@ def _powerlaw_loop(norms, E, alpha, m_max, cap=None):
 def _zeckendorf_loop(norms, E, m_max, d):
     """The coding-bound report as a per-m loop over the Zeckendorf codings."""
     log_d = math.log(d)
+    norms = dict(norms.items())
     worst_margin = -math.inf
     violations = []
     for m in range(1, m_max + 1):
@@ -889,19 +899,20 @@ def _zeckendorf_loop(norms, E, m_max, d):
                                   PotentialSpec(Model.PERIOD_DOUBLING, 2.0)],
                          ids=["fib", "tm", "pd"])
 def test_norm_mapping_matches_the_dict(spec, geometry):
+    # the two arrays hold the dict's m and norms; items() gives them as Python
+    # numbers, ascending in m, and len() counts them
     spec = PotentialSpec(spec.model, spec.lam, geometry)
     for m_max, energy in ((1, 0.3), (2, 0.3), (377, 0.3), (377, 1.1 + 0.05j)):
         old = _norms_dict(spec, energy, m_max)
         new = transfer_norms_from_origin(spec, energy, m_max)
-        assert isinstance(new, TransferNorms) and len(new) == len(old)
-        assert sorted(new) == sorted(old) and list(new) == sorted(old)
-        assert sorted(new.items()) == sorted(old.items())
-        assert all(new[m] == v and type(new[m]) is float for m, v in old.items())
-        assert new == old and dict(new) == old
-        for missing in (m_max + 1, min(old) - 1, 0.5, "1"):
-            assert missing not in new
-        with pytest.raises(ValueError):
-            new.norms[0] = 0.0
+        assert isinstance(new, TransferNorms) and len(new) == len(old) == new.norms.size
+        assert new.m.tolist() == sorted(old)
+        items = list(new.items())
+        assert items == sorted(old.items())
+        assert all(type(m) is int and type(v) is float for m, v in items)
+        for array in (new.m, new.norms):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 _TIED = st.sampled_from([1.0, 1.0, 2.0, 2.5, 4.0, 1e3])

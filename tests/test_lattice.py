@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from quasidyn.lattice import (
     OVERFLOW_LIMIT,
+    MAX_WORD_LENGTH,
     SUBSTITUTIONS,
     DomainError,
     Geometry,
@@ -25,7 +26,6 @@ from quasidyn.lattice import (
     spectral_norm,
     substitution_word,
     transfer_matrix,
-    transfer_matrix_scaled,
 )
 
 from conftest import brute_transfer, fib_spec
@@ -159,8 +159,10 @@ def test_substitution_refinement():
 
 
 def test_substitution_word_cap():
+    # the first iterate past the cap is refused before it is built
+    assert 2 ** 24 == MAX_WORD_LENGTH
     with pytest.raises(ResourceError):
-        substitution_word("tm", 30, max_len=2 ** 20)
+        substitution_word("tm", 25)
 
 
 # ---------------------------------------------------------------------------
@@ -252,25 +254,12 @@ def test_unimodularity_where_float_decides():
     assert abs(t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0] - 1.0) < 50 * np.finfo(float).eps * norm ** 2
 
 
-def test_transfer_overflow_and_scaled_variant():
+def test_transfer_overflow():
     spec = fib_spec(4.0)
     with pytest.raises(ScaleOverflowError):
         transfer_matrix(spec, 500, 0, 9.0)
-    log_scale, mat = transfer_matrix_scaled(spec, 500, 0, 9.0)
-    assert log_scale > 300.0
-    assert np.max(np.abs(mat)) <= 1.0 + 1e-12
-    # agrees with the plain product where no overflow happens
-    log_small, mat_small = transfer_matrix_scaled(spec, 60, 0, 0.3)
-    npt.assert_allclose(np.exp(log_small) * mat_small, transfer_matrix(spec, 60, 0, 0.3),
-                        rtol=1e-12)
-
-
-def test_scaled_inverse_preserves_norm():
-    spec = fib_spec(4.0)
-    ls_fwd, m_fwd = transfer_matrix_scaled(spec, 400, 0, 8.0)
-    ls_inv, m_inv = transfer_matrix_scaled(spec, 0, 400, 8.0)
-    assert ls_fwd + np.log(spectral_norm(m_fwd)) == pytest.approx(
-        ls_inv + np.log(spectral_norm(m_inv)), abs=1e-9)
+    with pytest.raises(ScaleOverflowError):
+        transfer_matrix(spec, 0, 500, 9.0)
 
 
 @pytest.mark.parametrize("z", [0.3, 2.7, 0.4 + 0.2j, -1.1 - 0.05j])

@@ -155,7 +155,7 @@ def test_band_set_covers_matches_brute_scan(tol, rng):
         ends = np.concatenate([cuts, cuts - tol, cuts + tol, rng.uniform(-3.5, 3.5, 20)])
         for e_lo, e_hi in itertools.combinations(np.sort(ends), 2):
             brute = any(b.lo - tol <= e_lo and e_hi <= b.hi + tol for b in bands)
-            assert bands.covers(float(e_lo), float(e_hi), tol) == brute
+            assert bool(_held(bands._ends, float(e_lo), float(e_hi), tol)) == brute
 
 
 @settings(max_examples=200, derandomize=True)

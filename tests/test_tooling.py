@@ -72,3 +72,17 @@ def test_resolvent_counts_read_real_resolvent_results():
     assert tracer._resolvent_counts({}, prof)["solves"] == prof.meta["grid_points"] > 0
     phi = resolvent_vector(spec, 0.3 + 0.5j, LatticeWindow(-20, 20))
     assert tracer._resolvent_counts({}, phi) == {"solves": 1}
+
+
+def test_transfer_counts_read_real_norm_sweeps():
+    # the transfer counter reads len() of what transfer_norms_from_origin
+    # returns: the m in -m_max..m_max on the whole line, 1..m_max on the half line
+    from quasidyn.dynamics import transfer_norms_from_origin
+    from quasidyn.lattice import Geometry, Model, PotentialSpec
+
+    count = _load_tracer().COUNTERS["dynamics.transfer"]
+    m_max = 50
+    for geometry, products in ((Geometry.WHOLE_LINE, 2 * m_max), (Geometry.HALF_LINE, m_max - 1)):
+        spec = PotentialSpec(Model.FIBONACCI, 1.0, geometry)
+        norms = transfer_norms_from_origin(spec, 0.3, m_max)
+        assert count({}, norms) == {"site_products": products}

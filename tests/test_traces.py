@@ -6,17 +6,18 @@ import numpy.testing as npt
 import pytest
 
 from quasidyn.lattice import (
+    OVERFLOW_LIMIT,
     DomainError,
     Model,
     PotentialSpec,
     ResourceError,
+    ScaleOverflowError,
     one_step_matrix,
     spectral_norm,
 )
 from quasidyn.spectra import approximant_spectrum, bound_parameters
 from quasidyn.traces import (
     FIB_CONVENTION_ID,
-    fib_base_matrices,
     fib_invariant,
     fib_matrices,
     fib_trace_orbit,
@@ -87,7 +88,7 @@ def test_trace_orbit_matches_matrix_traces(rng):
 
 
 def test_trace_orbit_seeds_from_matrices():
-    m0, m1 = fib_base_matrices(2.0, 0.3)
+    m0, m1 = fib_matrices(2.0, 0.3, 1)
     orbit = fib_trace_orbit(2.0, 0.3, 4)
     assert orbit.xs[0] == np.trace(m0).real
     assert orbit.xs[1] == np.trace(m1).real
@@ -138,8 +139,8 @@ def test_orbit_flags_overflow():
 def test_traces_bounded_on_band_energies():
     # level-3 band energies keep the whole orbit below the coupling constant bound
     params = bound_parameters(5.0)
-    for band in approximant_spectrum(5.0, 3):
-        for energy in band.interior_points(9):
+    for row in approximant_spectrum(5.0, 3).interior_points(9):
+        for energy in row:
             orbit = fib_trace_orbit(5.0, float(energy), 3)
             assert np.max(np.abs(orbit.xs[:4])) <= params.c_lambda + 1e-9
 
@@ -212,8 +213,8 @@ def test_derivative_ratio_inside_type_a_band():
     from quasidyn.spectra import classify_bands, BandKind
 
     bands = classify_bands(lam, 7)
-    a_band = next(b for b in bands if b.kind is BandKind.TYPE_A)
-    energies = a_band.interior_points(33)
+    a_band = next(i for i, b in enumerate(bands) if b.kind is BandKind.TYPE_A)
+    energies = bands.interior_points(33)[a_band]
     _, dxs = trace_derivative_grid(lam, energies, 7)
     ratios = np.abs(dxs[7] / dxs[6])
     assert np.max(ratios) <= lam + 11.0 + 1e-6
@@ -236,6 +237,67 @@ def test_pd_block_power_formula():
     for n in (2, 5, 11):
         expected = (-1.0) ** n * np.array([[1.0, -n * lam], [0.0, 1.0]])
         npt.assert_allclose(np.linalg.matrix_power(t0, n).real, expected, atol=1e-12)
+
+
+def _literal_blocks(model, lam, energy, k):
+    """Levels 0..k of the block recursions multiplied out from the one-step
+    matrices, unchecked: M_k for fib, (T0_k, T1_k) for pd and tm."""
+    a, b = (np.array([[energy - v, -1.0], [1.0, 0.0]], dtype=np.complex128) for v in (0.0, lam))
+    levels = [a, b] if model == "fib" else [(a, b)]
+    while len(levels) <= k:
+        if model == "fib":
+            levels.append(levels[-2] @ levels[-1])
+        else:
+            t0, t1 = levels[-1]
+            levels.append((t1 @ t0, t0 @ t0) if model == "pd" else (t1 @ t0, t0 @ t1))
+    return levels[:k + 1]
+
+
+@pytest.mark.parametrize("model", ["fib", "pd", "tm"])
+def test_blocks_are_the_literal_recursions_bit_for_bit(model):
+    # each level is the plain product bit for bit, and a request is refused
+    # exactly when it reaches the first recursed level past the limit
+    kmax = 20 if model == "fib" else 15
+    for lam in (0.3, 1.0, 2.5, 5.0):
+        for energy in (0.0, 0.37, -1.2, 2.9, 40.0, 0.4 + 0.1j, 1e200):
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                oracle = _literal_blocks(model, lam, energy, kmax)
+                peaks = [np.max(np.abs(level)) for level in oracle]
+            first = 2 if model == "fib" else 1
+            over = next((k for k in range(first, kmax + 1) if peaks[k] > OVERFLOW_LIMIT), None)
+            for k in range(kmax + 1):
+                get = ((lambda: fib_matrices(lam, energy, k)) if model == "fib" else
+                       (lambda: np.array(subst_transfer(model, lam, energy, k))))
+                if over is not None and k >= over:
+                    with pytest.raises(ScaleOverflowError), np.errstate(all="ignore"):
+                        get()
+                    continue
+                want = np.array(oracle[:k + 1] if model == "fib" else oracle[k])
+                assert get().tobytes() == want.tobytes(), (lam, energy, k)
+            if energy == 1e200:
+                assert over == first  # the seeds pass unchecked
+
+
+def test_blocks_compute_no_level_past_the_one_asked():
+    # at E = 1e200 the next level's product would overflow inside matmul
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mats = fib_matrices(1.0, 1e200, 1)
+        t0, t1 = subst_transfer("pd", 1.0, 1e200, 0)
+    assert mats[0, 0, 0] == 1e200 and mats[1, 0, 0] == 1e200 - 1.0
+    assert t0[0, 0] == 1e200 and t1[0, 0] == 1e200 - 1.0
+    # the orbit's seeds are unchecked too; its first trace stops it
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert fib_trace_orbit(1.0, 1e200, 5).overflow_at == 0
+
+
+def test_subst_transfer_refuses_other_models():
+    for model in (Model.FIBONACCI, Model.FREE):
+        for k in (0, 3):
+            with pytest.raises(DomainError):
+                subst_transfer(model, 1.0, 0.3, k)
 
 
 def test_subst_traces_match_blocks():
@@ -510,11 +572,11 @@ def test_level_crossings_match_scalar_bisection(model, lam, levels, targets):
 def test_clip_matches_clipped_float_arithmetic():
     # +, - and x on _Clip values give the parent forms bit for bit:
     # clip(a + b), clip(a + (-b)) and a * b
-    from quasidyn.traces import TRACE_OVERFLOW, _Clip
+    from quasidyn.traces import _Clip
 
     values = np.array([np.inf, -np.inf, np.nan, 1e200, -1e200, 1e150, 0.0, -0.0, 1.0, -3.5])
     a, b = (x.ravel() for x in np.meshgrid(values, values))
-    clip = lambda x: np.clip(x, -TRACE_OVERFLOW, TRACE_OVERFLOW)
+    clip = lambda x: np.clip(x, -OVERFLOW_LIMIT, OVERFLOW_LIMIT)
     with np.errstate(all="ignore"):
         cases = [
             ((_Clip(a) + _Clip(b)).v, clip(a + b)),
@@ -533,16 +595,16 @@ def test_clip_matches_clipped_float_arithmetic():
 
 def test_clip_keeps_the_sign_of_an_overflowing_level():
     # x y - z with |x y| past float64: the product is +-inf, the level is
-    # clipped to +-TRACE_OVERFLOW with the sign of the product
-    from quasidyn.traces import TRACE_OVERFLOW, _Clip
+    # clipped to +-OVERFLOW_LIMIT with the sign of the product
+    from quasidyn.traces import _Clip
 
     x = np.array([1e200, -1e200, 1e200, 1e100])
     y = np.array([1e200, 1e200, -1e200, 1e100])
     z = np.array([5.0, 5.0, -5.0, 1e149])
     with np.errstate(over="ignore"):
         level = (_Clip(x) * _Clip(y) - _Clip(z)).v
-    assert np.array_equal(level, [TRACE_OVERFLOW, -TRACE_OVERFLOW, -TRACE_OVERFLOW,
-                                  TRACE_OVERFLOW])
+    assert np.array_equal(level, [OVERFLOW_LIMIT, -OVERFLOW_LIMIT, -OVERFLOW_LIMIT,
+                                  OVERFLOW_LIMIT])
 
 
 # ---------------------------------------------------------------------------
