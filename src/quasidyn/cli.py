@@ -420,7 +420,7 @@ def _suite_covering(lam: float, mmax: int) -> dict:
 
 def _suite_parseval(model: str, lam: float, T: float, max_cost: float) -> dict:
     spec = PotentialSpec(Model.parse(model), lam)
-    dynamics._profile_setup(spec, T, None, max_cost, resolvent=True)
+    dynamics._profile_setup(spec, [T], None, max_cost, resolvent=True)
     prof_t = dynamics.profile_time(spec, T)
     prof_r = dynamics.profile_resolvent(spec, T, window=prof_t.window)
     l1 = float(np.sum(np.abs(prof_t.a - prof_r.a)))
@@ -521,7 +521,7 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
     window = None if window_radius is None else dynamics._origin_window(spec, window_radius)
     if profile_out is not None and profile_method == "resolvent":
         # the resolvent profile at the largest T counts before the ladder sweeps
-        dynamics._profile_setup(spec, max(t_values), window, max_cost, resolvent=True)
+        dynamics._profile_setup(spec, t_values, window, max_cost, resolvent=True)
     report = dynamics.bound_report(spec, list(p_values), t_values, bound_id,
                                    slope_tolerance=slope_tol, max_cost=max_cost,
                                    window=window, alpha=alpha, eta=eta)

@@ -53,7 +53,7 @@ from quasidyn.lattice import (
     spectral_norm,
 )
 from quasidyn.spectra import approximant_spectrum, bound_parameters, merge_intervals
-from quasidyn.traces import FIB_CONVENTION_ID, fibonacci_numbers
+from quasidyn.traces import fibonacci_numbers
 
 #: Abel-average integration cutoff: t_max = TIME_CUTOFF * T.
 TIME_CUTOFF = 6.0
@@ -304,40 +304,24 @@ def _resolvent_weights(v: np.ndarray, z: np.ndarray, src: int) -> tuple[np.ndarr
     return totals, green
 
 
-def profile_resolvent(spec: PotentialSpec, T: float, window: LatticeWindow | None = None, *,
-                      energy_grid: np.ndarray | None = None,
-                      richardson: bool = False) -> AmplitudeProfile:
+def profile_resolvent(spec: PotentialSpec, T: float,
+                      window: LatticeWindow | None = None) -> AmplitudeProfile:
     """Site probabilities a(n, T) from the resolvent side of the identity.
 
-    Midpoint quadrature of (eps/pi) |R(E + i eps) delta_1(n)|^2 over the
-    energy grid, eps = 1/T, from one :func:`_resolvent_weights` call.  A
-    caller-provided grid must be uniform with spacing at most eps/4 and span
-    the padded spectral window, otherwise it is rejected.  The profile's mass
-    must match the Ward identity sum_n |G(n, 1)|^2 = Im G(1, 1)/eps, that is
+    Midpoint quadrature of (eps/pi) |R(E + i eps) delta_1(n)|^2, eps = 1/T,
+    over the uniform partition of :func:`_grid_cells` (cells at most eps/4
+    wide across the padded spectral window), from one
+    :func:`_resolvent_weights` call.  The profile's mass must match the Ward
+    identity sum_n |G(n, 1)|^2 = Im G(1, 1)/eps, that is
     (h/pi) sum_E Im G(1, 1; E + i eps), to ``MASS_IDENTITY_TOL``
     (``meta["mass_identity_drift"]``), and every site weight must be finite;
-    otherwise :class:`ArithmeticError`.  With ``richardson`` set, every 16th
-    quadrature cell's mass Im G(1, 1)/eps is re-evaluated at half spacing
-    (E +- h/4) and the worst relative cell discrepancy is reported in the
-    profile metadata as a convergence diagnostic.
+    otherwise :class:`ArithmeticError`.
     """
-    if T <= 0:
-        raise DomainError("T must be positive")
+    window, v, _ = _profile_setup(spec, [T], window)
     eps = 1.0 / T
-    window, v, _ = _profile_setup(spec, T, window)
-    if energy_grid is None:
-        lo, hi, count = _grid_cells(v, eps)
-        # midpoint nodes of a uniform partition
-        grid = lo + (np.arange(count) + 0.5) * (hi - lo) / count
-    else:
-        grid = np.asarray(energy_grid, dtype=np.float64)
-        spacings = np.diff(grid)
-        if grid.size < 2 or np.any(spacings > eps / 4.0 + 1e-15):
-            raise DomainError("energy grid spacing must not exceed eps/4")
-        if np.max(spacings) - np.min(spacings) > 1e-12 * np.max(spacings):
-            raise DomainError("energy grid must be uniform (midpoint quadrature)")
-        if grid[0] > v.min() - 2.0 - 1.0 or grid[-1] < v.max() + 2.0 + 1.0:
-            raise DomainError("energy grid must span the padded spectral window")
+    lo, hi, count = _grid_cells(v, eps)
+    # midpoint nodes of a uniform partition
+    grid = lo + (np.arange(count) + 0.5) * (hi - lo) / count
     h = float(grid[1] - grid[0])
     src = window.index(1)
     totals, green = _resolvent_weights(v, grid + 1j * eps, src)
@@ -349,23 +333,10 @@ def profile_resolvent(spec: PotentialSpec, T: float, window: LatticeWindow | Non
     if not drift <= MASS_IDENTITY_TOL:
         raise ArithmeticError(f"resolvent profile mass off the Ward identity by {drift:.3e}")
     meta = {
-        "model": spec.model.value,
-        "lambda": spec.lam,
-        "T": T,
-        "epsilon": eps,
         "grid_points": int(grid.size),
-        "grid_spacing": h,
-        "convention": FIB_CONVENTION_ID,
         "site_energy_steps": 2 * (window.size - 1) * int(grid.size),
         "mass_identity_drift": drift,
     }
-    if richardson:
-        nodes = grid[::16]
-        refined_z = np.concatenate([nodes - 0.25 * h, nodes + 0.25 * h]) + 1j * eps
-        refined = _source_green(v, refined_z, src)[0].imag.reshape(2, -1).mean(axis=0)
-        coarse = green.imag[::16]  # Im G(1, 1) >= eps |G(1, 1)|^2 > 0
-        meta["richardson_max_rel_delta"] = float(np.max(np.abs(refined - coarse) / coarse))
-        meta["site_energy_steps"] += (window.size - 1) * refined_z.size
     return AmplitudeProfile(T=T, window=window, a=a, method="resolvent", meta=meta)
 
 
@@ -378,6 +349,9 @@ STEP_SAMPLES = 16
 #: Chebyshev vectors T_k(H~) psi held at once; each full block is added into
 #: the long step's samples before the next block is built.
 BLOCK_VECTORS = 8
+
+#: Highest Chebyshev order an expansion may take; past it :class:`ResourceError`.
+MAX_CHEBYSHEV_ORDER = 1 << 17
 
 def _cone_radius(t: float) -> int:
     """Radius of the light-cone slice swept up to time t.
@@ -488,8 +462,7 @@ def _chebyshev_samples(vc: np.ndarray, scale: float, coeff: np.ndarray, psi: np.
 
 
 def _chebyshev_sweep(spec: PotentialSpec, window: LatticeWindow, psi: np.ndarray,
-                     v: np.ndarray, step: float, n_steps: int, stats: dict, *,
-                     max_order: int = 1 << 17):
+                     v: np.ndarray, step: float, n_steps: int, stats: dict):
     """Propagate ``psi`` in place over n_steps grid steps of length ``step``.
 
     Each Chebyshev expansion covers a long step of up to STEP_SAMPLES grid
@@ -512,7 +485,7 @@ def _chebyshev_sweep(spec: PotentialSpec, window: LatticeWindow, psi: np.ndarray
     center = 0.5 * (hi_e + lo_e)
     half_width = 0.5 * (hi_e - lo_e) + 0.025 * (hi_e - lo_e)
     taus = step * np.arange(1, min(STEP_SAMPLES, n_steps) + 1)
-    bessel = _chebyshev_coefficients(half_width * taus, 1e-15, max_order)
+    bessel = _chebyshev_coefficients(half_width * taus, 1e-15, MAX_CHEBYSHEV_ORDER)
     order = bessel.shape[1] - 1
     phases = 2.0 * np.array([1.0, -1j, -1.0, 1j])[np.arange(order + 1) % 4]
     phases[0] = 1.0
@@ -557,8 +530,7 @@ def _source_state(window: LatticeWindow) -> np.ndarray:
     return psi
 
 
-def evolve_state(spec: PotentialSpec, t: float, window: LatticeWindow, *,
-                 max_order: int = 1 << 17) -> np.ndarray:
+def evolve_state(spec: PotentialSpec, t: float, window: LatticeWindow) -> np.ndarray:
     """The state e^{-itH} delta_1 on the window, from a single expansion.
 
     The window must out-run the ballistic light cone (group velocity at most
@@ -568,25 +540,31 @@ def evolve_state(spec: PotentialSpec, t: float, window: LatticeWindow, *,
     if t == 0.0:
         return psi
     v = _window_potential(spec, window)
-    for _ in _chebyshev_sweep(spec, window, psi, v, t, 1, {}, max_order=max_order):
+    for _ in _chebyshev_sweep(spec, window, psi, v, t, 1, {}):
         pass  # the sweep advances psi in place
     return psi
 
 
-def _profile_setup(spec: PotentialSpec, T: float, window: LatticeWindow | None,
-                   max_cost: float = math.inf, *, dt: float | None = None,
+def _profile_setup(spec: PotentialSpec, T_values: Sequence[float], window: LatticeWindow | None,
+                   max_cost: float = math.inf, *,
                    resolvent: bool = False) -> tuple[LatticeWindow, np.ndarray, float]:
-    """Window, window potential and time step of the profiles at averaging
-    time T, once the routes to be run fit max_cost.
+    """Window, window potential and time step of the profiles at the
+    averaging times T_values (any order), once the routes to be run fit max_cost.
 
     The one budget check, run before any sweep.  The window defaults to the
-    light-cone rule.  The time route costs its samples x window sites: no
-    step is longer than 0.5 (or dt), so an oversized sweep is refused before
-    the window potential is built, and then the real step counts.  With
-    ``resolvent`` set, the resolvent route on the default energy grid counts
-    too, as grid points x window sites.
+    light-cone rule at the largest T.  The step min(0.5, T_min/8,
+    5.5/(max v - min v + 4)) is above the Nyquist rate of the chain and keeps
+    the trapezoid's mass error on e^{-2t/T} at most 5.2e-3 (its value at T = 4).
+    The time route costs its samples x window sites: the step is at most
+    min(0.5, T_min/8), so an oversized sweep is refused before the window
+    potential is built, and then the real step counts.  With ``resolvent``
+    set, the resolvent route at the largest T counts too, as energy grid
+    points x window sites.
     """
-    t_max = TIME_CUTOFF * T
+    if not T_values or not all(T > 0 for T in T_values):  # NaN fails too
+        raise DomainError("averaging times must be positive")
+    T_min, T_max = min(T_values), max(T_values)
+    t_max = TIME_CUTOFF * T_max
     if window is None:
         window = _origin_window(spec, default_window_radius(t_max))
 
@@ -596,28 +574,28 @@ def _profile_setup(spec: PotentialSpec, T: float, window: LatticeWindow | None,
             raise ResourceError(f"sweep cost {cost:.2e} site-steps exceeds budget "
                                 f"{max_cost:.2e}; lower Tmax, shrink the window or raise the budget")
 
-    check_sweep(0.5 if dt is None else dt)
+    step = min(0.5, T_min / 8.0)
+    check_sweep(step)
     v = _window_potential(spec, window)
     # keep the sampling rate above the largest Bohr frequency (Nyquist)
-    step = dt if dt is not None else min(0.5, 5.5 / (float(v.max() - v.min()) + 4.0))
+    step = min(step, 5.5 / (float(v.max() - v.min()) + 4.0))
     check_sweep(step)
     if resolvent:
-        cost = _grid_cells(v, 1.0 / T)[2] * window.size
+        cost = _grid_cells(v, 1.0 / T_max)[2] * window.size
         if cost > max_cost:
             raise ResourceError(f"resolvent cost {cost:.2e} grid-point sites exceeds budget "
                                 f"{max_cost:.2e}; lower T or raise the budget")
     return window, v, step
 
 
-def profile_time(spec: PotentialSpec, T: float, window: LatticeWindow | None = None, *,
-                 dt: float | None = None) -> AmplitudeProfile:
+def profile_time(spec: PotentialSpec, T: float,
+                 window: LatticeWindow | None = None) -> AmplitudeProfile:
     """Site probabilities a(n, T) by direct time averaging."""
-    return profiles_time_ladder(spec, [T], window=window, dt=dt)[0]
+    return profiles_time_ladder(spec, [T], window=window)[0]
 
 
 def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
-                         window: LatticeWindow | None = None, *,
-                         dt: float | None = None) -> list[AmplitudeProfile]:
+                         window: LatticeWindow | None = None) -> list[AmplitudeProfile]:
     """Profiles for a whole ladder of averaging times from one trajectory.
 
     The weighted time integrals for every T in the ladder share the same
@@ -631,9 +609,7 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
     too small for the wave.
     """
     T_values = sorted(float(T) for T in T_values)
-    if not T_values or T_values[0] <= 0:
-        raise DomainError("averaging times must be positive")
-    window, v, step = _profile_setup(spec, T_values[-1], window, dt=dt)
+    window, v, step = _profile_setup(spec, T_values, window)
     n_steps = int(math.ceil(TIME_CUTOFF * T_values[-1] / step))
     ts = np.array(T_values)[:, None]
     limit = TIME_CUTOFF * ts + 0.5 * step
@@ -663,14 +639,9 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
         profiles.append(AmplitudeProfile(
             T=T, window=window, a=a, method="time-average",
             meta={
-                "model": spec.model.value,
-                "lambda": spec.lam,
-                "T": T,
                 "dt": step,
-                "cutoff": TIME_CUTOFF,
                 "t_max": int(last_step[i]) * step,
                 "far_edge_share": edge,
-                "convention": FIB_CONVENTION_ID,
                 **stats,
             }))
     return profiles
@@ -727,9 +698,12 @@ def outside_probability(profile: AmplitudeProfile, gamma: float) -> float:
 
 
 def _check_ladder(T_values: Sequence[float]) -> None:
-    """Reject a sorted ladder too short for a growth-exponent fit."""
+    """Reject a sorted ladder too short for a growth-exponent fit, or with a
+    time repeated."""
     if len(T_values) < 5:
         raise DomainError("growth exponent needs at least 5 ladder points")
+    if any(b <= a for a, b in zip(T_values, T_values[1:])):
+        raise DomainError("ladder times must be distinct")
     if math.log10(T_values[-1] / T_values[0]) < 1.5:
         raise DomainError("growth exponent needs at least 1.5 decades of T")
 
@@ -872,7 +846,7 @@ def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Seque
     for name, value, reader in (("alpha", alpha, "one-energy"), ("eta", eta, "power-eta")):
         if value is not None and bound_id != reader:
             raise DomainError(f"{name} is read by the {reader} bound only, not by {bound_id}")
-    window = _profile_setup(spec, T_values[-1], window, max_cost)[0]
+    window = _profile_setup(spec, T_values, window, max_cost)[0]
     _check_ladder(T_values)
     profiles = profiles_time_ladder(spec, T_values, window=window)
     series = tuple(moment_series(profiles, p) for p in p_values)
@@ -1036,6 +1010,8 @@ def complex_energy_bound_check(spec: PotentialSpec, E: float, N: int,
 
 #: Doublings of a tail-scaling window past its 4T + 64 start, at most.
 TAIL_WINDOW_DOUBLINGS = 4
+#: Energies sampled from each ladder time's good set by the tail-scaling check.
+TAIL_ENERGIES_PER_T = 5
 
 
 def _tail_resolvent(spec: PotentialSpec, z: complex,
@@ -1044,17 +1020,16 @@ def _tail_resolvent(spec: PotentialSpec, z: complex,
     the far edges carry more than EDGE_MASS_TOL of |R delta_1|^2, at most
     TAIL_WINDOW_DOUBLINGS times; past that :class:`TruncationError`."""
     for _ in range(TAIL_WINDOW_DOUBLINGS):
-        window = LatticeWindow(-radius, radius)
+        window = _origin_window(spec, radius)
         phi = resolvent_vector(spec, z, window)
         if _far_edge_share(window, np.abs(phi) ** 2) <= EDGE_MASS_TOL:
             return window, phi
         radius *= 2
-    window = LatticeWindow(-radius, radius)
+    window = _origin_window(spec, radius)
     return window, resolvent_vector(spec, z, window, boundary_tol=EDGE_MASS_TOL)
 
 
-def resolvent_tail_scaling(spec: PotentialSpec, T_values: Sequence[float], *,
-                           energies_per_t: int = 5) -> dict:
+def resolvent_tail_scaling(spec: PotentialSpec, T_values: Sequence[float]) -> dict:
     """Scaling of the far-mass resolvent sum along a time ladder.
 
     For each ladder time T, energies are sampled from B(T) (the 1/T
@@ -1067,14 +1042,18 @@ def resolvent_tail_scaling(spec: PotentialSpec, T_values: Sequence[float], *,
     """
     if spec.model is not Model.FIBONACCI:
         raise DomainError("the tail-scaling check drives the Fibonacci good sets")
+    T_values = sorted(float(t) for t in T_values)
+    if len(set(T_values)) < 2 or not all(T > 0 for T in T_values):  # NaN fails too
+        raise DomainError("the tail scaling needs at least two distinct positive times")
     inp = fibonacci_good_set(spec.lam)
     rows = []
-    for T in sorted(float(t) for t in T_values):
+    for T in T_values:
         n_of_t = T ** (1.0 / (1.0 + inp.alpha))
         intervals = inp.a_of_n(n_of_t)
         mids = [0.5 * (lo + hi) for lo, hi in intervals]
-        offsets = np.linspace(-1.0, 1.0, max(energies_per_t // len(mids), 1)) / T
-        energies = sorted(m + o for m in mids for o in offsets)[:max(energies_per_t, 1)]
+        # at least one offset: a good set of more bands than energies takes the first ones
+        offsets = np.linspace(-1.0, 1.0, max(TAIL_ENERGIES_PER_T // len(mids), 1)) / T
+        energies = sorted(m + o for m in mids for o in offsets)[:TAIL_ENERGIES_PER_T]
         s_min = math.inf
         for E in energies:
             window, phi = _tail_resolvent(spec, E + 1j / T, int(math.ceil(4.0 * T)) + 64)

@@ -348,8 +348,14 @@ def f_pm_partials(x, y, lam: float, sign: int = +1):
     return dfdx, dfdy
 
 
-def partials_bound_check(lams=(4.5, 5.0, 8.0), n_samples_log2: int = 14,
-                         tol: float = 1e-12) -> dict:
+#: The partials check: its couplings (all above 4), log2 of its Sobol sample
+#: count, and how far past the bound 1 a partial may read.
+PARTIALS_LAMS = (4.5, 5.0, 8.0)
+PARTIALS_SAMPLES_LOG2 = 14
+PARTIALS_TOL = 1e-12
+
+
+def partials_bound_check() -> dict:
     """Sobol sample of |df/dx|, |df/dy| over [-2, 2]^2 for couplings above 4.
 
     The expected uniform bound is 1.  The sample count is a power of two to
@@ -358,15 +364,15 @@ def partials_bound_check(lams=(4.5, 5.0, 8.0), n_samples_log2: int = 14,
     from scipy.stats import qmc  # scipy.stats is slow to import; only this check needs it
 
     sampler = qmc.Sobol(d=2, scramble=False)
-    pts = 4.0 * sampler.random_base2(n_samples_log2) - 2.0
+    pts = 4.0 * sampler.random_base2(PARTIALS_SAMPLES_LOG2) - 2.0
     n_samples = pts.shape[0]
     worst = 0.0
-    for lam in lams:
+    for lam in PARTIALS_LAMS:
         for sign in (+1, -1):
             dfdx, dfdy = f_pm_partials(pts[:, 0], pts[:, 1], lam, sign)
             worst = max(worst, float(np.max(np.abs(dfdx))), float(np.max(np.abs(dfdy))))
-    return {"max_abs_partial": worst, "bound": 1.0, "ok": worst <= 1.0 + tol,
-            "n_samples": n_samples, "lams": tuple(lams)}
+    return {"max_abs_partial": worst, "bound": 1.0, "ok": worst <= 1.0 + PARTIALS_TOL,
+            "n_samples": n_samples, "lams": PARTIALS_LAMS}
 
 
 def _level_slopes(lam: float, energies: np.ndarray, k: int, count: int) -> list[np.ndarray]:
@@ -465,12 +471,12 @@ def measure_report(lam: float, kmax: int) -> dict:
     }
 
 
-def trace_bound_check(lam: float, k: int, *, samples_per_band: int = SAMPLES_PER_BAND) -> dict:
+def trace_bound_check(lam: float, k: int) -> dict:
     """Verify |x_i| <= C_lambda for 0 <= i <= k on sampled level-k energies."""
     if k < 1:
         raise DomainError("trace bound check needs k >= 1")
     params = bound_parameters(lam)
-    energies = _cached_spectrum(lam, k).interior_points(samples_per_band)
+    energies = _cached_spectrum(lam, k).interior_points(SAMPLES_PER_BAND)
     with np.errstate(over="ignore", invalid="ignore"):
         levels = islice(_walk(Model.FIBONACCI, lam, energies), k + 1)
         worst = float(np.max([np.max(np.abs(x)) for x in levels]))  # NaN if any level is

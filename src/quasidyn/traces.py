@@ -256,7 +256,8 @@ def fib_trace_orbit(lam: float, E: float, kmax: int) -> FibTraceOrbit:
     if kmax < 1:
         raise DomainError("kmax must be at least 1")
     m0, m1 = islice(_blocks(Model.FIBONACCI, lam, E), 2)
-    seeds = (_DD(np.trace(m).real) for m in (m0, m1, m0 @ m1))
+    with np.errstate(over="ignore", invalid="ignore"):  # M_0 M_1 overflows only past the gate
+        seeds = [_DD(np.trace(m).real) for m in (m0, m1, m0 @ m1)]
     hi = np.full(kmax + 1, np.inf)
     lo = np.zeros(kmax + 1)
     overflow_at = None

@@ -40,7 +40,6 @@ from quasidyn.lattice import (
     ResourceError,
     TruncationError,
     potential_values,
-    _tridiag_solve,
     spectral_norm,
     _transfer_prefixes,
     transfer_matrix,
@@ -187,12 +186,16 @@ def _dense_ladder(spec, window, T_values, dt, cutoff=6.0):
     (Geometry.HALF_LINE, LatticeWindow(1, 130, Geometry.HALF_LINE)),
 ])
 def test_time_ladder_against_dense_diagonalization(geometry, window):
-    # 171 grid steps: ten long steps of 16 and a last one of 11; the cutoffs
-    # 7.8 and 17.4 fall inside the second and fifth long steps
+    # the step is T_min/8 = 0.1625, so 263 grid steps: sixteen long steps of
+    # 16 and a last one of 7; the cutoffs 6T = 7.8, 17.4 and 42.6 end on grid
+    # steps 48 (the last of the third long step), 107 (inside the seventh)
+    # and 262 (inside the last)
     spec = PotentialSpec(Model.THUE_MORSE, 1.0, geometry)
-    T_values, dt = [1.3, 2.9, 7.1], 0.25
-    profiles = profiles_time_ladder(spec, T_values, window=window, dt=dt)
-    assert [prof.meta["t_max"] for prof in profiles] == [7.75, 17.5, 42.5]
+    T_values = [1.3, 2.9, 7.1]
+    profiles = profiles_time_ladder(spec, T_values, window=window)
+    dt = profiles[0].meta["dt"]
+    assert dt == 1.3 / 8
+    assert [round(prof.meta["t_max"] / dt) for prof in profiles] == [48, 107, 262]
     for prof, dense in zip(profiles, _dense_ladder(spec, window, T_values, dt)):
         assert np.max(np.abs(prof.a - dense)) <= 1e-13 * np.max(dense)
 
@@ -205,10 +208,11 @@ def test_evolution_backward_in_time_is_the_conjugate():
                         np.conj(evolve_state(spec, 30.0, window)), rtol=0, atol=1e-14)
 
 
-def test_evolution_order_cap():
+def test_evolution_order_cap(monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_CHEBYSHEV_ORDER", 64)
     window = LatticeWindow(-900, 900)
     with pytest.raises(ResourceError):
-        evolve_state(FREE, 400.0, window, max_order=64)
+        evolve_state(FREE, 400.0, window)
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +309,28 @@ def test_order_cap_is_refused_before_the_recurrence(monkeypatch):
         raise AssertionError("the recurrence ran")
 
     monkeypatch.setattr(dynamics, "_bessel_block", no_recurrence)
+    monkeypatch.setattr(dynamics, "MAX_CHEBYSHEV_ORDER", 64)
     with pytest.raises(ResourceError):
-        evolve_state(FREE, 400.0, LatticeWindow(-900, 900), max_order=64)
+        evolve_state(FREE, 400.0, LatticeWindow(-900, 900))
 
 
 @pytest.mark.parametrize("lam, ladder, order, matvecs", [
     # the counters with scipy's jv coefficients
     (1.0, [4.0, 16.0, 64.0], 51, 2448),
     (2.5, [4.0, 16.0, 64.0], 60, 2880),
-    (0.3, [2.0, 8.0, 32.0], 47, 1128),
 ])
 def test_time_ladder_work_is_unchanged(lam, ladder, order, matvecs):
     meta = profiles_time_ladder(PotentialSpec(Model.THUE_MORSE, lam), ladder)[-1].meta
     assert (meta["chebyshev_order"], meta["matvecs"]) == (order, matvecs)
+
+
+def test_time_ladder_work_below_t_4():
+    # Thue-Morse at lambda = 0.3 has its spectrum in [-2, 2.3], so the
+    # expansion's half-width is 0.525 * 4.3; the step is T_min/8 = 0.25, and
+    # 6 * 32 / 0.25 = 768 grid steps make 48 long steps of 16 samples each
+    meta = profiles_time_ladder(PotentialSpec(Model.THUE_MORSE, 0.3), [2.0, 8.0, 32.0])[-1].meta
+    order = _jv_order(0.525 * 4.3 * 0.25 * np.arange(1, 17), 1e-15, 1 << 17)
+    assert (meta["dt"], meta["chebyshev_order"], meta["matvecs"]) == (0.25, order, 48 * order)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +346,16 @@ def test_time_profile_mass_and_positivity():
 
 def test_time_profile_concentrates_at_short_times():
     window = LatticeWindow(-80, 80)
-    prof = profile_time(FREE, 0.05, window=window, dt=0.005)
+    prof = profile_time(FREE, 0.05, window=window)
     assert prof.a[window.index(1)] / prof.total_mass > 0.95
+
+
+def test_time_profile_mass_at_short_times():
+    # the step T/8 keeps the trapezoid's relative mass error at
+    # (h/T) coth(h/T) - 1 = 5.2e-3, as at T = 4 with the step 0.5
+    for T in (0.05, 0.2, 0.5, 1.0, 2.0):
+        prof = profile_time(FREE, T)
+        assert prof.total_mass == pytest.approx(1.0 - math.exp(-12.0), abs=6e-3), T
 
 
 def test_half_line_profile_mass():
@@ -421,18 +442,6 @@ def test_resolvent_profile_mass_and_agreement():
     assert l1 / prof_t.total_mass <= 0.02
 
 
-def test_resolvent_profile_richardson_diagnostic():
-    prof = profile_resolvent(FREE, 20.0, richardson=True)
-    assert prof.meta["richardson_max_rel_delta"] <= 0.01
-
-
-def test_resolvent_profile_rejects_coarse_grid():
-    window = LatticeWindow(-700, 700)
-    grid = np.linspace(-7.0, 7.0, 100)
-    with pytest.raises(DomainError):
-        profile_resolvent(FREE, 50.0, window=window, energy_grid=grid)
-
-
 def _dense_green_columns(v: np.ndarray, z: np.ndarray, src: int) -> np.ndarray:
     """|G(n, src; z)|^2 as (energy, site), from the window Hamiltonian built
     entry by entry and one dense solve per energy."""
@@ -470,30 +479,6 @@ def test_resolvent_weights_match_dense_solves(geometry, window, lam):
     far_expected = np.sum(np.abs(G[-far.size:]) ** 2, axis=0)
     assert np.all(np.isfinite(far_totals)) and np.all(far_totals >= 0.0)
     assert np.max(np.abs(far_totals - far_expected)) <= 1e-12 * np.max(far_expected)
-
-
-@pytest.mark.parametrize("geometry", [Geometry.WHOLE_LINE, Geometry.HALF_LINE])
-def test_resolvent_richardson_matches_re_solved_cells(geometry):
-    # the parent formula: every 16th cell's mass sum_n |G(n, 1)|^2 re-solved
-    # at E -+ h/4; the kernel reads the cell masses off the Ward identity
-    spec = PotentialSpec(Model.THUE_MORSE, 1.0, geometry=geometry)
-    T, eps = 20.0, 1.0 / 20.0
-    window = LatticeWindow(-150, 150) if geometry is Geometry.WHOLE_LINE \
-        else LatticeWindow(1, 300, Geometry.HALF_LINE)
-    grid = np.linspace(-7.0, 7.0, 1200)
-    h = grid[1] - grid[0]
-    prof = profile_resolvent(spec, T, window=window, energy_grid=grid, richardson=True)
-    v = potential_values(spec, window.sites())
-    rhs = np.zeros(window.size, dtype=complex)
-    rhs[window.index(1)] = 1.0
-
-    def cell(E):
-        return np.sum(np.abs(_tridiag_solve(v, E + 1j * eps, rhs)) ** 2)
-
-    worst = max(abs(0.5 * (cell(E - h / 4) + cell(E + h / 4)) - cell(E)) / cell(E)
-                for E in grid[::16])
-    # a relative cell discrepancy: both cell masses agree to 1e-12 of themselves
-    assert abs(prof.meta["richardson_max_rel_delta"] - worst) <= 1e-12
 
 
 @pytest.mark.parametrize("model", ["tm", "fib", "free", "pd"])
@@ -1089,14 +1074,34 @@ def test_tail_scaling_grows_the_window_to_fit_the_decay(resolvent_radii, lam, la
 
 def test_tail_scaling_keeps_the_start_window_when_it_fits(resolvent_radii):
     # at lambda = 1 no window grows: each energy is solved once, on 4T + 64
-    resolvent_tail_scaling(fib_spec(1.0), [50.0, 200.0], energies_per_t=4)
+    resolvent_tail_scaling(fib_spec(1.0), [50.0, 200.0])
     assert resolvent_radii == [264] * 4 + [864] * 4
 
 
 def test_tail_scaling_grows_along_ladder():
-    report = resolvent_tail_scaling(fib_spec(1.0), [50.0, 200.0], energies_per_t=4)
+    report = resolvent_tail_scaling(fib_spec(1.0), [50.0, 200.0])
     assert report["rows"][1]["S_min"] > report["rows"][0]["S_min"]
     assert report["positive"]
+
+
+def test_tail_scaling_on_the_half_line(resolvent_radii):
+    # the windows are the half line's own, sites 1 .. 4T + 64
+    report = resolvent_tail_scaling(PotentialSpec(Model.FIBONACCI, 1.0, Geometry.HALF_LINE),
+                                    [50.0, 200.0])
+    assert all(math.isfinite(row["S_min"]) and row["S_min"] > 0.0 for row in report["rows"])
+    assert math.isfinite(report["exponent_in_T"])
+    assert resolvent_radii == [264] * 4 + [864] * 4
+
+
+@pytest.mark.parametrize("ladder", [[100.0], [100.0, 100.0], [0.0, 10.0], [-5.0, 10.0],
+                                    [math.nan, 10.0]])
+def test_tail_scaling_refuses_a_bad_ladder_before_any_solve(monkeypatch, ladder):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a resolvent was solved before the ladder was checked")
+
+    monkeypatch.setattr(dynamics, "resolvent_vector", no_solve)
+    with pytest.raises(DomainError, match="two distinct positive times"):
+        resolvent_tail_scaling(fib_spec(1.0), ladder)
 
 
 def test_bound_report_out_of_regime(tmp_path):
@@ -1122,14 +1127,23 @@ def _no_sweep(*args, **kwargs):
 
 
 def test_bound_report_budget_counts_the_given_window(monkeypatch):
-    # 1201 samples on 40001 sites: 4.8e7 site-steps, far above the budget,
-    # although the default light-cone window would fit in it
+    # 1537 samples on 40001 sites: 6.15e7 site-steps, far above the budget,
+    # although the default light-cone window (3201 sites, 4.92e6) would fit in it
     from quasidyn import dynamics
 
     monkeypatch.setattr(dynamics, "_chebyshev_sweep", _no_sweep)
-    with pytest.raises(ResourceError, match="4.80e"):
-        dynamics.bound_report(FREE, [2.0], list(np.geomspace(1.0, 100.0, 7)), "tm",
+    with pytest.raises(ResourceError, match="6.15e"):
+        dynamics.bound_report(FREE, [2.0], list(np.geomspace(4.0, 128.0, 7)), "tm",
                               window=LatticeWindow(-20000, 20000), max_cost=5e6)
+
+
+def test_bound_report_budget_counts_the_step_of_the_smallest_time(monkeypatch):
+    # at T_min = 1 the step is 1/8, not 0.5: 4801 samples on the 2529 sites
+    # of the light-cone window at T = 100 are 1.21e7 site-steps
+    monkeypatch.setattr(dynamics, "_chebyshev_sweep", _no_sweep)
+    with pytest.raises(ResourceError, match="1.21e"):
+        dynamics.bound_report(FREE, [2.0], list(np.geomspace(1.0, 100.0, 7)), "tm",
+                              max_cost=5e6)
 
 
 def test_bound_report_budget_uses_the_real_time_step(monkeypatch):
@@ -1166,6 +1180,8 @@ def test_bound_report_checks_ladder_before_sweep(monkeypatch):
         dynamics.bound_report(FREE, [2.0], list(np.geomspace(10.0, 60.0, 7)), "tm")
     with pytest.raises(DomainError, match="at least 5 ladder points"):
         dynamics.bound_report(FREE, [2.0], [10.0, 100.0, 1000.0], "tm")
+    with pytest.raises(DomainError, match="ladder times must be distinct"):
+        dynamics.bound_report(FREE, [2.0], [10.0, 100.0, 10.0, 300.0, 1000.0], "tm")
 
 
 def test_bound_report_keeps_its_profiles():

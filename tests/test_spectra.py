@@ -349,10 +349,10 @@ def test_per_level_derivative_growth():
 
 
 def test_trace_bound_on_sampled_bands():
-    report = trace_bound_check(1.0, 10, samples_per_band=10)
+    report = trace_bound_check(1.0, 10)
     assert report["ok"]
     assert report["max_abs_trace"] <= 5.0
-    report = trace_bound_check(5.0, 8, samples_per_band=10)
+    report = trace_bound_check(5.0, 8)
     assert report["ok"]
     assert report["max_abs_trace"] <= 2.0 + math.sqrt(33.0)
 

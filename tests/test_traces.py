@@ -287,9 +287,10 @@ def test_blocks_compute_no_level_past_the_one_asked():
         t0, t1 = subst_transfer("pd", 1.0, 1e200, 0)
     assert mats[0, 0, 0] == 1e200 and mats[1, 0, 0] == 1e200 - 1.0
     assert t0[0, 0] == 1e200 and t1[0, 0] == 1e200 - 1.0
-    # the orbit's seeds are unchecked too; its first trace stops it
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    # the orbit's seeds are unchecked too: its first trace stops it, and the
+    # product M_0 M_1 behind x_2, which overflows here, warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert fib_trace_orbit(1.0, 1e200, 5).overflow_at == 0
 
 
