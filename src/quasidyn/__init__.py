@@ -47,7 +47,6 @@ from quasidyn.spectra import (
 from quasidyn.dynamics import (
     AmplitudeProfile,
     BoundReport,
-    GoodSetInput,
     MomentSeries,
     Verdict,
     bound_report,
@@ -56,12 +55,10 @@ from quasidyn.dynamics import (
     growth_exponent,
     moment_series,
     moments,
-    outside_probability,
     profile_resolvent,
     profile_time,
     profiles_time_ladder,
     resolvent_vector,
-    good_set_moment_bound,
 )
 
 __version__ = "0.1.0"

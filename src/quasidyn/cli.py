@@ -517,6 +517,7 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
         "perturb": ";".join(perturb_sites),
         "window": window_radius if window_radius is not None else "",
         **{name: _fmt(value) for name, value in exponents.items()},
+        **({"seed": seed} if seed is not None else {}),
     })
     window = None if window_radius is None else dynamics._origin_window(spec, window_radius)
     if profile_out is not None and profile_method == "resolvent":
@@ -601,6 +602,7 @@ def powerlaw(model, lam, energies, from_level, count, mmax, alpha, geometry, out
     config = RunConfig("powerlaw", {
         "model": spec.model.value, "lambda": _fmt(lam), "alpha": _fmt(alpha),
         "mmax": mmax, "energies": ",".join(_fmt(e) for e in energy_list),
+        **({"geometry": geometry} if geometry != "whole-line" else {}),
     })
     rows = []
     all_ok = True

@@ -52,7 +52,7 @@ from quasidyn.lattice import (
     potential_values,
     spectral_norm,
 )
-from quasidyn.spectra import approximant_spectrum, bound_parameters, merge_intervals
+from quasidyn.spectra import approximant_spectrum, bound_parameters
 from quasidyn.traces import fibonacci_numbers
 
 #: Abel-average integration cutoff: t_max = TIME_CUTOFF * T.
@@ -143,18 +143,6 @@ class BoundReport:
         return all(e.verdict is not Verdict.SOFT_FAIL for e in self.entries)
 
 
-@dataclass(frozen=True)
-class GoodSetInput:
-    """Inputs to the moment lower bound driven by a good energy set.
-
-    ``a_of_n`` maps a length scale N to the interval list (lo, hi) of the
-    good set A(N); alpha is the power-law exponent certified on A(N).
-    """
-
-    alpha: float
-    a_of_n: Callable[[float], Sequence[tuple[float, float]]]
-
-
 # ---------------------------------------------------------------------------
 # resolvent route
 
@@ -189,14 +177,11 @@ def _far_edge_share(window: LatticeWindow, weights: np.ndarray) -> float:
     return float(far) / max(float(np.sum(weights)), np.finfo(float).tiny)
 
 
-def resolvent_vector(spec: PotentialSpec, z: complex, window: LatticeWindow, *,
-                     boundary_tol: float | None = None) -> np.ndarray:
+def resolvent_vector(spec: PotentialSpec, z: complex, window: LatticeWindow) -> np.ndarray:
     """Solve (H - z) phi = delta_1 on the window (Dirichlet truncation).
 
     Requires Im z > 0.  The banded solve is verified against its residual
-    (1e-12 relative); if ``boundary_tol`` is given, the squared amplitude on
-    the far edges relative to the squared vector norm must stay below it,
-    otherwise :class:`TruncationError` signals that the window is too small.
+    (1e-12 relative).
     """
     if z.imag <= 0:
         raise DomainError("resolvent vectors are computed for Im z > 0")
@@ -208,11 +193,6 @@ def resolvent_vector(spec: PotentialSpec, z: complex, window: LatticeWindow, *,
     resid = _tridiag_apply(v - z, phi) - rhs
     if np.linalg.norm(resid) > 1e-12 * max(norm, 1.0):
         raise ArithmeticError("resolvent solve residual above tolerance")
-    if boundary_tol is not None and window.size > 2:
-        edge = _far_edge_share(window, np.abs(phi) ** 2)
-        if edge > boundary_tol:
-            raise TruncationError(
-                f"boundary weight {edge:.3e} above {boundary_tol:.3e}; enlarge the window")
     return phi
 
 
@@ -571,8 +551,10 @@ def _profile_setup(spec: PotentialSpec, T_values: Sequence[float], window: Latti
     def check_sweep(step: float) -> None:
         cost = (math.ceil(t_max / step) + 1) * window.size
         if cost > max_cost:
+            # below T_min = 4 the step is T_min/8 unless the Nyquist rule cuts it further
+            fixes = "raise Tmin, lower Tmax" if step == T_min / 8.0 < 0.5 else "lower Tmax"
             raise ResourceError(f"sweep cost {cost:.2e} site-steps exceeds budget "
-                                f"{max_cost:.2e}; lower Tmax, shrink the window or raise the budget")
+                                f"{max_cost:.2e}; {fixes}, shrink the window or raise the budget")
 
     step = min(0.5, T_min / 8.0)
     check_sweep(step)
@@ -688,15 +670,6 @@ def moment_series(profiles: Sequence[AmplitudeProfile], p: float) -> MomentSerie
     return MomentSeries(p=p, points=pts)
 
 
-def outside_probability(profile: AmplitudeProfile, gamma: float) -> float:
-    """Mass of the profile at distances |n| >= T^gamma - 2."""
-    if gamma < 0:
-        raise DomainError("gamma must be nonnegative")
-    threshold = profile.T ** gamma - 2.0
-    sites = profile.sites()
-    return float(np.sum(profile.a[np.abs(sites) >= threshold]))
-
-
 def _check_ladder(T_values: Sequence[float]) -> None:
     """Reject a sorted ladder too short for a growth-exponent fit, or with a
     time repeated."""
@@ -730,52 +703,6 @@ def growth_exponent(series: MomentSeries) -> GrowthFit:
 
 # ---------------------------------------------------------------------------
 # theoretical lower bounds
-
-def good_set_moment_bound(inp: GoodSetInput, T: float, p: float) -> dict:
-    """Moment lower bound generated by a good energy set, in log form.
-
-    With N(T) = T^{1/(1+alpha)} and B(T) the 1/T-neighborhood of A(N(T)),
-    the time-averaged p-th moment is bounded below by
-    (1/T) |B(T)| N(T)^{p+1-2 alpha} up to a uniform constant, and the mass
-    beyond N(T)/2 by (1/T) |B(T)| N(T)^{1-2 alpha}.  Both are returned as
-    natural logs together with the ingredients.
-    """
-    if T <= 1.0:
-        raise DomainError("the bound is asymptotic; use T > 1")
-    n_of_t = T ** (1.0 / (1.0 + inp.alpha))
-    intervals = [(lo - 1.0 / T, hi + 1.0 / T) for lo, hi in inp.a_of_n(n_of_t)]
-    if not intervals:
-        raise DomainError("the good energy set is empty")
-    b_measure = sum(hi - lo for lo, hi in merge_intervals(intervals, 0.0))
-    log_n = math.log(n_of_t)
-    log_common = -math.log(T) + math.log(b_measure)
-    return {
-        "T": T,
-        "p": p,
-        "N": n_of_t,
-        "B_measure": b_measure,
-        "log_moment_bound": log_common + (p + 1.0 - 2.0 * inp.alpha) * log_n,
-        "log_far_mass_bound": log_common + (1.0 - 2.0 * inp.alpha) * log_n,
-    }
-
-
-def fibonacci_good_set(lam: float) -> GoodSetInput:
-    """Good-set provider choosing the approximant level from the scale N.
-
-    Given N, the level k with F_{k-1} < N <= F_k is selected and A(N) is the
-    level-k band set.
-    """
-
-    def a_of_n(n: float) -> list[tuple[float, float]]:
-        fib = fibonacci_numbers(32)
-        k = 1
-        while fib[k] < n:
-            k += 1
-        bands = approximant_spectrum(lam, k)
-        return [(b.lo, b.hi) for b in bands]
-
-    return GoodSetInput(alpha=MODEL_ALPHA[Model.FIBONACCI](lam), a_of_n=a_of_n)
-
 
 #: Each model's own exponent alpha, from the coupling: ||T(n, 1; E)|| <= C n^alpha
 #: on a nonempty energy set.  The free and periodic models have none.
@@ -1019,21 +946,24 @@ def _tail_resolvent(spec: PotentialSpec, z: complex,
     """R(z) delta_1 on the origin window of ``radius``, the radius doubled while
     the far edges carry more than EDGE_MASS_TOL of |R delta_1|^2, at most
     TAIL_WINDOW_DOUBLINGS times; past that :class:`TruncationError`."""
-    for _ in range(TAIL_WINDOW_DOUBLINGS):
+    for _ in range(TAIL_WINDOW_DOUBLINGS + 1):
         window = _origin_window(spec, radius)
         phi = resolvent_vector(spec, z, window)
-        if _far_edge_share(window, np.abs(phi) ** 2) <= EDGE_MASS_TOL:
+        edge = _far_edge_share(window, np.abs(phi) ** 2)
+        if edge <= EDGE_MASS_TOL:
             return window, phi
         radius *= 2
-    window = _origin_window(spec, radius)
-    return window, resolvent_vector(spec, z, window, boundary_tol=EDGE_MASS_TOL)
+    raise TruncationError(
+        f"boundary weight {edge:.3e} above {EDGE_MASS_TOL:.3e}; enlarge the window")
 
 
 def resolvent_tail_scaling(spec: PotentialSpec, T_values: Sequence[float]) -> dict:
     """Scaling of the far-mass resolvent sum along a time ladder.
 
-    For each ladder time T, energies are sampled from B(T) (the 1/T
-    neighborhood of the good band set at scale N(T)) and the quantity
+    For each ladder time T, with N(T) = T^{1/(1 + alpha)} at the Fibonacci
+    alpha of :data:`MODEL_ALPHA`, energies are sampled from B(T) (the 1/T
+    neighborhood of the good set: the bands of the level k with
+    F_{k-1} < N(T) <= F_k) and the quantity
     S(T) = min_E sum_{|n| >= N(T)/2} |R(E + i/T) delta_1(n)|^2 is recorded.
     The returned exponents are the log-log slope of S against T and its
     restatement per log N(T).  Each energy's window starts at radius 4T + 64
@@ -1045,12 +975,13 @@ def resolvent_tail_scaling(spec: PotentialSpec, T_values: Sequence[float]) -> di
     T_values = sorted(float(t) for t in T_values)
     if len(set(T_values)) < 2 or not all(T > 0 for T in T_values):  # NaN fails too
         raise DomainError("the tail scaling needs at least two distinct positive times")
-    inp = fibonacci_good_set(spec.lam)
+    alpha = MODEL_ALPHA[Model.FIBONACCI](spec.lam)
+    fib = fibonacci_numbers(32)[1:]
     rows = []
     for T in T_values:
-        n_of_t = T ** (1.0 / (1.0 + inp.alpha))
-        intervals = inp.a_of_n(n_of_t)
-        mids = [0.5 * (lo + hi) for lo, hi in intervals]
+        n_of_t = T ** (1.0 / (1.0 + alpha))
+        k = 1 + int(np.searchsorted(fib, n_of_t))
+        mids = [0.5 * (b.lo + b.hi) for b in approximant_spectrum(spec.lam, k)]
         # at least one offset: a good set of more bands than energies takes the first ones
         offsets = np.linspace(-1.0, 1.0, max(TAIL_ENERGIES_PER_T // len(mids), 1)) / T
         energies = sorted(m + o for m in mids for o in offsets)[:TAIL_ENERGIES_PER_T]
@@ -1067,7 +998,7 @@ def resolvent_tail_scaling(spec: PotentialSpec, T_values: Sequence[float]) -> di
     return {
         "rows": rows,
         "exponent_in_T": slope_t,
-        "exponent_in_N": slope_t * (1.0 + inp.alpha),
-        "alpha": inp.alpha,
+        "exponent_in_N": slope_t * (1.0 + alpha),
+        "alpha": alpha,
         "positive": slope_t > 0.0,
     }

@@ -319,6 +319,61 @@ def test_dynamics_header_without_exponents_is_unchanged(runner, tmp_path):
     assert "# config_hash: 16236b7bd45f0271" in out.read_text().splitlines()
 
 
+def _config_hash(path):
+    (line,) = [line for line in path.read_text().splitlines() if line.startswith("# config_hash")]
+    return line.split(": ")[1]
+
+
+def test_powerlaw_hash_covers_the_geometry(runner, tmp_path):
+    # the half line sweeps other norms, so it hashes apart; the whole line,
+    # named or by default, keeps the hash it had before the key
+    outs = {}
+    for geometry in (None, "whole-line", "half-line"):
+        outs[geometry] = tmp_path / f"{geometry}.csv"
+        result = runner.invoke(main, ["powerlaw", "--model", "tm", "--lambda", "1",
+                                      "--mmax", "50", "--out", str(outs[geometry])]
+                               + (["--geometry", geometry] if geometry else []))
+        assert result.exit_code == 0, result.output
+    assert _data_rows(outs["half-line"]) != _data_rows(outs[None])
+    assert _config_hash(outs[None]) == _config_hash(outs["whole-line"]) == "6bd22cba261e824e"
+    assert _config_hash(outs["half-line"]) != _config_hash(outs[None])
+
+
+def test_dynamics_hash_covers_the_seed_word(runner, tmp_path):
+    # a seed word moves every log-moment, so it hashes apart; without one the
+    # run keeps the hash it had before the key
+    seed = "01" * 801 + "|" + "0110" * 401  # covers the window at T = 128, sites -1600..1600
+    outs = {}
+    for word in (None, seed):
+        outs[word] = tmp_path / f"{word is None}.csv"
+        result = runner.invoke(main, ["dynamics", "--model", "tm", "--lambda", "1", "--Tmin", "4",
+                                      "--Tmax", "128", "--Tcount", "5", "--out", str(outs[word])]
+                               + (["--seed-word", word] if word else []))
+        assert result.exit_code == 0, result.output
+    rows = [[row.split(",")[2] for row in _data_rows(outs[word])] for word in (None, seed)]
+    assert all(a != b for a, b in zip(*rows))
+    assert _config_hash(outs[None]) == "4ea50805737ab562"
+    assert _config_hash(outs[seed]) != _config_hash(outs[None])
+
+
+@pytest.mark.parametrize("t_min, max_cost, message", [
+    # below Tmin = 4 the step is Tmin/8: 4,801 samples on 2,529 sites
+    ("1", "5e6", "sweep cost 1.21e+07 site-steps exceeds budget 5.00e+06; "
+                 "raise Tmin, lower Tmax, shrink the window or raise the budget"),
+    # from Tmin = 4 on the step is 0.5: 1,201 samples on the same sites
+    ("4", "2e6", "sweep cost 3.04e+06 site-steps exceeds budget 2.00e+06; "
+                 "lower Tmax, shrink the window or raise the budget"),
+])
+def test_dynamics_budget_names_tmin_only_when_it_sets_the_step(runner, tmp_path, t_min,
+                                                               max_cost, message):
+    result = runner.invoke(main, ["dynamics", "--model", "free", "--bound", "tm", "--p", "2",
+                                  "--Tmin", t_min, "--Tmax", "100", "--max-cost", max_cost,
+                                  "--out", str(tmp_path / "m.csv")])
+    assert result.exit_code == 3
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line)["message"] == message
+
+
 def test_dynamics_small_run(runner, tmp_path):
     out = tmp_path / "moments.csv"
     prof_out = tmp_path / "profile.csv"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from quasidyn import dynamics
 from quasidyn.dynamics import (
     AmplitudeProfile,
-    GoodSetInput,
     PowerlawReport,
     TransferNorms,
     Verdict,
@@ -20,13 +19,11 @@ from quasidyn.dynamics import (
     growth_exponent,
     moment_series,
     moments,
-    outside_probability,
     profile_resolvent,
     profile_time,
     profiles_time_ladder,
     resolvent_tail_scaling,
     resolvent_vector,
-    good_set_moment_bound,
     transfer_norms_from_origin,
     zeckendorf_bound_check,
 )
@@ -45,6 +42,7 @@ from quasidyn.lattice import (
     transfer_matrix,
 )
 from quasidyn.spectra import approximant_spectrum, bound_parameters
+from quasidyn.traces import fibonacci_numbers
 
 from conftest import brute_transfer, fib_spec
 
@@ -89,9 +87,13 @@ def test_resolvent_decays_for_free_chain():
 
 
 def test_resolvent_truncation_guard():
+    # a whole-line window too small for the decay leaves its weight on the edges
     window = LatticeWindow(-6, 6)
-    with pytest.raises(TruncationError):
-        resolvent_vector(FREE, 0.1 + 0.01j, window, boundary_tol=1e-6)
+    phi = resolvent_vector(FREE, 0.1 + 0.01j, window)
+    assert dynamics._far_edge_share(window, np.abs(phi) ** 2) > dynamics.EDGE_MASS_TOL
+    window = LatticeWindow(-3000, 3000)
+    phi = resolvent_vector(FREE, 0.1 + 0.01j, window)
+    assert dynamics._far_edge_share(window, np.abs(phi) ** 2) < dynamics.EDGE_MASS_TOL
 
 
 def test_resolvent_half_line_boundary_is_not_a_truncation_edge():
@@ -99,11 +101,13 @@ def test_resolvent_half_line_boundary_is_not_a_truncation_edge():
     # end of a half-line window counts toward the truncation weight
     spec = PotentialSpec(Model.THUE_MORSE, 1.0, Geometry.HALF_LINE)
     window = LatticeWindow(1, 400, Geometry.HALF_LINE)
-    phi = resolvent_vector(spec, 0.3 + 0.1j, window, boundary_tol=1e-6)
-    assert abs(phi[-1]) ** 2 / np.sum(np.abs(phi) ** 2) < 1e-20
-    with pytest.raises(TruncationError):
-        resolvent_vector(spec, 0.3 + 0.01j, LatticeWindow(1, 40, Geometry.HALF_LINE),
-                         boundary_tol=1e-6)
+    weights = np.abs(resolvent_vector(spec, 0.3 + 0.1j, window)) ** 2
+    assert weights[0] / np.sum(weights) > dynamics.EDGE_MASS_TOL  # counted, it would fail
+    assert dynamics._far_edge_share(window, weights) == weights[-1] / np.sum(weights)
+    assert dynamics._far_edge_share(window, weights) < 1e-20
+    small = LatticeWindow(1, 40, Geometry.HALF_LINE)
+    phi = resolvent_vector(spec, 0.3 + 0.01j, small)
+    assert dynamics._far_edge_share(small, np.abs(phi) ** 2) > dynamics.EDGE_MASS_TOL
 
 
 def test_resolvent_matches_transfer_propagation():
@@ -597,19 +601,6 @@ def test_moments_are_scipys_logsumexp():
         assert moments(prof, p) == float(logsumexp(terms))
 
 
-def test_outside_probability_limits():
-    prof = _uniform_profile(100)
-    assert outside_probability(prof, 0.7) == pytest.approx(prof.total_mass)  # T = 1
-    window = prof.window
-    far = AmplitudeProfile(T=4.0, window=window, a=prof.a, method="time-average")
-    assert outside_probability(far, 50.0) == 0.0
-
-
-def test_outside_probability_free_ballistic():
-    prof = profile_time(FREE, 100.0)
-    assert outside_probability(prof, 0.5) >= 0.5
-
-
 def _synthetic_series(exponent: float, noise: float = 0.0, seed: int = 0):
     rng = np.random.default_rng(seed)
     ts = np.geomspace(10.0, 1e4, 9)
@@ -641,38 +632,6 @@ def test_growth_exponent_needs_span():
 
 # ---------------------------------------------------------------------------
 # lower bounds
-
-def test_good_set_bound_single_energy_slope():
-    alpha, p = 2.0, 10.0
-    inp = GoodSetInput(alpha=alpha, a_of_n=lambda n: [(0.5, 0.5)])
-    t1, t2 = 1e5, 2e5
-    slope = (good_set_moment_bound(inp, t2, p)["log_moment_bound"]
-             - good_set_moment_bound(inp, t1, p)["log_moment_bound"]) / math.log(2.0)
-    assert slope == pytest.approx((p - 1.0 - 4.0 * alpha) / (1.0 + alpha), abs=1e-9)
-
-
-def test_good_set_bound_window_set_slope():
-    theta, p = 2.0, 6.0
-    inp = GoodSetInput(alpha=0.0,
-                          a_of_n=lambda n: [(-n ** (-1.0 / theta), n ** (-1.0 / theta))])
-    t1, t2 = 1e6, 4e6
-    slope = (good_set_moment_bound(inp, t2, p)["log_moment_bound"]
-             - good_set_moment_bound(inp, t1, p)["log_moment_bound"]) / math.log(4.0)
-    assert slope == pytest.approx(p - 1.0 / theta, abs=2e-2)
-
-
-def test_good_set_bound_measure_driven_slope():
-    # a good set whose measure shrinks like N^-gamma reproduces the
-    # three-exponent slope formula
-    params = bound_parameters(5.0)
-    alpha, gamma, p = params.alpha, params.gamma, 40.0
-    inp = GoodSetInput(alpha=alpha,
-                          a_of_n=lambda n: [(0.0, n ** (-gamma))])
-    t1, t2 = 1e6, 8e6
-    slope = (good_set_moment_bound(inp, t2, p)["log_moment_bound"]
-             - good_set_moment_bound(inp, t1, p)["log_moment_bound"]) / math.log(8.0)
-    assert slope == pytest.approx((p - gamma - 3.0 * alpha) / (1.0 + alpha), abs=2e-2)
-
 
 def test_bound_slope_formulas():
     assert bound_slope("tm", 2.0) == 1.0
@@ -741,7 +700,6 @@ def test_each_model_takes_its_own_alpha():
         bound_id = dynamics.default_bound_id(model)
         assert bound_slope(bound_id, 7.0, lam=lam) == (7.0 - 1.0 - 4.0 * alpha) / (1.0 + alpha)
     assert dynamics.MODEL_ALPHA[Model.FIBONACCI](5.0) == bound_parameters(5.0).alpha
-    assert dynamics.fibonacci_good_set(5.0).alpha == bound_parameters(5.0).alpha
     for model in (Model.FREE, Model.EXPLICIT_PERIODIC):
         assert model not in dynamics.MODEL_ALPHA
         assert dynamics.default_bound_id(model) == "one-energy"
@@ -1046,6 +1004,30 @@ def test_tail_scaling_refuses_a_window_too_small_for_the_resolvent(monkeypatch):
         resolvent_tail_scaling(fib_spec(0.1), [100.0, 1000.0])
 
 
+def test_tail_scaling_takes_the_level_of_the_scale(monkeypatch):
+    # at alpha = 0, N(T) = T: the ladder falls on F_6 = 13 and F_7 = 21 and beside them
+    monkeypatch.setitem(dynamics.MODEL_ALPHA, Model.FIBONACCI, lambda lam: 0.0)
+    levels = []
+    spectrum = dynamics.approximant_spectrum
+
+    def spy(lam, k):
+        levels.append(k)
+        return spectrum(lam, k)
+
+    monkeypatch.setattr(dynamics, "approximant_spectrum", spy)
+    ladder = [1.0, 1.5, 12.0, 13.0, 14.0, 21.0, 22.0]
+    resolvent_tail_scaling(fib_spec(1.0), ladder)
+    fib = fibonacci_numbers(32)
+    expected = []
+    for n in ladder:  # the level loop F_{k-1} < N <= F_k, written out
+        k = 1
+        while fib[k] < n:
+            k += 1
+        expected.append(k)
+    assert expected == [1, 2, 6, 6, 7, 7, 8]
+    assert levels == expected
+
+
 @pytest.fixture
 def resolvent_radii(monkeypatch):
     """The window radius of every resolvent_vector call, in order."""
@@ -1154,6 +1136,17 @@ def test_bound_report_budget_uses_the_real_time_step(monkeypatch):
     spec = PotentialSpec(Model.THUE_MORSE, 20.0)
     with pytest.raises(ResourceError, match="1.07e"):
         dynamics.bound_report(spec, [2.0], list(np.geomspace(4.0, 128.0, 7)), max_cost=8e6)
+
+
+def test_bound_report_budget_does_not_name_tmin_under_the_nyquist_step(monkeypatch):
+    # at lambda = 20 the step is 5.5/24 below Tmin/8 = 0.3125, so raising Tmin
+    # would not make the sweep cheaper: 3,353 samples on 3,201 sites are 1.07e7
+    monkeypatch.setattr(dynamics, "_chebyshev_sweep", _no_sweep)
+    spec = PotentialSpec(Model.THUE_MORSE, 20.0)
+    with pytest.raises(ResourceError) as err:
+        dynamics.bound_report(spec, [2.0], list(np.geomspace(2.5, 128.0, 7)), max_cost=9e6)
+    assert str(err.value) == ("sweep cost 1.07e+07 site-steps exceeds budget 9.00e+06; "
+                              "lower Tmax, shrink the window or raise the budget")
 
 
 def test_ladder_computes_chebyshev_coefficients_once(monkeypatch):
