@@ -39,10 +39,8 @@ from quasidyn.spectra import (
     classify_bands,
     covering_check,
     derivative_ratio_check,
-    f_pm,
     genealogy_check,
     measure_report,
-    trace_bound_check,
 )
 from quasidyn.dynamics import (
     AmplitudeProfile,

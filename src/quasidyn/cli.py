@@ -46,6 +46,7 @@ from quasidyn.lattice import (
     ResourceError,
     ScaleOverflowError,
     TruncationError,
+    potential_values,
 )
 from quasidyn.traces import (
     FIB_CONVENTION_ID,
@@ -335,8 +336,6 @@ def trace(model, lam, energy, kmax, roots_level, potential_range, geometry, out)
                                  "potential": potential_range or "",
                                  "geometry": geometry})
     if potential_range is not None:
-        from quasidyn.lattice import potential_values
-
         bounds = re.fullmatch(r"([+-]?\d+):([+-]?\d+)", potential_range)
         if bounds is None:
             raise click.UsageError("--potential expects LO:HI with integer sites")
@@ -609,7 +608,7 @@ def powerlaw(model, lam, energies, from_level, count, mmax, alpha, geometry, out
     d_const = spectra.bound_parameters(lam).d if spec.model is Model.FIBONACCI else None
     for energy in energy_list:
         norms = dynamics.transfer_norms_from_origin(spec, energy, mmax)
-        rep = dynamics._powerlaw_report(norms, energy, alpha, mmax)
+        rep = dynamics._powerlaw_report(norms, alpha)
         zk_ok = ""
         if d_const is not None:
             zk = dynamics._zeckendorf_report(norms, energy, mmax, d_const)

@@ -535,8 +535,8 @@ def _profile_setup(spec: PotentialSpec, T_values: Sequence[float], window: Latti
     light-cone rule at the largest T.  The step min(0.5, T_min/8,
     5.5/(max v - min v + 4)) is above the Nyquist rate of the chain and keeps
     the trapezoid's mass error on e^{-2t/T} at most 5.2e-3 (its value at T = 4).
-    The time route costs its samples x window sites: the step is at most
-    min(0.5, T_min/8), so an oversized sweep is refused before the window
+    The time route costs its samples x window sites: no step is longer than
+    0.5, so a sweep too large even at that step is refused before the window
     potential is built, and then the real step counts.  With ``resolvent``
     set, the resolvent route at the largest T counts too, as energy grid
     points x window sites.
@@ -556,11 +556,10 @@ def _profile_setup(spec: PotentialSpec, T_values: Sequence[float], window: Latti
             raise ResourceError(f"sweep cost {cost:.2e} site-steps exceeds budget "
                                 f"{max_cost:.2e}; {fixes}, shrink the window or raise the budget")
 
-    step = min(0.5, T_min / 8.0)
-    check_sweep(step)
+    check_sweep(0.5)
     v = _window_potential(spec, window)
     # keep the sampling rate above the largest Bohr frequency (Nyquist)
-    step = min(step, 5.5 / (float(v.max() - v.min()) + 4.0))
+    step = min(0.5, T_min / 8.0, 5.5 / (float(v.max() - v.min()) + 4.0))
     check_sweep(step)
     if resolvent:
         cost = _grid_cells(v, 1.0 / T_max)[2] * window.size
@@ -848,16 +847,13 @@ def transfer_norms_from_origin(spec: PotentialSpec, E: complex, m_max: int) -> T
 
 @dataclass(frozen=True)
 class PowerlawReport:
-    E: float
-    alpha: float
-    m_max: int
     c_estimate: float
     argmax_m: int
     max_norm: float
     violations: tuple[int, ...]
 
 
-def _powerlaw_report(norms: TransferNorms, E: float, alpha: float, m_max: int,
+def _powerlaw_report(norms: TransferNorms, alpha: float,
                      cap: float | None = None) -> PowerlawReport:
     """Max of ||T(m, 1; E)|| / |m|^alpha over the swept m != 0.
 
@@ -874,9 +870,8 @@ def _powerlaw_report(norms: TransferNorms, E: float, alpha: float, m_max: int,
     best = int(np.argmax(np.where(ratios > 0.0, ratios, 0.0)))  # a strict > scan in ascending m
     c_estimate, argmax_m = (float(ratios[best]), int(m[best])) if ratios[best] > 0.0 else (0.0, 1)
     violations = () if cap is None else tuple(m[ratios > cap].tolist())
-    return PowerlawReport(E=E, alpha=alpha, m_max=m_max, c_estimate=c_estimate,
-                          argmax_m=argmax_m, max_norm=float(values.max()),
-                          violations=violations)
+    return PowerlawReport(c_estimate=c_estimate, argmax_m=argmax_m,
+                          max_norm=float(values.max()), violations=violations)
 
 
 def zeckendorf_bound_check(spec: PotentialSpec, E: float, m_max: int, d: float) -> dict:

@@ -90,13 +90,12 @@ SUBSTITUTIONS: dict[Model, np.ndarray] = {
 }
 
 
-def substitution_word(model: Model | str, k: int) -> np.ndarray:
+def substitution_word(model: Model, k: int) -> np.ndarray:
     """Return the k-th substitution iterate S^k(0) as a uint8 letter array.
 
     The word has length 2**k.  Iterates longer than :data:`MAX_WORD_LENGTH`
     raise :class:`ResourceError`.
     """
-    model = Model.parse(model) if isinstance(model, str) else model
     if model not in SUBSTITUTIONS:
         raise DomainError(f"{model} is not a substitution model")
     if k < 0:
@@ -147,20 +146,20 @@ class PotentialSpec:
     Parameters
     ----------
     model:
-        One of the :class:`Model` members (or a string alias).
+        One of the :class:`Model` members.
     lam:
         Coupling constant; the potential takes values in {0, lam} for the
         three named aperiodic models.
     geometry:
-        Whole line or Dirichlet half line.
+        Whole line or Dirichlet half line, a :class:`Geometry` member.
     seed:
         For the substitution models, an optional explicit two-sided word
         "LEFT|RIGHT" overriding the canonical subshift element; for
         EXPLICIT_PERIODIC the mandatory period word.  The Fibonacci and free
         models read no seed, and a seed that is not a string is refused.
     perturbation:
-        Finitely supported overlay added on top of the base potential,
-        stored as a sorted tuple of (site, value) pairs.
+        Finitely supported overlay added on top of the base potential, given
+        as (site, value) pairs and stored as a sorted tuple of them.
     """
 
     model: Model
@@ -170,19 +169,17 @@ class PotentialSpec:
     perturbation: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
-        model = Model.parse(self.model) if isinstance(self.model, str) else self.model
-        object.__setattr__(self, "model", model)
-        if isinstance(self.geometry, str):
-            object.__setattr__(self, "geometry", Geometry(self.geometry))
-        if model is Model.EXPLICIT_PERIODIC and self.seed is None:
+        if not isinstance(self.model, Model):
+            raise DomainError(f"a model is a Model member, not {self.model!r}")
+        if not isinstance(self.geometry, Geometry):
+            raise DomainError(f"a geometry is a Geometry member, not {self.geometry!r}")
+        if self.model is Model.EXPLICIT_PERIODIC and self.seed is None:
             raise DomainError("explicit periodic model requires a seed word")
         if self.seed is not None and not isinstance(self.seed, str):
             raise DomainError(f"a seed is a word string, not {self.seed!r}")
-        if self.seed is not None and model in (Model.FIBONACCI, Model.FREE):
-            raise DomainError(f"the {model.value} model reads no seed word")
-        pert = tuple(sorted((int(n), float(v)) for n, v in dict(self.perturbation).items())
-                     if isinstance(self.perturbation, Mapping) else
-                     sorted((int(n), float(v)) for n, v in self.perturbation))
+        if self.seed is not None and self.model in (Model.FIBONACCI, Model.FREE):
+            raise DomainError(f"the {self.model.value} model reads no seed word")
+        pert = tuple(sorted((int(n), float(v)) for n, v in self.perturbation))
         if self.geometry is Geometry.HALF_LINE and any(n < 1 for n, _ in pert):
             raise DomainError("half-line perturbation sites must satisfy n >= 1")
         object.__setattr__(self, "perturbation", pert)
@@ -218,8 +215,8 @@ class LatticeWindow:
     geometry: Geometry = Geometry.WHOLE_LINE
 
     def __post_init__(self):
-        if isinstance(self.geometry, str):
-            object.__setattr__(self, "geometry", Geometry(self.geometry))
+        if not isinstance(self.geometry, Geometry):
+            raise DomainError(f"a geometry is a Geometry member, not {self.geometry!r}")
         if self.lo > self.hi:
             raise DomainError(f"window lo={self.lo} exceeds hi={self.hi}")
         if self.geometry is Geometry.HALF_LINE and self.lo < 1:

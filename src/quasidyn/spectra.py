@@ -79,7 +79,6 @@ def _chebyshev_interior(lo, hi, count: int) -> np.ndarray:
 class Band:
     lo: float
     hi: float
-    k: int
     kind: BandKind = BandKind.UNCLASSIFIED
 
     def __post_init__(self):
@@ -93,8 +92,6 @@ class Band:
 
 @dataclass(frozen=True)
 class BandSet:
-    lam: float
-    k: int
     bands: tuple[Band, ...]
 
     def __post_init__(self):
@@ -137,7 +134,6 @@ def _held(ends: np.ndarray, q_lo, q_hi, tol: float):
 class BoundParameters:
     """Closed-form constants entering the power-law and measure bounds."""
 
-    lam: float
     c_lambda: float
     d: float
     alpha: float
@@ -159,7 +155,7 @@ def bound_parameters(lam: float) -> BoundParameters:
     d = c * (2.0 * c + 1.0) ** 2
     alpha = 2.0 * math.log(d) / _LOG_OMEGA_INV
     gamma = math.log(2.0 * lam + 22.0) / _LOG_OMEGA_INV - 1.0
-    return BoundParameters(lam=lam, c_lambda=c, d=d, alpha=alpha, gamma=gamma,
+    return BoundParameters(c_lambda=c, d=d, alpha=alpha, gamma=gamma,
                            gamma_in_regime=lam > 4.0)
 
 
@@ -204,11 +200,11 @@ def approximant_spectrum(lam: float, k: int) -> BandSet:
     # inf or NaN past the double-double range is an open gap; meeting crossings leave none
     open_gap = ~(excess <= _CLOSED_GAP_EXCESS) & (hi[:-1] < lo[1:])
     first, last = np.r_[True, open_gap], np.r_[open_gap, True]
-    bands = tuple(Band(lo=a, hi=b, k=k) for a, b in zip(lo[first], hi[last]))
+    bands = tuple(Band(lo=a, hi=b) for a, b in zip(lo[first], hi[last]))
     if lam > 4.0 and len(bands) != lo.size:
         raise BandCountError(
             f"level {k} at lambda={lam}: found {len(bands)} bands, expected F_{k} = {lo.size}")
-    return BandSet(lam=lam, k=k, bands=bands)
+    return BandSet(bands=bands)
 
 
 @lru_cache(maxsize=256)
@@ -218,8 +214,6 @@ def _cached_spectrum(lam: float, k: int) -> BandSet:
 
 @dataclass(frozen=True)
 class CoveringReport:
-    lam: float
-    m: int
     ok: bool
     violations: tuple[tuple[int, float, float], ...]
 
@@ -240,7 +234,7 @@ def covering_check(lam: float, m: int) -> CoveringReport:
         violations.extend((level, b.lo, b.hi)
                           for b, ok in zip(bands, _held(union, *bands._ends.T, COVERING_TOL))
                           if not ok)
-    return CoveringReport(lam=lam, m=m, ok=not violations, violations=tuple(violations))
+    return CoveringReport(ok=not violations, violations=tuple(violations))
 
 
 def classify_bands(lam: float, k: int) -> BandSet:
@@ -263,8 +257,8 @@ def classify_bands(lam: float, k: int) -> BandSet:
             raise ClassificationError(
                 f"band [{band.lo}, {band.hi}] of level {k}: in_a={in_a}, in_b={in_b}")
         kind = BandKind.TYPE_A if in_a else BandKind.TYPE_B
-        labeled.append(Band(lo=band.lo, hi=band.hi, k=k, kind=kind))
-    return BandSet(lam=lam, k=k, bands=tuple(labeled))
+        labeled.append(Band(lo=band.lo, hi=band.hi, kind=kind))
+    return BandSet(bands=tuple(labeled))
 
 
 def genealogy_check(lam: float, k: int) -> dict:
@@ -319,23 +313,13 @@ def genealogy_check(lam: float, k: int) -> dict:
 # ---------------------------------------------------------------------------
 # quantitative band laws
 
-def f_pm(x, y, lam: float, sign: int = +1):
-    """Middle-of-triple solution (x y +- sqrt(4 lam^2 + (4-x^2)(4-y^2))) / 2.
+def f_pm_partials(x, y, lam: float, sign: int):
+    """Analytic partial derivatives (df/dx, df/dy) of the middle-of-triple
+    solution f = (x y + sign sqrt(4 lam^2 + (4-x^2)(4-y^2))) / 2.
 
-    Given the outer two traces of a consecutive triple on the invariant
-    surface, returns the middle one; the radicand must be nonnegative.
+    Given the outer two traces x, y of a consecutive triple on the invariant
+    surface, f is the middle one; the radicand must be strictly positive.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    radicand = 4.0 * lam * lam + (4.0 - x * x) * (4.0 - y * y)
-    if np.any(radicand < 0):
-        raise DomainError("f_pm radicand is negative")
-    out = 0.5 * (x * y + float(np.sign(sign)) * np.sqrt(radicand))
-    return float(out) if out.ndim == 0 else out
-
-
-def f_pm_partials(x, y, lam: float, sign: int = +1):
-    """Analytic partial derivatives (df/dx, df/dy) of :func:`f_pm`."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     radicand = 4.0 * lam * lam + (4.0 - x * x) * (4.0 - y * y)
@@ -468,22 +452,4 @@ def measure_report(lam: float, kmax: int) -> dict:
         "min_width_ratios": width_ratios,
         "width_ratio_lower_bound": 1.0 / (2.0 * lam + 22.0),
         "c_estimate": c_estimate,
-    }
-
-
-def trace_bound_check(lam: float, k: int) -> dict:
-    """Verify |x_i| <= C_lambda for 0 <= i <= k on sampled level-k energies."""
-    if k < 1:
-        raise DomainError("trace bound check needs k >= 1")
-    params = bound_parameters(lam)
-    energies = _cached_spectrum(lam, k).interior_points(SAMPLES_PER_BAND)
-    with np.errstate(over="ignore", invalid="ignore"):
-        levels = islice(_walk(Model.FIBONACCI, lam, energies), k + 1)
-        worst = float(np.max([np.max(np.abs(x)) for x in levels]))  # NaN if any level is
-    return {
-        "lam": lam,
-        "k": k,
-        "max_abs_trace": worst,
-        "c_lambda": params.c_lambda,
-        "ok": worst <= params.c_lambda + 1e-9,
     }

@@ -94,27 +94,21 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
 class _Number:
     """Operators shared by _DD and _Jet, the number types of the trace maps.
 
-    Floats enter as (v, 0); +, - and x are all the maps need, so each map
-    is written once for them and for float64 arrays.
+    Floats enter as (v, 0) on the right of an operator; +, - and x are all
+    the maps need, so each map is written once for them and for float64 arrays.
     """
 
     __slots__ = ()
     # without this, a NumPy scalar on the left broadcasts over the object
-    # instead of deferring to the reflected operator
+    # instead of raising TypeError, as a plain number on the left does
     __array_ufunc__ = None
 
     @classmethod
     def _of(cls, x):
         return x if isinstance(x, cls) else cls(x)
 
-    def __radd__(self, other):
-        return self + other
-
     def __sub__(self, other):
         return self + -self._of(other)
-
-    def __rmul__(self, other):
-        return self * other
 
 
 class _DD(_Number):
@@ -211,8 +205,6 @@ class FibTraceOrbit:
     passed the overflow gate, or None.
     """
 
-    lam: float
-    E: float
     xs: np.ndarray
     xs_lo: np.ndarray
     overflow_at: int | None
@@ -266,7 +258,7 @@ def fib_trace_orbit(lam: float, E: float, kmax: int) -> FibTraceOrbit:
         if not np.isfinite(cur.hi) or abs(cur.hi) > OVERFLOW_LIMIT:
             overflow_at = k
             break
-    return FibTraceOrbit(lam=lam, E=E, xs=hi, xs_lo=lo, overflow_at=overflow_at)
+    return FibTraceOrbit(xs=hi, xs_lo=lo, overflow_at=overflow_at)
 
 
 def fib_invariant(x_prev, x_cur, x_next):
@@ -330,13 +322,12 @@ def indexing_convention_report(lam: float = 1.0, E: float = 0.7, kmax: int = 8) 
 # ---------------------------------------------------------------------------
 # substitution blocks (period doubling, Thue-Morse)
 
-def subst_transfer(model: Model | str, lam: float, E: complex, k: int) -> tuple[np.ndarray, np.ndarray]:
+def subst_transfer(model: Model, lam: float, E: complex, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Level-k block transfer matrices (T0_k, T1_k) of a substitution chain.
 
     T0_k carries the word S^k(0), T1_k the word S^k(1); they are built by
     the model's block recursion from the level-0 one-step matrices.
     """
-    model = Model.parse(model) if isinstance(model, str) else model
     if k < 0:
         raise DomainError("k must be nonnegative")
     if model not in _SUBST_STEPS:
@@ -420,22 +411,18 @@ def _blocks(model: Model, lam: float, E: complex):
 
 @dataclass(frozen=True)
 class SubstTraceOrbit:
-    model: Model
-    lam: float
-    E: float
     xs: np.ndarray
     ys: np.ndarray
     overflow_at: int | None
 
 
-def subst_trace_orbit(model: Model | str, lam: float, E: float, kmax: int) -> SubstTraceOrbit:
+def subst_trace_orbit(model: Model, lam: float, E: float, kmax: int) -> SubstTraceOrbit:
     """Trace orbit (x_k, y_k) of the block matrices, up to the overflow gate.
 
     Period doubling: x_{k+1} = x_k y_k - 2, y_{k+1} = x_k^2 - 2.
     Thue-Morse: x_k = y_k for k >= 1 and x_{k+1} = x_{k-1}^2 (x_k - 2) + 2
     for k >= 2, with the first two levels in closed form.
     """
-    model = Model.parse(model) if isinstance(model, str) else model
     if kmax < 1:
         raise DomainError("kmax must be at least 1")
     if model not in _SUBST_LEVELS:
@@ -448,7 +435,7 @@ def subst_trace_orbit(model: Model | str, lam: float, E: float, kmax: int) -> Su
         if not np.isfinite(x) or abs(x) > OVERFLOW_LIMIT:
             overflow_at = k
             break
-    return SubstTraceOrbit(model=model, lam=lam, E=E, xs=xs, ys=ys, overflow_at=overflow_at)
+    return SubstTraceOrbit(xs=xs, ys=ys, overflow_at=overflow_at)
 
 
 # ---------------------------------------------------------------------------

@@ -485,10 +485,11 @@ def test_resolvent_weights_match_dense_solves(geometry, window, lam):
     assert np.max(np.abs(far_totals - far_expected)) <= 1e-12 * np.max(far_expected)
 
 
-@pytest.mark.parametrize("model", ["tm", "fib", "free", "pd"])
+@pytest.mark.parametrize("model", [Model.THUE_MORSE, Model.FIBONACCI, Model.FREE,
+                                   Model.PERIOD_DOUBLING], ids=["tm", "fib", "free", "pd"])
 @pytest.mark.parametrize("geometry", [Geometry.WHOLE_LINE, Geometry.HALF_LINE])
 def test_resolvent_profile_meets_the_ward_identity(model, geometry):
-    prof = profile_resolvent(PotentialSpec(Model.parse(model), 1.0, geometry=geometry), 20.0)
+    prof = profile_resolvent(PotentialSpec(model, 1.0, geometry=geometry), 20.0)
     assert 0.0 <= prof.meta["mass_identity_drift"] <= 1e-12
     assert prof.meta["site_energy_steps"] == 2 * (prof.window.size - 1) * prof.meta["grid_points"]
 
@@ -716,7 +717,7 @@ def test_powerlaw_pd_linear_growth():
         if m == 0:
             continue
         assert norm <= c * c * (math.sqrt(2.0) + 0.5 * abs(m))
-    report = dynamics._powerlaw_report(norms, 0.0, 1.0, 3000)
+    report = dynamics._powerlaw_report(norms, 1.0)
     assert report.c_estimate <= c * c * (math.sqrt(2.0) + 0.5)
 
 
@@ -736,7 +737,7 @@ def test_powerlaw_fib_on_band_energies():
     for band in bands.bands[:: len(bands.bands) // 4]:
         energy = 0.5 * (band.lo + band.hi)
         norms = transfer_norms_from_origin(spec, energy, 89)
-        report = dynamics._powerlaw_report(norms, energy, alpha, 89, cap=bound_parameters(lam).d)
+        report = dynamics._powerlaw_report(norms, alpha, cap=bound_parameters(lam).d)
         assert report.violations == ()
         assert report.c_estimate <= bound_parameters(lam).d
 
@@ -804,7 +805,7 @@ def _norms_dict(spec, E, m_max):
     return norms
 
 
-def _powerlaw_loop(norms, E, alpha, m_max, cap=None):
+def _powerlaw_loop(norms, alpha, cap=None):
     """The power-law report as a per-m loop: one strict > scan in ascending m."""
     best_ratio, best_m, max_norm = 0.0, 1, 0.0
     violations = []
@@ -817,8 +818,7 @@ def _powerlaw_loop(norms, E, alpha, m_max, cap=None):
             best_ratio, best_m = ratio, m
         if cap is not None and ratio > cap:
             violations.append(m)
-    return PowerlawReport(E=E, alpha=alpha, m_max=m_max, c_estimate=best_ratio,
-                          argmax_m=best_m, max_norm=max_norm,
+    return PowerlawReport(c_estimate=best_ratio, argmax_m=best_m, max_norm=max_norm,
                           violations=tuple(violations))
 
 
@@ -869,8 +869,8 @@ def test_reports_match_the_per_m_loops(m_max, whole, data, alpha, cap):
     size = 2 * m_max + 1 if whole else m_max
     values = data.draw(st.lists(_TIED | st.floats(1.0, 1e6), min_size=size, max_size=size))
     norms = TransferNorms(np.arange(m_max + 1 - size, m_max + 1), np.array(values))
-    report = dynamics._powerlaw_report(norms, 0.25, alpha, m_max, cap)
-    assert report == _powerlaw_loop(norms, 0.25, alpha, m_max, cap)
+    report = dynamics._powerlaw_report(norms, alpha, cap)
+    assert report == _powerlaw_loop(norms, alpha, cap)
     assert type(report.argmax_m) is int and all(type(m) is int for m in report.violations)
     for d in (1.1, 1e3):
         coding = dynamics._zeckendorf_report(norms, 0.25, m_max, d)
@@ -881,20 +881,18 @@ def test_reports_match_the_per_m_loops(m_max, whole, data, alpha, cap):
 def test_reports_keep_the_first_of_tied_maxima():
     # m = 0 holds the largest norm and is left out
     norms = TransferNorms(np.arange(-3, 4), np.array([2.0, 5.0, 1.0, 9.0, 5.0, 3.0, 5.0]))
-    report = dynamics._powerlaw_report(norms, 0.0, 0.0, 3)
+    report = dynamics._powerlaw_report(norms, 0.0)
     assert (report.argmax_m, report.c_estimate, report.max_norm) == (-2, 5.0, 5.0)
-    assert _powerlaw_loop(norms, 0.0, 0.0, 3) == report
+    assert _powerlaw_loop(norms, 0.0) == report
     # no positive ratio: c 0 at m = 1
     zeros = TransferNorms(np.arange(-3, 4), np.zeros(7))
-    report = dynamics._powerlaw_report(zeros, 0.0, 1.0, 3, cap=0.0)
+    report = dynamics._powerlaw_report(zeros, 1.0, cap=0.0)
     assert (report.argmax_m, report.c_estimate, report.violations) == (1, 0.0, ())
-    assert report == _powerlaw_loop(zeros, 0.0, 1.0, 3, cap=0.0)
+    assert report == _powerlaw_loop(zeros, 1.0, cap=0.0)
     # at alpha = NaN only m = +-1 (1 ** NaN = 1) give a ratio; the NaNs are skipped
-    report = dynamics._powerlaw_report(norms, 0.0, math.nan, 3, cap=0.0)
+    report = dynamics._powerlaw_report(norms, math.nan, cap=0.0)
     assert (report.argmax_m, report.c_estimate, report.violations) == (1, 5.0, (-1, 1))
-    expected = _powerlaw_loop(norms, 0.0, math.nan, 3, cap=0.0)
-    assert (report.c_estimate, report.argmax_m, report.max_norm, report.violations) == (
-        expected.c_estimate, expected.argmax_m, expected.max_norm, expected.violations)
+    assert report == _powerlaw_loop(norms, math.nan, cap=0.0)
 
 
 def test_reports_keep_the_bits_of_python_pow_and_log():
@@ -903,7 +901,7 @@ def test_reports_keep_the_bits_of_python_pow_and_log():
     peak = np.ones(100)
     peak[68] = 1e60  # m = 69, the largest ratio at alpha 26.6
     norms = TransferNorms(np.arange(1, 101), peak)
-    assert dynamics._powerlaw_report(norms, 0.0, 26.6, 100) == _powerlaw_loop(norms, 0.0, 26.6, 100)
+    assert dynamics._powerlaw_report(norms, 26.6) == _powerlaw_loop(norms, 26.6)
     logs = np.ones(100)
     logs[0] = 2714.3829971557802  # m = 1, the worst margin
     norms = TransferNorms(np.arange(1, 101), logs)
@@ -1140,13 +1138,16 @@ def test_bound_report_budget_uses_the_real_time_step(monkeypatch):
 
 def test_bound_report_budget_does_not_name_tmin_under_the_nyquist_step(monkeypatch):
     # at lambda = 20 the step is 5.5/24 below Tmin/8 = 0.3125, so raising Tmin
-    # would not make the sweep cheaper: 3,353 samples on 3,201 sites are 1.07e7
+    # would not make the sweep cheaper: 3,353 samples on 3,201 sites are 1.07e7.
+    # A budget of 7e6 is also below the 7.87e6 that a step of Tmin/8 would cost.
     monkeypatch.setattr(dynamics, "_chebyshev_sweep", _no_sweep)
     spec = PotentialSpec(Model.THUE_MORSE, 20.0)
-    with pytest.raises(ResourceError) as err:
-        dynamics.bound_report(spec, [2.0], list(np.geomspace(2.5, 128.0, 7)), max_cost=9e6)
-    assert str(err.value) == ("sweep cost 1.07e+07 site-steps exceeds budget 9.00e+06; "
-                              "lower Tmax, shrink the window or raise the budget")
+    for max_cost in (9e6, 7e6):
+        with pytest.raises(ResourceError) as err:
+            dynamics.bound_report(spec, [2.0], list(np.geomspace(2.5, 128.0, 7)),
+                                  max_cost=max_cost)
+        assert str(err.value) == (f"sweep cost 1.07e+07 site-steps exceeds budget {max_cost:.2e}; "
+                                  "lower Tmax, shrink the window or raise the budget")
 
 
 def test_ladder_computes_chebyshev_coefficients_once(monkeypatch):

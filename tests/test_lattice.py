@@ -64,11 +64,11 @@ def test_period_doubling_letters():
     npt.assert_array_equal(vals, [0, 1, 0, 0, 0, 1, 0, 1])
 
 
-@pytest.mark.parametrize("model", ["pd", "tm"])
+@pytest.mark.parametrize("model", [Model.PERIOD_DOUBLING, Model.THUE_MORSE], ids=["pd", "tm"])
 def test_two_sided_words_are_subshift_elements(model):
     # every finite subword of the two-sided sequence occurs in the one-sided
     # fixed point, so the default whole-line element is legal
-    spec = PotentialSpec(Model.parse(model), 1.0)
+    spec = PotentialSpec(model, 1.0)
     word = (potential_values(spec, np.arange(-300, 301)) > 0.5).astype(np.uint8)
     reference = "".join(map(str, substitution_word(model, 16)))
     for length in (2, 4, 8, 16, 32):
@@ -124,6 +124,16 @@ def test_model_aliases():
             Model.parse(name)
 
 
+def test_library_inputs_take_enum_members_only():
+    # names are parsed at the command line; the library refuses them
+    from quasidyn.traces import subst_transfer
+
+    for build in (lambda: PotentialSpec("fib", 1.0), lambda: LatticeWindow(1, 5, "half-line"),
+                  lambda: subst_transfer("pd", 1.0, 0.0, 1)):
+        with pytest.raises(DomainError):
+            build()
+
+
 def test_explicit_periodic_model():
     spec = PotentialSpec(Model.EXPLICIT_PERIODIC, 1.5, seed="011")
     vals = [potential_value(spec, n) for n in range(1, 8)]
@@ -140,17 +150,18 @@ def test_half_line_domain():
 
 
 def test_substitution_words():
-    assert "".join(map(str, substitution_word("pd", 2))) == "0100"
-    assert "".join(map(str, substitution_word("tm", 2))) == "0110"
-    assert "".join(map(str, substitution_word("tm", 0))) == "0"
-    for model in ("pd", "tm"):
+    assert "".join(map(str, substitution_word(Model.PERIOD_DOUBLING, 2))) == "0100"
+    assert "".join(map(str, substitution_word(Model.THUE_MORSE, 2))) == "0110"
+    assert "".join(map(str, substitution_word(Model.THUE_MORSE, 0))) == "0"
+    for model in (Model.PERIOD_DOUBLING, Model.THUE_MORSE):
         for k in range(0, 9):
             assert substitution_word(model, k).size == 2 ** k
 
 
 def test_substitution_refinement():
     # next iterate is the concatenation of the letter images of the previous
-    images = {"pd": {0: [0, 1], 1: [0, 0]}, "tm": {0: [0, 1], 1: [1, 0]}}
+    images = {Model.PERIOD_DOUBLING: {0: [0, 1], 1: [0, 0]},
+              Model.THUE_MORSE: {0: [0, 1], 1: [1, 0]}}
     for model, image in images.items():
         for k in range(0, 8):
             word = substitution_word(model, k)
@@ -162,7 +173,7 @@ def test_substitution_word_cap():
     # the first iterate past the cap is refused before it is built
     assert 2 ** 24 == MAX_WORD_LENGTH
     with pytest.raises(ResourceError):
-        substitution_word("tm", 25)
+        substitution_word(Model.THUE_MORSE, 25)
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,11 @@ from quasidyn.spectra import (
     classify_bands,
     covering_check,
     derivative_ratio_check,
-    f_pm,
     f_pm_partials,
     genealogy_check,
     measure_report,
     merge_intervals,
     partials_bound_check,
-    trace_bound_check,
 )
 from quasidyn.traces import fib_trace_orbit_grid, fibonacci_numbers, trace_derivative_grid
 
@@ -149,8 +147,8 @@ def test_merge_intervals_matches_brute_union(intervals, tol):
 def test_band_set_covers_matches_brute_scan(tol, rng):
     for _ in range(40):
         cuts = np.sort(rng.uniform(-3.0, 3.0, 2 * int(rng.integers(1, 9))))
-        bands = BandSet(lam=5.0, k=1, bands=tuple(
-            Band(lo=float(lo), hi=float(hi), k=1) for lo, hi in zip(cuts[::2], cuts[1::2])))
+        bands = BandSet(bands=tuple(
+            Band(lo=float(lo), hi=float(hi)) for lo, hi in zip(cuts[::2], cuts[1::2])))
         # query ends at and near the band ends as well as anywhere in between
         ends = np.concatenate([cuts, cuts - tol, cuts + tol, rng.uniform(-3.5, 3.5, 20)])
         for e_lo, e_hi in itertools.combinations(np.sort(ends), 2):
@@ -254,8 +252,8 @@ def test_genealogy_matches_pairwise_scan(monkeypatch, rng):
     def band_set(k):
         cuts = np.sort(rng.choice(80, size=2 * int(rng.integers(1, 12)), replace=False)) * 5e-10
         kinds = rng.choice([BandKind.TYPE_A, BandKind.TYPE_B], size=cuts.size // 2)
-        return BandSet(lam=5.0, k=k, bands=tuple(
-            Band(lo=lo, hi=hi, k=k, kind=kind) for lo, hi, kind in zip(cuts[::2], cuts[1::2], kinds)))
+        return BandSet(bands=tuple(
+            Band(lo=lo, hi=hi, kind=kind) for lo, hi, kind in zip(cuts[::2], cuts[1::2], kinds)))
 
     checked = 0
     for _ in range(300):
@@ -276,6 +274,18 @@ def test_no_three_consecutive_small_traces():
 
 # ---------------------------------------------------------------------------
 # the two-variable root function and its derivative bounds
+
+def f_pm(x, y, lam, sign):
+    """Oracle: the middle-of-triple solution (x y + sign sqrt(4 lam^2 + (4-x^2)(4-y^2))) / 2.
+
+    Given the outer two traces of a consecutive triple on the invariant
+    surface, returns the middle one; the radicand must be nonnegative.
+    """
+    radicand = 4.0 * lam * lam + (4.0 - x * x) * (4.0 - y * y)
+    if radicand < 0:
+        raise DomainError("f_pm radicand is negative")
+    return 0.5 * (x * y + sign * math.sqrt(radicand))
+
 
 def test_f_pm_value():
     assert f_pm(2.0, 2.0, 1.0, +1) == pytest.approx(3.0, abs=1e-14)
@@ -348,15 +358,6 @@ def test_per_level_derivative_growth():
     assert report["c_estimate"] > 0.0
 
 
-def test_trace_bound_on_sampled_bands():
-    report = trace_bound_check(1.0, 10)
-    assert report["ok"]
-    assert report["max_abs_trace"] <= 5.0
-    report = trace_bound_check(5.0, 8)
-    assert report["ok"]
-    assert report["max_abs_trace"] <= 2.0 + math.sqrt(33.0)
-
-
 def _derivative_ratio_all_levels(lam, k, *, samples_per_band=33, tol=1e-6):
     """Oracle: the ratio check read off the whole (k + 1)-level derivative
     table, with one branch per band kind."""
@@ -402,30 +403,10 @@ def _derivative_ratio_all_levels(lam, k, *, samples_per_band=33, tol=1e-6):
     }
 
 
-def _trace_bound_all_levels(lam, k, *, samples_per_band=33):
-    """Oracle: the trace bound read off the whole (k + 1)-level orbit table."""
-    params = bound_parameters(lam)
-    energies = _cached_spectrum(lam, k).interior_points(samples_per_band).ravel()
-    worst = float(np.max(np.abs(fib_trace_orbit_grid(lam, energies, k))))
-    return {
-        "lam": lam,
-        "k": k,
-        "max_abs_trace": worst,
-        "c_lambda": params.c_lambda,
-        "ok": worst <= params.c_lambda + 1e-9,
-    }
-
-
 @pytest.mark.parametrize("lam", [4.5, 5.0, 8.0])
 def test_derivative_ratio_check_matches_the_all_levels_table(lam):
     for k in range(3, 12):
         assert derivative_ratio_check(lam, k) == _derivative_ratio_all_levels(lam, k)
-
-
-@pytest.mark.parametrize("lam", [1.0, 5.0])
-def test_trace_bound_check_matches_the_all_levels_table(lam):
-    for k in (5, 10, 14):
-        assert trace_bound_check(lam, k) == _trace_bound_all_levels(lam, k)
 
 
 def test_measure_report_holds_only_the_level_it_reads():
