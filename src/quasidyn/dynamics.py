@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.blas import dgemm, zgemm
 
+from quasidyn import _lapack
 from quasidyn.lattice import (
     DomainError,
     Geometry,
@@ -417,16 +417,18 @@ def _chebyshev_coefficients(x: np.ndarray, tol: float, max_order: int) -> np.nda
                         "lower the accuracy or shorten the step")
 
 
-def _chebyshev_samples(vc: np.ndarray, scale: float, coeff: np.ndarray, psi: np.ndarray,
-                       out: np.ndarray, block: np.ndarray) -> None:
-    """out[m] = sum_k coeff[m, k] T_k(H~) psi, with H~ = scale (H - center).
+def _chebyshev_samples(vc: np.ndarray, scale: float, coeff: np.ndarray, order: int,
+                       psi: np.ndarray, out: np.ndarray, block: np.ndarray) -> None:
+    """out[m] = sum_k c[m, k] T_k(H~) psi over k = 0..order, with H~ = scale (H - center).
 
     ``vc`` is the slice's potential minus the center.  ``block`` is a ring of
     vectors: T_k(H~) psi sits in row k mod BLOCK_VECTORS, and each filled ring
-    is added into ``out`` by one complex matrix product.
+    is added into ``out`` by one complex matrix product.  ``coeff`` holds the
+    c[m, k] one ring fill at a time: coeff[i, m, j] = c[m, i * ring + j].
     """
-    order, ring = coeff.shape[1] - 1, block.shape[0]
+    ring = block.shape[0]
     out.fill(0.0)
+    add = _lapack.zgemm_into(out, block, coeff)
     block[0] = psi
     for k in range(1, order + 1):
         dst = _tridiag_apply(vc, block[(k - 1) % ring], out=block[k % ring])
@@ -436,9 +438,7 @@ def _chebyshev_samples(vc: np.ndarray, scale: float, coeff: np.ndarray, psi: np.
             dst *= 2.0 * scale
             dst -= block[(k - 2) % ring]
         if k % ring == ring - 1 or k == order:
-            first = k - k % ring
-            zgemm(1.0, block[:k - first + 1].T, coeff[:, first:k + 1].T, 1.0, out.T,
-                  overwrite_c=1)
+            add(k // ring, k % ring + 1)
 
 
 def _chebyshev_sweep(spec: PotentialSpec, window: LatticeWindow, psi: np.ndarray,
@@ -456,10 +456,6 @@ def _chebyshev_sweep(spec: PotentialSpec, window: LatticeWindow, psi: np.ndarray
     on the window indices lo .. lo + prob.shape[1] - 1.  It is written over
     the ring of Chebyshev vectors, which the next step reuses.  ``stats``
     receives the work counters and the norm drift.
-
-    The sweep and its callers keep their matrix products on scipy's BLAS:
-    numpy may ship a second BLAS with its own thread pool, and two pools
-    spinning on two cores halved the speed of the T = 10..1000 ladders.
     """
     lo_e, hi_e = float(v.min()) - 2.0, float(v.max()) + 2.0
     center = 0.5 * (hi_e + lo_e)
@@ -470,6 +466,11 @@ def _chebyshev_sweep(spec: PotentialSpec, window: LatticeWindow, psi: np.ndarray
     phases = 2.0 * np.array([1.0, -1j, -1.0, 1j])[np.arange(order + 1) % 4]
     phases[0] = 1.0
     coeff = bessel * phases * np.exp(-1j * center * taus)[:, None]
+    # one contiguous (samples, ring) block of coefficients per ring fill
+    fills = order // BLOCK_VECTORS + 1
+    padded = np.zeros((taus.size, fills * BLOCK_VECTORS), dtype=np.complex128)
+    padded[:, :order + 1] = coeff
+    blocks = np.ascontiguousarray(padded.reshape(taus.size, fills, BLOCK_VECTORS).swapaxes(0, 1))
     vc = v - center
     size = window.size
     out_buf = np.empty(taus.size * size, dtype=np.complex128)
@@ -487,7 +488,7 @@ def _chebyshev_sweep(spec: PotentialSpec, window: LatticeWindow, psi: np.ndarray
         while True:
             width = hi - lo
             out = out_buf[:count * width].reshape(count, width)
-            _chebyshev_samples(vc[lo:hi], 1.0 / half_width, coeff[:count], psi[lo:hi], out,
+            _chebyshev_samples(vc[lo:hi], 1.0 / half_width, blocks, order, psi[lo:hi], out,
                                ring_buf[:BLOCK_VECTORS * width].reshape(BLOCK_VECTORS, width))
             stats["matvecs"] += order
             stats["matvec_site_steps"] += order * width
@@ -604,7 +605,7 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
         index = np.arange(j, j + prob.shape[0])
         kept = index * step <= limit
         weights = np.where(kept, np.exp(-2.0 * index * step / ts), 0.0)
-        acc[:, lo:lo + prob.shape[1]] += dgemm(1.0, prob.T, weights.T).T
+        acc[:, lo:lo + prob.shape[1]] += _lapack.dgemm(weights, prob)
         slice_edge += weights @ _edge_weight(window.geometry, prob.T)
         last_step = np.maximum(last_step, np.max(np.where(kept, index, 0), axis=1))
     profiles = []

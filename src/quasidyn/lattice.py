@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import solve_banded
+
+from quasidyn import _lapack
 
 #: Inverse golden mean, the rotation number of the Fibonacci circle map.
 OMEGA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -148,8 +150,8 @@ class PotentialSpec:
     model:
         One of the :class:`Model` members.
     lam:
-        Coupling constant; the potential takes values in {0, lam} for the
-        three named aperiodic models.
+        Coupling constant, a real number; the potential takes values in
+        {0, lam} for the three named aperiodic models.
     geometry:
         Whole line or Dirichlet half line, a :class:`Geometry` member.
     seed:
@@ -173,6 +175,8 @@ class PotentialSpec:
             raise DomainError(f"a model is a Model member, not {self.model!r}")
         if not isinstance(self.geometry, Geometry):
             raise DomainError(f"a geometry is a Geometry member, not {self.geometry!r}")
+        if not isinstance(self.lam, numbers.Real) or isinstance(self.lam, bool):
+            raise DomainError(f"a coupling is a real number, not {self.lam!r}")
         if self.model is Model.EXPLICIT_PERIODIC and self.seed is None:
             raise DomainError("explicit periodic model requires a seed word")
         if self.seed is not None and not isinstance(self.seed, str):
@@ -208,7 +212,7 @@ def perturb(spec: PotentialSpec, overlay: Mapping[int, float]) -> PotentialSpec:
 
 @dataclass(frozen=True)
 class LatticeWindow:
-    """Inclusive site range [lo, hi] with its geometry."""
+    """Inclusive site range [lo, hi], two integers, with its geometry."""
 
     lo: int
     hi: int
@@ -217,6 +221,9 @@ class LatticeWindow:
     def __post_init__(self):
         if not isinstance(self.geometry, Geometry):
             raise DomainError(f"a geometry is a Geometry member, not {self.geometry!r}")
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                   for n in (self.lo, self.hi)):
+            raise DomainError(f"window ends are integers, not {self.lo!r} and {self.hi!r}")
         if self.lo > self.hi:
             raise DomainError(f"window lo={self.lo} exceeds hi={self.hi}")
         if self.geometry is Geometry.HALF_LINE and self.lo < 1:
@@ -387,11 +394,10 @@ def _tridiag_apply(v: np.ndarray, psi: np.ndarray, out: np.ndarray | None = None
 def _tridiag_solve(v: np.ndarray, z: complex, rhs: np.ndarray) -> np.ndarray:
     """Solve (H - z) phi = rhs for the windowed chain with diagonal v.
 
-    The one banded solve.  The (3, n) band is built fresh on every call, so
-    the solver may overwrite it; ``rhs`` is left untouched.
+    The one tridiagonal solve.  The diagonals and the solution are built
+    fresh on every call, so the solver may overwrite them; ``rhs`` is left
+    untouched.
     """
-    ab = np.zeros((3, v.size), dtype=np.complex128)
-    ab[0, 1:] = 1.0
-    ab[1, :] = v - z
-    ab[2, :-1] = 1.0
-    return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
+    hops = np.ones(v.size - 1, dtype=np.complex128)
+    return _lapack.zgtsv(hops, np.subtract(v, z, dtype=np.complex128), hops.copy(),
+                         np.array(rhs, dtype=np.complex128))

@@ -109,6 +109,14 @@ def test_cli_import_leaves_scipy_special_unloaded(cli_import_modules):
     assert "scipy.special" not in cli_import_modules
 
 
+def test_cli_import_loads_no_scipy_on_numpys_openblas(cli_import_modules):
+    from quasidyn import _lapack
+
+    if _lapack.LIBRARY is None:
+        pytest.skip("numpy ships no scipy-openblas64 library here; scipy's routines are bound")
+    assert not {m for m in cli_import_modules if m.split(".")[0] == "scipy"}
+
+
 def test_spectrum_reads_config_file(runner, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("command=spectrum\nlambda=5.0\nk=4\n# comment line\n")

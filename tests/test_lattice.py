@@ -134,6 +134,18 @@ def test_library_inputs_take_enum_members_only():
             build()
 
 
+def test_library_inputs_take_numbers_of_their_kind():
+    # a fractional window end gave size 4.5 but 5 sites, and a string coupling
+    # failed only when the potential was built
+    for build in (lambda: LatticeWindow(1.5, 5), lambda: LatticeWindow(-3, 5.0),
+                  lambda: LatticeWindow(True, 5), lambda: PotentialSpec(Model.FIBONACCI, "1.0"),
+                  lambda: PotentialSpec(Model.FIBONACCI, True)):
+        with pytest.raises(DomainError):
+            build()
+    assert LatticeWindow(np.int64(-2), 3).size == 6
+    assert PotentialSpec(Model.THUE_MORSE, np.float64(0.5)).lam == 0.5
+
+
 def test_explicit_periodic_model():
     spec = PotentialSpec(Model.EXPLICIT_PERIODIC, 1.5, seed="011")
     vals = [potential_value(spec, n) for n in range(1, 8)]
