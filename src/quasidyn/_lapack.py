@@ -1,4 +1,4 @@
-"""The four LAPACK/BLAS routines quasidyn runs, from numpy's own OpenBLAS.
+"""The three LAPACK/BLAS routines quasidyn runs, from numpy's own OpenBLAS.
 
 The numpy wheel ships OpenBLAS as ``numpy.libs/libscipy_openblas64_*.so``,
 with a ``scipy_`` prefix, a ``64_`` suffix and 64-bit integers, and has it
@@ -25,23 +25,20 @@ import numpy as np
 _I64, _PTR, _INT = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int
 # ctypes passes argument objects built once faster than it converts Python ints
 _ROW_MAJOR, _NO_TRANS = _INT(101), _INT(111)  # CBLAS enums
-_ONE = np.ones(1, dtype=np.complex128)  # alpha and beta of the accumulating zgemm
-_ONE_PTR = _PTR(_ONE.ctypes.data)
+_ONE = ctypes.c_double(1.0)  # alpha and beta of the accumulating dgemm
 
 
 def _open_library():
-    """(path, dsterf, zgtsv, zgemm, dgemm) from numpy's bundled OpenBLAS."""
+    """(path, dsterf, zgtsv, dgemm) from numpy's bundled OpenBLAS."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     path = sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")))[0]
     lib = ctypes.CDLL(path)
-    gemm = [_INT] * 3 + [_I64] * 3
     routines = []
     for name, argtypes in (
             ("scipy_dsterf_64_", [_PTR] * 4),
             ("scipy_zgtsv_64_", [_PTR] * 8),
-            ("scipy_cblas_zgemm64_", gemm + [_PTR, _PTR, _I64, _PTR, _I64, _PTR, _PTR, _I64]),
-            ("scipy_cblas_dgemm64_", gemm + [ctypes.c_double, _PTR, _I64, _PTR, _I64,
-                                             ctypes.c_double, _PTR, _I64])):
+            ("scipy_cblas_dgemm64_", [_INT] * 3 + [_I64] * 3
+             + [ctypes.c_double, _PTR, _I64, _PTR, _I64, ctypes.c_double, _PTR, _I64])):
         routine = getattr(lib, name)
         routine.argtypes, routine.restype = argtypes, None
         routines.append(routine)
@@ -49,7 +46,7 @@ def _open_library():
 
 
 try:
-    LIBRARY, _DSTERF, _ZGTSV, _ZGEMM, _DGEMM = _open_library()
+    LIBRARY, _DSTERF, _ZGTSV, _DGEMM = _open_library()
 except (IndexError, OSError, AttributeError):  # no such library, or a symbol missing
     LIBRARY = None
 
@@ -105,24 +102,23 @@ def zgtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.nd
     return b
 
 
-def zgemm_into(c: np.ndarray, b: np.ndarray, a: np.ndarray) -> Callable[[int, int], None]:
+def dgemm_into(c: np.ndarray, b: np.ndarray, a: np.ndarray) -> Callable[[int, int], None]:
     """add(i, k), which adds a[i, :m, :k] @ b[:k] into the (m, n) matrix c
-    (row-major zgemm, beta = 1).
+    (row-major dgemm, beta = 1).
 
-    c, b and the stack of blocks a are C-contiguous complex128 arrays; their
+    c, b and the stack of blocks a are C-contiguous float64 arrays; their
     pointers are taken once, here, for every product."""
     (m, n), (blocks, rows, width) = c.shape, a.shape
     if b.shape[1] != n or rows < m or width > b.shape[0]:
         raise ValueError("c, b and the blocks a do not fit one another")
     head = (_ROW_MAJOR, _NO_TRANS, _NO_TRANS, _I64(m), _I64(n))
-    a_ptr, step, lda = _pointer(a, np.complex128), rows * width * a.itemsize, _I64(width)
-    tail = (_PTR(_pointer(b, np.complex128)), _I64(n), _ONE_PTR, _PTR(_pointer(c, np.complex128)),
-            _I64(n))
+    a_ptr, step, lda = _pointer(a, np.float64), rows * width * a.itemsize, _I64(width)
+    tail = (_PTR(_pointer(b, np.float64)), _I64(n), _ONE, _PTR(_pointer(c, np.float64)), _I64(n))
 
     def add(i: int, k: int) -> None:
         if not (0 <= i < blocks and 0 < k <= width):
             raise ValueError(f"no block {i} with {k} columns")
-        _ZGEMM(*head, k, _ONE_PTR, a_ptr + i * step, lda, *tail)
+        _DGEMM(*head, k, _ONE, a_ptr + i * step, lda, *tail)
     return add
 
 
@@ -138,21 +134,21 @@ def dgemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _scipy_routines() -> dict[str, Callable]:
-    """scipy's functions in place of the four routines, with the same signatures."""
+    """scipy's functions in place of the three routines, with the same signatures."""
     from scipy.linalg import eigvalsh_tridiagonal, solve_banded
-    from scipy.linalg.blas import dgemm as scipy_dgemm, zgemm as scipy_zgemm
+    from scipy.linalg.blas import dgemm as scipy_dgemm
 
     def zgtsv(dl, d, du, b):
         ab = np.zeros((3, d.size), dtype=np.complex128)
         ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
         return solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True)
 
-    def zgemm_into(c, b, a):
+    def dgemm_into(c, b, a):
         def add(i, k):
-            scipy_zgemm(1.0, b[:k].T, a[i, :c.shape[0], :k].T, 1.0, c.T, overwrite_c=1)
+            scipy_dgemm(1.0, b[:k].T, a[i, :c.shape[0], :k].T, 1.0, c.T, overwrite_c=1)
         return add
 
-    return {"dsterf": eigvalsh_tridiagonal, "zgtsv": zgtsv, "zgemm_into": zgemm_into,
+    return {"dsterf": eigvalsh_tridiagonal, "zgtsv": zgtsv, "dgemm_into": dgemm_into,
             "dgemm": lambda a, b: scipy_dgemm(1.0, b.T, a.T).T}
 
 

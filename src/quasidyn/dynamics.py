@@ -326,9 +326,9 @@ def profile_resolvent(spec: PotentialSpec, T: float,
 #: Grid steps covered by one Chebyshev expansion (one long step).
 STEP_SAMPLES = 16
 
-#: Chebyshev vectors T_k(H~) psi held at once; each full block is added into
-#: the long step's samples before the next block is built.
-BLOCK_VECTORS = 8
+#: Rotated Chebyshev vectors (-i)^k T_k(H~) psi held at once; each full ring
+#: is added into the long step's samples before the next ring is built.
+BLOCK_VECTORS = 16
 
 #: Highest Chebyshev order an expansion may take; past it :class:`ResourceError`.
 MAX_CHEBYSHEV_ORDER = 1 << 17
@@ -419,24 +419,28 @@ def _chebyshev_coefficients(x: np.ndarray, tol: float, max_order: int) -> np.nda
 
 def _chebyshev_samples(vc: np.ndarray, scale: float, coeff: np.ndarray, order: int,
                        psi: np.ndarray, out: np.ndarray, block: np.ndarray) -> None:
-    """out[m] = sum_k c[m, k] T_k(H~) psi over k = 0..order, with H~ = scale (H - center).
+    """out[m] = sum_k c[m, k] (-i)^k T_k(H~) psi over k = 0..order, with H~ = scale (H - center).
 
     ``vc`` is the slice's potential minus the center.  ``block`` is a ring of
-    vectors: T_k(H~) psi sits in row k mod BLOCK_VECTORS, and each filled ring
-    is added into ``out`` by one complex matrix product.  ``coeff`` holds the
-    c[m, k] one ring fill at a time: coeff[i, m, j] = c[m, i * ring + j].
+    vectors in the rotated basis u_k = (-i)^k T_k(H~) psi, built by
+    u_1 = -i H~ psi and u_k = -2i H~ u_{k-1} + u_{k-2}; u_k sits in row
+    k mod BLOCK_VECTORS.  The rotation makes the c[m, k] real, so each filled
+    ring is added into ``out`` by one real matrix product: the (samples, k)
+    coefficient block times the float64 view (k, 2 width) of the ring, into
+    the float64 view of ``out``.  ``coeff`` holds the c[m, k] one ring fill
+    at a time: coeff[i, m, j] = c[m, i * ring + j].
     """
     ring = block.shape[0]
     out.fill(0.0)
-    add = _lapack.zgemm_into(out, block, coeff)
+    add = _lapack.dgemm_into(out.view(np.float64), block.view(np.float64), coeff)
     block[0] = psi
     for k in range(1, order + 1):
         dst = _tridiag_apply(vc, block[(k - 1) % ring], out=block[k % ring])
         if k == 1:
-            dst *= scale
+            dst *= -1j * scale
         else:
-            dst *= 2.0 * scale
-            dst -= block[(k - 2) % ring]
+            dst *= -2j * scale
+            dst += block[(k - 2) % ring]
         if k % ring == ring - 1 or k == order:
             add(k // ring, k % ring + 1)
 
@@ -446,11 +450,15 @@ def _chebyshev_sweep(spec: PotentialSpec, window: LatticeWindow, psi: np.ndarray
     """Propagate ``psi`` in place over n_steps grid steps of length ``step``.
 
     Each Chebyshev expansion covers a long step of up to STEP_SAMPLES grid
-    steps, with the coefficients of every sample time computed once, here.
-    A long step ending at time t sweeps only its light-cone slice, the
-    ``_cone_radius(t)`` origin window clipped to ``window``.  Should a slice
-    edge inside the window pass EDGE_MASS_TOL, the step is redone, and every
-    later step swept, on the whole window.
+    steps, with the coefficients of every sample time computed once, here:
+    psi(t + tau) = e^{-i center tau} sum_k w_k J_k(half_width tau) u_k, with
+    w_0 = 1, w_k = 2 otherwise, and u_k the rotated Chebyshev vectors of
+    :func:`_chebyshev_samples`.  The samples leave out the phase
+    e^{-i center tau}, which |psi|^2 does not see; it is applied once, to the
+    psi carried out of the long step.  A long step ending at time t sweeps
+    only its light-cone slice, the ``_cone_radius(t)`` origin window clipped
+    to ``window``.  Should a slice edge inside the window pass EDGE_MASS_TOL,
+    the step is redone, and every later step swept, on the whole window.
 
     Yields (j, lo, prob) per long step: prob[m] is |psi((j + m) * step)|^2
     on the window indices lo .. lo + prob.shape[1] - 1.  It is written over
@@ -463,13 +471,12 @@ def _chebyshev_sweep(spec: PotentialSpec, window: LatticeWindow, psi: np.ndarray
     taus = step * np.arange(1, min(STEP_SAMPLES, n_steps) + 1)
     bessel = _chebyshev_coefficients(half_width * taus, 1e-15, MAX_CHEBYSHEV_ORDER)
     order = bessel.shape[1] - 1
-    phases = 2.0 * np.array([1.0, -1j, -1.0, 1j])[np.arange(order + 1) % 4]
-    phases[0] = 1.0
-    coeff = bessel * phases * np.exp(-1j * center * taus)[:, None]
+    phases = np.exp(-1j * center * taus)
     # one contiguous (samples, ring) block of coefficients per ring fill
     fills = order // BLOCK_VECTORS + 1
-    padded = np.zeros((taus.size, fills * BLOCK_VECTORS), dtype=np.complex128)
-    padded[:, :order + 1] = coeff
+    padded = np.zeros((taus.size, fills * BLOCK_VECTORS))
+    padded[:, :order + 1] = 2.0 * bessel
+    padded[:, 0] = bessel[:, 0]
     blocks = np.ascontiguousarray(padded.reshape(taus.size, fills, BLOCK_VECTORS).swapaxes(0, 1))
     vc = v - center
     size = window.size
@@ -499,7 +506,7 @@ def _chebyshev_sweep(spec: PotentialSpec, window: LatticeWindow, psi: np.ndarray
             if whole or not inner or np.max(prob[:, inner]) <= EDGE_MASS_TOL:
                 break
             whole, lo, hi = True, 0, size
-        psi[lo:hi] = out[-1]
+        np.multiply(out[-1], phases[count - 1], out=psi[lo:hi])
         stats["norm_drift"] = max(stats["norm_drift"], abs(float(np.sum(prob[-1])) - 1.0))
         yield j + 1, lo, prob
         j += count
@@ -515,8 +522,11 @@ def evolve_state(spec: PotentialSpec, t: float, window: LatticeWindow) -> np.nda
     """The state e^{-itH} delta_1 on the window, from a single expansion.
 
     The window must out-run the ballistic light cone (group velocity at most
-    2 for unit hopping) so the Dirichlet truncation never matters.
+    2 for unit hopping) so the Dirichlet truncation never matters.  The
+    time t must be finite (:class:`DomainError`).
     """
+    if not math.isfinite(t):
+        raise DomainError(f"evolution time must be finite, not {t}")
     psi = _source_state(window)
     if t == 0.0:
         return psi
@@ -542,8 +552,8 @@ def _profile_setup(spec: PotentialSpec, T_values: Sequence[float], window: Latti
     set, the resolvent route at the largest T counts too, as energy grid
     points x window sites.
     """
-    if not T_values or not all(T > 0 for T in T_values):  # NaN fails too
-        raise DomainError("averaging times must be positive")
+    if not T_values or not all(0 < T < math.inf for T in T_values):  # NaN fails too
+        raise DomainError("averaging times must be positive and finite")
     T_min, T_max = min(T_values), max(T_values)
     t_max = TIME_CUTOFF * T_max
     if window is None:

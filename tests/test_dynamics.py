@@ -161,6 +161,42 @@ def test_evolution_against_dense_diagonalization():
         assert np.linalg.norm(dense - cheb) <= 1e-8
 
 
+def test_evolution_keeps_its_phase_off_the_spectral_center():
+    # Thue-Morse at lambda = 2.5 has its spectrum in [-2, 4.5], so the expansion's
+    # center is 1.25: the phase e^{-i 1.25 t} that the samples leave out must be
+    # carried on psi (the free chain, centered at 0, cannot see it)
+    spec = PotentialSpec(Model.THUE_MORSE, 2.5)
+    window = LatticeWindow(-200, 200)
+    v = potential_values(spec, window.sites())
+    vals, vecs = np.linalg.eigh(np.diag(v) + np.diag(np.ones(window.size - 1), 1)
+                                + np.diag(np.ones(window.size - 1), -1))
+    start = vecs[window.index(1)]
+    for t in (7.0, 40.0):
+        dense = vecs @ (np.exp(-1j * vals * t) * start)
+        assert np.linalg.norm(evolve_state(spec, t, window) - dense) <= 1e-12
+
+
+def test_times_that_are_not_finite_are_refused(monkeypatch):
+    # refused before any potential is built
+    def no_potential(*args):
+        raise AssertionError("potential built")
+
+    monkeypatch.setattr(dynamics, "_window_potential", no_potential)
+    monkeypatch.setattr(dynamics, "default_window_radius", no_potential)
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0)
+    window = LatticeWindow(-30, 30)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            evolve_state(spec, t, window)
+    for T in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="positive and finite"):
+            profiles_time_ladder(spec, [T])
+        with pytest.raises(DomainError, match="positive and finite"):
+            profiles_time_ladder(spec, [10.0, T], window=window)
+        with pytest.raises(DomainError, match="positive and finite"):
+            profile_resolvent(spec, T)
+
+
 def _dense_ladder(spec, window, T_values, dt, cutoff=6.0):
     """Trapezoid sums of |psi(t)|^2 from np.linalg.eigh of the window
     Hamiltonian written out entry by entry."""

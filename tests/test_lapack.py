@@ -1,11 +1,11 @@
-"""The four LAPACK/BLAS routines on both routes: numpy's own OpenBLAS, and
+"""The three LAPACK/BLAS routines on both routes: numpy's own OpenBLAS, and
 scipy's functions, bound when that library is missing.  scipy is the oracle."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
-from scipy.linalg.blas import dgemm, zgemm
+from scipy.linalg.blas import dgemm
 
 from quasidyn import _lapack
 from quasidyn.lattice import _tridiag_solve
@@ -59,21 +59,26 @@ def _within_ulps(got, want, bound):
 @pytest.mark.parametrize("width", [1, 300, 1473])
 @pytest.mark.parametrize("samples", [16, 5])
 def test_gemms_agree_with_scipy(route, width, samples, rng):
-    # the sweep's shapes: 16-sample blocks of 8 orders, read by the last samples' rows
-    ring, out = _complex(rng, 8, width), _complex(rng, samples, width)
-    blocks = _complex(rng, 2, 16, 8)
+    # the sweep's shapes: 16-sample blocks of 8 real coefficients times the float64
+    # view (8, 2 width) of a ring of complex vectors, read by the last samples' rows;
+    # the second block is a last ring fill of 3 orders
+    ring, out = _complex(rng, 8, width).view(np.float64), _complex(rng, samples, width)
+    out = out.view(np.float64)
+    blocks = rng.normal(size=(2, 16, 8))
     want, bound = out.copy(), np.abs(out)
-    add = _lapack.zgemm_into(out, ring, blocks)
+    add = _lapack.dgemm_into(out, ring, blocks)
     for i, k in ((0, 8), (1, 3)):
         chunk = blocks[i, :samples, :k]
         add(i, k)
-        zgemm(1.0, ring[:k].T, chunk.T, 1.0, want.T, overwrite_c=1)
+        dgemm(1.0, ring[:k].T, chunk.T, 1.0, want.T, overwrite_c=1)
         bound += np.abs(chunk) @ np.abs(ring[:k])
     _within_ulps(out, want, bound)
     if route == "openblas":  # a block outside the stack is refused before any pointer is formed
         for i, k in ((2, 1), (-1, 8), (0, 9), (0, 0)):
             with pytest.raises(ValueError):
                 add(i, k)
+        with pytest.raises(ValueError):  # and so is a complex array
+            _lapack.dgemm_into(out.view(np.complex128), ring.view(np.complex128), blocks)
     weights, prob = rng.random((3, samples)), rng.random((samples, width))
     _within_ulps(_lapack.dgemm(weights, prob), dgemm(1.0, prob.T, weights.T).T,
                  weights @ prob)
