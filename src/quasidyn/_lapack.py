@@ -106,31 +106,26 @@ def dgemm_into(c: np.ndarray, b: np.ndarray, a: np.ndarray) -> Callable[[int, in
     """add(i, k), which adds a[i, :m, :k] @ b[:k] into the (m, n) matrix c
     (row-major dgemm, beta = 1).
 
-    c, b and the stack of blocks a are C-contiguous float64 arrays; their
-    pointers are taken once, here, for every product."""
+    b and the stack of blocks a are C-contiguous float64 arrays.  c is a
+    float64 array with contiguous rows, whose row stride may be wider than
+    n (a column slice of a C-contiguous matrix).  Their pointers are taken
+    once, here, for every product."""
     (m, n), (blocks, rows, width) = c.shape, a.shape
     if b.shape[1] != n or rows < m or width > b.shape[0]:
         raise ValueError("c, b and the blocks a do not fit one another")
+    if not (isinstance(c, np.ndarray) and c.dtype == np.float64 and c.strides[1] == c.itemsize
+            and c.strides[0] >= n * c.itemsize and c.strides[0] % c.itemsize == 0):
+        raise ValueError("expected a float64 array c with contiguous rows")
     head = (_ROW_MAJOR, _NO_TRANS, _NO_TRANS, _I64(m), _I64(n))
     a_ptr, step, lda = _pointer(a, np.float64), rows * width * a.itemsize, _I64(width)
-    tail = (_PTR(_pointer(b, np.float64)), _I64(n), _ONE, _PTR(_pointer(c, np.float64)), _I64(n))
+    tail = (_PTR(_pointer(b, np.float64)), _I64(n), _ONE, _PTR(c.ctypes.data),
+            _I64(c.strides[0] // c.itemsize))
 
     def add(i: int, k: int) -> None:
         if not (0 <= i < blocks and 0 < k <= width):
             raise ValueError(f"no block {i} with {k} columns")
         _DGEMM(*head, k, _ONE, a_ptr + i * step, lda, *tail)
     return add
-
-
-def dgemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for C-contiguous float64 matrices (row-major dgemm)."""
-    (m, k), n = a.shape, b.shape[1]
-    if b.shape != (k, n):
-        raise ValueError("b must have as many rows as a has columns")
-    c = np.empty((m, n))
-    _DGEMM(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, n, k, 1.0, _pointer(a, np.float64), k,
-           _pointer(b, np.float64), n, 0.0, c.ctypes.data, n)
-    return c
 
 
 def _scipy_routines() -> dict[str, Callable]:
@@ -145,11 +140,11 @@ def _scipy_routines() -> dict[str, Callable]:
 
     def dgemm_into(c, b, a):
         def add(i, k):
-            scipy_dgemm(1.0, b[:k].T, a[i, :c.shape[0], :k].T, 1.0, c.T, overwrite_c=1)
+            # f2py copies a c.T that is not Fortran-contiguous, so the result is written back
+            c[...] = scipy_dgemm(1.0, b[:k].T, a[i, :c.shape[0], :k].T, 1.0, c.T, overwrite_c=1).T
         return add
 
-    return {"dsterf": eigvalsh_tridiagonal, "zgtsv": zgtsv, "dgemm_into": dgemm_into,
-            "dgemm": lambda a, b: scipy_dgemm(1.0, b.T, a.T).T}
+    return {"dsterf": eigvalsh_tridiagonal, "zgtsv": zgtsv, "dgemm_into": dgemm_into}
 
 
 if LIBRARY is None:

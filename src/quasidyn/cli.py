@@ -39,6 +39,7 @@ from click.core import ParameterSource
 
 from quasidyn import __version__
 from quasidyn.lattice import (
+    MAX_WORD_LENGTH,
     DomainError,
     Geometry,
     Model,
@@ -226,15 +227,16 @@ def write_json(path: Path, config: RunConfig, tolerances: dict, payload: dict) -
 
 def _build_spec(model: str, lam: float, geometry: str, seed: str | None,
                 perturb_sites: tuple[str, ...]) -> PotentialSpec:
-    overlay: dict[int, float] = {}
+    """The spec of the options; a ``--perturb`` site given twice is refused by
+    ``PotentialSpec`` (usage error)."""
+    overlay = []
     for item in perturb_sites:
         if not _SITE_VALUE.fullmatch(item):
             raise DomainError(f"--perturb expects SITE:VALUE, got {item!r}")
         site, _, value = item.partition(":")
-        overlay[int(site)] = float(value)
+        overlay.append((int(site), float(value)))
     return PotentialSpec(Model.parse(model), lam,
-                         Geometry(geometry), seed=seed,
-                         perturbation=tuple(sorted(overlay.items())))
+                         Geometry(geometry), seed=seed, perturbation=tuple(overlay))
 
 
 class _Run(click.Command):
@@ -342,6 +344,9 @@ def trace(model, lam, energy, kmax, roots_level, potential_range, geometry, out)
         lo, hi = (int(b) for b in bounds.groups())
         if lo > hi:
             raise click.UsageError("--potential range must satisfy LO <= HI")
+        if hi - lo + 1 > MAX_WORD_LENGTH:
+            raise ResourceError(f"--potential range of {hi - lo + 1} sites exceeds cap "
+                                f"{MAX_WORD_LENGTH}")
         spec = _build_spec(model.value, lam, geometry, None, ())
         sites = np.arange(lo, hi + 1)
         values = potential_values(spec, sites)

@@ -61,6 +61,18 @@ TIME_CUTOFF = 6.0
 #: Largest far-edge share of a time-route profile's mass (window too small past it).
 EDGE_MASS_TOL = 1e-6
 
+#: Most memory a transfer-norm sweep, or one profile route, may take.
+MAX_SWEEP_BYTES = 1 << 30
+
+#: Bytes per window site charged to the time route, plus 16 per ladder time (its
+#: sum and its profile).  Its peak (tracemalloc, 1,600 to 120,001 sites, ladders of
+#: 1 to 20 times, potential built inside) is 544-583 bytes per site plus 8 per time.
+_TIME_BYTES_PER_SITE = 640
+
+#: Bytes per energy grid point charged to the resolvent route: its peak over the
+#: potential (same measure, 960 to 26,000 grid points) is 160-180.
+_RESOLVENT_BYTES_PER_ENERGY = 240
+
 #: Largest relative gap between a resolvent profile's mass and the Ward
 #: identity's (h/pi) sum_E Im G(1, 1; E + i eps) (the quadrature kernel is wrong past it).
 MASS_IDENTITY_TOL = 1e-12
@@ -175,6 +187,14 @@ def _far_edge_share(window: LatticeWindow, weights: np.ndarray) -> float:
     """Share of the weight on the window's truncation edges."""
     far = _edge_weight(window.geometry, weights)
     return float(far) / max(float(np.sum(weights)), np.finfo(float).tiny)
+
+
+def _check_far_edge(edge: float, T: float) -> None:
+    """Refuse, with :class:`TruncationError`, a T profile whose far-edge share
+    passes :data:`EDGE_MASS_TOL`: the window was too small for the wave."""
+    if edge > EDGE_MASS_TOL:
+        raise TruncationError(f"far-edge mass share {edge:.3e} of the T={T:g} profile "
+                              f"is above {EDGE_MASS_TOL:.0e}; enlarge the window")
 
 
 def resolvent_vector(spec: PotentialSpec, z: complex, window: LatticeWindow) -> np.ndarray:
@@ -295,9 +315,11 @@ def profile_resolvent(spec: PotentialSpec, T: float,
     identity sum_n |G(n, 1)|^2 = Im G(1, 1)/eps, that is
     (h/pi) sum_E Im G(1, 1; E + i eps), to ``MASS_IDENTITY_TOL``
     (``meta["mass_identity_drift"]``), and every site weight must be finite;
-    otherwise :class:`ArithmeticError`.
+    otherwise :class:`ArithmeticError`.  A profile whose far-edge share of the
+    mass (``meta["far_edge_share"]``) passes :data:`EDGE_MASS_TOL` raises
+    :class:`TruncationError`, as on the time route.
     """
-    window, v, _ = _profile_setup(spec, [T], window)
+    window, v, _ = _profile_setup(spec, [T], window, resolvent=True)
     eps = 1.0 / T
     lo, hi, count = _grid_cells(v, eps)
     # midpoint nodes of a uniform partition
@@ -312,10 +334,13 @@ def profile_resolvent(spec: PotentialSpec, T: float,
     drift = abs(float(np.sum(a)) - ward) / ward
     if not drift <= MASS_IDENTITY_TOL:
         raise ArithmeticError(f"resolvent profile mass off the Ward identity by {drift:.3e}")
+    edge = _far_edge_share(window, a)
+    _check_far_edge(edge, T)
     meta = {
         "grid_points": int(grid.size),
         "site_energy_steps": 2 * (window.size - 1) * int(grid.size),
         "mass_identity_drift": drift,
+        "far_edge_share": edge,
     }
     return AmplitudeProfile(T=T, window=window, a=a, method="resolvent", meta=meta)
 
@@ -550,7 +575,12 @@ def _profile_setup(spec: PotentialSpec, T_values: Sequence[float], window: Latti
     0.5, so a sweep too large even at that step is refused before the window
     potential is built, and then the real step counts.  With ``resolvent``
     set, the resolvent route at the largest T counts too, as energy grid
-    points x window sites.
+    points x window sites.  Costs are floats: one past their range reads inf.
+
+    Each route's memory is capped too, whatever max_cost: a time route whose
+    arrays would take more than MAX_SWEEP_BYTES is refused with
+    :class:`ResourceError` before the window potential is built, and a
+    resolvent route once its grid is known.
     """
     if not T_values or not all(0 < T < math.inf for T in T_values):  # NaN fails too
         raise DomainError("averaging times must be positive and finite")
@@ -560,23 +590,32 @@ def _profile_setup(spec: PotentialSpec, T_values: Sequence[float], window: Latti
         window = _origin_window(spec, default_window_radius(t_max))
 
     def check_sweep(step: float) -> None:
-        cost = (math.ceil(t_max / step) + 1) * window.size
+        cost = (math.ceil(t_max / step) + 1.0) * window.size
         if cost > max_cost:
             # below T_min = 4 the step is T_min/8 unless the Nyquist rule cuts it further
             fixes = "raise Tmin, lower Tmax" if step == T_min / 8.0 < 0.5 else "lower Tmax"
             raise ResourceError(f"sweep cost {cost:.2e} site-steps exceeds budget "
                                 f"{max_cost:.2e}; {fixes}, shrink the window or raise the budget")
 
+    def check_memory(route: str, nbytes: float, fixes: str) -> None:
+        if nbytes > MAX_SWEEP_BYTES:
+            raise ResourceError(f"{route} needs about {nbytes / 2 ** 30:.2e} GiB and exceeds "
+                                f"cap {MAX_SWEEP_BYTES / 2 ** 30:g} GiB; {fixes}")
+
     check_sweep(0.5)
+    check_memory("time route", (_TIME_BYTES_PER_SITE + 16.0 * len(T_values)) * window.size,
+                 "lower T or shrink the window")
     v = _window_potential(spec, window)
     # keep the sampling rate above the largest Bohr frequency (Nyquist)
     step = min(0.5, T_min / 8.0, 5.5 / (float(v.max() - v.min()) + 4.0))
     check_sweep(step)
     if resolvent:
-        cost = _grid_cells(v, 1.0 / T_max)[2] * window.size
+        grid = float(_grid_cells(v, 1.0 / T_max)[2])
+        cost = grid * window.size
         if cost > max_cost:
             raise ResourceError(f"resolvent cost {cost:.2e} grid-point sites exceeds budget "
                                 f"{max_cost:.2e}; lower T or raise the budget")
+        check_memory("resolvent route", grid * _RESOLVENT_BYTES_PER_ENERGY, "lower T")
     return window, v, step
 
 
@@ -594,7 +633,8 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
     |psi(t, n)|^2 samples, so the state is propagated once out to
     TIME_CUTOFF * max(T) and each ladder entry accumulates its own trapezoid
     sum, truncated at its own cutoff: the samples of one long step enter
-    every sum through one (ladder, samples) @ (samples, sites) product.  A
+    every sum through one (ladder, samples) @ (samples, sites) product,
+    added in place into the sums' columns of the slice swept.  A
     profile whose far-edge share of the mass, on the window edges or on
     the edges of the light-cone slices swept, passes
     :data:`EDGE_MASS_TOL` raises :class:`TruncationError`: the window was
@@ -615,7 +655,7 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
         index = np.arange(j, j + prob.shape[0])
         kept = index * step <= limit
         weights = np.where(kept, np.exp(-2.0 * index * step / ts), 0.0)
-        acc[:, lo:lo + prob.shape[1]] += _lapack.dgemm(weights, prob)
+        _lapack.dgemm_into(acc[:, lo:lo + prob.shape[1]], prob, weights[None])(0, prob.shape[0])
         slice_edge += weights @ _edge_weight(window.geometry, prob.T)
         last_step = np.maximum(last_step, np.max(np.where(kept, index, 0), axis=1))
     profiles = []
@@ -625,9 +665,7 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
         a = (2.0 / T) * step * acc[i]
         mass = max(float(np.sum(a)), np.finfo(float).tiny)
         edge = max(_far_edge_share(window, a), (2.0 / T) * step * float(slice_edge[i]) / mass)
-        if edge > EDGE_MASS_TOL:
-            raise TruncationError(f"far-edge mass share {edge:.3e} of the T={T:g} profile "
-                                  f"is above {EDGE_MASS_TOL:.0e}; enlarge the window")
+        _check_far_edge(edge, T)
         profiles.append(AmplitudeProfile(
             T=T, window=window, a=a, method="time-average",
             meta={
@@ -822,9 +860,6 @@ class TransferNorms:
         """An iterator over the (m, norm) pairs as Python ints and floats, ascending in m."""
         return zip(self.m.tolist(), self.norms.tolist())
 
-
-#: Most memory a transfer-norm sweep may take.
-MAX_SWEEP_BYTES = 1 << 30
 
 #: Bytes per m charged to a transfer-norm sweep.  Its peak (tracemalloc, m_max from
 #: 10,000 to 400,000) is 137-139 on the half line and 147-152 on the whole line at

@@ -161,7 +161,8 @@ class PotentialSpec:
         models read no seed, and a seed that is not a string is refused.
     perturbation:
         Finitely supported overlay added on top of the base potential, given
-        as (site, value) pairs and stored as a sorted tuple of them.
+        as (site, value) pairs, each site once, and stored as a sorted tuple
+        of them.
     """
 
     model: Model
@@ -186,6 +187,9 @@ class PotentialSpec:
         pert = tuple(sorted((int(n), float(v)) for n, v in self.perturbation))
         if self.geometry is Geometry.HALF_LINE and any(n < 1 for n, _ in pert):
             raise DomainError("half-line perturbation sites must satisfy n >= 1")
+        sites = [n for n, _ in pert]
+        if len(set(sites)) < len(sites):
+            raise DomainError(f"a perturbation site is given more than once: {sites}")
         object.__setattr__(self, "perturbation", pert)
 
     def describe(self) -> str:

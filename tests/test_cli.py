@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import quasidyn
-from quasidyn import spectra
+from quasidyn import cli, spectra
 from quasidyn.cli import main
 from quasidyn.lattice import Model, ResourceError, ScaleOverflowError, TruncationError
 
@@ -79,6 +79,7 @@ def test_spectrum_rejects_other_models(runner, tmp_path):
     ["verify", "invariant", "--samples", "-1"],
     ["powerlaw", "--model", "fib", "--lambda", "1", "--count", "0"],
     ["powerlaw", "--model", "fib", "--lambda", "1", "--count", "-1"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--perturb", "0:1", "--perturb", "0:2"],
 ])
 def test_bad_inputs_are_usage_errors(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path / "x.out")])
@@ -409,6 +410,22 @@ def test_trace_potential_export(runner, tmp_path):
     assert values == ["1", "0", "1", "1", "0", "1"]
 
 
+def test_trace_potential_past_the_word_cap_is_a_budget_refusal(runner, tmp_path, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(cli, "potential_values", reached)
+    args = ["trace", "--model", "fib", "--lambda", "1", "--out", str(tmp_path / "p.csv")]
+    result = runner.invoke(main, args + ["--potential", "1:16777217"])
+    assert result.exit_code == 3
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line)["error"] == "budget"
+    assert isinstance(runner.invoke(main, args + ["--potential", "1:16777216"]).exception, Reached)
+
+
 def test_spectrum_measure_report(runner, tmp_path):
     out = tmp_path / "bands.csv"
     result = runner.invoke(main, ["spectrum", "--model", "fib", "--lambda", "5",
@@ -423,6 +440,25 @@ def test_dynamics_budget_refusal(runner, tmp_path):
                                   "--p", "2", "--Tmax", "100000000",
                                   "--out", str(tmp_path / "m.csv")])
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["dynamics", "--model", "tm", "--lambda", "1", "--Tmax", "1e155"],
+    ["verify", "parseval", "--model", "tm", "--lambda", "1", "--T", "1e300"],
+    ["verify", "parseval", "--model", "tm", "--lambda", "1", "--T", "1e300", "--max-cost", "inf"],
+])
+def test_a_cost_past_the_float_range_is_a_budget_refusal(runner, tmp_path, monkeypatch, args):
+    # the sweep cost reads inf; with no budget, the memory cap refuses the window
+    from quasidyn import dynamics
+
+    def no_potential(*args):
+        raise AssertionError("the window potential was built")
+
+    monkeypatch.setattr(dynamics, "_window_potential", no_potential)
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "x.out")])
+    assert result.exit_code == 3, result.output
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line)["error"] == "budget"
 
 
 def test_dynamics_budget_counts_the_window(runner, tmp_path):

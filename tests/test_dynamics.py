@@ -197,6 +197,61 @@ def test_times_that_are_not_finite_are_refused(monkeypatch):
             profile_resolvent(spec, T)
 
 
+def test_profile_routes_past_the_memory_cap_are_refused_before_the_potential(monkeypatch):
+    # each window would take more than 1 GiB, whatever the budget
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(dynamics, "_window_potential", reached)
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0)
+    for call in (lambda: profiles_time_ladder(spec, [1e300]),
+                 lambda: profile_resolvent(spec, 1e300), lambda: profile_time(spec, 1e9)):
+        with pytest.raises(ResourceError, match="time route .* exceeds cap 1 GiB"):
+            call()
+    # the largest half-line window that fits a one-time ladder passes, one site more does not
+    half = PotentialSpec(Model.THUE_MORSE, 1.0, Geometry.HALF_LINE)
+    largest = dynamics.MAX_SWEEP_BYTES // (dynamics._TIME_BYTES_PER_SITE + 16)
+    with pytest.raises(Reached):
+        profile_time(half, 10.0, window=LatticeWindow(1, largest, Geometry.HALF_LINE))
+    with pytest.raises(ResourceError, match="exceeds cap 1 GiB"):
+        profile_time(half, 10.0, window=LatticeWindow(1, largest + 1, Geometry.HALF_LINE))
+
+
+def test_resolvent_grid_past_the_memory_cap_is_refused(monkeypatch):
+    # 9.6e6 grid energies at T = 2e5: the 21-site window fits, the grid does not
+    def no_quadrature(*args):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(dynamics, "_resolvent_weights", no_quadrature)
+    with pytest.raises(ResourceError, match="resolvent route .* exceeds cap 1 GiB"):
+        profile_resolvent(FREE, 2e5, window=LatticeWindow(-10, 10))
+
+
+def test_profile_memory_is_within_its_charge():
+    # the window potential is built inside the count, as it is after the check
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0)
+    for T_values in ([20.0], list(np.geomspace(4.0, 128.0, 7))):
+        dynamics._window_potential.cache_clear()
+        tracemalloc.start()
+        try:
+            prof = profiles_time_ladder(spec, T_values)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (dynamics._TIME_BYTES_PER_SITE + 16 * len(T_values)) * prof.window.size
+    dynamics._window_potential.cache_clear()
+    tracemalloc.start()
+    try:
+        prof = profile_resolvent(spec, 100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= dynamics._RESOLVENT_BYTES_PER_ENERGY * prof.meta["grid_points"]
+
+
 def _dense_ladder(spec, window, T_values, dt, cutoff=6.0):
     """Trapezoid sums of |psi(t)|^2 from np.linalg.eigh of the window
     Hamiltonian written out entry by entry."""
@@ -415,6 +470,17 @@ def test_time_ladder_refuses_a_window_smaller_than_the_wave():
     half = PotentialSpec(Model.THUE_MORSE, 1.0, Geometry.HALF_LINE)
     with pytest.raises(TruncationError):
         profiles_time_ladder(half, T_values, window=LatticeWindow(1, 40, Geometry.HALF_LINE))
+
+
+def test_resolvent_profile_refuses_a_window_smaller_than_the_wave():
+    # 9.07e-2 of the T = 100 free-chain mass sits on the edges of [-10, 10]; the
+    # time route refuses the same window by the same rule
+    window = LatticeWindow(-10, 10)
+    with pytest.raises(TruncationError, match="far-edge mass share 9.070e-02 .* enlarge the window"):
+        profile_resolvent(FREE, 100.0, window=window)
+    with pytest.raises(TruncationError, match="enlarge the window"):
+        profile_time(FREE, 100.0, window=window)
+    assert 0.0 <= profile_resolvent(FREE, 20.0).meta["far_edge_share"] <= dynamics.EDGE_MASS_TOL
 
 
 def test_light_cone_slices_match_a_whole_window_sweep(monkeypatch):

@@ -79,9 +79,18 @@ def test_gemms_agree_with_scipy(route, width, samples, rng):
                 add(i, k)
         with pytest.raises(ValueError):  # and so is a complex array
             _lapack.dgemm_into(out.view(np.complex128), ring.view(np.complex128), blocks)
-    weights, prob = rng.random((3, samples)), rng.random((samples, width))
-    _within_ulps(_lapack.dgemm(weights, prob), dgemm(1.0, prob.T, weights.T).T,
-                 weights @ prob)
+    # the ladder's shape: (3, samples) weights times (samples, width) probabilities,
+    # added into a column slice of the (3, width + 7) sums; the other columns are kept
+    weights, prob = rng.random((1, 3, samples)), rng.random((samples, width))
+    acc = rng.random((3, width + 7))
+    want = dgemm(1.0, prob.T, weights[0].T, 1.0, acc[:, 2:2 + width].T).T
+    kept = np.delete(acc, np.s_[2:2 + width], axis=1)
+    _lapack.dgemm_into(acc[:, 2:2 + width], prob, weights)(0, samples)
+    _within_ulps(acc[:, 2:2 + width], want, np.abs(want))
+    npt.assert_array_equal(np.delete(acc, np.s_[2:2 + width], axis=1), kept)
+    if route == "openblas":  # a column stride that is not one element is refused
+        with pytest.raises(ValueError):
+            _lapack.dgemm_into(np.zeros((3, 2 * width))[:, ::2], prob, weights)
 
 
 def test_singular_system_raises_linalgerror(route):

@@ -211,6 +211,14 @@ def test_perturb_composes_additively():
     assert potential_value(spec, 1) == potential_value(fib_spec(1.0), 1) + 3.0
 
 
+def test_a_perturbation_site_given_twice_is_refused():
+    # one rule for a site: perturb() adds its overlays, a spec takes each site once
+    with pytest.raises(DomainError, match="more than once"):
+        PotentialSpec(Model.THUE_MORSE, 1.0, perturbation=((0, 1.0), (0, 2.0)))
+    with pytest.raises(DomainError, match="more than once"):
+        PotentialSpec(Model.FREE, perturbation=((3, 1.0), (-1, 0.5), (3, 1.0)))
+
+
 # ---------------------------------------------------------------------------
 # one-step and transfer matrices
 
