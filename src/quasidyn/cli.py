@@ -39,7 +39,6 @@ from click.core import ParameterSource
 
 from quasidyn import __version__
 from quasidyn.lattice import (
-    MAX_WORD_LENGTH,
     DomainError,
     Geometry,
     Model,
@@ -47,6 +46,8 @@ from quasidyn.lattice import (
     ResourceError,
     ScaleOverflowError,
     TruncationError,
+    _check_memory,
+    _check_word_length,
     potential_values,
 )
 from quasidyn.traces import (
@@ -344,9 +345,7 @@ def trace(model, lam, energy, kmax, roots_level, potential_range, geometry, out)
         lo, hi = (int(b) for b in bounds.groups())
         if lo > hi:
             raise click.UsageError("--potential range must satisfy LO <= HI")
-        if hi - lo + 1 > MAX_WORD_LENGTH:
-            raise ResourceError(f"--potential range of {hi - lo + 1} sites exceeds cap "
-                                f"{MAX_WORD_LENGTH}")
+        _check_word_length(hi - lo + 1, f"--potential range {potential_range}")
         spec = _build_spec(model.value, lam, geometry, None, ())
         sites = np.arange(lo, hi + 1)
         values = potential_values(spec, sites)
@@ -365,16 +364,15 @@ def trace(model, lam, energy, kmax, roots_level, potential_range, geometry, out)
         return True
     if model is Model.FIBONACCI:
         orbit = fib_trace_orbit(lam, energy, kmax)
-        stop = orbit.overflow_at if orbit.overflow_at is not None else kmax + 1
-        rows = [(j, orbit.xs[j]) for j in range(min(stop, kmax + 1))]
-        write_csv(out, config, {}, ["k", "x_k"], rows)
+        columns = {"x_k": orbit.xs}
     elif model in (Model.PERIOD_DOUBLING, Model.THUE_MORSE):
         orbit = subst_trace_orbit(model, lam, energy, kmax)
-        stop = orbit.overflow_at if orbit.overflow_at is not None else kmax + 1
-        rows = [(j, orbit.xs[j], orbit.ys[j]) for j in range(min(stop, kmax + 1))]
-        write_csv(out, config, {}, ["k", "x_k", "y_k"], rows)
+        columns = {"x_k": orbit.xs, "y_k": orbit.ys}
     else:
         raise click.UsageError("trace orbits exist for fib, pd, and tm models")
+    # the levels before the overflow gate
+    stop = orbit.overflow_at if orbit.overflow_at is not None else kmax + 1
+    write_csv(out, config, {}, ["k", *columns], list(zip(range(stop), *columns.values())))
     click.echo(f"orbit to k={kmax} -> {out}")
     return True
 
@@ -511,6 +509,9 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
     exponents = {name: value for name, value in (("alpha", alpha), ("eta", eta))
                  if value is not None}
     spec = _build_spec(model, lam, geometry, seed, perturb_sites)
+    # the time route holds 16 bytes per ladder time on each window site, and
+    # no window has fewer than one site
+    _check_memory(16 * t_count, f"a ladder of {t_count} times", "lower Tcount")
     t_values = list(np.geomspace(t_min, t_max, t_count))
     config = RunConfig("dynamics", {
         "model": spec.model.value, "lambda": _fmt(lam), "geometry": geometry,

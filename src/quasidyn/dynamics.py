@@ -38,6 +38,7 @@ import numpy as np
 
 from quasidyn import _lapack
 from quasidyn.lattice import (
+    MAX_SWEEP_BYTES,
     DomainError,
     Geometry,
     LatticeWindow,
@@ -46,6 +47,8 @@ from quasidyn.lattice import (
     ResourceError,
     ScaleOverflowError,
     TruncationError,
+    _SWEEP_BYTES_PER_M,
+    _check_memory,
     _transfer_prefixes,
     _tridiag_apply,
     _tridiag_solve,
@@ -60,9 +63,6 @@ TIME_CUTOFF = 6.0
 
 #: Largest far-edge share of a time-route profile's mass (window too small past it).
 EDGE_MASS_TOL = 1e-6
-
-#: Most memory a transfer-norm sweep, or one profile route, may take.
-MAX_SWEEP_BYTES = 1 << 30
 
 #: Bytes per window site charged to the time route, plus 16 per ladder time (its
 #: sum and its profile).  Its peak (tracemalloc, 1,600 to 120,001 sites, ladders of
@@ -218,11 +218,12 @@ def resolvent_vector(spec: PotentialSpec, z: complex, window: LatticeWindow) -> 
 
 def _grid_cells(v: np.ndarray, eps: float) -> tuple[float, float, int]:
     """Span [lo, hi] of the default energy grid, the spectral window
-    [min v - 2, max v + 2] padded by 4, and its count of cells at most eps/4 wide."""
+    [min v - 2, max v + 2] padded by 4, and its count of cells at most eps/4
+    wide, at least 2 so that the grid has a spacing."""
     pad, spacing = 4.0, eps / 4.0
     lo = float(v.min()) - 2.0 - pad
     hi = float(v.max()) + 2.0 + pad
-    return lo, hi, int(math.ceil((hi - lo) / spacing))
+    return lo, hi, max(2, int(math.ceil((hi - lo) / spacing)))
 
 
 def _fraction_sweep(v_side: np.ndarray, z: np.ndarray, log_edge: np.ndarray | None = None,
@@ -577,15 +578,20 @@ def _profile_setup(spec: PotentialSpec, T_values: Sequence[float], window: Latti
     set, the resolvent route at the largest T counts too, as energy grid
     points x window sites.  Costs are floats: one past their range reads inf.
 
-    Each route's memory is capped too, whatever max_cost: a time route whose
-    arrays would take more than MAX_SWEEP_BYTES is refused with
-    :class:`ResourceError` before the window potential is built, and a
-    resolvent route once its grid is known.
+    Each route's memory passes the one cap too, whatever max_cost
+    (:func:`lattice._check_memory`): the time route before the window
+    potential is built, and the resolvent route once its grid is known.  A T
+    whose window or grid could not be counted in floats, 8 TIME_CUTOFF T
+    (the free chain's grid cells) past their range, is refused with
+    :class:`ResourceError` before any window is built.
     """
     if not T_values or not all(0 < T < math.inf for T in T_values):  # NaN fails too
         raise DomainError("averaging times must be positive and finite")
     T_min, T_max = min(T_values), max(T_values)
     t_max = TIME_CUTOFF * T_max
+    if 8.0 * t_max == math.inf:
+        raise ResourceError(f"averaging time {T_max:.2e} has a window and energy grid past "
+                            "the float range; lower T")
     if window is None:
         window = _origin_window(spec, default_window_radius(t_max))
 
@@ -597,14 +603,9 @@ def _profile_setup(spec: PotentialSpec, T_values: Sequence[float], window: Latti
             raise ResourceError(f"sweep cost {cost:.2e} site-steps exceeds budget "
                                 f"{max_cost:.2e}; {fixes}, shrink the window or raise the budget")
 
-    def check_memory(route: str, nbytes: float, fixes: str) -> None:
-        if nbytes > MAX_SWEEP_BYTES:
-            raise ResourceError(f"{route} needs about {nbytes / 2 ** 30:.2e} GiB and exceeds "
-                                f"cap {MAX_SWEEP_BYTES / 2 ** 30:g} GiB; {fixes}")
-
     check_sweep(0.5)
-    check_memory("time route", (_TIME_BYTES_PER_SITE + 16.0 * len(T_values)) * window.size,
-                 "lower T or shrink the window")
+    _check_memory((_TIME_BYTES_PER_SITE + 16 * len(T_values)) * window.size, "time route",
+                  "lower T or shrink the window")
     v = _window_potential(spec, window)
     # keep the sampling rate above the largest Bohr frequency (Nyquist)
     step = min(0.5, T_min / 8.0, 5.5 / (float(v.max() - v.min()) + 4.0))
@@ -615,7 +616,7 @@ def _profile_setup(spec: PotentialSpec, T_values: Sequence[float], window: Latti
         if cost > max_cost:
             raise ResourceError(f"resolvent cost {cost:.2e} grid-point sites exceeds budget "
                                 f"{max_cost:.2e}; lower T or raise the budget")
-        check_memory("resolvent route", grid * _RESOLVENT_BYTES_PER_ENERGY, "lower T")
+        _check_memory(grid * _RESOLVENT_BYTES_PER_ENERGY, "resolvent route", "lower T")
     return window, v, step
 
 
@@ -861,12 +862,6 @@ class TransferNorms:
         return zip(self.m.tolist(), self.norms.tolist())
 
 
-#: Bytes per m charged to a transfer-norm sweep.  Its peak (tracemalloc, m_max from
-#: 10,000 to 400,000) is 137-139 on the half line and 147-152 on the whole line at
-#: real energies, and 217.5 and 225.5 at complex ones; the charge keeps a margin.
-_SWEEP_BYTES_PER_M = 240
-
-
 def transfer_norms_from_origin(spec: PotentialSpec, E: complex, m_max: int) -> TransferNorms:
     """Spectral norms of T(m, 1; E) for 1 <= |m| <= m_max (and m = 0 on the whole line).
 
@@ -880,10 +875,7 @@ def transfer_norms_from_origin(spec: PotentialSpec, E: complex, m_max: int) -> T
     """
     if m_max < 1:
         raise DomainError("m_max must be at least 1")
-    if m_max * _SWEEP_BYTES_PER_M > MAX_SWEEP_BYTES:
-        raise ResourceError(f"transfer sweep to m_max={m_max} needs about "
-                            f"{m_max * _SWEEP_BYTES_PER_M / 2 ** 30:.2f} GiB and exceeds cap "
-                            f"{MAX_SWEEP_BYTES / 2 ** 30:g} GiB")
+    _check_memory(m_max * _SWEEP_BYTES_PER_M, f"transfer sweep to m_max={m_max}", "lower m_max")
     norms = spectral_norm(_transfer_prefixes(potential_values(spec, np.arange(2, m_max + 1)), E))
     if spec.geometry is Geometry.WHOLE_LINE:
         backward = _transfer_prefixes(potential_values(spec, np.arange(1, -m_max, -1)), E)
@@ -952,6 +944,7 @@ def complex_energy_bound_check(spec: PotentialSpec, E: float, N: int,
     """
     if N < 2:
         raise DomainError("N must be at least 2")
+    _check_memory(N * _SWEEP_BYTES_PER_M, f"transfer sweeps over the box of N={N}", "lower N")
     whole = spec.geometry is Geometry.WHOLE_LINE
     box = potential_values(spec, np.arange(-N + 1 if whole else 2, N + 1))
     k_const = max(float(np.max(spectral_norm(_transfer_prefixes(box[i:], E))))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping
@@ -45,6 +46,14 @@ OVERFLOW_LIMIT = 1e150
 #: Hard cap on generated substitution words.
 MAX_WORD_LENGTH = 1 << 24
 
+#: Most memory one transfer sweep, profile route, trace orbit or time ladder may take.
+MAX_SWEEP_BYTES = 1 << 30
+
+#: Bytes per site charged to a transfer sweep.  Its peak (tracemalloc, m_max from
+#: 10,000 to 400,000) is 137-139 on the half line and 147-152 on the whole line at
+#: real energies, and 217.5 and 225.5 at complex ones; the charge keeps a margin.
+_SWEEP_BYTES_PER_M = 240
+
 
 class DomainError(ValueError):
     """A site or argument is outside the domain of the requested quantity."""
@@ -60,6 +69,29 @@ class ScaleOverflowError(OverflowError):
 
 class TruncationError(RuntimeError):
     """A window was too small for the requested boundary accuracy."""
+
+
+def _in_range(entries) -> np.ndarray:
+    """max |entry| <= :data:`OVERFLOW_LIMIT` over the last axis: the one overflow
+    test of products, blocks and orbits, false where an entry is inf or NaN."""
+    return np.abs(entries).max(axis=-1) <= OVERFLOW_LIMIT
+
+
+def _check_memory(nbytes: int | float, what: str, fixes: str) -> None:
+    """The one memory cap: refuse ``what``, which needs ``nbytes`` (an int past
+    the float range, inf and NaN included), past :data:`MAX_SWEEP_BYTES` with
+    :class:`ResourceError`, before its arrays are built."""
+    if not nbytes <= MAX_SWEEP_BYTES:
+        gib = nbytes / 2 ** 30 if nbytes <= sys.float_info.max else math.inf
+        raise ResourceError(f"{what} needs about {gib:.2e} GiB and exceeds cap "
+                            f"{MAX_SWEEP_BYTES / 2 ** 30:g} GiB; {fixes}")
+
+
+def _check_word_length(length: int, what: str) -> None:
+    """The one word cap: refuse ``what``, of ``length`` letters (any int), past
+    :data:`MAX_WORD_LENGTH` with :class:`ResourceError`, before it is built."""
+    if length > MAX_WORD_LENGTH:
+        raise ResourceError(f"{what} exceeds the word cap of {MAX_WORD_LENGTH} letters")
 
 
 class Model(enum.Enum):
@@ -102,8 +134,7 @@ def substitution_word(model: Model, k: int) -> np.ndarray:
         raise DomainError(f"{model} is not a substitution model")
     if k < 0:
         raise DomainError("iterate count must be nonnegative")
-    if 2 ** k > MAX_WORD_LENGTH:
-        raise ResourceError(f"word of length 2**{k} exceeds cap {MAX_WORD_LENGTH}")
+    _check_word_length(2 ** k, f"word S^{k}(0) of 2**{k} letters")
     images = SUBSTITUTIONS[model]
     word = np.array([0], dtype=np.uint8)
     for _ in range(k):
@@ -125,9 +156,8 @@ def _fixed_point_word(model: Model, letter: int, min_len: int) -> np.ndarray:
     word = np.array([letter], dtype=np.uint8)
     images = SUBSTITUTIONS[model]
     while word.size < min_len:
+        _check_word_length(4 * word.size, f"substitution fixed point of {min_len} letters")
         word = images[images[word].reshape(-1)].reshape(-1)
-        if word.size > MAX_WORD_LENGTH:
-            raise ResourceError("substitution fixed point grew past the word cap")
     return word
 
 
@@ -357,7 +387,7 @@ def _transfer_prefixes(vals: np.ndarray, z: complex) -> np.ndarray:
     top = np.stack([np.array(col_a), np.array(col_b)], axis=1)
     # the bottom row of each prefix is the previous top row, so checking
     # the top rows checks every entry
-    bad = np.flatnonzero(~(np.max(np.abs(top), axis=1) <= OVERFLOW_LIMIT))
+    bad = np.flatnonzero(~_in_range(top))
     if bad.size:
         raise ScaleOverflowError(
             f"transfer product entries passed {OVERFLOW_LIMIT:.0e} after {bad[0]} "
@@ -379,6 +409,8 @@ def transfer_matrix(spec: PotentialSpec, n: int, m: int, z: complex) -> np.ndarr
         return np.eye(2, dtype=np.complex128)
     if n < m:
         return mat_inv_unimodular(transfer_matrix(spec, m, n, z))
+    _check_memory((n - m) * _SWEEP_BYTES_PER_M, f"transfer sweep over {n - m} sites",
+                  "bring n and m closer")
     vals = potential_values(spec, np.arange(m + 1, n + 1, dtype=np.int64))
     return _transfer_prefixes(vals, z)[-1].astype(np.complex128)
 

@@ -44,6 +44,9 @@ from quasidyn.lattice import (
     PotentialSpec,
     ResourceError,
     ScaleOverflowError,
+    _SWEEP_BYTES_PER_M,
+    _check_memory,
+    _in_range,
     _one_step,
     _transfer_prefixes,
     one_step_matrix,
@@ -202,7 +205,7 @@ class FibTraceOrbit:
     ``xs`` holds the rounded double values; the compensation terms are kept
     so that the conserved quantity can be evaluated without re-incurring the
     |x|^3 cancellation.  ``overflow_at`` is the first index whose value
-    passed the overflow gate, or None.
+    passed the overflow gate, or None; the levels past it are NaN.
     """
 
     xs: np.ndarray
@@ -250,15 +253,22 @@ def fib_trace_orbit(lam: float, E: float, kmax: int) -> FibTraceOrbit:
     m0, m1 = islice(_blocks(Model.FIBONACCI, lam, E), 2)
     with np.errstate(over="ignore", invalid="ignore"):  # M_0 M_1 overflows only past the gate
         seeds = [_DD(np.trace(m).real) for m in (m0, m1, m0 @ m1)]
-    hi = np.full(kmax + 1, np.inf)
-    lo = np.zeros(kmax + 1)
-    overflow_at = None
-    for k, cur in zip(range(kmax + 1), _fib_levels(*seeds)):
-        hi[k], lo[k] = cur.hi, cur.lo
-        if not np.isfinite(cur.hi) or abs(cur.hi) > OVERFLOW_LIMIT:
-            overflow_at = k
-            break
+    (hi, lo), overflow_at = _gated_orbit(((x.hi, x.lo) for x in _fib_levels(*seeds)), kmax)
     return FibTraceOrbit(xs=hi, xs_lo=lo, overflow_at=overflow_at)
+
+
+def _gated_orbit(levels, kmax: int) -> tuple[np.ndarray, int | None]:
+    """The one orbit gate: levels 0..kmax of an orbit, each a pair of floats, as
+    the rows of a (2, kmax + 1) array (16 bytes per level, charged first), and
+    the first level that fails :func:`lattice._in_range`, or None.  The walk
+    stops at that level, which is kept; the levels past it are NaN."""
+    _check_memory(16 * (kmax + 1), f"trace orbit to level {kmax}", "lower kmax")
+    out = np.full((2, kmax + 1), np.nan)
+    for k, level in zip(range(kmax + 1), levels):
+        out[:, k] = level
+        if not _in_range(out[:, k]):
+            return out, k
+    return out, None
 
 
 def fib_invariant(x_prev, x_cur, x_next):
@@ -297,6 +307,8 @@ def indexing_convention_report(lam: float = 1.0, E: float = 0.7, kmax: int = 8) 
     """
     spec = PotentialSpec(Model.FIBONACCI, lam)
     fib = fibonacci_numbers(kmax)
+    _check_memory(int(fib[kmax]) * _SWEEP_BYTES_PER_M, f"transfer sweeps over F_{kmax} sites",
+                  "lower kmax")
     # prefix j of the sweep from site 1 covers 1..j, from site 2 covers 2..j+1
     from_site1 = _transfer_prefixes(potential_values(spec, np.arange(1, fib[kmax] + 1)), E)
     from_site2 = _transfer_prefixes(potential_values(spec, np.arange(2, fib[kmax] + 1)), E)
@@ -388,15 +400,15 @@ def _blocks(model: Model, lam: float, E: complex):
     requested: M_k = M_{k-2} M_{k-1} of the Fibonacci chain, or (T0_k, T1_k) of
     a substitution chain.  The seeds are the one-step matrices of the values 0
     and lam (M_0 = A(0) and M_1 = A(1), or the letters 0 and 1) and are not
-    checked; a recursed level with an entry past OVERFLOW_LIMIT raises
-    :class:`ScaleOverflowError`."""
+    checked; a recursed level that fails the overflow test
+    (:func:`lattice._in_range`, NaN included) raises :class:`ScaleOverflowError`."""
     a, b = _one_step(0.0, E), _one_step(lam, E)
     if model is Model.FIBONACCI:
         yield a
         yield b
         for k in count(2):
             a, b = b, a @ b
-            if np.max(np.abs(b)) > OVERFLOW_LIMIT:
+            if not _in_range(b).all():
                 raise ScaleOverflowError(
                     f"Fibonacci block {k} overflowed; energy is far off the spectrum")
             yield b
@@ -404,7 +416,7 @@ def _blocks(model: Model, lam: float, E: complex):
     yield a, b
     for k in count(1):
         a, b = step(a, b)
-        if max(np.max(np.abs(a)), np.max(np.abs(b))) > OVERFLOW_LIMIT:
+        if not _in_range((a, b)).all():
             raise ScaleOverflowError(f"substitution block overflow at level {k}")
         yield a, b
 
@@ -427,14 +439,7 @@ def subst_trace_orbit(model: Model, lam: float, E: float, kmax: int) -> SubstTra
         raise DomainError("kmax must be at least 1")
     if model not in _SUBST_LEVELS:
         raise DomainError(f"{model} is not a substitution model")
-    xs = np.full(kmax + 1, np.nan)
-    ys = np.full(kmax + 1, np.nan)
-    overflow_at = None
-    for k, (x, y) in enumerate(islice(_walk(model, lam, E), kmax + 1)):
-        xs[k], ys[k] = x, y
-        if not np.isfinite(x) or abs(x) > OVERFLOW_LIMIT:
-            overflow_at = k
-            break
+    (xs, ys), overflow_at = _gated_orbit(_walk(model, lam, E), kmax)
     return SubstTraceOrbit(xs=xs, ys=ys, overflow_at=overflow_at)
 
 

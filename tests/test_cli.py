@@ -14,7 +14,16 @@ from click.testing import CliRunner
 import quasidyn
 from quasidyn import cli, spectra
 from quasidyn.cli import main
-from quasidyn.lattice import Model, ResourceError, ScaleOverflowError, TruncationError
+from quasidyn.dynamics import profile_resolvent
+from quasidyn.lattice import (
+    LatticeWindow,
+    Model,
+    PotentialSpec,
+    ResourceError,
+    ScaleOverflowError,
+    TruncationError,
+)
+from quasidyn.traces import subst_trace_orbit
 
 
 @pytest.fixture
@@ -172,6 +181,26 @@ def test_trace_orbit_csv(runner, tmp_path):
                                   "--energy", "0.5", "--kmax", "9", "--out", str(out)])
     assert result.exit_code == 0
     assert len(_data_rows(out)) == 10
+
+
+@pytest.mark.parametrize("model, lam, energy, rows", [
+    (Model.PERIOD_DOUBLING, 1.0, 0.0, 21),
+    (Model.THUE_MORSE, 1.0, 0.3, 21),
+    (Model.THUE_MORSE, 2.5, 0.7, 11),
+    # y_15 passes the overflow limit, x_15 does not: the rows stop before level 15
+    (Model.PERIOD_DOUBLING, 0.42631562053732996, 1.2391530320896678, 15),
+])
+def test_trace_substitution_orbit_csv(runner, tmp_path, model, lam, energy, rows):
+    out = tmp_path / "trace.csv"
+    result = runner.invoke(main, ["trace", "--model", model.value, "--lambda", repr(lam),
+                                  "--energy", repr(energy), "--kmax", "20", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert lines[0] == "k,x_k,y_k"
+    orbit = subst_trace_orbit(model, lam, energy, 20)
+    want = [(k, orbit.xs[k], orbit.ys[k]) for k in range(rows)]
+    got = [(int(k), float(x), float(y)) for k, x, y in (line.split(",") for line in lines[1:])]
+    assert got == want
 
 
 def test_trace_root_list(runner, tmp_path):
@@ -401,6 +430,23 @@ def test_dynamics_small_run(runner, tmp_path):
     assert all(float(row.split(",")[1]) >= 0.0 for row in profile_rows[:50])
 
 
+def test_dynamics_resolvent_profile_out(runner, tmp_path):
+    # the (n, a) rows are the resolvent profile at the largest T, on the ladder's window
+    out, prof_out = tmp_path / "m.csv", tmp_path / "profile.csv"
+    result = runner.invoke(main, ["dynamics", "--model", "tm", "--lambda", "1", "--p", "2",
+                                  "--Tmin", "4", "--Tmax", "128", "--Tcount", "7",
+                                  "--profile-out", str(prof_out),
+                                  "--profile-method", "resolvent", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = [row.split(",") for row in _data_rows(prof_out)]
+    sites = [int(n) for n, _ in rows]
+    window = LatticeWindow(sites[0], sites[-1])
+    T = np.geomspace(4.0, 128.0, 7)[-1]
+    prof = profile_resolvent(PotentialSpec(Model.THUE_MORSE, 1.0), T, window=window)
+    assert prof.method == "resolvent" and sites == prof.sites().tolist()
+    assert [float(a) for _, a in rows] == prof.a.tolist()
+
+
 def test_trace_potential_export(runner, tmp_path):
     out = tmp_path / "potential.csv"
     result = runner.invoke(main, ["trace", "--model", "fib", "--lambda", "1",
@@ -446,9 +492,13 @@ def test_dynamics_budget_refusal(runner, tmp_path):
     ["dynamics", "--model", "tm", "--lambda", "1", "--Tmax", "1e155"],
     ["verify", "parseval", "--model", "tm", "--lambda", "1", "--T", "1e300"],
     ["verify", "parseval", "--model", "tm", "--lambda", "1", "--T", "1e300", "--max-cost", "inf"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--Tmax", "1e307"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--Tmax", "1.7e308"],
+    ["powerlaw", "--model", "tm", "--lambda", "1", "--mmax", "1" + "0" * 400],
 ])
 def test_a_cost_past_the_float_range_is_a_budget_refusal(runner, tmp_path, monkeypatch, args):
-    # the sweep cost reads inf; with no budget, the memory cap refuses the window
+    # the sweep cost reads inf; with no budget, the memory cap refuses the window.
+    # A window past the float range, or a memory charge, is refused as well
     from quasidyn import dynamics
 
     def no_potential(*args):
@@ -459,6 +509,27 @@ def test_a_cost_past_the_float_range_is_a_budget_refusal(runner, tmp_path, monke
     assert result.exit_code == 3, result.output
     (line,) = result.stderr.splitlines()
     assert json.loads(line)["error"] == "budget"
+
+
+@pytest.mark.parametrize("args", [
+    ["trace", "--model", "fib", "--lambda", "1", "--kmax", "100000000000"],
+    ["trace", "--model", "tm", "--lambda", "1", "--kmax", "100000000000"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--Tcount", "1000000000"],
+])
+def test_sizes_past_the_memory_cap_are_refused_before_they_are_allocated(runner, tmp_path,
+                                                                         monkeypatch, args):
+    # 16 bytes per orbit level, and 16 per ladder time on a window of one site or more
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the array was allocated")
+
+    monkeypatch.setattr(np, "full", unreachable)
+    monkeypatch.setattr(np, "geomspace", unreachable)
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "x.csv")])
+    assert result.exit_code == 3, result.output
+    (line,) = result.stderr.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "budget" and "exceeds cap 1 GiB" in record["message"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_dynamics_budget_counts_the_window(runner, tmp_path):

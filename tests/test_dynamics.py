@@ -197,6 +197,30 @@ def test_times_that_are_not_finite_are_refused(monkeypatch):
             profile_resolvent(spec, T)
 
 
+def test_times_past_the_float_range_of_their_window_are_refused(monkeypatch):
+    # from about T = 3.7e306 the free chain's grid, 48 T cells, and from 7.5e306
+    # the default window, 24 T sites, cannot be counted in floats
+    def no_window(*args):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(dynamics, "_window_potential", no_window)
+    monkeypatch.setattr(dynamics, "default_window_radius", no_window)
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0)
+    for T in (1e307, 1.7e308):
+        with pytest.raises(ResourceError, match="float range"):
+            profiles_time_ladder(spec, [10.0, T])
+    with pytest.raises(ResourceError, match="float range"):
+        profile_resolvent(FREE, 1e307, window=LatticeWindow(-10, 10))
+
+
+def test_resolvent_grid_has_at_least_two_cells():
+    # ceil(12 x 4T) is one cell for T <= 1/48; the spacing needs two
+    for T in (0.01, 0.001):
+        prof = profile_resolvent(FREE, T)
+        assert prof.meta["grid_points"] == 2
+        assert prof.meta["mass_identity_drift"] <= 1e-12
+
+
 def test_profile_routes_past_the_memory_cap_are_refused_before_the_potential(monkeypatch):
     # each window would take more than 1 GiB, whatever the budget
     class Reached(Exception):
@@ -1029,6 +1053,21 @@ def test_norm_sweep_is_capped_by_memory(geometry, monkeypatch):
         transfer_norms_from_origin(spec, 0.3, largest)
     with pytest.raises(ResourceError, match="exceeds cap 1 GiB"):
         transfer_norms_from_origin(spec, 0.3, largest + 1)
+
+
+def test_box_bound_past_the_memory_cap_is_refused_before_any_site(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(dynamics, "potential_values", reached)
+    largest = dynamics.MAX_SWEEP_BYTES // dynamics._SWEEP_BYTES_PER_M
+    with pytest.raises(Reached):
+        complex_energy_bound_check(FREE, 0.3, largest, [0.01j])
+    with pytest.raises(ResourceError, match="exceeds cap 1 GiB"):
+        complex_energy_bound_check(FREE, 0.3, largest + 1, [0.01j])
 
 
 def test_norm_sweep_memory_per_site_is_within_its_charge():

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasidyn import lattice
 from quasidyn.lattice import (
     OVERFLOW_LIMIT,
+    MAX_SWEEP_BYTES,
     MAX_WORD_LENGTH,
     SUBSTITUTIONS,
     DomainError,
@@ -15,6 +19,7 @@ from quasidyn.lattice import (
     PotentialSpec,
     ResourceError,
     ScaleOverflowError,
+    _SWEEP_BYTES_PER_M,
     _transfer_prefixes,
     _tridiag_apply,
     _tridiag_solve,
@@ -186,6 +191,39 @@ def test_substitution_word_cap():
     assert 2 ** 24 == MAX_WORD_LENGTH
     with pytest.raises(ResourceError):
         substitution_word(Model.THUE_MORSE, 25)
+    # a length past the float range is refused too, not lost in its message
+    with pytest.raises(ResourceError):
+        substitution_word(Model.THUE_MORSE, 5000)
+
+
+def test_fixed_point_word_past_the_cap_is_refused_before_it_is_built():
+    # site 2^24 + 2 needs the iterate of 2^26 letters; the 2^24 one fits
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            potential_values(spec, np.array([MAX_WORD_LENGTH + 2]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * MAX_WORD_LENGTH
+
+
+def test_transfer_matrix_past_the_memory_cap_is_refused_before_any_site(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(lattice, "potential_values", reached)
+    spec = PotentialSpec(Model.FIBONACCI, 1.0)
+    largest = MAX_SWEEP_BYTES // _SWEEP_BYTES_PER_M
+    with pytest.raises(Reached):
+        transfer_matrix(spec, largest, 0, 0.5)
+    for n in (largest + 1, 10 ** 10):
+        with pytest.raises(ResourceError, match="exceeds cap 1 GiB"):
+            transfer_matrix(spec, n, 0, 0.5)
 
 
 # ---------------------------------------------------------------------------

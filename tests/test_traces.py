@@ -15,6 +15,7 @@ from quasidyn.lattice import (
     one_step_matrix,
     spectral_norm,
 )
+from quasidyn import traces
 from quasidyn.spectra import approximant_spectrum, bound_parameters
 from quasidyn.traces import (
     FIB_CONVENTION_ID,
@@ -53,6 +54,21 @@ def test_indexing_oracle_picks_site_one_product():
     # the recursion anchors the convention at other couplings too
     report = indexing_convention_report(lam=3.2, E=-1.1, kmax=8)
     assert report["adopted"] == "A(F_k)...A(1)"
+
+
+def test_indexing_oracle_past_the_memory_cap_is_refused_before_any_site(monkeypatch):
+    # F_32 = 3,524,578 sites fit the cap, F_33 = 5,702,887 do not
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(traces, "potential_values", reached)
+    with pytest.raises(Reached):
+        indexing_convention_report(lam=1.0, E=0.7, kmax=32)
+    with pytest.raises(ResourceError, match="exceeds cap 1 GiB"):
+        indexing_convention_report(lam=1.0, E=0.7, kmax=33)
 
 
 @pytest.mark.parametrize("lam,energy", [(1.0, 0.0), (1.0, 0.5), (2.0, -0.8)])
@@ -298,6 +314,37 @@ def test_blocks_compute_no_level_past_the_one_asked():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert fib_trace_orbit(1.0, 1e200, 5).overflow_at == 0
+
+
+def test_blocks_that_stop_being_numbers_are_an_overflow():
+    # at E = 1e200 (1 + i) the recursed products are NaN, which no > test catches
+    with np.errstate(all="ignore"):
+        with pytest.raises(ScaleOverflowError):
+            fib_matrices(1.0, 1e200 + 1e200j, 3)
+        for model in (Model.PERIOD_DOUBLING, Model.THUE_MORSE):
+            with pytest.raises(ScaleOverflowError):
+                subst_transfer(model, 1.0, 1e200 + 1e200j, 2)
+
+
+def test_orbit_gate_reads_every_column():
+    # y_15 of this period-doubling orbit passes the limit while x_15 does not
+    orbit = subst_trace_orbit(Model.PERIOD_DOUBLING, 0.42631562053732996,
+                              1.2391530320896678, 40)
+    assert orbit.overflow_at == 15
+    assert abs(orbit.xs[15]) <= OVERFLOW_LIMIT < abs(orbit.ys[15])
+    assert np.all(np.abs(orbit.ys[:15]) <= OVERFLOW_LIMIT)
+    assert np.all(np.isnan(orbit.xs[16:])) and np.all(np.isnan(orbit.ys[16:]))
+
+
+def test_orbit_past_the_memory_cap_is_refused_before_it_is_allocated(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the orbit arrays were allocated")
+
+    monkeypatch.setattr(np, "full", unreachable)
+    for orbit in (lambda: fib_trace_orbit(1.0, 0.3, 10 ** 11),
+                  lambda: subst_trace_orbit(Model.THUE_MORSE, 1.0, 0.3, 10 ** 11)):
+        with pytest.raises(ResourceError, match="exceeds cap 1 GiB"):
+            orbit()
 
 
 def test_subst_transfer_refuses_other_models():
