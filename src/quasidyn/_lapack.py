@@ -1,10 +1,12 @@
-"""The three LAPACK/BLAS routines quasidyn runs, from numpy's own OpenBLAS.
+"""The two LAPACK/BLAS routines quasidyn runs natively, from numpy's own OpenBLAS.
 
-The numpy wheel ships OpenBLAS as ``numpy.libs/libscipy_openblas64_*.so``,
-with a ``scipy_`` prefix, a ``64_`` suffix and 64-bit integers, and has it
-loaded already; a ctypes handle on it costs about a millisecond, against
-about 0.3 s for ``import scipy.linalg``.  These are the routines scipy runs
-for the same calls.  Where that library or one of its symbols is missing
+Each is here because a benchmark workload runs it: ``dsterf`` finds the band
+edges, and ``dgemm`` sums the time route's samples.  The numpy wheel ships
+OpenBLAS as ``numpy.libs/libscipy_openblas64_*.so``, with a ``scipy_``
+prefix, a ``64_`` suffix and 64-bit integers, and has it loaded already; a
+ctypes handle on it costs about a millisecond, against about 0.3 s for
+``import scipy.linalg``.  These are the routines scipy runs for the same
+calls.  Where that library or one of its symbols is missing
 (other wheels, conda, MKL or distro builds of numpy), scipy's functions are
 bound in their place, and :data:`LIBRARY` is None.
 
@@ -29,14 +31,13 @@ _ONE = ctypes.c_double(1.0)  # alpha and beta of the accumulating dgemm
 
 
 def _open_library():
-    """(path, dsterf, zgtsv, dgemm) from numpy's bundled OpenBLAS."""
+    """(path, dsterf, dgemm) from numpy's bundled OpenBLAS."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     path = sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")))[0]
     lib = ctypes.CDLL(path)
     routines = []
     for name, argtypes in (
             ("scipy_dsterf_64_", [_PTR] * 4),
-            ("scipy_zgtsv_64_", [_PTR] * 8),
             ("scipy_cblas_dgemm64_", [_INT] * 3 + [_I64] * 3
              + [ctypes.c_double, _PTR, _I64, _PTR, _I64, ctypes.c_double, _PTR, _I64])):
         routine = getattr(lib, name)
@@ -46,7 +47,7 @@ def _open_library():
 
 
 try:
-    LIBRARY, _DSTERF, _ZGTSV, _DGEMM = _open_library()
+    LIBRARY, _DSTERF, _DGEMM = _open_library()
 except (IndexError, OSError, AttributeError):  # no such library, or a symbol missing
     LIBRARY = None
 
@@ -87,64 +88,45 @@ def dsterf(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     return w
 
 
-def zgtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with sub-, main and super-diagonals dl, d,
-    du for the vector b (LAPACK zgtsv).  The four complex128 arrays are
-    overwritten; b becomes the solution, which is returned."""
-    _finite(dl, d, du, b)
-    n = d.size
-    if (dl.shape, du.shape, d.shape, b.shape) != ((n - 1,), (n - 1,), (n,), (n,)):
-        raise ValueError("dl, du, d and b must be vectors of n - 1, n - 1, n and n entries")
-    info = _I64()
-    _ZGTSV(_ref(n), _ref(1), *(_pointer(x, np.complex128) for x in (dl, d, du, b)),
-           _ref(max(n, 1)), ctypes.byref(info))
-    _check(info.value, "zgtsv")
-    return b
-
-
 def dgemm_into(c: np.ndarray, b: np.ndarray, a: np.ndarray) -> Callable[[int, int], None]:
-    """add(i, k), which adds a[i, :m, :k] @ b[:k] into the (m, n) matrix c
+    """add(j, k), which adds a[:m, j:j + k] @ b[:k] into the (m, n) matrix c
     (row-major dgemm, beta = 1).
 
-    b and the stack of blocks a are C-contiguous float64 arrays.  c is a
-    float64 array with contiguous rows, whose row stride may be wider than
-    n (a column slice of a C-contiguous matrix).  Their pointers are taken
-    once, here, for every product."""
-    (m, n), (blocks, rows, width) = c.shape, a.shape
-    if b.shape[1] != n or rows < m or width > b.shape[0]:
-        raise ValueError("c, b and the blocks a do not fit one another")
+    The matrices a and b are C-contiguous float64 arrays.  c is a float64
+    array with contiguous rows, whose row stride may be wider than n (a
+    column slice of a C-contiguous matrix).  Their pointers are taken once,
+    here, for every product."""
+    (m, n), (rows, cols) = c.shape, a.shape
+    if b.shape[1] != n or rows < m:
+        raise ValueError("c, b and a do not fit one another")
     if not (isinstance(c, np.ndarray) and c.dtype == np.float64 and c.strides[1] == c.itemsize
             and c.strides[0] >= n * c.itemsize and c.strides[0] % c.itemsize == 0):
         raise ValueError("expected a float64 array c with contiguous rows")
     head = (_ROW_MAJOR, _NO_TRANS, _NO_TRANS, _I64(m), _I64(n))
-    a_ptr, step, lda = _pointer(a, np.float64), rows * width * a.itemsize, _I64(width)
+    a_ptr, lda = _pointer(a, np.float64), _I64(cols)
     tail = (_PTR(_pointer(b, np.float64)), _I64(n), _ONE, _PTR(c.ctypes.data),
             _I64(c.strides[0] // c.itemsize))
 
-    def add(i: int, k: int) -> None:
-        if not (0 <= i < blocks and 0 < k <= width):
-            raise ValueError(f"no block {i} with {k} columns")
-        _DGEMM(*head, k, _ONE, a_ptr + i * step, lda, *tail)
+    def add(j: int, k: int) -> None:
+        if not (0 <= j and 0 < k <= b.shape[0] and j + k <= cols):
+            raise ValueError(f"no {k} columns of a from column {j}")
+        _DGEMM(*head, k, _ONE, a_ptr + j * a.itemsize, lda, *tail)
     return add
 
 
 def _scipy_routines() -> dict[str, Callable]:
-    """scipy's functions in place of the three routines, with the same signatures."""
-    from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+    """scipy's functions in place of the two routines, with the same signatures."""
+    from scipy.linalg import eigvalsh_tridiagonal
     from scipy.linalg.blas import dgemm as scipy_dgemm
 
-    def zgtsv(dl, d, du, b):
-        ab = np.zeros((3, d.size), dtype=np.complex128)
-        ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
-        return solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True)
-
     def dgemm_into(c, b, a):
-        def add(i, k):
+        def add(j, k):
             # f2py copies a c.T that is not Fortran-contiguous, so the result is written back
-            c[...] = scipy_dgemm(1.0, b[:k].T, a[i, :c.shape[0], :k].T, 1.0, c.T, overwrite_c=1).T
+            c[...] = scipy_dgemm(1.0, b[:k].T, a[:c.shape[0], j:j + k].T, 1.0, c.T,
+                                 overwrite_c=1).T
         return add
 
-    return {"dsterf": eigvalsh_tridiagonal, "zgtsv": zgtsv, "dgemm_into": dgemm_into}
+    return {"dsterf": eigvalsh_tridiagonal, "dgemm_into": dgemm_into}
 
 
 if LIBRARY is None:

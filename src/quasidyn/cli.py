@@ -105,6 +105,14 @@ _GEOMETRY = click.Choice([g.value for g in Geometry])
 _SITE_VALUE = re.compile(r"[+-]?\d+:[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 
 
+def _site(text: str) -> int:
+    """The site of a decimal integer, refused (``DomainError``) outside int64, the
+    type sites are indexed by, before ``int`` reads a digit string of any length."""
+    if len(text.lstrip("+-").lstrip("0")) > 19 or not -2 ** 63 <= int(text) < 2 ** 63:
+        raise DomainError(f"a site fits int64, not {text[:24]}{'...' * (len(text) > 24)}")
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # configuration and deterministic writers
 
@@ -235,7 +243,7 @@ def _build_spec(model: str, lam: float, geometry: str, seed: str | None,
         if not _SITE_VALUE.fullmatch(item):
             raise DomainError(f"--perturb expects SITE:VALUE, got {item!r}")
         site, _, value = item.partition(":")
-        overlay.append((int(site), float(value)))
+        overlay.append((_site(site), float(value)))
     return PotentialSpec(Model.parse(model), lam,
                          Geometry(geometry), seed=seed, perturbation=tuple(overlay))
 
@@ -342,7 +350,7 @@ def trace(model, lam, energy, kmax, roots_level, potential_range, geometry, out)
         bounds = re.fullmatch(r"([+-]?\d+):([+-]?\d+)", potential_range)
         if bounds is None:
             raise click.UsageError("--potential expects LO:HI with integer sites")
-        lo, hi = (int(b) for b in bounds.groups())
+        lo, hi = (_site(b) for b in bounds.groups())
         if lo > hi:
             raise click.UsageError("--potential range must satisfy LO <= HI")
         _check_word_length(hi - lo + 1, f"--potential range {potential_range}")
@@ -509,10 +517,10 @@ def dynamics_cmd(model, lam, p_values, t_max, t_count, t_min, bound_id, slope_to
     exponents = {name: value for name, value in (("alpha", alpha), ("eta", eta))
                  if value is not None}
     spec = _build_spec(model, lam, geometry, seed, perturb_sites)
-    # the time route holds 16 bytes per ladder time on each window site, and
-    # no window has fewer than one site
-    _check_memory(16 * t_count, f"a ladder of {t_count} times", "lower Tcount")
-    t_values = list(np.geomspace(t_min, t_max, t_count))
+    # the ladder is held as an array, its list of floats and bound_report's
+    # sorted copy: 40.5 bytes per time at peak (tracemalloc, 10^6 times)
+    _check_memory(64 * t_count, f"a ladder of {t_count} times", "lower Tcount")
+    t_values = np.geomspace(t_min, t_max, t_count).tolist()
     config = RunConfig("dynamics", {
         "model": spec.model.value, "lambda": _fmt(lam), "geometry": geometry,
         "p": ",".join(_fmt(p) for p in p_values), "Tmin": _fmt(t_min),

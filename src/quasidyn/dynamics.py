@@ -39,6 +39,7 @@ import numpy as np
 from quasidyn import _lapack
 from quasidyn.lattice import (
     MAX_SWEEP_BYTES,
+    OVERFLOW_LIMIT,
     DomainError,
     Geometry,
     LatticeWindow,
@@ -68,6 +69,10 @@ EDGE_MASS_TOL = 1e-6
 #: sum and its profile).  Its peak (tracemalloc, 1,600 to 120,001 sites, ladders of
 #: 1 to 20 times, potential built inside) is 544-583 bytes per site plus 8 per time.
 _TIME_BYTES_PER_SITE = 640
+
+#: Bytes per window site charged to :func:`resolvent_vector`: its peak (tracemalloc,
+#: 1,601 to 400,001 sites, potential built inside) is 89-93.
+_SOLVE_BYTES_PER_SITE = 128
 
 #: Bytes per energy grid point charged to the resolvent route: its peak over the
 #: potential (same measure, 960 to 26,000 grid points) is 160-180.
@@ -201,10 +206,12 @@ def resolvent_vector(spec: PotentialSpec, z: complex, window: LatticeWindow) -> 
     """Solve (H - z) phi = delta_1 on the window (Dirichlet truncation).
 
     Requires Im z > 0.  The banded solve is verified against its residual
-    (1e-12 relative).
+    (1e-12 relative).  A window past the memory cap raises
+    :class:`ResourceError` before its potential is built.
     """
     if z.imag <= 0:
         raise DomainError("resolvent vectors are computed for Im z > 0")
+    _check_memory(_SOLVE_BYTES_PER_SITE * window.size, "resolvent vector", "shrink the window")
     v = _window_potential(spec, window)
     rhs = np.zeros(window.size, dtype=np.complex128)
     rhs[window.index(1)] = 1.0
@@ -216,14 +223,15 @@ def resolvent_vector(spec: PotentialSpec, z: complex, window: LatticeWindow) -> 
     return phi
 
 
-def _grid_cells(v: np.ndarray, eps: float) -> tuple[float, float, int]:
+def _grid_cells(v: np.ndarray, eps: float) -> tuple[float, float, int | float]:
     """Span [lo, hi] of the default energy grid, the spectral window
     [min v - 2, max v + 2] padded by 4, and its count of cells at most eps/4
-    wide, at least 2 so that the grid has a spacing."""
+    wide, at least 2 so that the grid has a spacing; inf past the float range."""
     pad, spacing = 4.0, eps / 4.0
     lo = float(v.min()) - 2.0 - pad
     hi = float(v.max()) + 2.0 + pad
-    return lo, hi, max(2, int(math.ceil((hi - lo) / spacing)))
+    cells = (hi - lo) / spacing
+    return lo, hi, max(2, math.ceil(cells)) if cells < math.inf else math.inf
 
 
 def _fraction_sweep(v_side: np.ndarray, z: np.ndarray, log_edge: np.ndarray | None = None,
@@ -234,13 +242,18 @@ def _fraction_sweep(v_side: np.ndarray, z: np.ndarray, log_edge: np.ndarray | No
     Returns the last g as (Re g, Im g) and log prod_i |v_i - z - g_{i-1}|^2,
     which is -log prod_i |g_i|^2.  Every |v_i - z - g| lies between Im z and
     D = max|v| + max|z| + 1/Im z (|g| <= 1/Im z), so the running product is
-    moved into its log every 125/log10 D steps and stays within 1e+-250.
+    moved into its log every 125/log10 D steps and stays within 1e+-250.  A D
+    past :data:`OVERFLOW_LIMIT`, whose square may leave the float range, raises
+    :class:`ScaleOverflowError` before any step.
     Given ``log_edge`` = log |G(edge, s)|^2 this is the weights pass:
     G(i + 1, s) = -(v_i - z - g_{i-1}) G(i, s), so the product times
     exp(log_edge + log) is |G(i, s)|^2, and out[i] gets its energy sum.
     """
     E, eta = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
     bound = float(np.max(np.abs(v_side), initial=0.0) + np.max(np.abs(z)) + 1.0 / np.min(eta))
+    if not bound <= OVERFLOW_LIMIT:  # NaN fails too
+        raise ScaleOverflowError(f"continued fractions bounded by {bound:.2e} pass "
+                                 f"{OVERFLOW_LIMIT:.0e}; lower the coupling or raise T")
     block = max(1, int(125.0 / math.log10(max(bound, 10.0))))
     g_re, g_im = np.zeros_like(E), np.zeros_like(E)
     d_re, d_im, d2 = np.empty_like(E), np.empty_like(E), np.empty_like(E)
@@ -443,20 +456,20 @@ def _chebyshev_coefficients(x: np.ndarray, tol: float, max_order: int) -> np.nda
                         "lower the accuracy or shorten the step")
 
 
-def _chebyshev_samples(vc: np.ndarray, scale: float, coeff: np.ndarray, order: int,
+def _chebyshev_samples(vc: np.ndarray, scale: float, coeff: np.ndarray,
                        psi: np.ndarray, out: np.ndarray, block: np.ndarray) -> None:
-    """out[m] = sum_k c[m, k] (-i)^k T_k(H~) psi over k = 0..order, with H~ = scale (H - center).
+    """out[m] = sum_k c[m, k] (-i)^k T_k(H~) psi over the orders k of the
+    coefficient matrix ``coeff`` = (c[m, k]), with H~ = scale (H - center).
 
     ``vc`` is the slice's potential minus the center.  ``block`` is a ring of
     vectors in the rotated basis u_k = (-i)^k T_k(H~) psi, built by
     u_1 = -i H~ psi and u_k = -2i H~ u_{k-1} + u_{k-2}; u_k sits in row
     k mod BLOCK_VECTORS.  The rotation makes the c[m, k] real, so each filled
-    ring is added into ``out`` by one real matrix product: the (samples, k)
-    coefficient block times the float64 view (k, 2 width) of the ring, into
-    the float64 view of ``out``.  ``coeff`` holds the c[m, k] one ring fill
-    at a time: coeff[i, m, j] = c[m, i * ring + j].
+    ring is added into ``out`` by one real matrix product: the ring fill's
+    (samples, k) columns of ``coeff`` times the float64 view (k, 2 width) of
+    the ring, into the float64 view of ``out``.
     """
-    ring = block.shape[0]
+    ring, order = block.shape[0], coeff.shape[1] - 1
     out.fill(0.0)
     add = _lapack.dgemm_into(out.view(np.float64), block.view(np.float64), coeff)
     block[0] = psi
@@ -468,7 +481,7 @@ def _chebyshev_samples(vc: np.ndarray, scale: float, coeff: np.ndarray, order: i
             dst *= -2j * scale
             dst += block[(k - 2) % ring]
         if k % ring == ring - 1 or k == order:
-            add(k // ring, k % ring + 1)
+            add(k - k % ring, k % ring + 1)
 
 
 def _chebyshev_sweep(spec: PotentialSpec, window: LatticeWindow, psi: np.ndarray,
@@ -498,12 +511,8 @@ def _chebyshev_sweep(spec: PotentialSpec, window: LatticeWindow, psi: np.ndarray
     bessel = _chebyshev_coefficients(half_width * taus, 1e-15, MAX_CHEBYSHEV_ORDER)
     order = bessel.shape[1] - 1
     phases = np.exp(-1j * center * taus)
-    # one contiguous (samples, ring) block of coefficients per ring fill
-    fills = order // BLOCK_VECTORS + 1
-    padded = np.zeros((taus.size, fills * BLOCK_VECTORS))
-    padded[:, :order + 1] = 2.0 * bessel
-    padded[:, 0] = bessel[:, 0]
-    blocks = np.ascontiguousarray(padded.reshape(taus.size, fills, BLOCK_VECTORS).swapaxes(0, 1))
+    coeff = 2.0 * bessel
+    coeff[:, 0] = bessel[:, 0]
     vc = v - center
     size = window.size
     out_buf = np.empty(taus.size * size, dtype=np.complex128)
@@ -521,7 +530,7 @@ def _chebyshev_sweep(spec: PotentialSpec, window: LatticeWindow, psi: np.ndarray
         while True:
             width = hi - lo
             out = out_buf[:count * width].reshape(count, width)
-            _chebyshev_samples(vc[lo:hi], 1.0 / half_width, blocks, order, psi[lo:hi], out,
+            _chebyshev_samples(vc[lo:hi], 1.0 / half_width, coeff, psi[lo:hi], out,
                                ring_buf[:BLOCK_VECTORS * width].reshape(BLOCK_VECTORS, width))
             stats["matvecs"] += order
             stats["matvec_site_steps"] += order * width
@@ -549,10 +558,14 @@ def evolve_state(spec: PotentialSpec, t: float, window: LatticeWindow) -> np.nda
 
     The window must out-run the ballistic light cone (group velocity at most
     2 for unit hopping) so the Dirichlet truncation never matters.  The
-    time t must be finite (:class:`DomainError`).
+    time t must be finite (:class:`DomainError`), and a window past the
+    memory cap, charged as the time route's, raises :class:`ResourceError`
+    before any array is built.
     """
     if not math.isfinite(t):
         raise DomainError(f"evolution time must be finite, not {t}")
+    # its peak (tracemalloc, 1,601 to 400,001 sites, potential built inside) is 304-316 per site
+    _check_memory(_TIME_BYTES_PER_SITE * window.size, "evolution", "shrink the window")
     psi = _source_state(window)
     if t == 0.0:
         return psi
@@ -576,7 +589,8 @@ def _profile_setup(spec: PotentialSpec, T_values: Sequence[float], window: Latti
     0.5, so a sweep too large even at that step is refused before the window
     potential is built, and then the real step counts.  With ``resolvent``
     set, the resolvent route at the largest T counts too, as energy grid
-    points x window sites.  Costs are floats: one past their range reads inf.
+    points x window sites.  Counts are formed as floats, and a cost past the
+    float range reads inf and is refused whatever max_cost.
 
     Each route's memory passes the one cap too, whatever max_cost
     (:func:`lattice._check_memory`): the time route before the window
@@ -585,8 +599,9 @@ def _profile_setup(spec: PotentialSpec, T_values: Sequence[float], window: Latti
     (the free chain's grid cells) past their range, is refused with
     :class:`ResourceError` before any window is built.
     """
-    if not T_values or not all(0 < T < math.inf for T in T_values):  # NaN fails too
-        raise DomainError("averaging times must be positive and finite")
+    # NaN fails too; a T below 1/max float has a resolvent eps = 1/T past the float range
+    if not T_values or not all(0 < T < math.inf and 1.0 / T < math.inf for T in T_values):
+        raise DomainError("averaging times must be positive and finite, with a finite 1/T")
     T_min, T_max = min(T_values), max(T_values)
     t_max = TIME_CUTOFF * T_max
     if 8.0 * t_max == math.inf:
@@ -595,27 +610,30 @@ def _profile_setup(spec: PotentialSpec, T_values: Sequence[float], window: Latti
     if window is None:
         window = _origin_window(spec, default_window_radius(t_max))
 
-    def check_sweep(step: float) -> None:
-        cost = (math.ceil(t_max / step) + 1.0) * window.size
+    def check_cost(what: str, cost: float, units: str, fixes: str) -> None:
+        if cost == math.inf:
+            raise ResourceError(f"{what} cost in {units} is past the float range; {fixes}")
         if cost > max_cost:
-            # below T_min = 4 the step is T_min/8 unless the Nyquist rule cuts it further
-            fixes = "raise Tmin, lower Tmax" if step == T_min / 8.0 < 0.5 else "lower Tmax"
-            raise ResourceError(f"sweep cost {cost:.2e} site-steps exceeds budget "
-                                f"{max_cost:.2e}; {fixes}, shrink the window or raise the budget")
+            raise ResourceError(f"{what} cost {cost:.2e} {units} exceeds budget "
+                                f"{max_cost:.2e}; {fixes} or raise the budget")
 
-    check_sweep(0.5)
+    def check_sweep(step: float) -> None:
+        samples = t_max / step if step > 0.0 else math.inf  # step 0: a potential range of inf
+        # below T_min = 4 the step is T_min/8 unless the Nyquist rule cuts it further
+        fixes = "raise Tmin, lower Tmax" if step == T_min / 8.0 < 0.5 else "lower Tmax"
+        check_cost("sweep", (math.ceil(samples) + 1.0) * window.size if samples < math.inf
+                   else math.inf, "site-steps", f"{fixes}, shrink the window")
+
     _check_memory((_TIME_BYTES_PER_SITE + 16 * len(T_values)) * window.size, "time route",
                   "lower T or shrink the window")
+    check_sweep(0.5)
     v = _window_potential(spec, window)
     # keep the sampling rate above the largest Bohr frequency (Nyquist)
     step = min(0.5, T_min / 8.0, 5.5 / (float(v.max() - v.min()) + 4.0))
     check_sweep(step)
     if resolvent:
         grid = float(_grid_cells(v, 1.0 / T_max)[2])
-        cost = grid * window.size
-        if cost > max_cost:
-            raise ResourceError(f"resolvent cost {cost:.2e} grid-point sites exceeds budget "
-                                f"{max_cost:.2e}; lower T or raise the budget")
+        check_cost("resolvent", grid * window.size, "grid-point sites", "lower T")
         _check_memory(grid * _RESOLVENT_BYTES_PER_ENERGY, "resolvent route", "lower T")
     return window, v, step
 
@@ -656,7 +674,7 @@ def profiles_time_ladder(spec: PotentialSpec, T_values: Sequence[float],
         index = np.arange(j, j + prob.shape[0])
         kept = index * step <= limit
         weights = np.where(kept, np.exp(-2.0 * index * step / ts), 0.0)
-        _lapack.dgemm_into(acc[:, lo:lo + prob.shape[1]], prob, weights[None])(0, prob.shape[0])
+        _lapack.dgemm_into(acc[:, lo:lo + prob.shape[1]], prob, weights)(0, prob.shape[0])
         slice_edge += weights @ _edge_weight(window.geometry, prob.T)
         last_step = np.maximum(last_step, np.max(np.where(kept, index, 0), axis=1))
     profiles = []

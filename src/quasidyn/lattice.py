@@ -31,8 +31,6 @@ from typing import Mapping
 
 import numpy as np
 
-from quasidyn import _lapack
-
 #: Inverse golden mean, the rotation number of the Fibonacci circle map.
 OMEGA = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -161,6 +159,18 @@ def _fixed_point_word(model: Model, letter: int, min_len: int) -> np.ndarray:
     return word
 
 
+def _finite_float(x, what: str) -> float:
+    """x as a float, refused with :class:`DomainError` unless it is finite (an
+    int past the float range, inf and NaN are not); ``what`` names it."""
+    try:
+        value = float(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{what} is a finite number")
+    return value
+
+
 def _parse_two_sided_seed(seed: str) -> tuple[np.ndarray, np.ndarray]:
     if "|" not in seed:
         raise DomainError("explicit two-sided seed must contain '|' at the origin")
@@ -180,8 +190,8 @@ class PotentialSpec:
     model:
         One of the :class:`Model` members.
     lam:
-        Coupling constant, a real number; the potential takes values in
-        {0, lam} for the three named aperiodic models.
+        Coupling constant, a finite real number; the potential takes values
+        in {0, lam} for the three named aperiodic models.
     geometry:
         Whole line or Dirichlet half line, a :class:`Geometry` member.
     seed:
@@ -191,8 +201,8 @@ class PotentialSpec:
         models read no seed, and a seed that is not a string is refused.
     perturbation:
         Finitely supported overlay added on top of the base potential, given
-        as (site, value) pairs, each site once, and stored as a sorted tuple
-        of them.
+        as (site, value) pairs, each site once and each value finite, and
+        stored as a sorted tuple of them.
     """
 
     model: Model
@@ -208,13 +218,15 @@ class PotentialSpec:
             raise DomainError(f"a geometry is a Geometry member, not {self.geometry!r}")
         if not isinstance(self.lam, numbers.Real) or isinstance(self.lam, bool):
             raise DomainError(f"a coupling is a real number, not {self.lam!r}")
+        _finite_float(self.lam, "a coupling")
         if self.model is Model.EXPLICIT_PERIODIC and self.seed is None:
             raise DomainError("explicit periodic model requires a seed word")
         if self.seed is not None and not isinstance(self.seed, str):
             raise DomainError(f"a seed is a word string, not {self.seed!r}")
         if self.seed is not None and self.model in (Model.FIBONACCI, Model.FREE):
             raise DomainError(f"the {self.model.value} model reads no seed word")
-        pert = tuple(sorted((int(n), float(v)) for n, v in self.perturbation))
+        pert = tuple(sorted((int(n), _finite_float(v, "a perturbation value"))
+                            for n, v in self.perturbation))
         if self.geometry is Geometry.HALF_LINE and any(n < 1 for n, _ in pert):
             raise DomainError("half-line perturbation sites must satisfy n >= 1")
         sites = [n for n, _ in pert]
@@ -430,10 +442,12 @@ def _tridiag_apply(v: np.ndarray, psi: np.ndarray, out: np.ndarray | None = None
 def _tridiag_solve(v: np.ndarray, z: complex, rhs: np.ndarray) -> np.ndarray:
     """Solve (H - z) phi = rhs for the windowed chain with diagonal v.
 
-    The one tridiagonal solve.  The diagonals and the solution are built
-    fresh on every call, so the solver may overwrite them; ``rhs`` is left
-    untouched.
+    The one tridiagonal solve: scipy's ``solve_banded``, which runs LAPACK
+    zgtsv.  scipy is imported on the first call, not with the package, since
+    no command solves.  ``rhs`` is left untouched.
     """
-    hops = np.ones(v.size - 1, dtype=np.complex128)
-    return _lapack.zgtsv(hops, np.subtract(v, z, dtype=np.complex128), hops.copy(),
-                         np.array(rhs, dtype=np.complex128))
+    from scipy.linalg import solve_banded
+
+    band = np.ones((3, v.size), dtype=np.complex128)
+    np.subtract(v, z, out=band[1])
+    return solve_banded((1, 1), band, rhs, overwrite_ab=True)

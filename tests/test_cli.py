@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,12 @@ def test_spectrum_rejects_other_models(runner, tmp_path):
     ["powerlaw", "--model", "fib", "--lambda", "1", "--count", "0"],
     ["powerlaw", "--model", "fib", "--lambda", "1", "--count", "-1"],
     ["dynamics", "--model", "tm", "--lambda", "1", "--perturb", "0:1", "--perturb", "0:2"],
+    # sites past int64, read before int() meets Python's 4,300-digit limit, and a
+    # perturbation value that reads as inf
+    ["trace", "--model", "fib", "--lambda", "1", "--potential", "0:" + "9" * 5001],
+    ["trace", "--model", "fib", "--lambda", "1", "--potential", "9" * 20 + ":" + "9" * 20],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--perturb", "9" * 5001 + ":1"],
+    ["dynamics", "--model", "tm", "--lambda", "1", "--perturb", "0:1e400"],
 ])
 def test_bad_inputs_are_usage_errors(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--out", str(tmp_path / "x.out")])
@@ -511,6 +518,52 @@ def test_a_cost_past_the_float_range_is_a_budget_refusal(runner, tmp_path, monke
     assert json.loads(line)["error"] == "budget"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["dynamics", "--model", "tm", "--lambda", "1", "--window", "1" + "0" * 400],
+     "exceeds cap 1 GiB"),
+    (["dynamics", "--model", "tm", "--lambda", "1e300", "--window", "10", "--Tmax", "1e10",
+      "--max-cost", "inf"], "past the float range"),
+    (["verify", "parseval", "--model", "tm", "--lambda", "1e308", "--T", "1", "--max-cost", "inf"],
+     "past the float range"),
+])
+def test_counts_past_the_float_range_are_refused_whatever_the_budget(runner, tmp_path,
+                                                                    monkeypatch, args, message):
+    # a window of 401 digits, a step of 5.5e-300 and a grid spacing of 1/4 across
+    # 1e308 each gave a count past the float range, and a traceback
+    from quasidyn import dynamics
+
+    def no_route(*args, **kwargs):
+        raise AssertionError("a route ran")
+
+    monkeypatch.setattr(dynamics, "_chebyshev_sweep", no_route)
+    monkeypatch.setattr(dynamics, "_resolvent_weights", no_route)
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "x.out")])
+    assert result.exit_code == 3, result.output
+    (line,) = result.stderr.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "budget" and message in record["message"]
+
+
+def test_dynamics_ladder_memory_is_within_its_charge(runner, tmp_path, monkeypatch):
+    # a list of numpy scalars and bound_report's sorted copy held 64 bytes per time
+    # against a charge of 16; the time route's charge then refuses the ladder
+    charges = []
+    check = cli._check_memory
+    monkeypatch.setattr(cli, "_check_memory",
+                        lambda nbytes, *args: charges.append(nbytes) or check(nbytes, *args))
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["dynamics", "--model", "tm", "--lambda", "1",
+                                      "--Tcount", "1000000", "--out", str(tmp_path / "m.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 3, result.output
+    assert "time route needs about" in result.stderr
+    (charge,) = charges
+    assert peak <= charge
+
+
 @pytest.mark.parametrize("args", [
     ["trace", "--model", "fib", "--lambda", "1", "--kmax", "100000000000"],
     ["trace", "--model", "tm", "--lambda", "1", "--kmax", "100000000000"],
@@ -884,3 +937,107 @@ def test_dynamics_fits_each_moment_series_once(runner, tmp_path, monkeypatch):
     assert orders == [2.0, 8.0]
     rows = [row.split(",") for row in _data_rows(out)]
     assert [float(p) for _, p, _ in rows] == [2.0] * 5 + [8.0] * 5
+
+
+#: Extreme values for every numeric option: the smallest subnormal, the largest
+#: power of ten, non-numbers, and integers of 20, 400 and 5,001 digits (past
+#: int64, past the float range, and past Python's 4,300-digit int() limit).
+_EXTREMES = ("0", "5e-324", "1e308", "inf", "nan", "9" * 20, "1" + "0" * 399, "9" * 5001)
+_LADDER = ["dynamics", "--model", "tm", "--lambda", "1", "--Tmin", "2", "--Tmax", "64",
+           "--Tcount", "5"]
+
+#: Per command: (base arguments, options varied over _EXTREMES one at a time, each
+#: a flag and a template whose {} takes the value), then whole rows.
+_EXTREME_TABLES = {
+    "spectrum": ([(["spectrum", "--lambda", "5", "--k", "4"], ["--lambda", "--k"])], []),
+    "trace": ([
+        (["trace", "--model", "tm", "--lambda", "1", "--kmax", "6"],
+         ["--lambda", "--energy", "--kmax", "--roots"]),
+        (["trace", "--model", "fib", "--lambda", "1", "--kmax", "6"], ["--lambda", "--energy"]),
+        (["trace", "--model", "fib", "--lambda", "1"], [("--potential", "0:{}"),
+                                                        ("--potential", "{}:{}")]),
+    ], []),
+    "verify": ([
+        # --samples of 20 or 400 digits is that many orbits: no traceback, and no end
+        (["verify", "invariant", "--samples", "2"],
+         ["--lambda", "--seed", ("--samples", "{}", [v for v in _EXTREMES if len(v) < 20
+                                                    or len(v) > 4300])]),
+        (["verify", "algebra"], ["--lambda"]),
+        (["verify", "covering", "--lambda", "5", "--mmax", "3"], ["--lambda", "--mmax"]),
+        (["verify", "parseval", "--model", "tm", "--lambda", "1", "--T", "4"],
+         ["--lambda", "--T", "--max-cost"]),
+    ], [
+        ["verify", "parseval", "--model", "tm", "--lambda", "1e308", "--T", "1",
+         "--max-cost", "inf"],
+        ["verify", "parseval", "--model", "tm", "--lambda", "1", "--T", "1e-320"],
+        ["verify", "parseval", "--model", "tm", "--lambda", "1", "--T", "1e-300"],
+    ]),
+    "dynamics": ([
+        (_LADDER, ["--lambda", "--p", "--Tmax", "--Tmin", "--Tcount", "--slope-tol", "--window",
+                   "--max-cost", ("--perturb", "0:{}"), ("--perturb", "{}:1")]),
+        (_LADDER + ["--bound", "one-energy"], ["--alpha"]),
+        (_LADDER + ["--bound", "power-eta"], ["--eta"]),
+    ], [
+        ["dynamics", "--model", "tm", "--lambda", "1", "--window", "1" + "0" * 400],
+        ["dynamics", "--model", "tm", "--lambda", "1e300", "--window", "10", "--Tmax", "1e10",
+         "--max-cost", "inf"],
+        ["dynamics", "--model", "tm", "--lambda", "1", "--Tcount", "1000000000"],
+    ]),
+    "powerlaw": ([
+        (["powerlaw", "--model", "tm", "--lambda", "1", "--mmax", "40"],
+         ["--lambda", "--energy", "--count", "--mmax", "--alpha"]),
+        (["powerlaw", "--model", "fib", "--lambda", "1", "--mmax", "40", "--count", "2"],
+         ["--from-level"]),
+    ], []),
+}
+
+#: Runs a JSON list of argument lists through the CLI in this one process and
+#: prints, per row, its exit code and any traceback.
+_TABLE_RUNNER = """
+import json, sys, tempfile, traceback
+from click.testing import CliRunner
+from quasidyn.cli import main
+rows, results = json.load(sys.stdin), []
+with tempfile.TemporaryDirectory() as tmp:
+    for args in rows:
+        result = CliRunner().invoke(main, args + ["--out", tmp + "/x.out"])
+        crash = None if isinstance(result.exception, (SystemExit, type(None))) else result.exception
+        text = "".join(traceback.format_exception(crash)) if crash else result.stderr
+        results.append([result.exit_code, text[-600:] if "Traceback" in text else None])
+print(json.dumps(results))
+"""
+
+
+def _extreme_rows(command):
+    groups, whole = _EXTREME_TABLES[command]
+    rows = []
+    for base, options in groups:
+        for option in options:
+            if isinstance(option, str):
+                option = (option, "{}")
+            flag, template, values = option if len(option) == 3 else (*option, _EXTREMES)
+            rows += [base + [flag, template.replace("{}", value)] for value in values]
+    return rows + whole
+
+
+@pytest.mark.parametrize("command", sorted(_EXTREME_TABLES))
+def test_no_cli_input_ends_in_a_traceback(command):
+    # each command's table in one interpreter under a 4 GiB address-space limit, so
+    # an allocation past it is numpy's MemoryError rather than the host's memory
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    rows = _extreme_rows(command)
+    src = str(Path(quasidyn.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _TABLE_RUNNER], input=json.dumps(rows),
+                          capture_output=True, text=True, env=env, preexec_fn=limit,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    results = json.loads(done.stdout)
+    bad = [(" ".join(args)[:160], code, crash) for args, (code, crash) in zip(rows, results)
+           if code not in (0, 1, 2, 3) or crash]
+    assert not bad, bad

@@ -35,6 +35,7 @@ from quasidyn.lattice import (
     Model,
     PotentialSpec,
     ResourceError,
+    ScaleOverflowError,
     TruncationError,
     potential_values,
     spectral_norm,
@@ -242,6 +243,40 @@ def test_profile_routes_past_the_memory_cap_are_refused_before_the_potential(mon
         profile_time(half, 10.0, window=LatticeWindow(1, largest, Geometry.HALF_LINE))
     with pytest.raises(ResourceError, match="exceeds cap 1 GiB"):
         profile_time(half, 10.0, window=LatticeWindow(1, largest + 1, Geometry.HALF_LINE))
+
+
+def test_solve_and_evolution_past_the_memory_cap_are_refused_before_any_array(monkeypatch):
+    # 2e9 sites: numpy's MemoryError, for 14.9 and 29.8 GiB, came before any cap
+    def reached(*args):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(dynamics, "_window_potential", reached)
+    monkeypatch.setattr(dynamics, "_source_state", reached)
+    window = LatticeWindow(-10 ** 9, 10 ** 9)
+    with pytest.raises(ResourceError, match="resolvent vector .* exceeds cap 1 GiB"):
+        resolvent_vector(PotentialSpec(Model.THUE_MORSE, 1.0), 0.3 + 0.5j, window)
+    with pytest.raises(ResourceError, match="evolution .* exceeds cap 1 GiB"):
+        evolve_state(PotentialSpec(Model.FIBONACCI, 1.0), 5.0, window)
+
+
+def test_solve_and_evolution_memory_is_within_their_charge():
+    # the window potential is built inside the count, as it is after the check
+    window = LatticeWindow(-40000, 40000)
+    for spec, call, per_site in (
+            (PotentialSpec(Model.THUE_MORSE, 1.0),
+             lambda spec: resolvent_vector(spec, 0.3 + 0.5j, window),
+             dynamics._SOLVE_BYTES_PER_SITE),
+            (PotentialSpec(Model.FIBONACCI, 1.0), lambda spec: evolve_state(spec, 60.0, window),
+             dynamics._TIME_BYTES_PER_SITE)):
+        call(spec)  # scipy's import, on the solve's first call, is not charged
+        dynamics._window_potential.cache_clear()
+        tracemalloc.start()
+        try:
+            call(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_site * window.size
 
 
 def test_resolvent_grid_past_the_memory_cap_is_refused(monkeypatch):
@@ -684,6 +719,32 @@ def test_moment_power_mean_monotone(rng):
     orders = [0.5, 1.0, 2.0, 4.0, 8.0, 30.0, 120.0]
     means = [moments(prof, p) / p for p in orders]
     assert all(b >= a - 1e-12 for a, b in zip(means, means[1:]))
+
+
+def test_times_whose_reciprocal_leaves_the_float_range_are_refused(monkeypatch):
+    # 1/T is the resolvent route's eps; at T = 1e-320 the quadrature gave
+    # non-finite weights, and at 5e-324 the time step T/8 was zero
+    def no_window(*args):
+        raise AssertionError("a window was built")
+
+    monkeypatch.setattr(dynamics, "_window_potential", no_window)
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0)
+    for T in (1e-320, 5e-324):
+        for call in (lambda: profile_resolvent(spec, T), lambda: profiles_time_ladder(spec, [T])):
+            with pytest.raises(DomainError, match="finite 1/T"):
+                call()
+
+
+def test_resolvent_fractions_past_the_overflow_limit_are_an_overflow():
+    # Im z = 1e300 squared leaves the float range, as does a coupling of 1e155
+    # (4e5 grid points at T = 1e-150): the quadrature gave non-finite weights;
+    # Im z = 1e150 still runs
+    with pytest.raises(ScaleOverflowError, match="continued fractions bounded by 1.00e\\+300"):
+        profile_resolvent(PotentialSpec(Model.THUE_MORSE, 1.0), 1e-300)
+    with pytest.raises(ScaleOverflowError, match="continued fractions"):
+        profile_resolvent(PotentialSpec(Model.THUE_MORSE, 1e155), 1e-150,
+                          window=LatticeWindow(-3, 3))
+    assert profile_resolvent(PotentialSpec(Model.THUE_MORSE, 1.0), 1e-150).meta["grid_points"] == 2
 
 
 def test_moment_large_order_stays_finite():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -140,11 +141,18 @@ def test_library_inputs_take_enum_members_only():
 
 
 def test_library_inputs_take_numbers_of_their_kind():
-    # a fractional window end gave size 4.5 but 5 sites, and a string coupling
-    # failed only when the potential was built
+    # a fractional window end gave size 4.5 but 5 sites, a string coupling
+    # failed only when the potential was built, and a NaN coupling gave NaN potentials
     for build in (lambda: LatticeWindow(1.5, 5), lambda: LatticeWindow(-3, 5.0),
                   lambda: LatticeWindow(True, 5), lambda: PotentialSpec(Model.FIBONACCI, "1.0"),
-                  lambda: PotentialSpec(Model.FIBONACCI, True)):
+                  lambda: PotentialSpec(Model.FIBONACCI, True),
+                  lambda: PotentialSpec(Model.FIBONACCI, math.nan),
+                  lambda: PotentialSpec(Model.THUE_MORSE, -math.inf),
+                  lambda: PotentialSpec(Model.THUE_MORSE, 10 ** 400),
+                  lambda: PotentialSpec(Model.FREE, perturbation=((0, math.inf),)),
+                  lambda: PotentialSpec(Model.FREE, perturbation=((0, 1.0), (2, math.nan))),
+                  lambda: perturb(PotentialSpec(Model.FREE, perturbation=((0, 1e308),)),
+                                  {0: 1e308})):
         with pytest.raises(DomainError):
             build()
     assert LatticeWindow(np.int64(-2), 3).size == 6
