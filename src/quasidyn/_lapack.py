@@ -1,7 +1,13 @@
-"""The two LAPACK/BLAS routines quasidyn runs natively, from numpy's own OpenBLAS.
+"""The three LAPACK/BLAS routines quasidyn runs natively, from numpy's own OpenBLAS.
 
-Each is here because a benchmark workload runs it: ``dsterf`` finds the band
-edges, and ``dgemm`` sums the time route's samples.  The numpy wheel ships
+Each is here because a benchmark workload runs it:
+
+- ``dsterf`` finds the band edges (``bands``);
+- ``dgemm`` sums the time route's samples (``transport`` and ``parseval``);
+- ``dtbsv`` runs the transfer sweeps, one banded solve per column of top
+  rows (``powerlaw``).
+
+The numpy wheel ships
 OpenBLAS as ``numpy.libs/libscipy_openblas64_*.so``, with a ``scipy_``
 prefix, a ``64_`` suffix and 64-bit integers, and has it loaded already; a
 ctypes handle on it costs about a millisecond, against about 0.3 s for
@@ -10,9 +16,10 @@ calls.  Where that library or one of its symbols is missing
 (other wheels, conda, MKL or distro builds of numpy), scipy's functions are
 bound in their place, and :data:`LIBRARY` is None.
 
-Both routes keep scipy's checks: an input that is not finite raises
-``ValueError``, and a LAPACK ``info`` above 0 raises
-``np.linalg.LinAlgError`` (below 0, ``ValueError``).
+``dsterf`` keeps scipy's checks on both routes: an input that is not finite
+raises ``ValueError``, and a LAPACK ``info`` above 0 raises
+``np.linalg.LinAlgError`` (below 0, ``ValueError``).  The two BLAS routines
+check shapes and strides only, as BLAS does: an inf or NaN runs through.
 """
 
 from __future__ import annotations
@@ -26,12 +33,13 @@ import numpy as np
 
 _I64, _PTR, _INT = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int
 # ctypes passes argument objects built once faster than it converts Python ints
-_ROW_MAJOR, _NO_TRANS = _INT(101), _INT(111)  # CBLAS enums
+_ROW_MAJOR, _COL_MAJOR, _NO_TRANS = _INT(101), _INT(102), _INT(111)  # CBLAS enums
+_LOWER, _UNIT = _INT(122), _INT(132)
 _ONE = ctypes.c_double(1.0)  # alpha and beta of the accumulating dgemm
 
 
 def _open_library():
-    """(path, dsterf, dgemm) from numpy's bundled OpenBLAS."""
+    """(path, dsterf, dgemm, dtbsv) from numpy's bundled OpenBLAS."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     path = sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")))[0]
     lib = ctypes.CDLL(path)
@@ -39,7 +47,8 @@ def _open_library():
     for name, argtypes in (
             ("scipy_dsterf_64_", [_PTR] * 4),
             ("scipy_cblas_dgemm64_", [_INT] * 3 + [_I64] * 3
-             + [ctypes.c_double, _PTR, _I64, _PTR, _I64, ctypes.c_double, _PTR, _I64])):
+             + [ctypes.c_double, _PTR, _I64, _PTR, _I64, ctypes.c_double, _PTR, _I64]),
+            ("scipy_cblas_dtbsv64_", [_INT] * 4 + [_I64] * 2 + [_PTR, _I64, _PTR, _I64])):
         routine = getattr(lib, name)
         routine.argtypes, routine.restype = argtypes, None
         routines.append(routine)
@@ -47,7 +56,7 @@ def _open_library():
 
 
 try:
-    LIBRARY, _DSTERF, _DGEMM = _open_library()
+    LIBRARY, _DSTERF, _DGEMM, _DTBSV = _open_library()
 except (IndexError, OSError, AttributeError):  # no such library, or a symbol missing
     LIBRARY = None
 
@@ -114,10 +123,31 @@ def dgemm_into(c: np.ndarray, b: np.ndarray, a: np.ndarray) -> Callable[[int, in
     return add
 
 
+def dtbsv(band: np.ndarray, x: np.ndarray) -> None:
+    """Solve L y = x for y, in place of x (column-major dtbsv: lower, no
+    transpose, unit diagonal).
+
+    L is the n x n unit lower-triangular band matrix of bandwidth k, stored by
+    columns in the C-contiguous (n, k + 1) float64 array ``band``: band[j, i]
+    is L[j + i, j], and band[:, 0], the diagonal, is not read.  ``x`` is a
+    float64 vector of n entries whose stride is a positive whole number of
+    entries, such as a column of a C-contiguous matrix."""
+    a = _pointer(band, np.float64)
+    if band.ndim != 2 or band.shape[1] < 1:
+        raise ValueError("expected an (n, k + 1) band")
+    n, width = band.shape
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == (n,)
+            and x.strides[0] > 0 and x.strides[0] % x.itemsize == 0):
+        raise ValueError("expected a float64 vector x of n entries with a positive stride")
+    _DTBSV(_COL_MAJOR, _LOWER, _NO_TRANS, _UNIT, n, width - 1, a, width, x.ctypes.data,
+           x.strides[0] // x.itemsize)
+
+
 def _scipy_routines() -> dict[str, Callable]:
-    """scipy's functions in place of the two routines, with the same signatures."""
+    """scipy's functions in place of the three routines, with the same signatures."""
     from scipy.linalg import eigvalsh_tridiagonal
     from scipy.linalg.blas import dgemm as scipy_dgemm
+    from scipy.linalg.blas import dtbsv as scipy_dtbsv
 
     def dgemm_into(c, b, a):
         def add(j, k):
@@ -126,7 +156,11 @@ def _scipy_routines() -> dict[str, Callable]:
                                  overwrite_c=1).T
         return add
 
-    return {"dsterf": eigvalsh_tridiagonal, "dgemm_into": dgemm_into}
+    def dtbsv(band, x):
+        # f2py solves a copy of an x that is not contiguous, so the result is written back
+        x[...] = scipy_dtbsv(band.shape[1] - 1, band.T, x, lower=1, diag=1, overwrite_x=1)
+
+    return {"dsterf": eigvalsh_tridiagonal, "dgemm_into": dgemm_into, "dtbsv": dtbsv}
 
 
 if LIBRARY is None:

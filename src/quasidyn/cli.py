@@ -29,6 +29,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -388,7 +389,14 @@ def trace(model, lam, energy, kmax, roots_level, potential_range, geometry, out)
 # ---------------------------------------------------------------------------
 # verify
 
-def _suite_invariant(lam: float, samples: int, seed: int) -> dict:
+#: The level each orbit of the invariant suite runs to: its cost per sample.
+_INVARIANT_KMAX = 25
+
+
+def _suite_invariant(lam: float, samples: int, seed: int, max_cost: float) -> dict:
+    # samples x kmax orbit levels, as a float: past the float range it reads inf
+    levels = float(samples) * _INVARIANT_KMAX if samples <= sys.float_info.max else math.inf
+    dynamics._check_cost("invariant", levels, "orbit levels", "lower --samples", max_cost)
     rng = np.random.default_rng(seed)
     target_tol = 1e-9
     worst = 0.0
@@ -396,7 +404,7 @@ def _suite_invariant(lam: float, samples: int, seed: int) -> dict:
     for _ in range(samples):
         lam_s = lam if lam > 0 else rng.uniform(0.1, 4.0)
         energy = rng.uniform(-4.0, 4.0)
-        orbit = fib_trace_orbit(lam_s, energy, 25)
+        orbit = fib_trace_orbit(lam_s, energy, _INVARIANT_KMAX)
         inv = orbit.invariant_values()
         target = 4.0 + lam_s * lam_s
         xs = orbit.xs
@@ -452,7 +460,8 @@ def _suite_parseval(model: str, lam: float, T: float, max_cost: float) -> dict:
 @click.option("--seed", type=int, default=20250808, show_default=True)
 @click.option("--max-cost", type=_BUDGET, default=5e10, show_default=True,
               help="parseval: refuse a time-route sweep (site-steps) or resolvent "
-                   "quadrature (grid points x sites) above this")
+                   "quadrature (grid points x sites) above this; invariant: refuse "
+                   "more than this many orbit levels (samples x 25)")
 @click.option("--out", type=click.Path(path_type=Path), default=None)
 def verify(suite, model, lam, samples, t_avg, mmax, seed, max_cost, out):
     """Run one named invariant suite and emit a JSON report."""
@@ -460,7 +469,7 @@ def verify(suite, model, lam, samples, t_avg, mmax, seed, max_cost, out):
                                   "samples": samples, "T": _fmt(t_avg), "mmax": mmax,
                                   "seed": seed})
     if suite == "invariant":
-        record = _suite_invariant(lam, samples, seed)
+        record = _suite_invariant(lam, samples, seed, max_cost)
     elif suite == "algebra":
         record = _suite_algebra(lam)
     elif suite == "covering":

@@ -575,6 +575,17 @@ def evolve_state(spec: PotentialSpec, t: float, window: LatticeWindow) -> np.nda
     return psi
 
 
+def _check_cost(what: str, cost: float, units: str, fixes: str, max_cost: float) -> None:
+    """The one budget check: refuse ``what``, whose ``cost`` in ``units`` is a
+    float, past ``max_cost`` with :class:`ResourceError`; a cost past the float
+    range reads inf and is refused whatever max_cost.  ``fixes`` names the remedies."""
+    if cost == math.inf:
+        raise ResourceError(f"{what} cost in {units} is past the float range; {fixes}")
+    if cost > max_cost:
+        raise ResourceError(f"{what} cost {cost:.2e} {units} exceeds budget "
+                            f"{max_cost:.2e}; {fixes} or raise the budget")
+
+
 def _profile_setup(spec: PotentialSpec, T_values: Sequence[float], window: LatticeWindow | None,
                    max_cost: float = math.inf, *,
                    resolvent: bool = False) -> tuple[LatticeWindow, np.ndarray, float]:
@@ -610,19 +621,12 @@ def _profile_setup(spec: PotentialSpec, T_values: Sequence[float], window: Latti
     if window is None:
         window = _origin_window(spec, default_window_radius(t_max))
 
-    def check_cost(what: str, cost: float, units: str, fixes: str) -> None:
-        if cost == math.inf:
-            raise ResourceError(f"{what} cost in {units} is past the float range; {fixes}")
-        if cost > max_cost:
-            raise ResourceError(f"{what} cost {cost:.2e} {units} exceeds budget "
-                                f"{max_cost:.2e}; {fixes} or raise the budget")
-
     def check_sweep(step: float) -> None:
         samples = t_max / step if step > 0.0 else math.inf  # step 0: a potential range of inf
         # below T_min = 4 the step is T_min/8 unless the Nyquist rule cuts it further
         fixes = "raise Tmin, lower Tmax" if step == T_min / 8.0 < 0.5 else "lower Tmax"
-        check_cost("sweep", (math.ceil(samples) + 1.0) * window.size if samples < math.inf
-                   else math.inf, "site-steps", f"{fixes}, shrink the window")
+        _check_cost("sweep", (math.ceil(samples) + 1.0) * window.size if samples < math.inf
+                    else math.inf, "site-steps", f"{fixes}, shrink the window", max_cost)
 
     _check_memory((_TIME_BYTES_PER_SITE + 16 * len(T_values)) * window.size, "time route",
                   "lower T or shrink the window")
@@ -633,7 +637,7 @@ def _profile_setup(spec: PotentialSpec, T_values: Sequence[float], window: Latti
     check_sweep(step)
     if resolvent:
         grid = float(_grid_cells(v, 1.0 / T_max)[2])
-        check_cost("resolvent", grid * window.size, "grid-point sites", "lower T")
+        _check_cost("resolvent", grid * window.size, "grid-point sites", "lower T", max_cost)
         _check_memory(grid * _RESOLVENT_BYTES_PER_ENERGY, "resolvent route", "lower T")
     return window, v, step
 
@@ -917,11 +921,10 @@ def _powerlaw_report(norms: TransferNorms, alpha: float,
     """
     keep = norms.m != 0
     m, values = norms.m[keep], norms.norms[keep]
-    # |m|^alpha by Python **: np.power differs from it in the last bit on some m
     try:
-        with np.errstate(divide="raise"):
-            ratios = values / np.array([abs(k) ** alpha for k in m.tolist()], dtype=np.float64)
-    except OverflowError:
+        with np.errstate(over="raise", divide="raise"):
+            ratios = values / np.power(np.abs(m), alpha, dtype=np.float64)
+    except FloatingPointError:
         raise ScaleOverflowError(f"|m|^alpha overflows at alpha={alpha:g}") from None
     best = int(np.argmax(np.where(ratios > 0.0, ratios, 0.0)))  # a strict > scan in ascending m
     c_estimate, argmax_m = (float(ratios[best]), int(m[best])) if ratios[best] > 0.0 else (0.0, 1)
@@ -940,9 +943,7 @@ def _zeckendorf_report(norms: TransferNorms, E: float, m_max: int, d: float) -> 
     m = np.arange(1, m_max + 1)
     # the top Zeckendorf index of m is max{i : F_i <= m}, with F_1 = 1, F_2 = 2, ...
     tops = np.searchsorted(fibonacci_numbers(91)[1:], m, side="right")
-    # math.log per norm: np.log differs from it in the last bit on a few values
-    logs = np.fromiter(map(math.log, norms.norms[m - norms.m[0]].tolist()), np.float64, m_max)
-    margins = logs - tops * log_d
+    margins = np.log(norms.norms[m - norms.m[0]]) - tops * log_d
     violations = m[margins > 0].tolist()
     return {"E": E, "m_max": m_max, "d": d, "worst_log_margin": float(margins.max()),
             "violations": violations, "ok": not violations}

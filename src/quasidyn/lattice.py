@@ -31,6 +31,8 @@ from typing import Mapping
 
 import numpy as np
 
+from quasidyn import _lapack
+
 #: Inverse golden mean, the rotation number of the Fibonacci circle map.
 OMEGA = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -47,9 +49,9 @@ MAX_WORD_LENGTH = 1 << 24
 #: Most memory one transfer sweep, profile route, trace orbit or time ladder may take.
 MAX_SWEEP_BYTES = 1 << 30
 
-#: Bytes per site charged to a transfer sweep.  Its peak (tracemalloc, m_max from
-#: 10,000 to 400,000) is 137-139 on the half line and 147-152 on the whole line at
-#: real energies, and 217.5 and 225.5 at complex ones; the charge keeps a margin.
+#: Bytes per site charged to a transfer sweep.  Its peak (tracemalloc, m_max of
+#: 10,000 and 200,000) is 96 on the half line and 107 on the whole line at real
+#: energies, and 152 and 160 at complex ones; the charge keeps a margin.
 _SWEEP_BYTES_PER_M = 240
 
 
@@ -381,31 +383,51 @@ def spectral_norm(m: np.ndarray) -> float | np.ndarray:
 def _transfer_prefixes(vals: np.ndarray, z: complex) -> np.ndarray:
     """Every prefix product A(v_j) ... A(v_1), j = 0..n, as an (n+1, 2, 2) array.
 
-    The one kernel behind all transfer products.  Each step maps the top
-    row to (z - v) top - bottom and the bottom row to the old top row, so
-    only top rows are carried through the loop, as two columns.  The
-    arithmetic is real when z is.  Raises :class:`ScaleOverflowError` at the
-    first site whose entries pass :data:`OVERFLOW_LIMIT` or stop being finite.
+    The one kernel behind all transfer products.  Each column u of the top
+    rows follows u_j = (z - v_j) u_{j-1} - u_{j-2}, from (u_{-1}, u_0) =
+    (0, 1) and (1, 0), and the bottom row of each prefix is the previous top
+    row.  That sequential recurrence is a unit lower-triangular band solve of
+    bandwidth 2, one per column, written straight into the result: BLAS
+    dtbsv from numpy's OpenBLAS when z is real, and scipy's ztbsv, imported
+    on the first complex z, which no command sweeps.  Raises
+    :class:`ScaleOverflowError` at the first site whose entries pass
+    :data:`OVERFLOW_LIMIT` or stop being finite.
     """
     z = complex(z)
     z = z.real if z.imag == 0.0 else z
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0  # rows (a, b) and (c, d) of the product
-    col_a, col_b = [a], [b]
-    for v in np.asarray(vals, dtype=np.float64).tolist():
-        e = z - v
-        a, b, c, d = e * a - c, e * b - d, a, b
-        col_a.append(a)
-        col_b.append(b)
-    top = np.stack([np.array(col_a), np.array(col_b)], axis=1)
-    # the bottom row of each prefix is the previous top row, so checking
-    # the top rows checks every entry
-    bad = np.flatnonzero(~_in_range(top))
-    if bad.size:
+    vals = np.asarray(vals, dtype=np.float64)
+    n = vals.size
+    out = np.zeros((n + 1, 2, 2), dtype=np.float64 if isinstance(z, float) else np.complex128)
+    top = out[:, 0]
+    top[0, 0] = 1.0
+    if n:
+        # column j holds L[j, j] (unit, not read), L[j + 1, j] = v_{j+2} - z and L[j + 2, j] = 1
+        band = np.ones((n, 3), dtype=out.dtype)
+        np.subtract(vals[1:], z, out=band[:-1, 1])
+        # the right-hand sides: the terms of u_1 and u_2 that hold u_0 and u_{-1}
+        top[1] = z - vals[0], -1.0
+        top[2:3, 0] = -1.0
+        solve = _lapack.dtbsv if out.dtype == np.float64 else _ztbsv
+        solve(band, top[1:, 0])
+        solve(band, top[1:, 1])
+    # the bottom row of each prefix is the previous top row, so checking the
+    # top rows checks every entry: first as one reduction over the whole result,
+    # whose bottom rows are still zero, then by site to find the first that fails
+    if not _in_range(out.reshape(1, -1))[0]:
         raise ScaleOverflowError(
-            f"transfer product entries passed {OVERFLOW_LIMIT:.0e} after {bad[0]} "
-            f"of {top.shape[0] - 1} sites")
-    bottom = np.concatenate([[(0.0, 1.0)], top[:-1]])
-    return np.stack([top, bottom], axis=1)
+            f"transfer product entries passed {OVERFLOW_LIMIT:.0e} after "
+            f"{np.flatnonzero(~_in_range(top))[0]} of {n} sites")
+    out[0, 1, 1] = 1.0
+    out[1:, 1] = top[:-1]
+    return out
+
+
+def _ztbsv(band: np.ndarray, x: np.ndarray) -> None:
+    """:func:`_lapack.dtbsv` for complex ``band`` and ``x``, by scipy's ztbsv."""
+    from scipy.linalg.blas import ztbsv
+
+    # f2py solves a copy of an x that is not contiguous, so the result is written back
+    x[...] = ztbsv(band.shape[1] - 1, band.T, x, lower=1, diag=1, overwrite_x=1)
 
 
 def transfer_matrix(spec: PotentialSpec, n: int, m: int, z: complex) -> np.ndarray:

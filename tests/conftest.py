@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quasidyn.lattice import Model, PotentialSpec, one_step_matrix
+from quasidyn.lattice import Model, PotentialSpec, potential_values
 
 
 @pytest.fixture
@@ -10,10 +10,11 @@ def rng():
 
 
 def brute_transfer(spec: PotentialSpec, n: int, m: int, z: complex) -> np.ndarray:
-    """Reference transfer product multiplied out one site at a time."""
+    """Reference transfer product multiplied out one site at a time, as complex
+    2x2 matrix products, from the potential read once over sites m + 1..n."""
     out = np.eye(2, dtype=np.complex128)
-    for site in range(m + 1, n + 1):
-        out = one_step_matrix(spec, site, z) @ out
+    for v in potential_values(spec, np.arange(m + 1, n + 1)).tolist():
+        out = np.array([[z - v, -1.0], [1.0, 0.0]], dtype=np.complex128) @ out
     return out
 
 

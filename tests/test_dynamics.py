@@ -975,7 +975,7 @@ def test_zeckendorf_report_matches_the_per_m_coding():
     band = approximant_spectrum(lam, 10).bands[40]
     energy, d = 0.5 * (band.lo + band.hi), 1.1
     norms = dict(transfer_norms_from_origin(fib_spec(lam), energy, 300).items())
-    margins = [math.log(norms[m]) - zeckendorf(m)[-1] * math.log(d) for m in range(1, 301)]
+    margins = [np.log(norms[m]) - zeckendorf(m)[-1] * math.log(d) for m in range(1, 301)]
     report = zeckendorf_bound_check(fib_spec(lam), energy, 300, d)
     assert report["worst_log_margin"] == max(margins)
     assert report["violations"] == [m for m, g in enumerate(margins, start=1) if g > 0]
@@ -993,13 +993,14 @@ def _norms_dict(spec, E, m_max):
 
 
 def _powerlaw_loop(norms, alpha, cap=None):
-    """The power-law report as a per-m loop: one strict > scan in ascending m."""
+    """The power-law report as a per-m loop: one strict > scan in ascending m, with
+    |m|^alpha from np.power per m."""
     best_ratio, best_m, max_norm = 0.0, 1, 0.0
     violations = []
     for m, norm in sorted(norms.items()):
         if m == 0:
             continue
-        ratio = norm / abs(m) ** alpha
+        ratio = norm / np.power(float(abs(m)), alpha)
         max_norm = max(max_norm, norm)
         if ratio > best_ratio:
             best_ratio, best_m = ratio, m
@@ -1010,13 +1011,14 @@ def _powerlaw_loop(norms, alpha, cap=None):
 
 
 def _zeckendorf_loop(norms, E, m_max, d):
-    """The coding-bound report as a per-m loop over the Zeckendorf codings."""
+    """The coding-bound report as a per-m loop over the Zeckendorf codings, with
+    each log from np.log per m."""
     log_d = math.log(d)
     norms = dict(norms.items())
     worst_margin = -math.inf
     violations = []
     for m in range(1, m_max + 1):
-        margin = math.log(norms[m]) - zeckendorf(m)[-1] * log_d
+        margin = np.log(norms[m]) - zeckendorf(m)[-1] * log_d
         worst_margin = max(worst_margin, margin)
         if margin > 0:
             violations.append(m)
@@ -1082,19 +1084,21 @@ def test_reports_keep_the_first_of_tied_maxima():
     assert report == _powerlaw_loop(norms, math.nan, cap=0.0)
 
 
-def test_reports_keep_the_bits_of_python_pow_and_log():
-    # on some hosts np.power(69.0, 26.6) and np.log(2714.3829971557802) differ
-    # from Python's 69 ** 26.6 and math.log in the last bit
+def test_reports_keep_the_bits_of_np_power_and_log():
+    # the array reports give the bits of np.power and np.log taken one m at a
+    # time, at values where those differ from Python's ** and math.log on some hosts
     peak = np.ones(100)
     peak[68] = 1e60  # m = 69, the largest ratio at alpha 26.6
     norms = TransferNorms(np.arange(1, 101), peak)
-    assert dynamics._powerlaw_report(norms, 26.6) == _powerlaw_loop(norms, 26.6)
+    report = dynamics._powerlaw_report(norms, 26.6)
+    assert report == _powerlaw_loop(norms, 26.6)
+    assert report.c_estimate == 1e60 / np.power(69.0, 26.6)
     logs = np.ones(100)
     logs[0] = 2714.3829971557802  # m = 1, the worst margin
     norms = TransferNorms(np.arange(1, 101), logs)
     report = dynamics._zeckendorf_report(norms, 0.0, 100, 1.0001)
     assert report == _zeckendorf_loop(norms, 0.0, 100, 1.0001)
-    assert report["worst_log_margin"] == math.log(2714.3829971557802) - math.log(1.0001)
+    assert report["worst_log_margin"] == np.log(2714.3829971557802) - math.log(1.0001)
 
 
 @pytest.mark.parametrize("geometry", list(Geometry))

@@ -1,4 +1,4 @@
-"""The two native LAPACK/BLAS routines on both routes: numpy's own OpenBLAS, and
+"""The three native LAPACK/BLAS routines on both routes: numpy's own OpenBLAS, and
 scipy's functions, bound when that library is missing; and the tridiagonal
 solve, which is scipy's on both.  scipy is the oracle."""
 
@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dtbsv
 
 from quasidyn import _lapack
 from quasidyn.lattice import _tridiag_solve
@@ -37,6 +37,34 @@ def test_dsterf_is_scipys_bit_for_bit(route, n, rng):
         npt.assert_array_equal(_lapack.dsterf(d, e), eigvalsh_tridiagonal(d, e))
         npt.assert_array_equal(d, kept[0])
         npt.assert_array_equal(e, kept[1])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 1597, 15000])
+def test_dtbsv_is_scipys_bit_for_bit(route, n, k, rng):
+    # the transfer sweep's layout: a unit lower band by columns, solved in place
+    # into one column of a C-contiguous matrix; the band and the other column are kept
+    band = np.ones((n, k + 1))
+    band[:, 1] = rng.uniform(-3.0, 3.0, n)
+    band[:, 2:] = rng.uniform(-0.2, 0.2, (n, k - 1))
+    x = np.zeros((n, 2))
+    x[:2] = rng.normal(size=(min(n, 2), 2))
+    kept, other = band.copy(), x[:, 1].copy()
+    want = dtbsv(k, band.T, x[:, 0], lower=1, diag=1)
+    assert _lapack.dtbsv(band, x[:, 0]) is None
+    npt.assert_array_equal(x[:, 0], want)
+    npt.assert_array_equal(band, kept)
+    npt.assert_array_equal(x[:, 1], other)
+    if route == "openblas":  # an x that BLAS cannot read as n strided doubles is refused
+        for bad in (x[:-1, 0], x[::-1, 0], x[:, 0].astype(np.float32), x[:, 0].tolist()):
+            with pytest.raises(ValueError):
+                _lapack.dtbsv(band, bad)
+        for bad in (band[:, :0], band.reshape(-1)):  # and so is a band with no diagonal
+            with pytest.raises(ValueError):
+                _lapack.dtbsv(bad, x[:, 0])
+        if n > 1:  # or not C-contiguous
+            with pytest.raises(ValueError):
+                _lapack.dtbsv(np.asfortranarray(band), x[:, 0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 1473])
