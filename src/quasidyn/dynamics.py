@@ -13,7 +13,7 @@ integrates on a uniform grid; the resolvent route uses the Parseval identity
     a(n, T) = (eps/pi) Int |((H - E - i eps)^{-1} delta_1)(n)|^2 dE,
 
 with eps = 1/T, evaluated by midpoint quadrature over an energy grid.  One
-kernel sweeps the Dirichlet continued fractions of the window across all grid
+kernel runs the Dirichlet solutions of the window's two sides across all grid
 energies at once and checks the profile's mass against the Ward identity
 sum_n |G(n, 1)|^2 = Im G(1, 1)/eps.  Their agreement is a strong end-to-end
 check of both pipelines.
@@ -234,65 +234,76 @@ def _grid_cells(v: np.ndarray, eps: float) -> tuple[float, float, int | float]:
     return lo, hi, max(2, math.ceil(cells)) if cells < math.inf else math.inf
 
 
-def _fraction_sweep(v_side: np.ndarray, z: np.ndarray, log_edge: np.ndarray | None = None,
-                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Dirichlet continued fraction g <- 1/(v_i - z - g) for every energy
-    z, over ``v_side`` from the truncation edge in (g = 0 past the edge).
+def _dirichlet_sweep(v_side: np.ndarray, z: np.ndarray, log_weight: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Dirichlet solution w_i = (v_i - z) w_{i-1} - w_{i-2} for every
+    energy z, over ``v_side`` from the truncation edge in (w_{-2} = 0 and
+    w_{-1} = 1 past the edge): three complex passes per site, no division.
 
-    Returns the last g as (Re g, Im g) and log prod_i |v_i - z - g_{i-1}|^2,
-    which is -log prod_i |g_i|^2.  Every |v_i - z - g| lies between Im z and
-    D = max|v| + max|z| + 1/Im z (|g| <= 1/Im z), so the running product is
-    moved into its log every 125/log10 D steps and stays within 1e+-250.  A D
-    past :data:`OVERFLOW_LIMIT`, whose square may leave the float range, raises
+    Returns the last two w, (w_{m-2}, w_{m-1}), both divided by exp(scale/2),
+    and scale: log |w_{m-1}|^2 is scale plus the log of the returned one's.
+    The ratio w_{m-2}/w_{m-1} is the Dirichlet continued fraction
+    g <- 1/(v_i - z - g) run from the edge, and w_{m-1} is the product of its
+    denominators.  Each |w_i/w_{i-1}| = |v_i - z - g_{i-1}| lies between Im z
+    and D = max|v| + max|z| + 1/Im z (|g| <= 1/Im z), so every 125/log10 D
+    sites both w are divided by |w_i| and log |w_i|^2 moves into scale: |w|
+    stays within 1e+-125 and nothing overflows or underflows.  A D past
+    :data:`OVERFLOW_LIMIT`, whose square may leave the float range, raises
     :class:`ScaleOverflowError` before any step.
-    Given ``log_edge`` = log |G(edge, s)|^2 this is the weights pass:
-    G(i + 1, s) = -(v_i - z - g_{i-1}) G(i, s), so the product times
-    exp(log_edge + log) is |G(i, s)|^2, and out[i] gets its energy sum.
+    Given ``log_weight`` = log |G(s, s)|^2 - log |w_{m-1}|^2 this is the
+    weights pass: |G(i, s)|^2 = exp(log_weight) |w_{i-1}|^2, so out[i] gets its
+    energy sum, one squared-modulus pass and one dot product per site, with the
+    weights exp(log_weight + scale) refreshed at each rescale.  A weight is
+    |G|^2 where its block began, so a |G|^2 can flush to zero only below about
+    1e-58 (1e-308 times the block's growth of at most 1e250).
     """
-    E, eta = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
-    bound = float(np.max(np.abs(v_side), initial=0.0) + np.max(np.abs(z)) + 1.0 / np.min(eta))
+    bound = float(np.max(np.abs(v_side), initial=0.0) + np.max(np.abs(z)) + 1.0 / np.min(z.imag))
     if not bound <= OVERFLOW_LIMIT:  # NaN fails too
         raise ScaleOverflowError(f"continued fractions bounded by {bound:.2e} pass "
                                  f"{OVERFLOW_LIMIT:.0e}; lower the coupling or raise T")
     block = max(1, int(125.0 / math.log10(max(bound, 10.0))))
-    g_re, g_im = np.zeros_like(E), np.zeros_like(E)
-    d_re, d_im, d2 = np.empty_like(E), np.empty_like(E), np.empty_like(E)
-    prod, log_prod = np.ones_like(E), np.zeros_like(E)
+    prev, cur, step = np.zeros_like(z), np.ones_like(z), np.empty_like(z)
+    scale = np.zeros(z.shape)
     if out is not None:
-        scale = np.exp(log_edge)
+        # each energy's weight twice, against (Re w)^2 and (Im w)^2 in w's float view
+        weights = np.empty((z.size, 2))
+        np.exp(log_weight, out=weights[:, 0])
+        weights[:, 1] = weights[:, 0]
+    # step is scratch between sites: the squares of w, and |w_i| at a rescale
+    squares, size = step.view(np.float64), step.real
     for i, vi in enumerate(v_side.tolist()):
         if out is not None:
-            out[i] = prod @ scale
-        np.subtract(vi, E, out=d_re)
-        d_re -= g_re
-        np.add(g_im, eta, out=d_im)  # -Im(v_i - z - g), at least eta
-        np.multiply(d_re, d_re, out=d2)
-        d2 += np.multiply(d_im, d_im, out=g_im)  # g_im is free until set below
-        np.divide(d_re, d2, out=g_re)
-        np.divide(d_im, d2, out=g_im)
-        prod *= d2
+            out[i] = np.square(cur.view(np.float64), out=squares) @ weights.reshape(-1)
+        np.subtract(vi, z, out=step)
+        step *= cur
+        prev, cur = cur, np.subtract(step, prev, out=prev)
         if (i + 1) % block == 0:
-            log_prod += np.log(prod)
-            prod.fill(1.0)
+            np.abs(cur, out=size)
+            for w in (prev, cur):
+                w.view(np.float64).reshape(-1, 2)[:] /= size[:, None]
+            scale += np.log(np.square(size, out=size), out=size)
             if out is not None:
-                np.exp(log_edge + log_prod, out=scale)
-    log_prod += np.log(prod)
-    return g_re, g_im, log_prod
+                np.exp(np.add(log_weight, scale, out=weights[:, 0]), out=weights[:, 0])
+                weights[:, 1] = weights[:, 0]
+    return prev, cur, scale
 
 
 def _source_green(v: np.ndarray, z: np.ndarray, src: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """G(s, s; z) at source index s for every energy, and log prod |g|^2 of
-    each side (left, right): pass 1 of :func:`_resolvent_weights`.
+    """G(s, s; z) at source index s for every energy, and -log |w_{m-1}|^2
+    of each side (left, right): pass 1 of :func:`_resolvent_weights`.
 
-    Each side runs its fraction from the truncation edge in to the source;
-    G(s, s) = 1/(v_s - z - g_left - g_right).
+    Each side runs its Dirichlet solution from the truncation edge in to the
+    source; its fraction is g = w_{m-2}/w_{m-1}, one complex division per
+    energy, and G(s, s) = 1/(v_s - z - g_left - g_right).
     """
     denominator = v[src] - z
     log_sides = []
     for side in (v[:src], v[:src:-1]):
-        g_re, g_im, log_prod = _fraction_sweep(side, z)
-        denominator -= g_re + 1j * g_im
-        log_sides.append(-log_prod)
+        prev, last, scale = _dirichlet_sweep(side, z)
+        denominator -= np.divide(prev, last, out=prev)
+        size = np.abs(last)
+        scale += np.log(np.square(size, out=size), out=size)
+        log_sides.append(np.negative(scale, out=scale))
     return 1.0 / denominator, log_sides
 
 
@@ -301,12 +312,14 @@ def _resolvent_weights(v: np.ndarray, z: np.ndarray, src: int) -> tuple[np.ndarr
 
     The one resolvent quadrature kernel, with the energies as the vector axis
     and O(grid + window) working memory.  Pass 1 (:func:`_source_green`)
-    gives G(s, s) and each side's log prod |g|^2, so log |G(edge, s)|^2 =
-    log |G(s, s)|^2 + log prod |g|^2.  Pass 2 reruns each side's fractions
-    from its edge, growing |G(n, s)|^2 inward under a carried log scale (so
-    nothing underflows to a false zero or overflows), one dot product per
-    site.  Requires Im z > 0, which keeps every denominator away from zero
-    without pivoting.
+    gives G(s, s) and each side's log |w_{m-1}|^2, the log of the product of
+    its continued-fraction denominators.  The Dirichlet solution w of a side
+    is proportional to G(., s) there: |G(n, s)|^2 = |G(s, s)|^2 |w_{i-1}|^2 /
+    |w_{m-1}|^2 at its i-th site from the edge.  Pass 2 reruns each side's
+    recurrence from its edge and takes one weighted squared-modulus sum per
+    site under the carried log scale, so nothing overflows and no |G|^2 above
+    about 1e-58 underflows.  Requires Im z > 0, which keeps every
+    |w_i/w_{i-1}| at least Im z without pivoting.
     """
     green, log_sides = _source_green(v, z, src)
     green2 = green.real ** 2 + green.imag ** 2
@@ -314,7 +327,7 @@ def _resolvent_weights(v: np.ndarray, z: np.ndarray, src: int) -> tuple[np.ndarr
     totals[src] = np.sum(green2)
     for side, log_side, out in zip((v[:src], v[:src:-1]), log_sides,
                                    (totals[:src], totals[:src:-1])):
-        _fraction_sweep(side, z, np.log(green2) + log_side, out)
+        _dirichlet_sweep(side, z, np.log(green2) + log_side, out)
     return totals, green
 
 
@@ -325,9 +338,11 @@ def profile_resolvent(spec: PotentialSpec, T: float,
     Midpoint quadrature of (eps/pi) |R(E + i eps) delta_1(n)|^2, eps = 1/T,
     over the uniform partition of :func:`_grid_cells` (cells at most eps/4
     wide across the padded spectral window), from one
-    :func:`_resolvent_weights` call.  The profile's mass must match the Ward
-    identity sum_n |G(n, 1)|^2 = Im G(1, 1)/eps, that is
-    (h/pi) sum_E Im G(1, 1; E + i eps), to ``MASS_IDENTITY_TOL``
+    :func:`_resolvent_weights` call: two passes of each side's Dirichlet
+    recurrence over all grid energies, counted in
+    ``meta["site_energy_steps"]`` as recurrence steps times energies.  The
+    profile's mass must match the Ward identity sum_n |G(n, 1)|^2 =
+    Im G(1, 1)/eps, that is (h/pi) sum_E Im G(1, 1; E + i eps), to ``MASS_IDENTITY_TOL``
     (``meta["mass_identity_drift"]``), and every site weight must be finite;
     otherwise :class:`ArithmeticError`.  A profile whose far-edge share of the
     mass (``meta["far_edge_share"]``) passes :data:`EDGE_MASS_TOL` raises

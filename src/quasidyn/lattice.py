@@ -142,7 +142,6 @@ def substitution_word(model: Model, k: int) -> np.ndarray:
     return word
 
 
-@lru_cache(maxsize=32)
 def _fixed_point_word(model: Model, letter: int, min_len: int) -> np.ndarray:
     """S^{2K}(letter) for the least K that gives at least ``min_len`` letters.
 
@@ -152,11 +151,20 @@ def _fixed_point_word(model: Model, letter: int, min_len: int) -> np.ndarray:
     the pair "10" occurs in the one-sided fixed point.  The two-sided
     sequence ... S^{2K}(1) | S^{2K}(0) ... is therefore a legal subshift
     element; every finite subword of it occurs inside some S^{2K}("10").
+    The word is cached by K, so every length up to 4^K shares one build, and
+    a word past :data:`MAX_WORD_LENGTH` is refused before it is built.
     """
+    doublings = ((max(min_len, 1) - 1).bit_length() + 1) // 2  # least K with 4^K >= min_len
+    _check_word_length(4 ** doublings, f"substitution fixed point of {min_len} letters")
+    return _fixed_point_iterate(model, letter, doublings)
+
+
+@lru_cache(maxsize=32)
+def _fixed_point_iterate(model: Model, letter: int, doublings: int) -> np.ndarray:
+    """S^{2K}(letter) for K = ``doublings``: the cached build of :func:`_fixed_point_word`."""
     word = np.array([letter], dtype=np.uint8)
     images = SUBSTITUTIONS[model]
-    while word.size < min_len:
-        _check_word_length(4 * word.size, f"substitution fixed point of {min_len} letters")
+    for _ in range(doublings):
         word = images[images[word].reshape(-1)].reshape(-1)
     return word
 
@@ -374,7 +382,16 @@ def spectral_norm(m: np.ndarray) -> float | np.ndarray:
     which keeps entries up to ~1e154 finite.
     """
     m = np.asarray(m)
-    fro2 = np.sum(np.abs(m) ** 2, axis=(-2, -1))
+    # f as column adds of the squared entries in row-major order (a complex
+    # entry as its two parts): np.sum's order over the two axes, so real m
+    # keeps its bits, without its slow reduction over four-entry rows
+    parts = m
+    if np.iscomplexobj(m):
+        parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
+    squares = np.square(parts.reshape(*m.shape[:-2], -1))
+    fro2 = squares[..., 0] + squares[..., 1]
+    for k in range(2, squares.shape[-1]):
+        fro2 += squares[..., k]
     d2 = 2.0 * np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
     out = 0.5 * (np.sqrt(fro2 + d2) + np.sqrt(np.maximum(fro2 - d2, 0.0)))
     return float(out) if out.ndim == 0 else out

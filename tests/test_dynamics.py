@@ -646,6 +646,36 @@ def test_resolvent_weights_match_dense_solves(geometry, window, lam):
     assert np.max(np.abs(far_totals - far_expected)) <= 1e-12 * np.max(far_expected)
 
 
+@pytest.mark.parametrize("eta", [0.05, 1e-3])
+@pytest.mark.parametrize("model, geometry, window", [
+    (Model.THUE_MORSE, Geometry.WHOLE_LINE, LatticeWindow(-300, 300)),
+    (Model.FIBONACCI, Geometry.WHOLE_LINE, LatticeWindow(-300, 300)),
+    (Model.PERIOD_DOUBLING, Geometry.HALF_LINE, LatticeWindow(1, 500, Geometry.HALF_LINE)),
+], ids=["tm-whole", "fib-whole", "pd-half"])
+def test_resolvent_weights_over_many_rescale_blocks_match_dense_solves(model, geometry,
+                                                                         window, eta):
+    # with |E| up to 1e4 a side is rescaled every 31 sites: 9 or 16 rescales per
+    # side, each one moving the pass-2 weights.  The grid sums agree with dense
+    # solves, and so does every single-energy site weight whose |G|^2 is above
+    # 1e-150; a smaller one may flush to zero, as with the continued fractions
+    v = potential_values(PotentialSpec(model, 1.0, geometry=geometry), window.sites())
+    src = window.index(1)
+    energies = np.concatenate([np.linspace(-3.0, 4.0, 29), [-1e4, -40.0, 40.0, 1e4]])
+    z = energies + 1j * eta
+    G = _dense_green_columns(v, z, src)
+    expected = np.abs(G) ** 2
+    totals, green = dynamics._resolvent_weights(v, z, src)
+    npt.assert_allclose(green, G[:, src], rtol=1e-12)
+    assert np.max(np.abs(totals - expected.sum(axis=0))) <= 1e-12 * np.max(expected.sum(axis=0))
+    for k in (0, 7, 14, 28, 29, 31, 32):
+        weights, green_k = dynamics._resolvent_weights(v, z[k:k + 1], src)
+        assert green_k[0] == pytest.approx(G[k, src], rel=1e-12)
+        held = expected[k] > 1e-150
+        assert held.sum() >= 10
+        npt.assert_allclose(weights[held], expected[k, held], rtol=1e-10)
+        assert np.all(weights[~held] <= 1e-150)
+
+
 @pytest.mark.parametrize("model", [Model.THUE_MORSE, Model.FIBONACCI, Model.FREE,
                                    Model.PERIOD_DOUBLING], ids=["tm", "fib", "free", "pd"])
 @pytest.mark.parametrize("geometry", [Geometry.WHOLE_LINE, Geometry.HALF_LINE])

@@ -217,6 +217,19 @@ def test_fixed_point_word_past_the_cap_is_refused_before_it_is_built():
     assert peak < 2 * MAX_WORD_LENGTH
 
 
+def test_fixed_point_word_is_built_once_for_every_length_it_covers():
+    # one build of S^{2K}(0) serves every site up to 4^K: sites 14,000..14,999 all
+    # read the 16,384-letter word, where a cache keyed by length built 1,000 words
+    spec = PotentialSpec(Model.THUE_MORSE, 1.0)
+    lattice._fixed_point_iterate.cache_clear()
+    potential_value(spec, 1)  # both one-letter words
+    before = lattice._fixed_point_iterate.cache_info().misses
+    sites = np.arange(14_000, 15_000)
+    values = [potential_value(spec, int(n)) for n in sites]
+    assert lattice._fixed_point_iterate.cache_info().misses - before <= 1
+    npt.assert_array_equal(values, potential_values(spec, sites))
+
+
 def test_transfer_matrix_past_the_memory_cap_is_refused_before_any_site(monkeypatch):
     class Reached(Exception):
         pass
@@ -483,6 +496,27 @@ def test_kernel_matches_the_brute_loop_over_15000_sites(model, lam, geometry):
 def test_spectral_norm_far_from_unit_scale():
     assert spectral_norm(np.diag([1e80, 1e-80])) == pytest.approx(1e80, rel=1e-15)
     assert spectral_norm(np.array([[3.0, 4.0], [0.0, 0.0]])) == pytest.approx(5.0, rel=1e-15)
+
+
+def test_spectral_norm_frobenius_sum_matches_the_entrywise_formula(rng):
+    # the Frobenius sum as column adds: the bits of np.sum(np.abs(m) ** 2) on real
+    # stacks, |entry|^2 = re^2 + im^2 on complex ones, with entries up to 1e150
+    def entrywise(m):
+        fro2 = np.sum(np.abs(m) ** 2, axis=(-2, -1))
+        d2 = 2.0 * np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
+        return 0.5 * (np.sqrt(fro2 + d2) + np.sqrt(np.maximum(fro2 - d2, 0.0)))
+
+    exponents = rng.uniform(-150.0, 150.0, size=(200, 2, 2))
+    real = rng.choice([-1.0, 1.0], size=exponents.shape) * 10.0 ** exponents
+    cplx = real * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=exponents.shape))
+    for m in (real, real[:, ::-1, :]):
+        npt.assert_array_equal(spectral_norm(m), entrywise(m))
+    for m in (cplx, cplx.transpose(0, 2, 1), cplx.reshape(10, 20, 2, 2)):
+        got = spectral_norm(m)
+        assert got.shape == m.shape[:-2] and np.all(np.isfinite(got))
+        npt.assert_allclose(got, entrywise(m), rtol=1e-14)
+    assert spectral_norm(real[7]) == entrywise(real[7])
+    assert spectral_norm(cplx[7]) == pytest.approx(entrywise(cplx[7]), rel=1e-14)
 
 
 def test_mat_inv_unimodular():
