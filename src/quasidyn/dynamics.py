@@ -67,7 +67,8 @@ EDGE_MASS_TOL = 1e-6
 
 #: Bytes per window site charged to the time route, plus 16 per ladder time (its
 #: sum and its profile).  Its peak (tracemalloc, 1,600 to 120,001 sites, ladders of
-#: 1 to 20 times, potential built inside) is 544-583 bytes per site plus 8 per time.
+#: 1 to 20 times, potential built inside) is 552-573 bytes per site plus 8 per time,
+#: 16 of them the complex diagonal of the Chebyshev sweep.
 _TIME_BYTES_PER_SITE = 640
 
 #: Bytes per window site charged to :func:`resolvent_vector`: its peak (tracemalloc,
@@ -75,7 +76,7 @@ _TIME_BYTES_PER_SITE = 640
 _SOLVE_BYTES_PER_SITE = 128
 
 #: Bytes per energy grid point charged to the resolvent route: its peak over the
-#: potential (same measure, 960 to 26,000 grid points) is 160-180.
+#: potential (same measure, 960 to 52,000 grid points) is 173-209.
 _RESOLVENT_BYTES_PER_ENERGY = 240
 
 #: Largest relative gap between a resolvent profile's mass and the Ward
@@ -234,11 +235,46 @@ def _grid_cells(v: np.ndarray, eps: float) -> tuple[float, float, int | float]:
     return lo, hi, max(2, math.ceil(cells)) if cells < math.inf else math.inf
 
 
-def _dirichlet_sweep(v_side: np.ndarray, z: np.ndarray, log_weight: np.ndarray | None = None,
+#: Bound on what cutting a side at an energy's depth may change: G(s, s), and
+#: |G(n, s)|^2 at a site dropped.  It is 1e-16 times 1e-150, the |G|^2 down to
+#: which site weights are checked against dense solves.
+_CUT_BOUND = 1e-166
+
+
+def _sweep_depths(v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The depth of each energy: the sites nearest the source over which its
+    Dirichlet recurrence runs on either side.  With d = max(min v - 2 - Re z,
+    Re z - max v - 2) the distance from the hull of the spectrum, an energy
+    with d <= 0 keeps the whole side (inf); otherwise the depth is the least
+    L >= 1 with r^{2L} <= _CUT_BOUND min(d, 1)^2, r = e^{-acosh(1 + d/2)}.
+
+    The bound (Combes and Thomas, Commun. Math. Phys. 34 (1973)): for d > 0
+    every fraction of a side has |g| <= r, by induction from g = 0 since
+    |v_i - z - g| >= 2 + d - r.  So |G(s, s)| <= 1/d and |G(n, s)| <=
+    |G(s, s)| r^{|n - s|}, and cutting a side at depth L moves G(n, s) by at
+    most r^{L + dist(n, cut)}/d^2, so G(s, s) by at most r^{2L}/d^2 <=
+    _CUT_BOUND, and leaves out only sites with |G|^2 below it.
+    """
+    x = z.real
+    d = np.maximum(float(v.min()) - 2.0 - x, x - float(v.max()) - 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        depth = np.ceil((-math.log(_CUT_BOUND) - 2.0 * np.log(np.minimum(d, 1.0)))
+                        / (2.0 * np.arccosh(1.0 + 0.5 * d)))
+    return np.where(d > 0.0, np.maximum(depth, 1.0), np.inf)
+
+
+def _dirichlet_sweep(v_side: np.ndarray, z: np.ndarray, active: np.ndarray,
+                     log_weight: np.ndarray | None = None,
                      out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Dirichlet solution w_i = (v_i - z) w_{i-1} - w_{i-2} for every
     energy z, over ``v_side`` from the truncation edge in (w_{-2} = 0 and
     w_{-1} = 1 past the edge): three complex passes per site, no division.
+
+    At site i only the first active[i] energies step, a count that never
+    falls, so the energies run deepest first (:func:`_sweep_depths`).  An
+    energy joins at its cut as at the edge, with w_{-2} = 0, w_{-1} = 1 and
+    scale 0, and the views of the active prefix are re-sliced only when the
+    count changes.
 
     Returns the last two w, (w_{m-2}, w_{m-1}), both divided by exp(scale/2),
     and scale: log |w_{m-1}|^2 is scale plus the log of the returned one's.
@@ -253,53 +289,63 @@ def _dirichlet_sweep(v_side: np.ndarray, z: np.ndarray, log_weight: np.ndarray |
     Given ``log_weight`` = log |G(s, s)|^2 - log |w_{m-1}|^2 this is the
     weights pass: |G(i, s)|^2 = exp(log_weight) |w_{i-1}|^2, so out[i] gets its
     energy sum, one squared-modulus pass and one dot product per site, with the
-    weights exp(log_weight + scale) refreshed at each rescale.  A weight is
-    |G|^2 where its block began, so a |G|^2 can flush to zero only below about
-    1e-58 (1e-308 times the block's growth of at most 1e250).
+    weights exp(log_weight + scale) refreshed at each rescale; an energy adds
+    nothing at the sites before it joins.  A weight is |G|^2 where its block
+    began, so a |G|^2 can flush to zero only below about 1e-58 (1e-308 times
+    the block's growth of at most 1e250).
     """
     bound = float(np.max(np.abs(v_side), initial=0.0) + np.max(np.abs(z)) + 1.0 / np.min(z.imag))
     if not bound <= OVERFLOW_LIMIT:  # NaN fails too
         raise ScaleOverflowError(f"continued fractions bounded by {bound:.2e} pass "
                                  f"{OVERFLOW_LIMIT:.0e}; lower the coupling or raise T")
     block = max(1, int(125.0 / math.log10(max(bound, 10.0))))
-    prev, cur, step = np.zeros_like(z), np.ones_like(z), np.empty_like(z)
+    # (w_{i-2}, w_{i-1}) of every energy sit in pair[i % 2], pair[1 - i % 2]
+    pair, step = (np.zeros_like(z), np.ones_like(z)), np.empty_like(z)
     scale = np.zeros(z.shape)
     if out is not None:
         # each energy's weight twice, against (Re w)^2 and (Im w)^2 in w's float view
         weights = np.empty((z.size, 2))
         np.exp(log_weight, out=weights[:, 0])
         weights[:, 1] = weights[:, 0]
-    # step is scratch between sites: the squares of w, and |w_i| at a rescale
-    squares, size = step.view(np.float64), step.real
-    for i, vi in enumerate(v_side.tolist()):
+    k = -1
+    for i, (vi, count) in enumerate(zip(v_side.tolist(), active.tolist())):
+        if count != k:
+            k = count
+            prev, cur, zk, stepk = pair[i % 2][:k], pair[1 - i % 2][:k], z[:k], step[:k]
+            # stepk is scratch between sites: the squares of w, and |w_i| at a rescale
+            squares, size = stepk.view(np.float64), stepk.real
+            if out is not None:
+                flat = weights[:k].reshape(-1)
         if out is not None:
-            out[i] = np.square(cur.view(np.float64), out=squares) @ weights.reshape(-1)
-        np.subtract(vi, z, out=step)
-        step *= cur
-        prev, cur = cur, np.subtract(step, prev, out=prev)
+            out[i] = np.square(cur.view(np.float64), out=squares) @ flat
+        np.subtract(vi, zk, out=stepk)
+        stepk *= cur
+        prev, cur = cur, np.subtract(stepk, prev, out=prev)
         if (i + 1) % block == 0:
             np.abs(cur, out=size)
             for w in (prev, cur):
                 w.view(np.float64).reshape(-1, 2)[:] /= size[:, None]
-            scale += np.log(np.square(size, out=size), out=size)
+            scale[:k] += np.log(np.square(size, out=size), out=size)
             if out is not None:
-                np.exp(np.add(log_weight, scale, out=weights[:, 0]), out=weights[:, 0])
-                weights[:, 1] = weights[:, 0]
-    return prev, cur, scale
+                np.exp(np.add(log_weight[:k], scale[:k], out=weights[:k, 0]), out=weights[:k, 0])
+                weights[:k, 1] = weights[:k, 0]
+    return pair[v_side.size % 2], pair[1 - v_side.size % 2], scale
 
 
-def _source_green(v: np.ndarray, z: np.ndarray, src: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """G(s, s; z) at source index s for every energy, and -log |w_{m-1}|^2
-    of each side (left, right): pass 1 of :func:`_resolvent_weights`.
+def _source_green(v_src: float, z: np.ndarray,
+                  sides: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """G(s, s; z) for every energy, with v_src the potential at the source,
+    and -log |w_{m-1}|^2 of each side: pass 1 of :func:`_resolvent_weights`.
 
-    Each side runs its Dirichlet solution from the truncation edge in to the
-    source; its fraction is g = w_{m-2}/w_{m-1}, one complex division per
-    energy, and G(s, s) = 1/(v_s - z - g_left - g_right).
+    Each side (its potential edge first, and its active counts) runs its
+    Dirichlet solution from the truncation edge or cut in to the source; its
+    fraction is g = w_{m-2}/w_{m-1}, one complex division per energy, and
+    G(s, s) = 1/(v_s - z - g_left - g_right).
     """
-    denominator = v[src] - z
+    denominator = v_src - z
     log_sides = []
-    for side in (v[:src], v[:src:-1]):
-        prev, last, scale = _dirichlet_sweep(side, z)
+    for side, active in sides:
+        prev, last, scale = _dirichlet_sweep(side, z, active)
         denominator -= np.divide(prev, last, out=prev)
         size = np.abs(last)
         scale += np.log(np.square(size, out=size), out=size)
@@ -320,14 +366,28 @@ def _resolvent_weights(v: np.ndarray, z: np.ndarray, src: int) -> tuple[np.ndarr
     site under the carried log scale, so nothing overflows and no |G|^2 above
     about 1e-58 underflows.  Requires Im z > 0, which keeps every
     |w_i/w_{i-1}| at least Im z without pivoting.
+
+    Each energy runs each side only over the sites within its depth from the
+    source (:func:`_sweep_depths`): past it |G|^2 is below 1e-166, and the cut
+    moves G(s, s) by at most 1e-166.  The sweeps take the energies deepest
+    first, so that the active ones are a prefix; energies given in another
+    order run through a sorted copy.
     """
-    green, log_sides = _source_green(v, z, src)
+    depth = _sweep_depths(v, z)
+    if np.any(depth[1:] > depth[:-1]):
+        order = np.argsort(-depth, kind="stable")
+        totals, green = _resolvent_weights(v, z[order], src)
+        return totals, green[np.argsort(order)]
+    # at a side's site i from the edge, the energies whose depth reaches m - i
+    sides = [(side, z.size - np.searchsorted(depth[::-1], np.arange(side.size, 0, -1)))
+             for side in (v[:src], v[:src:-1])]
+    del depth  # not held through the sweeps: 8 bytes per energy
+    green, log_sides = _source_green(float(v[src]), z, sides)
     green2 = green.real ** 2 + green.imag ** 2
     totals = np.empty(v.size)
     totals[src] = np.sum(green2)
-    for side, log_side, out in zip((v[:src], v[:src:-1]), log_sides,
-                                   (totals[:src], totals[:src:-1])):
-        _dirichlet_sweep(side, z, np.log(green2) + log_side, out)
+    for (side, active), log_side, out in zip(sides, log_sides, (totals[:src], totals[:src:-1])):
+        _dirichlet_sweep(side, z, active, np.log(green2) + log_side, out)
     return totals, green
 
 
@@ -339,8 +399,10 @@ def profile_resolvent(spec: PotentialSpec, T: float,
     over the uniform partition of :func:`_grid_cells` (cells at most eps/4
     wide across the padded spectral window), from one
     :func:`_resolvent_weights` call: two passes of each side's Dirichlet
-    recurrence over all grid energies, counted in
-    ``meta["site_energy_steps"]`` as recurrence steps times energies.  The
+    recurrence over all grid energies, each energy only as deep as its
+    Green's function reaches (every energy within 2 of the potential's range
+    runs the whole side).  ``meta["site_energy_steps"]`` counts the steps
+    run: twice the sum over energies and sides of the sites swept.  The
     profile's mass must match the Ward identity sum_n |G(n, 1)|^2 =
     Im G(1, 1)/eps, that is (h/pi) sum_E Im G(1, 1; E + i eps), to ``MASS_IDENTITY_TOL``
     (``meta["mass_identity_drift"]``), and every site weight must be finite;
@@ -351,10 +413,14 @@ def profile_resolvent(spec: PotentialSpec, T: float,
     window, v, _ = _profile_setup(spec, [T], window, resolvent=True)
     eps = 1.0 / T
     lo, hi, count = _grid_cells(v, eps)
-    # midpoint nodes of a uniform partition
+    # midpoint nodes of a uniform partition, deepest sweep first as the kernel takes them
     grid = lo + (np.arange(count) + 0.5) * (hi - lo) / count
     h = float(grid[1] - grid[0])
+    depth = _sweep_depths(v, grid)
+    grid = grid[np.argsort(-depth, kind="stable")]
     src = window.index(1)
+    steps = sum(int(np.minimum(depth, m).sum()) for m in (src, window.size - 1 - src))
+    del depth  # not held through the kernel: 8 bytes per energy
     totals, green = _resolvent_weights(v, grid + 1j * eps, src)
     if not np.all(np.isfinite(totals)):
         raise ArithmeticError("resolvent quadrature produced a non-finite site weight")
@@ -367,7 +433,7 @@ def profile_resolvent(spec: PotentialSpec, T: float,
     _check_far_edge(edge, T)
     meta = {
         "grid_points": int(grid.size),
-        "site_energy_steps": 2 * (window.size - 1) * int(grid.size),
+        "site_energy_steps": 2 * steps,
         "mass_identity_drift": drift,
         "far_edge_share": edge,
     }
@@ -476,10 +542,10 @@ def _chebyshev_samples(vc: np.ndarray, scale: float, coeff: np.ndarray,
     """out[m] = sum_k c[m, k] (-i)^k T_k(H~) psi over the orders k of the
     coefficient matrix ``coeff`` = (c[m, k]), with H~ = scale (H - center).
 
-    ``vc`` is the slice's potential minus the center.  ``block`` is a ring of
-    vectors in the rotated basis u_k = (-i)^k T_k(H~) psi, built by
-    u_1 = -i H~ psi and u_k = -2i H~ u_{k-1} + u_{k-2}; u_k sits in row
-    k mod BLOCK_VECTORS.  The rotation makes the c[m, k] real, so each filled
+    ``vc`` is the slice's potential minus the center, as complex128.
+    ``block`` is a ring of vectors in the rotated basis u_k = (-i)^k T_k(H~) psi,
+    built by u_1 = -i H~ psi and u_k = -2i H~ u_{k-1} + u_{k-2}; u_k sits in
+    row k mod BLOCK_VECTORS.  The rotation makes the c[m, k] real, so each filled
     ring is added into ``out`` by one real matrix product: the ring fill's
     (samples, k) columns of ``coeff`` times the float64 view (k, 2 width) of
     the ring, into the float64 view of ``out``.
@@ -518,6 +584,11 @@ def _chebyshev_sweep(spec: PotentialSpec, window: LatticeWindow, psi: np.ndarray
     on the window indices lo .. lo + prob.shape[1] - 1.  It is written over
     the ring of Chebyshev vectors, which the next step reuses.  ``stats``
     receives the work counters and the norm drift.
+
+    The diagonal v - center is made complex128 once per sweep: numpy has no
+    float x complex multiply, so a float diagonal would be cast through a
+    buffer in every matvec.  (v + 0i)(a + bi) rounds as v (a + bi) does, up
+    to the sign of a zero product, which |psi|^2 does not see.
     """
     lo_e, hi_e = float(v.min()) - 2.0, float(v.max()) + 2.0
     center = 0.5 * (hi_e + lo_e)
@@ -528,7 +599,7 @@ def _chebyshev_sweep(spec: PotentialSpec, window: LatticeWindow, psi: np.ndarray
     phases = np.exp(-1j * center * taus)
     coeff = 2.0 * bessel
     coeff[:, 0] = bessel[:, 0]
-    vc = v - center
+    vc = (v - center).astype(np.complex128)
     size = window.size
     out_buf = np.empty(taus.size * size, dtype=np.complex128)
     # the ring, and afterwards the probabilities (two per complex slot)
@@ -579,7 +650,7 @@ def evolve_state(spec: PotentialSpec, t: float, window: LatticeWindow) -> np.nda
     """
     if not math.isfinite(t):
         raise DomainError(f"evolution time must be finite, not {t}")
-    # its peak (tracemalloc, 1,601 to 400,001 sites, potential built inside) is 304-316 per site
+    # its peak (tracemalloc, 1,601 to 120,001 sites, potential built inside) is 312-317 per site
     _check_memory(_TIME_BYTES_PER_SITE * window.size, "evolution", "shrink the window")
     psi = _source_state(window)
     if t == 0.0:

@@ -676,13 +676,72 @@ def test_resolvent_weights_over_many_rescale_blocks_match_dense_solves(model, ge
         assert np.all(weights[~held] <= 1e-150)
 
 
+def _cut_depth(d: float) -> float:
+    """Sites from the source that an energy at distance d from the hull
+    [min v - 2, max v + 2] sweeps on a side: the least L >= 1 with
+    r^{2L} <= 1e-166 min(d, 1)^2, r = e^{-acosh(1 + d/2)}, and inf inside."""
+    if d <= 0.0:
+        return math.inf
+    return max(1, math.ceil((-math.log(1e-166) - 2.0 * math.log(min(d, 1.0)))
+                            / (2.0 * math.acosh(1.0 + 0.5 * d))))
+
+
+@pytest.mark.parametrize("eta", [0.05, 1e-3])
+@pytest.mark.parametrize("model, geometry, window", [
+    (Model.THUE_MORSE, Geometry.WHOLE_LINE, LatticeWindow(-300, 300)),
+    (Model.PERIOD_DOUBLING, Geometry.HALF_LINE, LatticeWindow(1, 500, Geometry.HALF_LINE)),
+], ids=["tm-whole", "pd-half"])
+def test_resolvent_weights_sweep_each_energy_as_deep_as_its_green_function_reaches(
+        model, geometry, window, eta):
+    # outside the hull |G(n, s)| decays at least like r^{|n - s|}: past its depth an
+    # energy's sites are dropped, and every kept site still matches a dense solve
+    v = potential_values(PotentialSpec(model, 1.0, geometry=geometry), window.sites())
+    src = window.index(1)
+    lo, hi = float(v.min()) - 2.0, float(v.max()) + 2.0
+    distances = [1e-3, 0.05, 0.5, 4.0, 1e4, 0.0, -0.5]
+    z = np.array([lo - d for d in distances] + [hi + d for d in distances]) + 1j * eta
+    G = _dense_green_columns(v, z, src)
+    expected = np.abs(G) ** 2
+    offsets = np.abs(np.arange(v.size) - src)
+    dropped = 0
+    for k, d in enumerate(distances * 2):
+        weights, green = dynamics._resolvent_weights(v, z[k:k + 1], src)
+        assert green[0] == pytest.approx(G[k, src], rel=1e-12)
+        held = expected[k] > 1e-150
+        npt.assert_allclose(weights[held], expected[k, held], rtol=1e-10)
+        kept = offsets <= _cut_depth(d)
+        assert np.all(weights[~kept] == 0.0) and np.all(expected[k, ~kept] < 1e-150)
+        dropped += np.count_nonzero(~kept)
+    assert dropped > 0
+    # no energy inside the hull is cut, its edges included
+    assert np.all(dynamics._sweep_depths(v, np.linspace(lo, hi, 1001) + 1j * eta) == np.inf)
+    # energies in any order give what they give deepest first
+    totals, green = dynamics._resolvent_weights(v, z, src)
+    assert np.max(np.abs(totals - expected.sum(axis=0))) <= 1e-12 * np.max(expected.sum(axis=0))
+    npt.assert_allclose(green, G[:, src], rtol=1e-12)
+    order = np.argsort([-_cut_depth(d) for d in distances * 2], kind="stable")
+    sorted_totals, sorted_green = dynamics._resolvent_weights(v, z[order], src)
+    assert np.array_equal(sorted_totals, totals) and np.array_equal(sorted_green, green[order])
+
+
 @pytest.mark.parametrize("model", [Model.THUE_MORSE, Model.FIBONACCI, Model.FREE,
                                    Model.PERIOD_DOUBLING], ids=["tm", "fib", "free", "pd"])
 @pytest.mark.parametrize("geometry", [Geometry.WHOLE_LINE, Geometry.HALF_LINE])
 def test_resolvent_profile_meets_the_ward_identity(model, geometry):
-    prof = profile_resolvent(PotentialSpec(model, 1.0, geometry=geometry), 20.0)
+    spec = PotentialSpec(model, 1.0, geometry=geometry)
+    prof = profile_resolvent(spec, 20.0)
     assert 0.0 <= prof.meta["mass_identity_drift"] <= 1e-12
-    assert prof.meta["site_energy_steps"] == 2 * (prof.window.size - 1) * prof.meta["grid_points"]
+    # each grid energy steps twice over each side, as far as its depth reaches
+    v = potential_values(spec, prof.window.sites())
+    count = prof.meta["grid_points"]
+    lo, hi = float(v.min()) - 2.0 - 4.0, float(v.max()) + 2.0 + 4.0
+    grid = lo + (np.arange(count) + 0.5) * (hi - lo) / count
+    d = np.maximum(float(v.min()) - 2.0 - grid, grid - float(v.max()) - 2.0)
+    src = prof.window.index(1)
+    sides = (src, prof.window.size - 1 - src)
+    steps = sum(min(_cut_depth(x), m) for x in d.tolist() for m in sides)
+    assert 0 < steps < (prof.window.size - 1) * count
+    assert prof.meta["site_energy_steps"] == 2 * steps
 
 
 @pytest.mark.parametrize("corrupt", [

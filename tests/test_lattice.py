@@ -565,6 +565,16 @@ def test_tridiag_apply_symmetric(rng):
     npt.assert_allclose(_tridiag_apply(v, u), h @ u, rtol=0, atol=1e-13)
 
 
+def test_tridiag_apply_with_a_complex_diagonal_keeps_its_bits(rng):
+    # the Chebyshev sweep passes its diagonal as complex128 once: (v + 0i)(a + bi)
+    # rounds as v (a + bi) does, zero products aside, whose sign |psi|^2 does not see
+    for n in (1, 2, 7, 1473):
+        v = rng.normal(scale=3.0, size=n) * 10.0 ** rng.integers(-200, 200, size=n)
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v[::5], psi[1::4] = 0.0, 0.0
+        assert np.array_equal(_tridiag_apply(v, psi), _tridiag_apply(v.astype(np.complex128), psi))
+
+
 KERNEL_WINDOWS = [
     (PotentialSpec(Model.THUE_MORSE, 1.3), LatticeWindow(-9, 11)),
     (PotentialSpec(Model.FIBONACCI, 2.0, Geometry.HALF_LINE),
