@@ -76,7 +76,7 @@ _TIME_BYTES_PER_SITE = 640
 _SOLVE_BYTES_PER_SITE = 128
 
 #: Bytes per energy grid point charged to the resolvent route: its peak over the
-#: potential (same measure, 960 to 52,000 grid points) is 173-209.
+#: potential (same measure, 960 to 52,000 grid points) is 178-210.
 _RESOLVENT_BYTES_PER_ENERGY = 240
 
 #: Largest relative gap between a resolvent profile's mass and the Ward
@@ -150,7 +150,6 @@ class BoundReport:
     bound_id: str
     entries: tuple[BoundEntry, ...]
     T_values: tuple[float, ...]
-    slope_tolerance: float
     #: the time-route profiles the slopes were fitted to, one per ladder time
     profiles: tuple[AmplitudeProfile, ...] = field(default=(), compare=False, repr=False)
     #: the moment series fitted, one per entry
@@ -241,12 +240,12 @@ def _grid_cells(v: np.ndarray, eps: float) -> tuple[float, float, int | float]:
 _CUT_BOUND = 1e-166
 
 
-def _sweep_depths(v: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The depth of each energy: the sites nearest the source over which its
-    Dirichlet recurrence runs on either side.  With d = max(min v - 2 - Re z,
-    Re z - max v - 2) the distance from the hull of the spectrum, an energy
-    with d <= 0 keeps the whole side (inf); otherwise the depth is the least
-    L >= 1 with r^{2L} <= _CUT_BOUND min(d, 1)^2, r = e^{-acosh(1 + d/2)}.
+def _sweep_depths(v: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The depth of each real energy E: the sites nearest the source over
+    which its Dirichlet recurrence runs on either side.  With d = max(min v -
+    2 - E, E - max v - 2) the distance from the hull of the spectrum, an
+    energy with d <= 0 keeps the whole side (inf); otherwise the depth is the
+    least L >= 1 with r^{2L} <= _CUT_BOUND min(d, 1)^2, r = e^{-acosh(1 + d/2)}.
 
     The bound (Combes and Thomas, Commun. Math. Phys. 34 (1973)): for d > 0
     every fraction of a side has |g| <= r, by induction from g = 0 since
@@ -255,8 +254,7 @@ def _sweep_depths(v: np.ndarray, z: np.ndarray) -> np.ndarray:
     most r^{L + dist(n, cut)}/d^2, so G(s, s) by at most r^{2L}/d^2 <=
     _CUT_BOUND, and leaves out only sites with |G|^2 below it.
     """
-    x = z.real
-    d = np.maximum(float(v.min()) - 2.0 - x, x - float(v.max()) - 2.0)
+    d = np.maximum(float(v.min()) - 2.0 - E, E - float(v.max()) - 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         depth = np.ceil((-math.log(_CUT_BOUND) - 2.0 * np.log(np.minimum(d, 1.0)))
                         / (2.0 * np.arccosh(1.0 + 0.5 * d)))
@@ -272,9 +270,9 @@ def _dirichlet_sweep(v_side: np.ndarray, z: np.ndarray, active: np.ndarray,
 
     At site i only the first active[i] energies step, a count that never
     falls, so the energies run deepest first (:func:`_sweep_depths`).  An
-    energy joins at its cut as at the edge, with w_{-2} = 0, w_{-1} = 1 and
-    scale 0, and the views of the active prefix are re-sliced only when the
-    count changes.
+    energy joins at its cut j as at the edge, with w_{j-2} = 0, w_{j-1} = 1
+    and scale 0, and the views of the active prefix are re-sliced only when
+    the count changes.
 
     Returns the last two w, (w_{m-2}, w_{m-1}), both divided by exp(scale/2),
     and scale: log |w_{m-1}|^2 is scale plus the log of the returned one's.
@@ -299,8 +297,10 @@ def _dirichlet_sweep(v_side: np.ndarray, z: np.ndarray, active: np.ndarray,
         raise ScaleOverflowError(f"continued fractions bounded by {bound:.2e} pass "
                                  f"{OVERFLOW_LIMIT:.0e}; lower the coupling or raise T")
     block = max(1, int(125.0 / math.log10(max(bound, 10.0))))
-    # (w_{i-2}, w_{i-1}) of every energy sit in pair[i % 2], pair[1 - i % 2]
-    pair, step = (np.zeros_like(z), np.ones_like(z)), np.empty_like(z)
+    # (w_{i-2}, w_{i-1}) of every energy sit in pair[i % 2], pair[1 - i % 2], so an
+    # energy joining at site j starts with pair[j % 2] = 0 and pair[1 - j % 2] = 1
+    first = (np.searchsorted(active, np.arange(z.size), side="right") % 2).astype(z.dtype)
+    pair, step = (first, 1.0 - first), np.empty_like(z)
     scale = np.zeros(z.shape)
     if out is not None:
         # each energy's weight twice, against (Re w)^2 and (Im w)^2 in w's float view
@@ -332,17 +332,40 @@ def _dirichlet_sweep(v_side: np.ndarray, z: np.ndarray, active: np.ndarray,
     return pair[v_side.size % 2], pair[1 - v_side.size % 2], scale
 
 
-def _source_green(v_src: float, z: np.ndarray,
-                  sides: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """G(s, s; z) for every energy, with v_src the potential at the source,
-    and -log |w_{m-1}|^2 of each side: pass 1 of :func:`_resolvent_weights`.
+def _resolvent_weights(v: np.ndarray, E: np.ndarray, eps: float,
+                       src: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """sum_E |G(n, s; E + i eps)|^2 for every window site n, G(s, s; E + i eps)
+    in the order of ``E``, and the site-energy steps run.
 
-    Each side (its potential edge first, and its active counts) runs its
-    Dirichlet solution from the truncation edge or cut in to the source; its
-    fraction is g = w_{m-2}/w_{m-1}, one complex division per energy, and
-    G(s, s) = 1/(v_s - z - g_left - g_right).
+    The one resolvent quadrature kernel, with the energies as the vector axis
+    and O(grid + window) working memory.  Each energy runs each side only over
+    the sites within its depth from the source (:func:`_sweep_depths`): past
+    it |G|^2 is below 1e-166, and the cut moves G(s, s) by at most 1e-166.
+    The kernel takes the energies deepest first, by one stable sort, so that
+    the ones stepping at a site are a prefix that only grows; the steps run
+    are the lengths of those prefixes summed over both sides and passes.
+
+    Pass 1 runs each side's Dirichlet solution from its truncation edge or
+    cut in to the source; its fraction is g = w_{m-2}/w_{m-1}, one complex
+    division per energy, G(s, s) = 1/(v_s - z - g_left - g_right), and
+    log |w_{m-1}|^2 is the log of the product of the side's continued-fraction
+    denominators.  The Dirichlet solution w of a side is proportional to
+    G(., s) there: |G(n, s)|^2 = |G(s, s)|^2 |w_{i-1}|^2 / |w_{m-1}|^2 at its
+    i-th site from the edge.  Pass 2 reruns each side's recurrence and takes
+    one weighted squared-modulus sum per site under the carried log scale, so
+    nothing overflows and no |G|^2 above about 1e-58 underflows.  Requires
+    eps > 0, which keeps every |w_i/w_{i-1}| at least eps without pivoting.
     """
-    denominator = v_src - z
+    depth = _sweep_depths(v, E)
+    order = np.argsort(-depth, kind="stable")
+    depth = depth[order]
+    z = E[order] + 1j * eps
+    # at a side's site i from the edge, the energies whose depth reaches m - i
+    sides = [(side, z.size - np.searchsorted(depth[::-1], np.arange(side.size, 0, -1)))
+             for side in (v[:src], v[:src:-1])]
+    del depth  # not held through the sweeps: 8 bytes per energy
+    steps = 2 * sum(int(active.sum()) for _, active in sides)
+    denominator = float(v[src]) - z
     log_sides = []
     for side, active in sides:
         prev, last, scale = _dirichlet_sweep(side, z, active)
@@ -350,45 +373,18 @@ def _source_green(v_src: float, z: np.ndarray,
         size = np.abs(last)
         scale += np.log(np.square(size, out=size), out=size)
         log_sides.append(np.negative(scale, out=scale))
-    return 1.0 / denominator, log_sides
-
-
-def _resolvent_weights(v: np.ndarray, z: np.ndarray, src: int) -> tuple[np.ndarray, np.ndarray]:
-    """sum_E |G(n, s; z)|^2 for every window site n, and G(s, s; z).
-
-    The one resolvent quadrature kernel, with the energies as the vector axis
-    and O(grid + window) working memory.  Pass 1 (:func:`_source_green`)
-    gives G(s, s) and each side's log |w_{m-1}|^2, the log of the product of
-    its continued-fraction denominators.  The Dirichlet solution w of a side
-    is proportional to G(., s) there: |G(n, s)|^2 = |G(s, s)|^2 |w_{i-1}|^2 /
-    |w_{m-1}|^2 at its i-th site from the edge.  Pass 2 reruns each side's
-    recurrence from its edge and takes one weighted squared-modulus sum per
-    site under the carried log scale, so nothing overflows and no |G|^2 above
-    about 1e-58 underflows.  Requires Im z > 0, which keeps every
-    |w_i/w_{i-1}| at least Im z without pivoting.
-
-    Each energy runs each side only over the sites within its depth from the
-    source (:func:`_sweep_depths`): past it |G|^2 is below 1e-166, and the cut
-    moves G(s, s) by at most 1e-166.  The sweeps take the energies deepest
-    first, so that the active ones are a prefix; energies given in another
-    order run through a sorted copy.
-    """
-    depth = _sweep_depths(v, z)
-    if np.any(depth[1:] > depth[:-1]):
-        order = np.argsort(-depth, kind="stable")
-        totals, green = _resolvent_weights(v, z[order], src)
-        return totals, green[np.argsort(order)]
-    # at a side's site i from the edge, the energies whose depth reaches m - i
-    sides = [(side, z.size - np.searchsorted(depth[::-1], np.arange(side.size, 0, -1)))
-             for side in (v[:src], v[:src:-1])]
-    del depth  # not held through the sweeps: 8 bytes per energy
-    green, log_sides = _source_green(float(v[src]), z, sides)
+    del prev, last, size  # pass 1's scratch, not held through pass 2
+    green = np.divide(1.0, denominator, out=denominator)
     green2 = green.real ** 2 + green.imag ** 2
     totals = np.empty(v.size)
     totals[src] = np.sum(green2)
+    np.log(green2, out=green2)
     for (side, active), log_side, out in zip(sides, log_sides, (totals[:src], totals[:src:-1])):
-        _dirichlet_sweep(side, z, active, np.log(green2) + log_side, out)
-    return totals, green
+        _dirichlet_sweep(side, z, active, np.add(green2, log_side, out=log_side), out)
+    del z, log_sides, green2  # not held beside G(s, s) in the caller's order
+    given = np.empty_like(green)
+    given[order] = green
+    return totals, given, steps
 
 
 def profile_resolvent(spec: PotentialSpec, T: float,
@@ -402,8 +398,8 @@ def profile_resolvent(spec: PotentialSpec, T: float,
     recurrence over all grid energies, each energy only as deep as its
     Green's function reaches (every energy within 2 of the potential's range
     runs the whole side).  ``meta["site_energy_steps"]`` counts the steps
-    run: twice the sum over energies and sides of the sites swept.  The
-    profile's mass must match the Ward identity sum_n |G(n, 1)|^2 =
+    the kernel ran: twice the sum over energies and sides of the sites swept.
+    The profile's mass must match the Ward identity sum_n |G(n, 1)|^2 =
     Im G(1, 1)/eps, that is (h/pi) sum_E Im G(1, 1; E + i eps), to ``MASS_IDENTITY_TOL``
     (``meta["mass_identity_drift"]``), and every site weight must be finite;
     otherwise :class:`ArithmeticError`.  A profile whose far-edge share of the
@@ -413,15 +409,10 @@ def profile_resolvent(spec: PotentialSpec, T: float,
     window, v, _ = _profile_setup(spec, [T], window, resolvent=True)
     eps = 1.0 / T
     lo, hi, count = _grid_cells(v, eps)
-    # midpoint nodes of a uniform partition, deepest sweep first as the kernel takes them
+    # midpoint nodes of a uniform partition
     grid = lo + (np.arange(count) + 0.5) * (hi - lo) / count
     h = float(grid[1] - grid[0])
-    depth = _sweep_depths(v, grid)
-    grid = grid[np.argsort(-depth, kind="stable")]
-    src = window.index(1)
-    steps = sum(int(np.minimum(depth, m).sum()) for m in (src, window.size - 1 - src))
-    del depth  # not held through the kernel: 8 bytes per energy
-    totals, green = _resolvent_weights(v, grid + 1j * eps, src)
+    totals, green, steps = _resolvent_weights(v, grid, eps, window.index(1))
     if not np.all(np.isfinite(totals)):
         raise ArithmeticError("resolvent quadrature produced a non-finite site weight")
     a = (eps / math.pi) * h * totals
@@ -433,7 +424,7 @@ def profile_resolvent(spec: PotentialSpec, T: float,
     _check_far_edge(edge, T)
     meta = {
         "grid_points": int(grid.size),
-        "site_energy_steps": 2 * steps,
+        "site_energy_steps": steps,
         "mass_identity_drift": drift,
         "far_edge_share": edge,
     }
@@ -949,7 +940,7 @@ def bound_report(spec: PotentialSpec, p_values: Sequence[float], T_values: Seque
                                   bound_slope=theoretical, verdict=verdict))
     return BoundReport(spec_description=spec.describe(), bound_id=bound_id,
                        entries=tuple(entries), T_values=tuple(T_values),
-                       slope_tolerance=slope_tolerance, profiles=tuple(profiles), series=series)
+                       profiles=tuple(profiles), series=series)
 
 
 # ---------------------------------------------------------------------------
@@ -996,15 +987,10 @@ class PowerlawReport:
     c_estimate: float
     argmax_m: int
     max_norm: float
-    violations: tuple[int, ...]
 
 
-def _powerlaw_report(norms: TransferNorms, alpha: float,
-                     cap: float | None = None) -> PowerlawReport:
-    """Max of ||T(m, 1; E)|| / |m|^alpha over the swept m != 0.
-
-    ``cap``, when given, marks the m whose ratio exceeds it as violations.
-    """
+def _powerlaw_report(norms: TransferNorms, alpha: float) -> PowerlawReport:
+    """Max of ||T(m, 1; E)|| / |m|^alpha over the swept m != 0."""
     keep = norms.m != 0
     m, values = norms.m[keep], norms.norms[keep]
     try:
@@ -1014,9 +1000,7 @@ def _powerlaw_report(norms: TransferNorms, alpha: float,
         raise ScaleOverflowError(f"|m|^alpha overflows at alpha={alpha:g}") from None
     best = int(np.argmax(np.where(ratios > 0.0, ratios, 0.0)))  # a strict > scan in ascending m
     c_estimate, argmax_m = (float(ratios[best]), int(m[best])) if ratios[best] > 0.0 else (0.0, 1)
-    violations = () if cap is None else tuple(m[ratios > cap].tolist())
-    return PowerlawReport(c_estimate=c_estimate, argmax_m=argmax_m,
-                          max_norm=float(values.max()), violations=violations)
+    return PowerlawReport(c_estimate=c_estimate, argmax_m=argmax_m, max_norm=float(values.max()))
 
 
 def zeckendorf_bound_check(spec: PotentialSpec, E: float, m_max: int, d: float) -> dict:

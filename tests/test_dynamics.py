@@ -631,16 +631,16 @@ def test_resolvent_weights_match_dense_solves(geometry, window, lam):
     src = window.index(1)
     inside = np.linspace(-2.5, lam + 2.5, 61)
     far = np.array([-1e4, -300.0, 300.0, 1e4])
-    z = np.concatenate([inside, far]) + 0.05j
-    G = _dense_green_columns(v, z, src)
+    energies = np.concatenate([inside, far])
+    G = _dense_green_columns(v, energies + 0.05j, src)
     expected = np.sum(np.abs(G) ** 2, axis=0)
     # the farthest energy puts |G|^2 at the last site below 1e-300
     assert np.abs(G[-1, -1]) ** 2 < 1e-300
-    totals, green = dynamics._resolvent_weights(v, z, src)
+    totals, green, _ = dynamics._resolvent_weights(v, energies, 0.05, src)
     assert np.all(np.isfinite(totals)) and np.all(totals >= 0.0)
     assert np.max(np.abs(totals - expected)) <= 1e-12 * np.max(expected)
     npt.assert_allclose(green, G[:, src], rtol=1e-12)
-    far_totals, _ = dynamics._resolvent_weights(v, far + 0.05j, src)
+    far_totals, _, _ = dynamics._resolvent_weights(v, far, 0.05, src)
     far_expected = np.sum(np.abs(G[-far.size:]) ** 2, axis=0)
     assert np.all(np.isfinite(far_totals)) and np.all(far_totals >= 0.0)
     assert np.max(np.abs(far_totals - far_expected)) <= 1e-12 * np.max(far_expected)
@@ -664,11 +664,11 @@ def test_resolvent_weights_over_many_rescale_blocks_match_dense_solves(model, ge
     z = energies + 1j * eta
     G = _dense_green_columns(v, z, src)
     expected = np.abs(G) ** 2
-    totals, green = dynamics._resolvent_weights(v, z, src)
+    totals, green, _ = dynamics._resolvent_weights(v, energies, eta, src)
     npt.assert_allclose(green, G[:, src], rtol=1e-12)
     assert np.max(np.abs(totals - expected.sum(axis=0))) <= 1e-12 * np.max(expected.sum(axis=0))
     for k in (0, 7, 14, 28, 29, 31, 32):
-        weights, green_k = dynamics._resolvent_weights(v, z[k:k + 1], src)
+        weights, green_k, _ = dynamics._resolvent_weights(v, energies[k:k + 1], eta, src)
         assert green_k[0] == pytest.approx(G[k, src], rel=1e-12)
         held = expected[k] > 1e-150
         assert held.sum() >= 10
@@ -699,13 +699,13 @@ def test_resolvent_weights_sweep_each_energy_as_deep_as_its_green_function_reach
     src = window.index(1)
     lo, hi = float(v.min()) - 2.0, float(v.max()) + 2.0
     distances = [1e-3, 0.05, 0.5, 4.0, 1e4, 0.0, -0.5]
-    z = np.array([lo - d for d in distances] + [hi + d for d in distances]) + 1j * eta
-    G = _dense_green_columns(v, z, src)
+    energies = np.array([lo - d for d in distances] + [hi + d for d in distances])
+    G = _dense_green_columns(v, energies + 1j * eta, src)
     expected = np.abs(G) ** 2
     offsets = np.abs(np.arange(v.size) - src)
     dropped = 0
     for k, d in enumerate(distances * 2):
-        weights, green = dynamics._resolvent_weights(v, z[k:k + 1], src)
+        weights, green, _ = dynamics._resolvent_weights(v, energies[k:k + 1], eta, src)
         assert green[0] == pytest.approx(G[k, src], rel=1e-12)
         held = expected[k] > 1e-150
         npt.assert_allclose(weights[held], expected[k, held], rtol=1e-10)
@@ -714,14 +714,47 @@ def test_resolvent_weights_sweep_each_energy_as_deep_as_its_green_function_reach
         dropped += np.count_nonzero(~kept)
     assert dropped > 0
     # no energy inside the hull is cut, its edges included
-    assert np.all(dynamics._sweep_depths(v, np.linspace(lo, hi, 1001) + 1j * eta) == np.inf)
+    assert np.all(dynamics._sweep_depths(v, np.linspace(lo, hi, 1001)) == np.inf)
     # energies in any order give what they give deepest first
-    totals, green = dynamics._resolvent_weights(v, z, src)
+    totals, green, _ = dynamics._resolvent_weights(v, energies, eta, src)
     assert np.max(np.abs(totals - expected.sum(axis=0))) <= 1e-12 * np.max(expected.sum(axis=0))
     npt.assert_allclose(green, G[:, src], rtol=1e-12)
     order = np.argsort([-_cut_depth(d) for d in distances * 2], kind="stable")
-    sorted_totals, sorted_green = dynamics._resolvent_weights(v, z[order], src)
+    sorted_totals, sorted_green, _ = dynamics._resolvent_weights(v, energies[order], eta, src)
     assert np.array_equal(sorted_totals, totals) and np.array_equal(sorted_green, green[order])
+
+
+def test_resolvent_weights_keep_the_site_at_each_depth_for_either_join_parity():
+    # an energy joins a side at site j from its edge with (w_{j-2}, w_{j-1}) = (0, 1),
+    # whether j is even or odd: the site at its depth holds |G|^2, not 0
+    v = potential_values(PotentialSpec(Model.THUE_MORSE, 1.0), np.arange(-300, 301))
+    src, eta = 300, 0.05
+    lo, hi = float(v.min()) - 2.0, float(v.max()) + 2.0
+    distances = [2.0, 3.0, 3.5, 4.0, 10.0, 30.0, 1000.0]
+    energies = np.array([lo - d for d in distances] + [hi + d for d in distances])
+    expected = np.abs(_dense_green_columns(v, energies + 1j * eta, src)) ** 2
+    parities = set()
+    for k, d in enumerate(distances * 2):
+        depth = _cut_depth(d)
+        weights, _, _ = dynamics._resolvent_weights(v, energies[k:k + 1], eta, src)
+        for site, side_length in ((src - depth, src), (src + depth, v.size - 1 - src)):
+            parities.add((side_length - depth) % 2)
+            assert weights[site] > 0.0
+            assert abs(weights[site] - expected[k, site]) <= 0.2 * expected[k, site]
+    assert parities == {0, 1}
+
+
+def test_profile_resolvent_takes_each_depth_once(monkeypatch):
+    calls = []
+    depths = dynamics._sweep_depths
+
+    def spy(v, E):
+        calls.append(E.size)
+        return depths(v, E)
+
+    monkeypatch.setattr(dynamics, "_sweep_depths", spy)
+    prof = profile_resolvent(PotentialSpec(Model.THUE_MORSE, 1.0), 20.0)
+    assert calls == [prof.meta["grid_points"]]
 
 
 @pytest.mark.parametrize("model", [Model.THUE_MORSE, Model.FIBONACCI, Model.FREE,
@@ -751,9 +784,9 @@ def test_resolvent_profile_meets_the_ward_identity(model, geometry):
 def test_resolvent_profile_refuses_a_broken_quadrature(monkeypatch, corrupt):
     kernel = dynamics._resolvent_weights
 
-    def broken(v, z, src):
-        totals, green = kernel(v, z, src)
-        return corrupt(totals), green
+    def broken(v, E, eps, src):
+        totals, green, steps = kernel(v, E, eps, src)
+        return corrupt(totals), green, steps
 
     monkeypatch.setattr(dynamics, "_resolvent_weights", broken)
     with pytest.raises(ArithmeticError):
@@ -1013,8 +1046,7 @@ def test_powerlaw_fib_on_band_energies():
     for band in bands.bands[:: len(bands.bands) // 4]:
         energy = 0.5 * (band.lo + band.hi)
         norms = transfer_norms_from_origin(spec, energy, 89)
-        report = dynamics._powerlaw_report(norms, alpha, cap=bound_parameters(lam).d)
-        assert report.violations == ()
+        report = dynamics._powerlaw_report(norms, alpha)
         assert report.c_estimate <= bound_parameters(lam).d
 
 
@@ -1081,11 +1113,10 @@ def _norms_dict(spec, E, m_max):
     return norms
 
 
-def _powerlaw_loop(norms, alpha, cap=None):
+def _powerlaw_loop(norms, alpha):
     """The power-law report as a per-m loop: one strict > scan in ascending m, with
     |m|^alpha from np.power per m."""
     best_ratio, best_m, max_norm = 0.0, 1, 0.0
-    violations = []
     for m, norm in sorted(norms.items()):
         if m == 0:
             continue
@@ -1093,10 +1124,7 @@ def _powerlaw_loop(norms, alpha, cap=None):
         max_norm = max(max_norm, norm)
         if ratio > best_ratio:
             best_ratio, best_m = ratio, m
-        if cap is not None and ratio > cap:
-            violations.append(m)
-    return PowerlawReport(c_estimate=best_ratio, argmax_m=best_m, max_norm=max_norm,
-                          violations=tuple(violations))
+    return PowerlawReport(c_estimate=best_ratio, argmax_m=best_m, max_norm=max_norm)
 
 
 def _zeckendorf_loop(norms, E, m_max, d):
@@ -1141,15 +1169,14 @@ _TIED = st.sampled_from([1.0, 1.0, 2.0, 2.5, 4.0, 1e3])
 
 @settings(max_examples=80, deadline=None)
 @given(m_max=st.integers(1, 40), whole=st.booleans(), data=st.data(),
-       alpha=st.sampled_from([0.0, 1.0, 26.6]),
-       cap=st.sampled_from([None, 0.5, 2.0, 1e-30]))
-def test_reports_match_the_per_m_loops(m_max, whole, data, alpha, cap):
+       alpha=st.sampled_from([0.0, 1.0, 26.6]))
+def test_reports_match_the_per_m_loops(m_max, whole, data, alpha):
     size = 2 * m_max + 1 if whole else m_max
     values = data.draw(st.lists(_TIED | st.floats(1.0, 1e6), min_size=size, max_size=size))
     norms = TransferNorms(np.arange(m_max + 1 - size, m_max + 1), np.array(values))
-    report = dynamics._powerlaw_report(norms, alpha, cap)
-    assert report == _powerlaw_loop(norms, alpha, cap)
-    assert type(report.argmax_m) is int and all(type(m) is int for m in report.violations)
+    report = dynamics._powerlaw_report(norms, alpha)
+    assert report == _powerlaw_loop(norms, alpha)
+    assert type(report.argmax_m) is int
     for d in (1.1, 1e3):
         coding = dynamics._zeckendorf_report(norms, 0.25, m_max, d)
         assert coding == _zeckendorf_loop(norms, 0.25, m_max, d)
@@ -1164,13 +1191,13 @@ def test_reports_keep_the_first_of_tied_maxima():
     assert _powerlaw_loop(norms, 0.0) == report
     # no positive ratio: c 0 at m = 1
     zeros = TransferNorms(np.arange(-3, 4), np.zeros(7))
-    report = dynamics._powerlaw_report(zeros, 1.0, cap=0.0)
-    assert (report.argmax_m, report.c_estimate, report.violations) == (1, 0.0, ())
-    assert report == _powerlaw_loop(zeros, 1.0, cap=0.0)
+    report = dynamics._powerlaw_report(zeros, 1.0)
+    assert (report.argmax_m, report.c_estimate) == (1, 0.0)
+    assert report == _powerlaw_loop(zeros, 1.0)
     # at alpha = NaN only m = +-1 (1 ** NaN = 1) give a ratio; the NaNs are skipped
-    report = dynamics._powerlaw_report(norms, math.nan, cap=0.0)
-    assert (report.argmax_m, report.c_estimate, report.violations) == (1, 5.0, (-1, 1))
-    assert report == _powerlaw_loop(norms, math.nan, cap=0.0)
+    report = dynamics._powerlaw_report(norms, math.nan)
+    assert (report.argmax_m, report.c_estimate) == (1, 5.0)
+    assert report == _powerlaw_loop(norms, math.nan)
 
 
 def test_reports_keep_the_bits_of_np_power_and_log():
