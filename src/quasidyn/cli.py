@@ -303,6 +303,9 @@ def spectrum(model, lam, k, with_measure, out, config_path):
     if with_measure and lam <= 4.0:
         raise click.UsageError("--measure needs coupling above 4")
     config = RunConfig("spectrum", {"model": model.value, "lambda": _fmt(lam), "k": k})
+    # the measure report reads every level 1..k: run first, it bisects them all in one
+    # loop, and the band table reads its levels from the cache
+    measure = spectra.measure_report(lam, k) if with_measure else None
     if lam > 4.0 and k >= 2:
         bands = spectra.classify_bands(lam, k)
     else:
@@ -318,7 +321,6 @@ def spectrum(model, lam, k, with_measure, out, config_path):
         "min_width": bands.min_width,
     })
     if with_measure:
-        measure = spectra.measure_report(lam, k)
         write_json(out.with_suffix(".measure.json"), config, {}, measure)
     click.echo(f"{len(bands)} bands -> {out}")
     return True
@@ -427,6 +429,8 @@ def _suite_algebra(lam: float) -> dict:
 
 
 def _suite_covering(lam: float, mmax: int) -> dict:
+    # every level 1..mmax + 1 in one loop, the deepest refused past the cap first
+    spectra._cached_spectra(lam, range(1, mmax + 2))
     worst: list = []
     for m in range(2, mmax + 1):
         rep = spectra.covering_check(lam, m)

@@ -7,7 +7,8 @@ each of its F_k bands lies between two consecutive Dirichlet eigenvalues of
 that period cell, and its edges are the crossings of x_k with -2 and 2
 there.  The level-set kernel ``traces._level_crossings``, which also gives
 the special energies, bisects them on the trace map to float64
-resolution, with no matrix and no tolerance to choose.
+resolution, with no matrix and no tolerance to choose, and every level a
+report reads in one loop.
 
 For coupling above 4 three consecutive traces can never be simultaneously
 bounded by 2 in absolute value, which forces the band combinatorics: each
@@ -22,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import islice
 from typing import Iterable
 
@@ -34,7 +35,8 @@ from quasidyn.traces import (
     _Jet,
     _level_crossings,
     _level_trace,
-    _period_cell,
+    _period_cells,
+    _period_sites,
     _walk,
     fibonacci_numbers,
 )
@@ -192,24 +194,51 @@ def approximant_spectrum(lam: float, k: int) -> BandSet:
     """
     if k < 0:
         raise DomainError("approximant level must be nonnegative")
-    cell = _period_cell(Model.FIBONACCI, lam, k, f"the level-{k} band set")
-    lo, hi = np.sort(_level_crossings(*cell, (-2.0, 2.0))[0], axis=0)
-    with np.errstate(all="ignore"):
-        x = _level_trace(Model.FIBONACCI, lam, k, _DD(0.5 * (hi[:-1] + lo[1:])))
-        excess = (np.abs(x.hi) - 2.0) + np.sign(x.hi) * x.lo
-    # inf or NaN past the double-double range is an open gap; meeting crossings leave none
-    open_gap = ~(excess <= _CLOSED_GAP_EXCESS) & (hi[:-1] < lo[1:])
-    first, last = np.r_[True, open_gap], np.r_[open_gap, True]
-    bands = tuple(Band(lo=a, hi=b) for a, b in zip(lo[first], hi[last]))
-    if lam > 4.0 and len(bands) != lo.size:
-        raise BandCountError(
-            f"level {k} at lambda={lam}: found {len(bands)} bands, expected F_{k} = {lo.size}")
-    return BandSet(bands=bands)
+    (bands,) = _approximant_spectra(lam, range(k, k + 1))
+    return bands
 
 
-@lru_cache(maxsize=256)
-def _cached_spectrum(lam: float, k: int) -> BandSet:
-    return approximant_spectrum(lam, k)
+def _approximant_spectra(lam: float, levels) -> list[BandSet]:
+    """The band sets of the ascending, nonnegative ``levels``, as
+    :func:`approximant_spectrum` gives each, from one kernel call."""
+    found = _level_crossings(*_period_cells(Model.FIBONACCI, lam, levels, "band set"),
+                             (-2.0, 2.0))
+    out = []
+    for k in levels:
+        lo, hi = np.sort(found[k][0], axis=0)
+        with np.errstate(all="ignore"):
+            x = _level_trace(Model.FIBONACCI, lam, k, _DD(0.5 * (hi[:-1] + lo[1:])))
+            excess = (np.abs(x.hi) - 2.0) + np.sign(x.hi) * x.lo
+        # inf or NaN past the double-double range is an open gap; meeting crossings leave none
+        open_gap = ~(excess <= _CLOSED_GAP_EXCESS) & (hi[:-1] < lo[1:])
+        first, last = np.r_[True, open_gap], np.r_[open_gap, True]
+        bands = tuple(Band(lo=a, hi=b) for a, b in zip(lo[first], hi[last]))
+        if lam > 4.0 and len(bands) != lo.size:
+            raise BandCountError(
+                f"level {k} at lambda={lam}: found {len(bands)} bands, expected F_{k} = {lo.size}")
+        out.append(BandSet(bands=bands))
+    return out
+
+
+#: Band sets by (lambda, level), least recently read first, and how many are kept.
+_BAND_SETS: dict[tuple[float, int], BandSet] = {}
+_BAND_SETS_KEPT = 256
+
+
+def _cached_spectra(lam: float, levels: range) -> list[BandSet]:
+    """The band sets of the ascending ``levels``, cached: those not cached yet
+    come from one kernel call.  The deepest level is refused past the cap
+    before the levels are listed, so a range of any length is refused at once.
+    The answer is read out before the least recently read band sets are
+    dropped, so no level of this request can be dropped before it is read."""
+    _period_sites(Model.FIBONACCI, levels[-1], f"the level-{levels[-1]} band set")
+    missing = [k for k in levels if (lam, k) not in _BAND_SETS]
+    fresh = dict(zip(missing, _approximant_spectra(lam, missing))) if missing else {}
+    out = [fresh[k] if k in fresh else _BAND_SETS.pop((lam, k)) for k in levels]
+    _BAND_SETS.update(zip([(lam, k) for k in levels], out))
+    for key in list(_BAND_SETS)[:-_BAND_SETS_KEPT]:
+        del _BAND_SETS[key]
+    return out
 
 
 @dataclass(frozen=True)
@@ -226,11 +255,11 @@ def covering_check(lam: float, m: int) -> CoveringReport:
     """
     if m < 2:
         raise DomainError("covering check needs m >= 2")
-    cover = np.concatenate([_cached_spectrum(lam, j)._ends for j in (m - 1, m)])
+    below, cur, above = _cached_spectra(lam, range(m - 1, m + 2))
+    cover = np.concatenate([below._ends, cur._ends])
     union = np.array(merge_intervals(cover.tolist(), COVERING_TOL)).reshape(-1, 2)
     violations = []
-    for level in (m, m + 1):
-        bands = _cached_spectrum(lam, level)
+    for level, bands in ((m, cur), (m + 1, above)):
         violations.extend((level, b.lo, b.hi)
                           for b, ok in zip(bands, _held(union, *bands._ends.T, COVERING_TOL))
                           if not ok)
@@ -248,9 +277,8 @@ def classify_bands(lam: float, k: int) -> BandSet:
         raise DomainError("band classification requires lambda > 4")
     if k < 2:
         raise DomainError("classification needs k >= 2")
-    cur = _cached_spectrum(lam, k)
-    held = [_held(_cached_spectrum(lam, j)._ends, *cur._ends.T, CONTAINMENT_TOL).tolist()
-            for j in (k - 1, k - 2)]
+    grand, parent, cur = _cached_spectra(lam, range(k - 2, k + 1))
+    held = [_held(up._ends, *cur._ends.T, CONTAINMENT_TOL).tolist() for up in (parent, grand)]
     labeled = []
     for band, in_a, in_b in zip(cur, *held):
         if in_a == in_b:
@@ -420,12 +448,13 @@ def measure_report(lam: float, kmax: int) -> dict:
     """
     if lam <= 4.0:
         raise DomainError("the measure bounds hold for lambda > 4")
+    if kmax < 1:
+        raise DomainError("the measure table needs kmax >= 1")
     params = bound_parameters(lam)
     fib = fibonacci_numbers(kmax)
     rows = []
     c_estimate = 0.0
-    for k in range(1, kmax + 1):
-        bands = _cached_spectrum(lam, k)
+    for k, bands in enumerate(_cached_spectra(lam, range(1, kmax + 1)), start=1):
         (d_k,) = _level_slopes(lam, bands.interior_points(SAMPLES_PER_BAND), k, 1)
         peak_deriv = float(np.max(np.abs(d_k)))
         c_estimate = max(c_estimate, peak_deriv / (2.0 * lam + 22.0) ** k)

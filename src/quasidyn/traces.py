@@ -19,7 +19,8 @@ Each trace map is written once (``_fib_levels``, ``_pd_levels``,
 ``_walk``, for float64 arrays, the double-double type ``_DD``, the
 value-and-derivative type ``_Jet`` that gives every energy slope by the
 product rule, and the clipped type ``_Clip`` on which the level-set kernel
-``_level_crossings`` bisects band edges and special energies alike.  The block
+``_level_crossings`` bisects band edges and special energies alike, every
+level a caller reads in one loop.  The block
 matrices themselves are read off one walk too, ``_blocks``, and every orbit,
 block and clipped value is held to the one limit ``lattice.OVERFLOW_LIMIT``.
 Fibonacci orbits are iterated in double-double arithmetic:
@@ -463,49 +464,108 @@ def _level_trace(model: Model, lam: float, level: int, e):
     return x if model is Model.FIBONACCI else x[0]
 
 
-def _period_cell(model: Model, lam: float, level: int, what: str):
-    """(row, trace) of the chain whose discriminant is the level trace: sites
-    1..F_k of the Fibonacci chain (site 0 at level 0) or lam times the
-    level-j word, and the trace on float64 energies, run on _Clip values.
-    ``what`` is refused past the cap before any word or row is built."""
+def _period_sites(model: Model, level: int, what: str) -> int:
+    """Sites of the level's period cell: F_k of the Fibonacci chain, 2^j of a
+    substitution word.  ``what`` is refused past the cap as the count grows,
+    so a level of any size is refused within 19 steps."""
     q, prev = 1, 0
     for _ in range(level):
         q, prev = (q + prev if model is Model.FIBONACCI else 2 * q), q
         _check_period_sites(q, what)
+    return q
+
+
+def _period_cells(model: Model, lam: float, levels, what: str):
+    """(rows, walk) for the ascending ``levels``: by level, the row of the chain
+    whose discriminant is the level trace (sites 1..F_k of the Fibonacci chain,
+    site 0 at level 0, or lam times the level-j word), and the walk whose
+    level j is that trace (x_j, or tr T0_j) at float64 energies, run on _Clip
+    values.  The deepest level, "the level-K ``what``", is refused past the
+    cap before any word or row is built."""
+    _period_sites(model, levels[-1], f"the level-{levels[-1]} {what}")
     if model is Model.FIBONACCI:
-        row = potential_values(PotentialSpec(model, lam), np.arange(1, q + 1) if level else [0])
+        spec = PotentialSpec(model, lam)
+        rows = {k: potential_values(spec, np.arange(1, _period_sites(model, k, what) + 1)
+                                    if k else [0]) for k in levels}
     else:
-        row = lam * substitution_word(model, level)
-    return row, lambda energies: _level_trace(model, lam, level, _Clip(energies)).v
+        rows = {j: lam * substitution_word(model, j) for j in levels}
+
+    def walk(energies):
+        for x in _walk(model, lam, _Clip(energies)):
+            yield (x if model is Model.FIBONACCI else x[0]).v
+
+    return rows, walk
 
 
-def _level_crossings(v: np.ndarray, trace, targets: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Crossings of the discriminant ``trace`` of the period cell v with each target.
+def _lane_runs(level: np.ndarray) -> list[tuple[int, int, int]]:
+    """(level, start, stop) of each run of one level in the ascending lane levels."""
+    start = np.flatnonzero(np.diff(level, prepend=-1))
+    return list(zip(level[start].tolist(), start.tolist(), [*start[1:].tolist(), level.size]))
 
-    The q - 1 Dirichlet eigenvalues of the cell (sites 1..q-1) lie one in
-    each closed gap, and the spectrum in [min v - 2, max v + 2].  So bracket
-    i holds band i, where the discriminant runs monotonically from -2 to 2
-    if q - 1 - i is even (it grows like E^q) and back otherwise, and each
-    target in [-2, 2] is crossed once.  Bisection on the sign of trace - c
-    (``trace`` must keep it) steps all brackets at once, moving an end where the
-    midpoint lies strictly inside, and keeps the closer end once none does.
-    Returns the (len(targets), q) crossings and the q + 1 bracket ends."""
-    q = v.size
-    dirichlet = _lapack.dsterf(v[:-1], np.ones(q - 2)) if q > 1 else []
-    ends = np.concatenate([[v.min() - 2.0], dirichlet, [v.max() + 2.0]])
-    lo, hi = np.tile(ends[:-1], len(targets)), np.tile(ends[1:], len(targets))
-    rising = np.tile((q - 1 - np.arange(q)) % 2 == 0, len(targets))
-    target = np.repeat(np.asarray(targets, dtype=np.float64), q)
+
+def _lane_values(walk, e: np.ndarray, runs) -> np.ndarray:
+    """Each lane's own level of walk(e): one walk up to the deepest run, each run
+    taking its lanes of its level as the walk passes it."""
+    levels, at, parts = walk(e), -1, []
+    for j, start, stop in runs:
+        parts.append(next(islice(levels, j - at - 1, None))[start:stop])
+        at = j
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _level_crossings(rows: dict, walk, targets: tuple[float, ...]) -> dict:
+    """Crossings of each period cell's discriminant with each target.
+
+    ``rows`` maps a level to its period cell v, and level j of ``walk(e)`` is
+    the discriminant of cell j at the energies e.  The q - 1 Dirichlet
+    eigenvalues of a cell (sites 1..q-1) lie one in each closed gap, and the
+    spectrum in [min v - 2, max v + 2].  So bracket i holds band i, where the
+    discriminant runs monotonically from -2 to 2 if q - 1 - i is even (it
+    grows like E^q) and back otherwise, and each target in [-2, 2] is crossed
+    once.  Bisection on the sign of trace - c (the walk must keep it) steps
+    every bracket of every cell in one loop, as lanes ordered by level,
+    moving an end where the midpoint lies strictly inside, and keeps the
+    closer end once none does.  Each step walks the map once, up to the
+    deepest level still moving; once fewer than half the lanes move, the
+    loop keeps only those.  A lane's steps read its own values alone, so each
+    crossing is the one a bisection of its bracket alone gives.  Returns, by
+    level, the (len(targets), q) crossings and the q + 1 bracket ends."""
+    t = np.asarray(targets, dtype=np.float64)
+    ends, lo, hi, rising, target, level = {}, [], [], [], [], []
+    for j, v in sorted(rows.items()):
+        q = v.size
+        dirichlet = _lapack.dsterf(v[:-1], np.ones(q - 2)) if q > 1 else []
+        ends[j] = np.concatenate([[v.min() - 2.0], dirichlet, [v.max() + 2.0]])
+        lo.append(np.tile(ends[j][:-1], t.size))
+        hi.append(np.tile(ends[j][1:], t.size))
+        rising.append(np.tile((q - 1 - np.arange(q)) % 2 == 0, t.size))
+        target.append(np.repeat(t, q))
+        level.append(np.full(q * t.size, j))
+    lo, hi, rising, target, level = map(np.concatenate, (lo, hi, rising, target, level))
+    # the moving lanes: their places in lo and hi, and their own copies
+    lane = np.arange(lo.size)
+    a_lo, a_hi, a_rising, a_target, a_level = lo, hi, rising, target, level
+    runs = _lane_runs(level)
     # the clipped Thue-Morse step may overflow inside a level; the sum clips it
     with np.errstate(over="ignore"):
-        mid = 0.5 * (lo + hi)
-        while (moved := (lo < mid) & (mid < hi)).any():
-            left = (trace(mid) > target) == rising
-            hi = np.where(moved & left, mid, hi)
-            lo = np.where(moved & ~left, mid, lo)
-            mid = 0.5 * (lo + hi)
-        closer_hi = np.abs(trace(hi) - target) < np.abs(trace(lo) - target)
-    return np.where(closer_hi, hi, lo).reshape(-1, q), ends
+        mid = 0.5 * (a_lo + a_hi)
+        while moving := np.count_nonzero(moved := (a_lo < mid) & (mid < a_hi)):
+            if 2 * moving < moved.size:
+                lo[lane], hi[lane] = a_lo, a_hi
+                lane, a_lo, a_hi, mid, a_rising, a_target, a_level = (
+                    x[moved] for x in (lane, a_lo, a_hi, mid, a_rising, a_target, a_level))
+                runs, moved = _lane_runs(a_level), moved[moved]
+            left = (_lane_values(walk, mid, runs) > a_target) == a_rising
+            a_hi = np.where(moved & left, mid, a_hi)
+            a_lo = np.where(moved & ~left, mid, a_lo)
+            mid = 0.5 * (a_lo + a_hi)
+        lo[lane], hi[lane] = a_lo, a_hi
+        runs = _lane_runs(level)
+        closer_hi = (np.abs(_lane_values(walk, hi, runs) - target)
+                     < np.abs(_lane_values(walk, lo, runs) - target))
+    crossings = np.split(np.where(closer_hi, hi, lo),
+                         np.cumsum([t.size * (e.size - 1) for e in ends.values()])[:-1])
+    return {j: (c.reshape(t.size, -1), e) for (j, e), c in zip(ends.items(), crossings)}
 
 
 # ---------------------------------------------------------------------------
@@ -521,38 +581,42 @@ _LEVEL_TWO_TOL = 1e-9
 _DUPLICATE_TOL = 1e-11
 
 
-def _trace_zeros(model: Model, lam: float, j: int) -> _DD:
-    """Zeros of the level-j block trace, ascending, polished in double-double.
+def _trace_zeros(model: Model, lam: float, levels) -> dict[int, _DD]:
+    """Zeros of the block trace of each of the ascending ``levels``, ascending,
+    polished in double-double, by level.
 
     The float64 zeros are the kernel's crossings of 0, one per Dirichlet
-    bracket.  One vectorized double-double Newton iteration polishes them
-    together, each iterate clipped to its own bracket; a zero whose slope
-    is 0 or not finite keeps its last iterate.  Zeros that are not
-    pairwise distinct in float64 trigger a warning.
+    bracket, from one kernel call for every level.  Per level, one vectorized
+    double-double Newton iteration polishes them together, each iterate
+    clipped to its own bracket; a zero whose slope is 0 or not finite keeps
+    its last iterate.  Zeros of a level that are not pairwise distinct in
+    float64 trigger a warning.
     """
-    (start,), ends = _level_crossings(*_period_cell(model, lam, j, f"the level-{j} zero set"),
-                                      (0.0,))
-    e = _DD(start)
-    live = np.ones(start.size, dtype=bool)
-    # a stopped zero may hold non-finite values; its steps are discarded
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            val = _level_trace(model, lam, j, e)
-            slope = _level_trace(model, lam, j, _Jet(e.hi, 1.0)).d
-            live &= np.isfinite(slope) & (slope != 0.0)
-            slope = np.where(live, slope, 1.0)
-            step_hi = val.hi / slope
-            step_lo = (val.lo - (step_hi * slope - val.hi)) / slope
-            nxt = e - _DD(step_hi, step_lo)
-            hi = np.clip(nxt.hi, ends[:-1], ends[1:])
-            lo = np.where(hi == nxt.hi, nxt.lo, 0.0)
-            e = _DD(np.where(live, hi, e.hi), np.where(live, lo, e.lo))
-    # counted on a sort: np.unique imports numpy.ma, ~8 ms, on its first call
-    distinct = e.hi.size - np.count_nonzero(np.diff(np.sort(e.hi)) == 0)
-    if distinct != e.hi.size:
-        warnings.warn(f"{model.value} trace level {j} (lambda={lam}): {distinct} distinct "
-                      f"zeros of {e.hi.size} in float64", RuntimeWarning, stacklevel=3)
-    return e
+    found = _level_crossings(*_period_cells(model, lam, levels, "zero set"), (0.0,))
+    zeros = {}
+    for j, ((start,), ends) in found.items():
+        e = _DD(start)
+        live = np.ones(start.size, dtype=bool)
+        # a stopped zero may hold non-finite values; its steps are discarded
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(_NEWTON_STEPS):
+                val = _level_trace(model, lam, j, e)
+                slope = _level_trace(model, lam, j, _Jet(e.hi, 1.0)).d
+                live &= np.isfinite(slope) & (slope != 0.0)
+                slope = np.where(live, slope, 1.0)
+                step_hi = val.hi / slope
+                step_lo = (val.lo - (step_hi * slope - val.hi)) / slope
+                nxt = e - _DD(step_hi, step_lo)
+                hi = np.clip(nxt.hi, ends[:-1], ends[1:])
+                lo = np.where(hi == nxt.hi, nxt.lo, 0.0)
+                e = _DD(np.where(live, hi, e.hi), np.where(live, lo, e.lo))
+        # counted on a sort: np.unique imports numpy.ma, ~8 ms, on its first call
+        distinct = e.hi.size - np.count_nonzero(np.diff(np.sort(e.hi)) == 0)
+        if distinct != e.hi.size:
+            warnings.warn(f"{model.value} trace level {j} (lambda={lam}): {distinct} distinct "
+                          f"zeros of {e.hi.size} in float64", RuntimeWarning, stacklevel=3)
+        zeros[j] = e
+    return zeros
 
 
 def pd_special_energies(lam: float, k: int) -> np.ndarray:
@@ -563,7 +627,7 @@ def pd_special_energies(lam: float, k: int) -> np.ndarray:
     double-double arithmetic.  At each root the next-level blocks satisfy
     tr T0_{k+1} = -2 and T1_{k+1} = -I.
     """
-    return _trace_zeros(Model.PERIOD_DOUBLING, lam, k).hi
+    return _trace_zeros(Model.PERIOD_DOUBLING, lam, range(k, k + 1))[k].hi
 
 
 def pd_root_certificates(lam: float, k: int) -> list[dict]:
@@ -575,7 +639,7 @@ def pd_root_certificates(lam: float, k: int) -> list[dict]:
     sidesteps the double-precision floor |x_k| >= |x_k'| ulp(E) that a
     literal float64 matrix product at a float64 root cannot beat.
     """
-    zeros = _trace_zeros(Model.PERIOD_DOUBLING, lam, k)
+    zeros = _trace_zeros(Model.PERIOD_DOUBLING, lam, range(k, k + 1))[k]
     x, y = next(islice(_walk(Model.PERIOD_DOUBLING, lam, zeros), k, None))
     certificates = []
     for e, trace_defect, x_abs in zip(zeros.hi.tolist(), np.abs((x * y).hi).tolist(),
@@ -607,14 +671,15 @@ def tm_special_energies(lam: float, k: int) -> np.ndarray:
 
 
 def _tm_zero_sets(lam: float, k: int) -> dict[int, _DD]:
-    """Zero sets of the Thue-Morse traces x_j for 1 <= j <= k - 2, polished.
+    """Zero sets of the Thue-Morse traces x_j for 1 <= j <= k - 2, polished,
+    the largest level first.
 
-    The largest level comes first, so an oversized request is refused
-    before any work.
+    All levels come from one kernel call, which refuses the largest level
+    past the cap before any work.
     """
     if k < 3:
         raise DomainError("the excluded-level construction needs k >= 3")
-    return {j: _trace_zeros(Model.THUE_MORSE, lam, j) for j in range(k - 2, 0, -1)}
+    return dict(reversed(_trace_zeros(Model.THUE_MORSE, lam, range(1, k - 1)).items()))
 
 
 def tm_root_certificates(lam: float, k: int) -> list[dict]:

@@ -263,6 +263,53 @@ def test_verify_covering(runner):
     assert result.exit_code == 0
 
 
+@pytest.mark.parametrize("mmax", ["18", "99999999999999999999"])
+def test_verify_covering_past_the_cap_is_refused_before_any_work(runner, tmp_path, monkeypatch,
+                                                                 mmax):
+    # the suite reads levels 1..mmax + 1; the deepest is refused before any is bisected
+    from quasidyn import _lapack
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a Dirichlet spectrum was computed")
+
+    monkeypatch.setattr(_lapack, "dsterf", unreachable)
+    out = tmp_path / "covering.json"
+    result = runner.invoke(main, ["verify", "covering", "--lambda", "5", "--mmax", mmax,
+                                  "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    (line,) = result.stderr.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "budget"
+    assert record["message"] == (f"the level-{int(mmax) + 1} band set needs more than "
+                                 f"the cap of 4181 sites")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, levels", [
+    (["spectrum", "--lambda", "5", "--k", "15", "--measure"], 15),
+    (["verify", "covering", "--lambda", "5", "--mmax", "12"], 13),
+])
+def test_band_commands_bisect_every_level_in_one_loop(runner, tmp_path, monkeypatch, args,
+                                                      levels):
+    from quasidyn import _lapack
+
+    calls = {"kernel": 0, "dsterf": 0}
+
+    def spy(name, real):
+        def counted(*a, **kw):
+            calls[name] += 1
+            return real(*a, **kw)
+        return counted
+
+    monkeypatch.setattr(spectra, "_BAND_SETS", {})
+    monkeypatch.setattr(spectra, "_level_crossings", spy("kernel", spectra._level_crossings))
+    monkeypatch.setattr(_lapack, "dsterf", spy("dsterf", _lapack.dsterf))
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "x.out")])
+    assert result.exit_code == 0, result.output
+    # level 1 is one site, with no Dirichlet eigenvalue to find
+    assert calls == {"kernel": 1, "dsterf": levels - 1}
+
+
 def test_verify_parseval(runner, tmp_path):
     out = tmp_path / "parseval.json"
     result = runner.invoke(main, ["verify", "parseval", "--model", "free",

@@ -636,7 +636,8 @@ def test_bloch_eigenvalues_are_trace_level_sets(q, theta, level, rng):
 
     assert theta + 1.0 / theta == level
     word = rng.uniform(0.0, 2.0, size=q)
-    (energies,), ends = _level_crossings(word, lambda e: _product_traces(word, e), (level,))
+    (energies,), ends = _level_crossings({0: word}, lambda e: [_product_traces(word, e)],
+                                         (level,))[0]
     assert energies.shape == (q,) and ends.shape == (q + 1,)
     assert np.all((ends[:-1] <= energies) & (energies <= ends[1:]))
     for energy in energies:

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quasidyn import spectra
 from quasidyn.lattice import DomainError
 from quasidyn.spectra import (
     Band,
     BandCountError,
     BandKind,
     BandSet,
-    _cached_spectrum,
+    _cached_spectra,
     _held,
     approximant_spectrum,
     bound_parameters,
@@ -409,6 +410,19 @@ def test_derivative_ratio_check_matches_the_all_levels_table(lam):
         assert derivative_ratio_check(lam, k) == _derivative_ratio_all_levels(lam, k)
 
 
+def test_band_set_cache_reads_a_request_before_dropping_old_sets(monkeypatch):
+    # a request mixing a missing level with cached ones that are the oldest kept
+    monkeypatch.setattr(spectra, "_BAND_SETS", {})
+    monkeypatch.setattr(spectra, "_BAND_SETS_KEPT", 3)
+    _cached_spectra(5.0, range(1, 3))
+    _cached_spectra(6.0, range(1, 2))
+    assert _cached_spectra(5.0, range(1, 4)) == [approximant_spectrum(5.0, k) for k in (1, 2, 3)]
+    # a read moves a band set to the newest end, so the least recently read is dropped
+    _cached_spectra(5.0, range(1, 2))
+    _cached_spectra(6.0, range(1, 2))
+    assert list(spectra._BAND_SETS) == [(5.0, 3), (5.0, 1), (6.0, 1)]
+
+
 def test_measure_report_holds_only_the_level_it_reads():
     # band sets cached: levels 0..k read for every k would peak at 21.5 MB, level k alone at ~5 MB
     report = measure_report(5.0, 15)
@@ -421,6 +435,6 @@ def test_measure_report_holds_only_the_level_it_reads():
     assert peak < 8e6
     for row in report["rows"]:
         k = row["k"]
-        energies = _cached_spectrum(5.0, k).interior_points(33).ravel()
+        energies = _cached_spectra(5.0, range(k, k + 1))[0].interior_points(33).ravel()
         slopes = trace_derivative_grid(5.0, energies, k)[1][k]
         assert row["max_abs_trace_derivative"] == float(np.max(np.abs(slopes)))

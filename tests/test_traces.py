@@ -531,12 +531,13 @@ def test_coinciding_zeros_warn():
 def test_polished_zeros_stay_in_their_brackets():
     # in the pd lambda = 5 cluster, Newton steps not clipped to their
     # Dirichlet brackets leave them and unsort the zeros
-    from quasidyn.traces import _level_crossings, _period_cell, _trace_zeros
+    from quasidyn.traces import _level_crossings, _period_cells, _trace_zeros
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        zeros = _trace_zeros(Model.PERIOD_DOUBLING, 5.0, 9).hi
-    _, ends = _level_crossings(*_period_cell(Model.PERIOD_DOUBLING, 5.0, 9, "pd level 9"), (0.0,))
+        zeros = _trace_zeros(Model.PERIOD_DOUBLING, 5.0, [9])[9].hi
+    _, ends = _level_crossings(*_period_cells(Model.PERIOD_DOUBLING, 5.0, [9], "zero set"),
+                               (0.0,))[9]
     assert np.all((ends[:-1] <= zeros) & (zeros <= ends[1:]))
     assert np.all(np.diff(zeros) >= 0)
 
@@ -565,11 +566,11 @@ def test_special_energy_levels_are_capped():
 def test_level_signs_past_float64_overflow_match_exact_trace():
     # at lambda = 5, k = 18 the plain float64 map gives NaN at some bracket
     # midpoints; the kernel's clipped map keeps the exact sign of x_k - c
-    from quasidyn.traces import _level_crossings, _period_cell
+    from quasidyn.traces import _Clip, _level_crossings, _level_trace, _period_cells
 
     lam, k = 5.0, 18
-    row, trace = _period_cell(Model.FIBONACCI, lam, k, "fib level 18")
-    _, ends = _level_crossings(row, trace, (0.0,))
+    _, ends = _level_crossings(*_period_cells(Model.FIBONACCI, lam, [k], "band set"), (0.0,))[k]
+    trace = lambda e: _level_trace(Model.FIBONACCI, lam, k, _Clip(e)).v
     mids = 0.5 * (ends[:-1] + ends[1:])
     with np.errstate(all="ignore"):
         plain = fib_trace_orbit_grid(lam, mids, k)[k]
@@ -611,16 +612,40 @@ def _scalar_crossings(ends, trace, targets):
     (Model.THUE_MORSE, 1.0, range(6), (0.0,)),
 ])
 def test_level_crossings_match_scalar_bisection(model, lam, levels, targets):
-    # the fixed-shape vector loop stops each bracket where a one-bracket
-    # bisection would, so every crossing is the same float
-    from quasidyn.traces import _level_crossings, _period_cell
+    # the vector loop stops each bracket where a one-bracket bisection would,
+    # so every crossing is the same float, for a level bisected alone and for
+    # every level of the row bisected in one call
+    from quasidyn.traces import _Clip, _level_crossings, _level_trace, _period_cells
 
+    together = _level_crossings(*_period_cells(model, lam, levels, "oracle level"), targets)
     for level in levels:
-        row, trace = _period_cell(model, lam, level, "oracle level")
-        crossings, ends = _level_crossings(row, trace, targets)
+        rows, walk = _period_cells(model, lam, [level], "oracle level")
+        crossings, ends = _level_crossings(rows, walk, targets)[level]
+        trace = lambda e: _level_trace(model, lam, level, _Clip(e)).v
         oracle = _scalar_crossings(ends, trace, targets)
-        assert crossings.shape == (len(targets), row.size)
+        assert crossings.shape == (len(targets), rows[level].size)
         assert np.array_equal(crossings, oracle), (model, lam, level)
+        crossings, ends = together[level]
+        assert np.array_equal(crossings, _scalar_crossings(ends, trace, targets)), (model, lam,
+                                                                                     level)
+
+
+def test_levels_bisected_together_match_levels_bisected_alone():
+    # levels 1..15 at lambda = 5, as `spectrum --measure` reads them: the
+    # level-2 crossing of -2 just below E = 0 takes about twice the steps of
+    # any other bracket, and the loop keeps stepping it after it drops the rest
+    from quasidyn.traces import _level_crossings, _period_cells
+
+    lam, levels = 5.0, range(1, 16)
+    together = _level_crossings(*_period_cells(Model.FIBONACCI, lam, levels, "band set"),
+                                (-2.0, 2.0))
+    assert list(together) == list(levels)
+    assert -1e-16 < together[2][0][0, 0] < 0.0
+    for level in levels:
+        alone = _level_crossings(*_period_cells(Model.FIBONACCI, lam, [level], "band set"),
+                                 (-2.0, 2.0))
+        for got, want in zip(together[level], alone[level]):
+            assert np.array_equal(got, want), level
 
 
 def test_clip_matches_clipped_float_arithmetic():
