@@ -170,24 +170,34 @@ def _flags_or_file(path: str | None, **keys: str) -> list:
     return values
 
 
-#: Cell formatters, tried in order against a cell's type (the first that matches).
+#: Cell formats, tried in order on a cell's type: a ``%`` conversion, and a function first.
 _FORMATS = (
-    ((bool, np.bool_), lambda v: "true" if v else "false"),
-    ((float, np.floating), lambda v: f"{float(v):.17g}"),
-    ((int, np.integer), lambda v: str(int(v))),
-    (enum.Enum, lambda v: str(v.value)),
-    (object, str),
+    ((bool, np.bool_), "%s", lambda v: "true" if v else "false"),
+    ((float, np.floating), "%.17g", None),
+    ((int, np.integer), "%d", None),
+    (enum.Enum, "%s", lambda v: v.value),
+    (object, "%s", None),
 )
 
 
 @functools.cache
-def _formatter(cls: type):
-    return next(fmt for types, fmt in _FORMATS if issubclass(cls, types))
+def _row_format(types: tuple[type, ...]) -> tuple[str, list]:
+    """One ``%`` format for a row of cells of these types, and each cell's function."""
+    cells = [next(form[1:] for form in _FORMATS if issubclass(cls, form[0])) for cls in types]
+    return ",".join(fmt for fmt, _ in cells), [turn for _, turn in cells]
+
+
+def _format_row(row: tuple) -> str:
+    """A CSV row as text: its cells formatted one by one and joined by commas."""
+    fmt, turns = _row_format(tuple(map(type, row)))
+    if not any(turns):
+        return fmt % tuple(row)
+    return fmt % tuple(v if turn is None else turn(v) for turn, v in zip(turns, row))
 
 
 def _fmt(value) -> str:
-    """A CSV cell or config value as text; the formatter is looked up once per type."""
-    return _formatter(type(value))(value)
+    """A CSV cell or config value as text."""
+    return _format_row((value,))
 
 
 def _meta_lines(config: RunConfig, tolerances: dict) -> list[str]:
@@ -204,7 +214,7 @@ def write_csv(path: Path, config: RunConfig, tolerances: dict,
               header: list[str], rows: list[tuple]) -> None:
     lines = _meta_lines(config, tolerances)
     lines.append(",".join(header))
-    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
+    lines += map(_format_row, rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -306,11 +316,10 @@ def spectrum(model, lam, k, with_measure, out, config_path):
     # the measure report reads every level 1..k: run first, it bisects them all in one
     # loop, and the band table reads its levels from the cache
     measure = spectra.measure_report(lam, k) if with_measure else None
-    if lam > 4.0 and k >= 2:
-        bands = spectra.classify_bands(lam, k)
-    else:
-        bands = spectra.approximant_spectrum(lam, k)
-    rows = [(k, i, b.lo, b.hi, b.width, b.kind.value) for i, b in enumerate(bands)]
+    classified = lam > 4.0 and k >= 2
+    bands = (spectra.classify_bands if classified else spectra.approximant_spectrum)(lam, k)
+    rows = list(zip([k] * len(bands), range(len(bands)), *bands.ends.T.tolist(),
+                    bands.widths.tolist(), bands.kinds.tolist()))
     write_csv(out, config, {},
               ["k", "band_index", "lo", "hi", "width", "kind"], rows)
     write_json(out.with_suffix(".json"), config, {}, {
@@ -431,11 +440,7 @@ def _suite_algebra(lam: float) -> dict:
 def _suite_covering(lam: float, mmax: int) -> dict:
     # every level 1..mmax + 1 in one loop, the deepest refused past the cap first
     spectra._cached_spectra(lam, range(1, mmax + 2))
-    worst: list = []
-    for m in range(2, mmax + 1):
-        rep = spectra.covering_check(lam, m)
-        if not rep.ok:
-            worst.extend(rep.violations)
+    worst = [v for m in range(2, mmax + 1) for v in spectra.covering_check(lam, m).violations]
     return {"name": "band-covering", "ok": not worst, "lambda": lam,
             "mmax": mmax, "violations": worst}
 
@@ -614,10 +619,9 @@ def powerlaw(model, lam, energies, from_level, count, mmax, alpha, geometry, out
     if not energy_list:
         if spec.model is Model.FIBONACCI:
             level = from_level if from_level is not None else 10
-            bands = spectra.approximant_spectrum(lam, level)
-            picks = np.linspace(0, len(bands.bands) - 1, min(count, len(bands.bands)))
-            energy_list = [0.5 * (bands.bands[int(i)].lo + bands.bands[int(i)].hi)
-                           for i in picks]
+            lo, hi = spectra.approximant_spectrum(lam, level).ends.T
+            picks = np.linspace(0, lo.size - 1, min(count, lo.size)).astype(int)
+            energy_list = (0.5 * (lo[picks] + hi[picks])).tolist()
         elif spec.model is Model.PERIOD_DOUBLING:
             energy_list = [0.0]
         elif spec.model is Model.THUE_MORSE:

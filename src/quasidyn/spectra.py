@@ -8,7 +8,7 @@ that period cell, and its edges are the crossings of x_k with -2 and 2
 there.  The level-set kernel ``traces._level_crossings``, which also gives
 the special energies, bisects them on the trace map to float64
 resolution, with no matrix and no tolerance to choose, and every level a
-report reads in one loop.
+report reads in one loop.  A :class:`BandSet` keeps a level's bands as arrays.
 
 For coupling above 4 three consecutive traces can never be simultaneously
 bounded by 2 in absolute value, which forces the band combinatorics: each
@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from typing import Iterable
 
@@ -34,7 +33,6 @@ from quasidyn.traces import (
     _DD,
     _Jet,
     _level_crossings,
-    _level_trace,
     _period_cells,
     _period_sites,
     _walk,
@@ -68,60 +66,70 @@ class BandKind(enum.Enum):
     UNCLASSIFIED = "?"
 
 
-def _chebyshev_interior(lo, hi, count: int) -> np.ndarray:
-    """Chebyshev-spaced points strictly inside [lo, hi]; array bounds of
-    shape (n, 1) give one row per interval."""
-    j = np.arange(count)
-    nodes = np.cos((2 * j + 1) * np.pi / (2 * count))
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid + half * nodes[::-1]
-
-
 @dataclass(frozen=True)
 class Band:
     lo: float
     hi: float
     kind: BandKind = BandKind.UNCLASSIFIED
 
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise DomainError(f"band lo={self.lo} exceeds hi={self.hi}")
-
     @property
     def width(self) -> float:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandSet:
-    bands: tuple[Band, ...]
+    """Sorted, pairwise disjoint bands as read-only arrays: ``ends`` holds one
+    (lo, hi) row per band and ``kinds`` each band's :class:`BandKind` value
+    (``"?"`` unless given).  Indexing or iterating reads out one :class:`Band`."""
+
+    ends: np.ndarray
+    kinds: np.ndarray | str = BandKind.UNCLASSIFIED.value
 
     def __post_init__(self):
-        if not np.all(self._ends[:-1, 1] < self._ends[1:, 0]):
-            raise DomainError("bands must be sorted and pairwise disjoint")
+        ends = np.asarray(self.ends, dtype=np.float64).reshape(-1, 2)
+        kinds = np.asarray(self.kinds)
+        if not (kinds.shape in ((), (len(ends),)) and np.all(ends[:, 0] <= ends[:, 1])
+                and np.all(ends[:-1, 1] < ends[1:, 0])
+                and np.isin(kinds, [kind.value for kind in BandKind]).all()):
+            raise DomainError("bands are sorted, disjoint (lo <= hi) rows with one kind each")
+        ends.flags.writeable = False  # a view: the caller's array stays writeable
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "kinds", np.broadcast_to(kinds, len(ends)))  # read-only
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, BandSet) and np.array_equal(self.ends, other.ends)
+                and np.array_equal(self.kinds, other.kinds))
 
     def __len__(self) -> int:
-        return len(self.bands)
+        return len(self.ends)
+
+    def __getitem__(self, i: int) -> Band:
+        return Band(*self.ends[i].tolist(), BandKind(self.kinds[i]))
 
     def __iter__(self):
-        return iter(self.bands)
+        for (lo, hi), kind in zip(self.ends.tolist(), self.kinds.tolist()):
+            yield Band(lo, hi, BandKind(kind))
+
+    @property
+    def widths(self) -> np.ndarray:
+        return self.ends[:, 1] - self.ends[:, 0]
 
     @property
     def total_measure(self) -> float:
-        return float(sum(b.width for b in self.bands))
+        # summed left to right, as a loop over the bands would: not np.sum's pairwise
+        # order, and not builtin sum, which compensates floats from CPython 3.12
+        return float(np.cumsum(self.widths)[-1])
 
     @property
     def min_width(self) -> float:
-        return float(min(b.width for b in self.bands))
-
-    @cached_property
-    def _ends(self) -> np.ndarray:
-        """(n, 2) array of the band ends (lo, hi), ascending."""
-        return np.array([(b.lo, b.hi) for b in self.bands]).reshape(-1, 2)
+        return float(self.widths.min())
 
     def interior_points(self, count: int) -> np.ndarray:
         """Chebyshev-spaced sample points strictly inside each band, one row per band."""
-        return _chebyshev_interior(self._ends[:, :1], self._ends[:, 1:], count)
+        nodes = np.cos((2 * np.arange(count) + 1) * np.pi / (2 * count))
+        lo, hi = self.ends[:, :1], self.ends[:, 1:]
+        return 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes[::-1]
 
 
 def _held(ends: np.ndarray, q_lo, q_hi, tol: float):
@@ -194,8 +202,7 @@ def approximant_spectrum(lam: float, k: int) -> BandSet:
     """
     if k < 0:
         raise DomainError("approximant level must be nonnegative")
-    (bands,) = _approximant_spectra(lam, range(k, k + 1))
-    return bands
+    return _approximant_spectra(lam, range(k, k + 1))[0]
 
 
 def _approximant_spectra(lam: float, levels) -> list[BandSet]:
@@ -203,20 +210,23 @@ def _approximant_spectra(lam: float, levels) -> list[BandSet]:
     :func:`approximant_spectrum` gives each, from one kernel call."""
     found = _level_crossings(*_period_cells(Model.FIBONACCI, lam, levels, "band set"),
                              (-2.0, 2.0))
+    ends = [np.sort(found[k][0], axis=0) for k in levels]
+    # the gap midpoints of every level in one double-double walk; each level reads its own
+    cuts = np.cumsum([0] + [lo.size - 1 for lo, _ in ends]).tolist()
+    mids = _DD(np.concatenate([0.5 * (hi[:-1] + lo[1:]) for lo, hi in ends]))
+    with np.errstate(all="ignore"):
+        x = dict(zip(range(levels[-1] + 1), _walk(Model.FIBONACCI, lam, mids)))
+        excess = {k: (np.abs(x[k].hi) - 2.0) + np.sign(x[k].hi) * x[k].lo for k in levels}
     out = []
-    for k in levels:
-        lo, hi = np.sort(found[k][0], axis=0)
-        with np.errstate(all="ignore"):
-            x = _level_trace(Model.FIBONACCI, lam, k, _DD(0.5 * (hi[:-1] + lo[1:])))
-            excess = (np.abs(x.hi) - 2.0) + np.sign(x.hi) * x.lo
+    for k, (lo, hi), a, b in zip(levels, ends, cuts, cuts[1:]):
         # inf or NaN past the double-double range is an open gap; meeting crossings leave none
-        open_gap = ~(excess <= _CLOSED_GAP_EXCESS) & (hi[:-1] < lo[1:])
+        open_gap = ~(excess[k][a:b] <= _CLOSED_GAP_EXCESS) & (hi[:-1] < lo[1:])
         first, last = np.r_[True, open_gap], np.r_[open_gap, True]
-        bands = tuple(Band(lo=a, hi=b) for a, b in zip(lo[first], hi[last]))
+        bands = BandSet(np.stack([lo[first], hi[last]], axis=1))
         if lam > 4.0 and len(bands) != lo.size:
             raise BandCountError(
                 f"level {k} at lambda={lam}: found {len(bands)} bands, expected F_{k} = {lo.size}")
-        out.append(BandSet(bands=bands))
+        out.append(bands)
     return out
 
 
@@ -256,14 +266,12 @@ def covering_check(lam: float, m: int) -> CoveringReport:
     if m < 2:
         raise DomainError("covering check needs m >= 2")
     below, cur, above = _cached_spectra(lam, range(m - 1, m + 2))
-    cover = np.concatenate([below._ends, cur._ends])
+    cover = np.concatenate([below.ends, cur.ends])
     union = np.array(merge_intervals(cover.tolist(), COVERING_TOL)).reshape(-1, 2)
-    violations = []
-    for level, bands in ((m, cur), (m + 1, above)):
-        violations.extend((level, b.lo, b.hi)
-                          for b, ok in zip(bands, _held(union, *bands._ends.T, COVERING_TOL))
-                          if not ok)
-    return CoveringReport(ok=not violations, violations=tuple(violations))
+    violations = tuple(
+        (level, lo, hi) for level, bands in ((m, cur), (m + 1, above))
+        for lo, hi in bands.ends[~_held(union, *bands.ends.T, COVERING_TOL)].tolist())
+    return CoveringReport(ok=not violations, violations=violations)
 
 
 def classify_bands(lam: float, k: int) -> BandSet:
@@ -278,15 +286,12 @@ def classify_bands(lam: float, k: int) -> BandSet:
     if k < 2:
         raise DomainError("classification needs k >= 2")
     grand, parent, cur = _cached_spectra(lam, range(k - 2, k + 1))
-    held = [_held(up._ends, *cur._ends.T, CONTAINMENT_TOL).tolist() for up in (parent, grand)]
-    labeled = []
-    for band, in_a, in_b in zip(cur, *held):
-        if in_a == in_b:
-            raise ClassificationError(
-                f"band [{band.lo}, {band.hi}] of level {k}: in_a={in_a}, in_b={in_b}")
-        kind = BandKind.TYPE_A if in_a else BandKind.TYPE_B
-        labeled.append(Band(lo=band.lo, hi=band.hi, kind=kind))
-    return BandSet(bands=tuple(labeled))
+    in_a, in_b = (_held(up.ends, *cur.ends.T, CONTAINMENT_TOL) for up in (parent, grand))
+    if np.any(in_a == in_b):
+        i = np.argmax(in_a == in_b)
+        raise ClassificationError(
+            f"band {cur.ends[i].tolist()} of level {k}: in_a={in_a[i]}, in_b={in_b[i]}")
+    return BandSet(cur.ends, np.where(in_a, BandKind.TYPE_A.value, BandKind.TYPE_B.value))
 
 
 def genealogy_check(lam: float, k: int) -> dict:
@@ -298,43 +303,40 @@ def genealogy_check(lam: float, k: int) -> dict:
     Also asserts that no band of level k+2 meets both levels k and k+1
     anywhere (three consecutive traces cannot all be small).
     """
-    if lam <= 4.0:
-        raise DomainError("genealogy counts require lambda > 4")
+    if lam <= 4.0 or k < 2:
+        raise DomainError("genealogy counts require lambda > 4 and k >= 2")
     tol = CONTAINMENT_TOL
-    cur = classify_bands(lam, k)
-    child1 = classify_bands(lam, k + 1)
-    child2 = classify_bands(lam, k + 2)
+    _cached_spectra(lam, range(k - 2, k + 3))  # levels k - 2..k + 2 in one kernel loop
+    cur, child1, child2 = (classify_bands(lam, j) for j in range(k, k + 3))
     # a band holds the run of children from lo >= band.lo - tol to hi <= band.hi + tol
-    runs = [zip(np.searchsorted(child._ends[:, 0], cur._ends[:, 0] - tol).tolist(),
-                np.searchsorted(child._ends[:, 1], cur._ends[:, 1] + tol, side="right").tolist())
+    runs = [zip(np.searchsorted(child.ends[:, 0], cur.ends[:, 0] - tol).tolist(),
+                np.searchsorted(child.ends[:, 1], cur.ends[:, 1] + tol, side="right").tolist())
             for child in (child1, child2)]
     failures = []
-    for band, (a1, b1), (a2, b2) in zip(cur, *runs):
-        c1, c2 = child1.bands[a1:b1], child2.bands[a2:b2]
-        if band.kind is BandKind.TYPE_A:
-            if len(c1) != 0 or len(c2) != 1 or c2[0].kind is not BandKind.TYPE_B:
-                failures.append(("A", band.lo, band.hi, len(c1), len(c2)))
+    for (lo, hi), kind, (a1, b1), (a2, b2) in zip(cur.ends.tolist(), cur.kinds.tolist(), *runs):
+        n1, n2 = max(b1 - a1, 0), max(b2 - a2, 0)
+        if kind == BandKind.TYPE_A.value:
+            if n1 != 0 or n2 != 1 or child2.kinds[a2] != BandKind.TYPE_B.value:
+                failures.append(("A", lo, hi, n1, n2))
         else:
-            ok = (len(c1) == 1 and c1[0].kind is BandKind.TYPE_A
-                  and len(c2) == 2 and all(c.kind is BandKind.TYPE_B for c in c2)
-                  and c2[0].hi < c1[0].lo and c1[0].hi < c2[1].lo)
+            ok = (n1 == 1 and child1.kinds[a1] == BandKind.TYPE_A.value and n2 == 2
+                  and child2.kinds[a2] == child2.kinds[a2 + 1] == BandKind.TYPE_B.value
+                  and child2.ends[a2, 1] < child1.ends[a1, 0]
+                  and child1.ends[a1, 1] < child2.ends[a2 + 1, 0])
             if not ok:
-                failures.append(("B", band.lo, band.hi, len(c1), len(c2)))
+                failures.append(("B", lo, hi, n1, n2))
     # swapped query ends: does a level-(k+2) band meet a band of each set
-    meets = [_held(bands._ends, *child2._ends.T[::-1], tol) for bands in (cur, child1)]
-    triple_overlap = [(g.lo, g.hi) for g, both in zip(child2, meets[0] & meets[1]) if both]
-    counts = {
-        "n_bands": len(cur),
-        "n_type_a": sum(b.kind is BandKind.TYPE_A for b in cur),
-        "n_type_b": sum(b.kind is BandKind.TYPE_B for b in cur),
-    }
+    meets = [_held(bands.ends, *child2.ends.T[::-1], tol) for bands in (cur, child1)]
+    triple_overlap = [(lo, hi) for lo, hi in child2.ends[meets[0] & meets[1]].tolist()]
     return {
         "lam": lam,
         "k": k,
         "ok": not failures and not triple_overlap,
         "failures": failures,
         "triple_overlap": triple_overlap,
-        **counts,
+        "n_bands": len(cur),
+        "n_type_a": int(np.count_nonzero(cur.kinds == BandKind.TYPE_A.value)),
+        "n_type_b": int(np.count_nonzero(cur.kinds == BandKind.TYPE_B.value)),
     }
 
 
@@ -407,34 +409,28 @@ def derivative_ratio_check(lam: float, k: int, *, samples_per_band: int = SAMPLE
     bands = classify_bands(lam, k)
     # one walk over every band's samples: levels k - 2, k - 1 and k, one row per band
     d_k2, d_k1, d_k = _level_slopes(lam, bands.interior_points(samples_per_band), k, 3)
-    # one rule per kind: the parent level's slopes, the ratio bound and the peak ratio
-    parent = {BandKind.TYPE_A: d_k1, BandKind.TYPE_B: d_k2}
-    bound = {BandKind.TYPE_A: lam + 11.0, BandKind.TYPE_B: 2.0 * lam + 22.0}
-    peak = dict.fromkeys(bound, 0.0)
-    skipped = 0
-    violations = []
-    for i, band in enumerate(bands):
-        denom = parent[band.kind][i]
-        ok = denom != 0.0
-        skipped += int(np.sum(~ok))
-        ratios = np.abs(d_k[i][ok] / denom[ok])
-        if ratios.size == 0:
-            continue
-        top = float(np.max(ratios))
-        peak[band.kind] = max(peak[band.kind], top)
-        if top > bound[band.kind] * (1.0 + tol) + tol:
-            violations.append((band.kind.value, band.lo, band.hi, top))
+    # each band's parent level and ratio bound by its kind: A reads level k - 1, B k - 2
+    is_a = bands.kinds == BandKind.TYPE_A.value
+    denom = np.where(is_a[:, None], d_k1, d_k2)
+    ok = denom != 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # each band's peak ratio over the samples with a nonzero parent slope; -inf for none
+        top = np.where(ok, np.abs(d_k / denom), -np.inf).max(axis=1)
+    bad = top > np.where(is_a, lam + 11.0, 2.0 * lam + 22.0) * (1.0 + tol) + tol
+    # the peak of each kind, as a loop max(peak, top) over its bands reads it
+    peak_a, peak_b = (max([0.0, *top[mask].tolist()]) for mask in (is_a, ~is_a))
     return {
         "lam": lam,
         "k": k,
-        "max_ratio_type_a": peak[BandKind.TYPE_A],
-        "max_ratio_type_b": peak[BandKind.TYPE_B],
-        "bound_type_a": bound[BandKind.TYPE_A],
-        "bound_type_b": bound[BandKind.TYPE_B],
+        "max_ratio_type_a": peak_a,
+        "max_ratio_type_b": peak_b,
+        "bound_type_a": lam + 11.0,
+        "bound_type_b": 2.0 * lam + 22.0,
         "samples_per_band": samples_per_band,
-        "skipped_zero_derivative": skipped,
-        "violations": violations,
-        "ok": not violations,
+        "skipped_zero_derivative": int(np.count_nonzero(~ok)),
+        "violations": list(zip(bands.kinds[bad].tolist(), *bands.ends[bad].T.tolist(),
+                               top[bad].tolist())),
+        "ok": not bad.any(),
     }
 
 

@@ -41,8 +41,8 @@ def sigma16():
 
 
 def _band_midpoints(bands, count):
-    picks = np.linspace(0, len(bands.bands) - 1, count).astype(int)
-    return [0.5 * (bands.bands[i].lo + bands.bands[i].hi) for i in picks]
+    picks = np.linspace(0, len(bands) - 1, count).astype(int)
+    return [0.5 * (bands[i].lo + bands[i].hi) for i in picks]
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,29 @@ def test_band_commands_bisect_every_level_in_one_loop(runner, tmp_path, monkeypa
     assert calls == {"kernel": 1, "dsterf": levels - 1}
 
 
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--model", "fib", "--lambda", "1", "--k", "16"],
+    ["spectrum", "--lambda", "5", "--k", "15", "--measure"],
+    ["verify", "covering", "--lambda", "5", "--mmax", "12"],
+    ["powerlaw", "--model", "fib", "--lambda", "1", "--from-level", "12", "--mmax", "50"],
+])
+def test_band_commands_build_no_band_per_band(runner, tmp_path, monkeypatch, args):
+    built = []
+
+    def counted(*a, **kw):
+        built.append(1)
+        return band(*a, **kw)
+
+    band = spectra.Band
+    monkeypatch.setattr(spectra, "_BAND_SETS", {})
+    monkeypatch.setattr(spectra, "Band", counted)
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "x.out")])
+    assert result.exit_code == 0, result.output
+    assert built == []
+    # the spy sees the bands a library caller reads out one by one
+    assert len(list(spectra.approximant_spectrum(5.0, 3))) == len(built) == 3
+
+
 def test_verify_parseval(runner, tmp_path):
     out = tmp_path / "parseval.json"
     result = runner.invoke(main, ["verify", "parseval", "--model", "free",
@@ -808,6 +831,35 @@ def test_cell_formats_match_the_isinstance_chain(value, text):
 
     assert _fmt(value) == _fmt_chain(value) == text
     assert _fmt(value) == text  # the second call reads the cached formatter
+
+
+class _Cell(enum.Enum):
+    ONE = 1
+
+
+def test_csv_rows_match_the_per_cell_join(tmp_path):
+    # the oracle: every cell formatted alone, as by _fmt_chain, joined by commas
+    rows = [
+        (np.float64(-0.0), 5e-324, np.float64(1e308), float("inf"), np.float64("nan")),
+        (-0.0, np.float64(5e-324), 1e308, np.float64("-inf"), float("nan")),
+        (7, np.int64(-12), np.uint8(200), 2 ** 70, np.int32(0)),
+        (True, np.bool_(False), False, np.bool_(True), True),
+        (_Kind.A, Model.THUE_MORSE, _Cell.ONE, "x", ""),
+        # a powerlaw row of a non-Fibonacci model: coding_bound_ok is ""
+        (np.float64(-1.0), 0.5, np.int64(377), np.float64(12.25), ""),
+        (1.0, np.float64(2.5), 3, 4.0, np.bool_(True)),
+        ("100%", "%s", "%d", None, 0.1),
+    ]
+    config = cli.RunConfig("test", {"x": "1"})
+    header = ["a", "b", "c", "d", "e"]
+    out = tmp_path / "cells.csv"
+    cli.write_csv(out, config, {"tol": 1e-9}, header, rows)
+    expected = cli._meta_lines(config, {"tol": 1e-9}) + [",".join(header)] + [
+        ",".join(_fmt_chain(cell) for cell in row) for row in rows]
+    assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
+    # rows given as lists, and as an iterator, write the same bytes
+    cli.write_csv(out, config, {"tol": 1e-9}, header, iter([list(row) for row in rows]))
+    assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 def test_runner_prints_one_run_line(runner):

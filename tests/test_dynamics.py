@@ -1043,7 +1043,7 @@ def test_powerlaw_fib_on_band_energies():
     alpha = bound_parameters(lam).alpha
     bands = approximant_spectrum(lam, 10)
     spec = fib_spec(lam)
-    for band in bands.bands[:: len(bands.bands) // 4]:
+    for band in list(bands)[:: len(bands) // 4]:
         energy = 0.5 * (band.lo + band.hi)
         norms = transfer_norms_from_origin(spec, energy, 89)
         report = dynamics._powerlaw_report(norms, alpha)
@@ -1085,7 +1085,7 @@ def test_zeckendorf_codings():
 
 def test_zeckendorf_bound_on_band_energy():
     lam = 1.0
-    band = approximant_spectrum(lam, 10).bands[40]
+    band = approximant_spectrum(lam, 10)[40]
     report = zeckendorf_bound_check(fib_spec(lam), 0.5 * (band.lo + band.hi), 89,
                                     bound_parameters(lam).d)
     assert report["ok"]
@@ -1093,7 +1093,7 @@ def test_zeckendorf_bound_on_band_energy():
 
 def test_zeckendorf_report_matches_the_per_m_coding():
     lam = 1.0
-    band = approximant_spectrum(lam, 10).bands[40]
+    band = approximant_spectrum(lam, 10)[40]
     energy, d = 0.5 * (band.lo + band.hi), 1.1
     norms = dict(transfer_norms_from_origin(fib_spec(lam), energy, 300).items())
     margins = [np.log(norms[m]) - zeckendorf(m)[-1] * math.log(d) for m in range(1, 301)]
@@ -1296,7 +1296,7 @@ def test_complex_energy_bound_free_sweep():
 
 
 def test_complex_energy_bound_fib_band_energy():
-    band = approximant_spectrum(1.0, 10).bands[40]
+    band = approximant_spectrum(1.0, 10)[40]
     energy = 0.5 * (band.lo + band.hi)
     deltas = [1j / 89.0, 1j / 89.0 ** 2, (0.6 + 0.8j) / 89.0 ** 2]
     report = complex_energy_bound_check(fib_spec(1.0), energy, 89, deltas)

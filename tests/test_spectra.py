@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from quasidyn.spectra import (
     BandCountError,
     BandKind,
     BandSet,
+    ClassificationError,
     _cached_spectra,
     _held,
     approximant_spectrum,
@@ -71,12 +73,12 @@ def test_band_counts_above_coupling_four():
 def test_first_levels_in_closed_form():
     lam = 5.0
     bands1 = approximant_spectrum(lam, 1)
-    assert bands1.bands[0].lo == pytest.approx(lam - 2.0, abs=1e-10)
-    assert bands1.bands[0].hi == pytest.approx(lam + 2.0, abs=1e-10)
+    assert bands1[0].lo == pytest.approx(lam - 2.0, abs=1e-10)
+    assert bands1[0].hi == pytest.approx(lam + 2.0, abs=1e-10)
     bands2 = approximant_spectrum(lam, 2)
     root = math.sqrt(lam * lam + 16.0)
     expected = [((lam - root) / 2.0, 0.0), (lam, (lam + root) / 2.0)]
-    for band, (lo, hi) in zip(bands2.bands, expected):
+    for band, (lo, hi) in zip(bands2, expected):
         assert band.lo == pytest.approx(lo, abs=1e-10)
         assert band.hi == pytest.approx(hi, abs=1e-10)
 
@@ -84,8 +86,8 @@ def test_first_levels_in_closed_form():
 def test_free_coupling_merges_to_full_band():
     bands = approximant_spectrum(0.0, 6)
     assert len(bands) == 1
-    assert bands.bands[0].lo == pytest.approx(-2.0, abs=1e-9)
-    assert bands.bands[0].hi == pytest.approx(2.0, abs=1e-9)
+    assert bands[0].lo == pytest.approx(-2.0, abs=1e-9)
+    assert bands[0].hi == pytest.approx(2.0, abs=1e-9)
 
 
 def test_band_edges_sit_on_trace_level_set():
@@ -102,6 +104,38 @@ def test_band_interiors_have_small_trace():
     mids = np.array([0.5 * (b.lo + b.hi) for b in bands])
     xs = fib_trace_orbit_grid(5.0, mids, 7)
     assert np.all(np.abs(xs[7]) <= 2.0)
+
+
+@pytest.mark.parametrize("k", [7, 9, 10])
+def test_total_measure_sums_the_widths_left_to_right(k):
+    bands = approximant_spectrum(1.0, k)
+    total = 0.0
+    for lo, hi in bands.ends.tolist():
+        total += hi - lo
+    assert bands.total_measure.hex() == total.hex()
+    # a compensated sum (builtin sum from CPython 3.12) reads another float here,
+    # and so does numpy's pairwise sum at k = 9
+    assert math.fsum(bands.widths) != total
+    assert (float(np.sum(bands.widths)) != total) == (k == 9)
+
+
+def test_band_set_holds_read_only_arrays():
+    ends = np.array([[0.0, 1.0], [2.0, 2.0], [3.0, 5.0]])
+    bands = BandSet(ends, ["A", "B", "A"])
+    assert not bands.ends.flags.writeable and not bands.kinds.flags.writeable
+    assert ends.flags.writeable  # the caller's array is left as it was
+    assert bands == BandSet(ends.tolist(), np.array(["A", "B", "A"]))
+    assert bands != BandSet(ends)
+    assert BandSet(ends).kinds.tolist() == ["?", "?", "?"]
+    assert bands[1] == Band(lo=2.0, hi=2.0, kind=BandKind.TYPE_B)
+    assert [band.width for band in bands] == [1.0, 0.0, 2.0]
+    assert (len(bands), bands.total_measure, bands.min_width) == (3, 3.0, 0.0)
+    for bad in ([[1.0, 0.0]], [[0.0, 2.0], [1.0, 3.0]], [[0.0, 1.0], [1.0, 2.0]], [[0.0, np.nan]]):
+        with pytest.raises(DomainError):
+            BandSet(np.array(bad))
+    for kinds in (["A", "B"], ["A", "B", "C"], [BandKind.TYPE_A] * 3):
+        with pytest.raises(DomainError):
+            BandSet(ends, kinds)
 
 
 def test_band_count_error_when_resolution_lost(monkeypatch):
@@ -148,13 +182,12 @@ def test_merge_intervals_matches_brute_union(intervals, tol):
 def test_band_set_covers_matches_brute_scan(tol, rng):
     for _ in range(40):
         cuts = np.sort(rng.uniform(-3.0, 3.0, 2 * int(rng.integers(1, 9))))
-        bands = BandSet(bands=tuple(
-            Band(lo=float(lo), hi=float(hi)) for lo, hi in zip(cuts[::2], cuts[1::2])))
+        bands = BandSet(cuts.reshape(-1, 2))
         # query ends at and near the band ends as well as anywhere in between
         ends = np.concatenate([cuts, cuts - tol, cuts + tol, rng.uniform(-3.5, 3.5, 20)])
         for e_lo, e_hi in itertools.combinations(np.sort(ends), 2):
             brute = any(b.lo - tol <= e_lo and e_hi <= b.hi + tol for b in bands)
-            assert bool(_held(bands._ends, float(e_lo), float(e_hi), tol)) == brute
+            assert bool(_held(bands.ends, float(e_lo), float(e_hi), tol)) == brute
 
 
 @settings(max_examples=200, derandomize=True)
@@ -189,6 +222,36 @@ def test_covering_property(lam):
     for m in range(2, 10):
         report = covering_check(lam, m)
         assert report.ok, report.violations
+
+
+def test_covering_violations_match_a_band_by_band_scan(monkeypatch):
+    # a negative tolerance makes the bands that reach an edge of the union stick out
+    tol = -1e-3
+    monkeypatch.setattr(spectra, "COVERING_TOL", tol)
+    seen = 0
+    for m in range(2, 8):
+        below, cur, above = (approximant_spectrum(1.0, j) for j in (m - 1, m, m + 1))
+        union = merge_intervals([(b.lo, b.hi) for b in (*below, *cur)], tol)
+        expected = tuple((level, b.lo, b.hi) for level, bands in ((m, cur), (m + 1, above))
+                         for b in bands
+                         if not any(lo - tol <= b.lo and b.hi <= hi + tol for lo, hi in union))
+        report = covering_check(1.0, m)
+        assert (report.ok, report.violations) == (not expected, expected)
+        seen += len(expected)
+    assert seen > 0
+
+
+def test_classification_names_the_first_band_in_both_or_neither(monkeypatch):
+    # a containment tolerance wider than the gaps puts some bands inside both parents
+    tol = 0.05
+    monkeypatch.setattr(spectra, "CONTAINMENT_TOL", tol)
+    grand, parent, cur = (approximant_spectrum(5.0, j) for j in (3, 4, 5))
+    inside = lambda band, up: any(u.lo - tol <= band.lo and band.hi <= u.hi + tol for u in up)
+    first = next(b for b in cur if inside(b, parent) == inside(b, grand))
+    text = (f"band [{first.lo}, {first.hi}] of level 5: in_a={inside(first, parent)}, "
+            f"in_b={inside(first, grand)}")
+    with pytest.raises(ClassificationError, match=re.escape(text)):
+        classify_bands(5.0, 5)
 
 
 def test_classification_partition_and_counts():
@@ -252,9 +315,8 @@ def test_genealogy_matches_pairwise_scan(monkeypatch, rng):
     # one child included
     def band_set(k):
         cuts = np.sort(rng.choice(80, size=2 * int(rng.integers(1, 12)), replace=False)) * 5e-10
-        kinds = rng.choice([BandKind.TYPE_A, BandKind.TYPE_B], size=cuts.size // 2)
-        return BandSet(bands=tuple(
-            Band(lo=lo, hi=hi, kind=kind) for lo, hi, kind in zip(cuts[::2], cuts[1::2], kinds)))
+        kinds = rng.choice([BandKind.TYPE_A.value, BandKind.TYPE_B.value], size=cuts.size // 2)
+        return BandSet(cuts.reshape(-1, 2), kinds)
 
     checked = 0
     for _ in range(300):
@@ -266,6 +328,20 @@ def test_genealogy_matches_pairwise_scan(monkeypatch, rng):
         assert report["triple_overlap"] == triple
         checked += len(failures) < len(sets[3])
     assert checked > 0  # some bands passed their rule too
+
+
+def test_genealogy_check_reads_its_levels_in_one_loop(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    kernel = spectra._level_crossings
+    monkeypatch.setattr(spectra, "_BAND_SETS", {})
+    monkeypatch.setattr(spectra, "_level_crossings", counted)
+    assert genealogy_check(5.0, 8)["ok"]
+    assert len(calls) == 1
 
 
 def test_no_three_consecutive_small_traces():
@@ -316,7 +392,7 @@ def test_f_pm_partials_sobol_sweep():
 def test_f_pm_solves_middle_of_triple():
     lam = 5.0
     bands = approximant_spectrum(lam, 8)
-    mids = np.array([0.5 * (b.lo + b.hi) for b in bands.bands[::5]])
+    mids = np.array([0.5 * (b.lo + b.hi) for b in list(bands)[::5]])
     xs = fib_trace_orbit_grid(lam, mids, 8)
     for i in range(mids.size):
         for k in range(2, 8):

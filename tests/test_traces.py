@@ -83,7 +83,7 @@ def test_fib_matrices_match_brute_products(lam, energy):
 
 
 def test_fib_matrices_unimodular_on_band():
-    band = approximant_spectrum(1.0, 16).bands[321]
+    band = approximant_spectrum(1.0, 16)[321]
     mats = fib_matrices(1.0, 0.5 * (band.lo + band.hi), 12)
     dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
     npt.assert_allclose(dets, 1.0, atol=1e-12)
